@@ -5,7 +5,8 @@
 
 Writes JSON lines to stdout: ``{"ready": ...}`` as soon as the first
 checked result is in (the parent times set-up up to that line), then,
-in ``measure`` mode, ``{"result": ...}`` after the timed phase.
+in ``measure`` mode, ``{"result": ...}`` after the timed phase, and in
+``setup`` mode ``{"probe": ...}`` when the workload has a ``probe()``.
 """
 
 from __future__ import annotations
@@ -55,6 +56,9 @@ def main(argv=None) -> int:
         setup_ok = bool(workload.setup())
         emit({"ready": True, "setup_ok": setup_ok})
         if args.mode == "setup":
+            probe = getattr(workload, "probe", None)
+            if probe is not None:
+                emit({"probe": probe(), "setup_ok": setup_ok})
             return 0
         if tracer is not None:
             tracer.active = True

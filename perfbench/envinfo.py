@@ -8,7 +8,7 @@ import os
 import platform
 from typing import Dict, Optional
 
-#: Seed a claim made on the driver's seeds must also hold on: it was
+#: Seed a claim made on a comparison's seeds must also hold on: it was
 #: never used while this benchmark was tuned.
 RECHECK_SEED = 7919
 

@@ -39,6 +39,8 @@ class RateRun:
     latencies_ms: List[float] = field(default_factory=list)
     lags_ms: List[float] = field(default_factory=list)
     batch_sizes: List[int] = field(default_factory=list)
+    #: ``perf_counter`` time each answer was read (:func:`saturate` only).
+    done_at: List[float] = field(default_factory=list)
     #: request id -> scheduled send time (``perf_counter`` seconds).
     dues: Dict[int, float] = field(default_factory=dict)
 
@@ -55,6 +57,18 @@ class RateRun:
         """Completed requests per second, first due time to last answer."""
         span = self.last_done - self.start
         return self.completed / span if span > 0 else 0.0
+
+    def median_window_rps(self, answers: int) -> float:
+        """Median over consecutive runs of ``answers`` answers of the rate
+        each was read at: one stall of the host slows one window, not the
+        figure. :attr:`achieved_rps` when there is less than one window."""
+        times = self.done_at
+        rates = [
+            answers / (times[i + answers] - times[i])
+            for i in range(0, len(times) - answers, answers)
+            if times[i + answers] > times[i]
+        ]
+        return float(np.median(rates)) if rates else self.achieved_rps
 
     def summary(self) -> Dict[str, object]:
         return {
@@ -151,9 +165,9 @@ def saturate(
     """Keep ``in_flight`` requests outstanding for ``seconds``.
 
     A closed loop: each answer, oldest first, is replaced by a new
-    request, so the batcher always finds full batches waiting. The
-    achieved rate is the server's throughput at full batches. Answers
-    are checked as in :func:`offer`.
+    request, so the batcher always finds full batches waiting. The rate
+    answers are read at is the server's throughput at full batches.
+    Answers are checked as in :func:`offer`.
     """
     run = RateRun(rate=0.0)
     outstanding = deque()
@@ -185,6 +199,7 @@ def saturate(
             if response.logits.tobytes() != reference[sample].tobytes():
                 run.mismatched += 1
         run.last_done = time.perf_counter()
+        run.done_at.append(run.last_done)
         if run.last_done < stop_at:
             send()
     run.end = run.last_done
