@@ -46,6 +46,12 @@
 # additionally gates nominal-load p99 latency against its
 # self-calibrated bound and full admission accounting at overload.
 #
+# The benchmark's own correctness checks run last: perfbench/run.py
+# on offline_direct_b64 (routed batch-64 logits and spike statistics
+# byte-compared against a forced-dense forward) and sim_rate_int4 (the
+# simulator report compared against its reference) must report
+# "correct": true and "failed": 0 on its last line.
+#
 # Usage: scripts/perf_smoke.sh            (tiny scale, the default)
 #        REPRO_BENCH_SCALE=small scripts/perf_smoke.sh
 set -euo pipefail
@@ -60,4 +66,17 @@ python scripts/check_docs.py
 python scripts/check_static.py
 python scripts/check_serving_determinism.py
 python scripts/check_parallel_determinism.py
-exec python scripts/check_fault_recovery.py
+python scripts/check_fault_recovery.py
+
+perfbench_correct() {
+    local last
+    last=$(python3 perfbench/run.py --workload "$1" --seed 7919 \
+        --seconds 2 --trace 0 | tail -n 1)
+    python3 -c '
+import json, sys
+result = json.loads(sys.argv[1])
+sys.exit(0 if result["correct"] is True and result["failed"] == 0 else 1)
+' "$last" || { echo "perfbench $1 failed its checks: $last" >&2; exit 1; }
+}
+perfbench_correct offline_direct_b64
+perfbench_correct sim_rate_int4

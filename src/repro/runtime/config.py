@@ -18,6 +18,14 @@ from typing import Dict, Iterator, Optional
 
 from repro.errors import ConfigError
 
+#: Default cap on a fused dense call's im2col buffer, in float32 elements
+#: (4 MB). A chunk whose columns fit in the core-local caches is read
+#: back by the GEMM while still resident; the earlier 64 MB cap streamed
+#: every batch-64 chunk through main memory. On a 2-core host with 2 MB
+#: of L2 per core, 1 << 20 measured faster than 1 << 19 and 1 << 21 on a
+#: batch-64 VGG9 forward.
+MAX_FUSED_ELEMENTS = 1 << 20
+
 
 @dataclass(frozen=True)
 class RuntimeConfig:
@@ -63,6 +71,9 @@ class RuntimeConfig:
             ``REPRO_INT_KERNELS``.
         max_fused_elements: cap on the im2col buffer (elements) per fused
             dense call; larger batches are chunked (bit-exact either way).
+            The default, :data:`MAX_FUSED_ELEMENTS`, is sized to the
+            cache rather than to memory: small chunks keep the columns
+            cache-resident between the unfold and the GEMM.
     """
 
     enabled: bool = True
@@ -72,7 +83,7 @@ class RuntimeConfig:
     event_backend: str = "auto"
     event_kblock: Optional[int] = None
     int_kernels: str = "auto"
-    max_fused_elements: int = 1 << 24
+    max_fused_elements: int = MAX_FUSED_ELEMENTS
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.dispatch_threshold <= 1.0:

@@ -43,11 +43,13 @@ is negligible host cost and their BLAS shape is the multi-lane one.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.runtime.config import MAX_FUSED_ELEMENTS
 from repro.runtime.plan import LayerPlan
 from repro.utils.rng import new_rng
 
@@ -67,7 +69,11 @@ def resolve_event_backend(name: str) -> str:
 
 
 class BufferPool:
-    """Reusable scratch arrays keyed by (tag, shape); one per network."""
+    """Reusable scratch arrays keyed by (tag, shape); one per network.
+
+    New buffers start zeroed, so a buffer whose border no caller ever
+    writes (the padded-input buffers) keeps a zero border for good.
+    """
 
     def __init__(self) -> None:
         self._buffers: Dict[Tuple, np.ndarray] = {}
@@ -76,7 +82,7 @@ class BufferPool:
         key = (tag, shape, np.dtype(dtype).str)
         buffer = self._buffers.get(key)
         if buffer is None:
-            buffer = np.empty(shape, dtype=dtype)
+            buffer = np.zeros(shape, dtype=dtype)
             self._buffers[key] = buffer
         return buffer
 
@@ -88,11 +94,49 @@ class BufferPool:
 # Dense (time-fused) path
 # ---------------------------------------------------------------------------
 
+def _chunk_buffer(
+    buffers: Optional[BufferPool],
+    tag: str,
+    cap: int,
+    rows: int,
+    tail: Tuple[int, ...],
+    dtype=np.float32,
+) -> np.ndarray:
+    """A ``(rows,) + tail`` scratch array for one batch chunk.
+
+    Pooled buffers are leading slices of one ``(cap,) + tail`` array per
+    tag and shape, so every batch size and tail chunk shares it and the
+    pool holds one buffer per layer shape, not one per batch size.
+    """
+    if buffers is None:
+        return np.empty((rows,) + tail, dtype=dtype)
+    return buffers.get(tag, (cap,) + tail, dtype)[:rows]
+
+
+def _padded_chunk(
+    buffers: Optional[BufferPool], xc: np.ndarray, pad: int, cap: int
+) -> np.ndarray:
+    """``xc`` zero-padded by ``pad`` on both spatial sides.
+
+    Pooled chunks write only the interior of a buffer whose border is
+    zero from allocation and never written, which saves ``np.pad``'s
+    per-call cost on every chunk.
+    """
+    rows, cin, height, width = xc.shape
+    tail = (cin, height + 2 * pad, width + 2 * pad)
+    if buffers is None:
+        padded = np.zeros((rows,) + tail, dtype=xc.dtype)
+    else:
+        padded = buffers.get(f"padded{pad}", (cap,) + tail, xc.dtype)[:rows]
+    padded[:, :, pad:pad + height, pad:pad + width] = xc
+    return padded
+
+
 def dense_conv(
     layer: LayerPlan,
     x: np.ndarray,
     buffers: Optional[BufferPool] = None,
-    max_elements: int = 1 << 24,
+    max_elements: int = MAX_FUSED_ELEMENTS,
     kblock: Optional[int] = None,
 ) -> np.ndarray:
     """Unfold-matmul convolution over a fused (B, Cin, H, W) batch.
@@ -117,21 +161,18 @@ def dense_conv(
     cout = layer.out_channels
     kernel = g.kernel
     out = np.empty((batch, cout, g.p), dtype=np.float32)
-    chunk = max(1, min(batch, max_elements // max(1, g.k * g.p)))
+    cap = max(1, max_elements // max(1, g.k * g.p))
+    chunk = max(1, min(batch, cap))
     tables = layer.block_tables(kblock) if kblock else None
     for start in range(0, batch, chunk):
         stop = min(batch, start + chunk)
         xc = x[start:stop]
         if g.padding:
-            p = g.padding
-            xc = np.pad(xc, ((0, 0), (0, 0), (p, p), (p, p)))
+            xc = _padded_chunk(buffers, xc, g.padding, cap)
         windows = np.lib.stride_tricks.sliding_window_view(
             xc, (kernel, kernel), axis=(2, 3)
         )  # (b, Cin, OH, OW, K, K)
-        if buffers is not None:
-            cols = buffers.get("cols", (stop - start, g.k, g.p))
-        else:
-            cols = np.empty((stop - start, g.k, g.p), dtype=np.float32)
+        cols = _chunk_buffer(buffers, "cols", cap, stop - start, (g.k, g.p))
         np.copyto(
             cols.reshape(stop - start, g.cin, kernel, kernel, g.oh, g.ow),
             windows.transpose(0, 1, 4, 5, 2, 3),
@@ -140,10 +181,9 @@ def dense_conv(
         if tables is None or tables.nblocks == 1:
             np.matmul(layer.wmat, cols, out=out_chunk)
         else:
-            if buffers is not None:
-                partial = buffers.get("kpartial", out_chunk.shape)
-            else:
-                partial = np.empty(out_chunk.shape, dtype=np.float32)
+            partial = _chunk_buffer(
+                buffers, "kpartial", cap, stop - start, (cout, g.p)
+            )
             edges = tables.edges
             np.matmul(
                 tables.wmat_blocks[0], cols[:, edges[0]:edges[1], :],
@@ -192,6 +232,42 @@ def _scatter_columns(
     return out
 
 
+def _event_contributions(
+    layer: LayerPlan, x: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(rows, ks)`` of every scatter contribution of a (B, Cin, H, W)
+    batch: the output row (sample x output position) and im2col row of
+    each in-bounds tap of each event, events in row-major order.
+
+    Events are found with one flat scan of a float comparison plus a
+    ``divmod``, several times cheaper than a 2-D ``np.nonzero``.
+    Comparing the float values (not their bit patterns) keeps ``-0.0``
+    a non-event, exactly as ``np.nonzero`` treats it.
+    """
+    g = layer.geometry
+    sample, pix = np.divmod(
+        np.flatnonzero(x != 0), max(1, math.prod(x.shape[1:]))
+    )
+    valid = g.contrib_valid[pix]
+    ks = g.contrib_k[pix][valid]
+    rows = (sample[:, None] * g.p + g.contrib_p[pix])[valid]
+    return rows, ks
+
+
+def _event_current(out2d: np.ndarray, layer: LayerPlan, batch: int) -> np.ndarray:
+    """The (B, Cout, OH, OW) current of a (B*P, Cout) scatter result:
+    transposed and bias-added in one pass."""
+    g = layer.geometry
+    cout = layer.out_channels
+    current = np.empty((batch, cout, g.oh, g.ow), dtype=np.float32)
+    np.add(
+        out2d.reshape(batch, g.p, cout).transpose(0, 2, 1),
+        layer.bias.reshape(1, -1, 1),
+        out=current.reshape(batch, cout, g.p),
+    )
+    return current
+
+
 def event_conv(
     layer: LayerPlan, x: np.ndarray, backend: str
 ) -> Tuple[np.ndarray, int]:
@@ -200,24 +276,17 @@ def event_conv(
     Returns the layer current and the number of scatter contributions
     (events x in-bounds taps) actually accumulated.
     """
-    g = layer.geometry
     batch = x.shape[0]
-    cout = layer.out_channels
-    b_idx, pix = np.nonzero(x.reshape(batch, -1))
-    updates = 0
-    if b_idx.size == 0:
-        out2d = np.zeros((batch * g.p, cout), dtype=np.float32)
+    rows, ks = _event_contributions(layer, x)
+    if ks.size:
+        out2d = _scatter_columns(
+            rows, ks, layer.wT, batch * layer.geometry.p, backend
+        )
     else:
-        valid = g.contrib_valid[pix]
-        k_all = g.contrib_k[pix][valid]
-        q_all = (b_idx[:, None].astype(np.int64) * g.p + g.contrib_p[pix])[valid]
-        updates = int(k_all.size)
-        out2d = _scatter_columns(q_all, k_all, layer.wT, batch * g.p, backend)
-    current = np.ascontiguousarray(
-        out2d.reshape(batch, g.p, cout).transpose(0, 2, 1)
-    ).reshape(batch, cout, g.oh, g.ow)
-    np.add(current, layer.bias.reshape(1, -1, 1, 1), out=current)
-    return current, updates
+        out2d = np.zeros(
+            (batch * layer.geometry.p, layer.out_channels), dtype=np.float32
+        )
+    return _event_current(out2d, layer, batch), int(ks.size)
 
 
 def event_conv_blocked(
@@ -241,22 +310,15 @@ def event_conv_blocked(
     Returns the layer current and the number of scatter contributions,
     exactly like :func:`event_conv`.
     """
-    g = layer.geometry
     batch = x.shape[0]
-    cout = layer.out_channels
     tables = layer.block_tables(kblock)
-    n_rows = batch * g.p
-    b_idx, pix = np.nonzero(x.reshape(batch, -1))
-    updates = 0
+    n_rows = batch * layer.geometry.p
+    rows, ks = _event_contributions(layer, x)
     out2d: Optional[np.ndarray] = None
-    if b_idx.size:
-        valid = g.contrib_valid[pix]
-        k_all = g.contrib_k[pix][valid]
-        q_all = (b_idx[:, None].astype(np.int64) * g.p + g.contrib_p[pix])[valid]
-        updates = int(k_all.size)
-        order = np.argsort(k_all, kind="stable")
-        k_sorted = k_all[order]
-        q_sorted = q_all[order]
+    if ks.size:
+        order = np.argsort(ks, kind="stable")
+        k_sorted = ks[order]
+        q_sorted = rows[order]
         edges = tables.edges
         splits = np.searchsorted(k_sorted, edges)
         for i in range(tables.nblocks):
@@ -275,12 +337,8 @@ def event_conv_blocked(
             else:
                 np.add(out2d, partial, out=out2d)
     if out2d is None:
-        out2d = np.zeros((n_rows, cout), dtype=np.float32)
-    current = np.ascontiguousarray(
-        out2d.reshape(batch, g.p, cout).transpose(0, 2, 1)
-    ).reshape(batch, cout, g.oh, g.ow)
-    np.add(current, layer.bias.reshape(1, -1, 1, 1), out=current)
-    return current, updates
+        out2d = np.zeros((n_rows, layer.out_channels), dtype=np.float32)
+    return _event_current(out2d, layer, batch), int(ks.size)
 
 
 # ---------------------------------------------------------------------------
@@ -346,29 +404,24 @@ def event_conv_int(
     g = layer.geometry
     batch = x.shape[0]
     cout = layer.out_channels
-    b_idx, pix = np.nonzero(x.reshape(batch, -1))
-    updates = 0
-    if b_idx.size == 0:
-        acc2d = np.zeros((batch * g.p, cout), dtype=np.int32)
-    else:
-        valid = g.contrib_valid[pix]
-        k_all = g.contrib_k[pix][valid]
-        q_all = (b_idx[:, None].astype(np.int64) * g.p + g.contrib_p[pix])[valid]
-        updates = int(k_all.size)
+    rows, ks = _event_contributions(layer, x)
+    if ks.size:
         acc2d = _scatter_columns_int(
-            q_all, k_all, layer.wqT_i32(), batch * g.p, backend
+            rows, ks, layer.wqT_i32(), batch * g.p, backend
         )
+    else:
+        acc2d = np.zeros((batch * g.p, cout), dtype=np.int32)
     acc = np.ascontiguousarray(
         acc2d.reshape(batch, g.p, cout).transpose(0, 2, 1)
     ).reshape(batch, cout, g.oh, g.ow)
-    return _dequantize_current(acc, layer), updates
+    return _dequantize_current(acc, layer), int(ks.size)
 
 
 def dense_conv_int(
     layer: LayerPlan,
     x: np.ndarray,
     buffers: Optional[BufferPool] = None,
-    max_elements: int = 1 << 24,
+    max_elements: int = MAX_FUSED_ELEMENTS,
 ) -> np.ndarray:
     """Unfold-matmul convolution with int32 accumulation.
 
@@ -384,21 +437,20 @@ def dense_conv_int(
     cout = layer.out_channels
     kernel = g.kernel
     acc = np.empty((batch, cout, g.p), dtype=np.int32)
-    chunk = max(1, min(batch, max_elements // max(1, g.k * g.p)))
+    cap = max(1, max_elements // max(1, g.k * g.p))
+    chunk = max(1, min(batch, cap))
     wq = layer.wq_i32()
     for start in range(0, batch, chunk):
         stop = min(batch, start + chunk)
         xc = x[start:stop]
         if g.padding:
-            p = g.padding
-            xc = np.pad(xc, ((0, 0), (0, 0), (p, p), (p, p)))
+            xc = _padded_chunk(buffers, xc, g.padding, cap)
         windows = np.lib.stride_tricks.sliding_window_view(
             xc, (kernel, kernel), axis=(2, 3)
         )
-        if buffers is not None:
-            cols = buffers.get("cols_i32", (stop - start, g.k, g.p), np.int32)
-        else:
-            cols = np.empty((stop - start, g.k, g.p), dtype=np.int32)
+        cols = _chunk_buffer(
+            buffers, "cols_i32", cap, stop - start, (g.k, g.p), np.int32
+        )
         np.copyto(
             cols.reshape(stop - start, g.cin, kernel, kernel, g.oh, g.ow),
             windows.transpose(0, 1, 4, 5, 2, 3),
@@ -631,14 +683,17 @@ def seed_block_resolution(key: Tuple, block: Optional[int]) -> None:
 def or_pool(x: np.ndarray, window: int) -> np.ndarray:
     """OR-gate max pooling on a (B, C, H, W) binary batch (Sec. IV-B).
 
-    Folds the window via strided ``np.maximum`` passes, which is an
-    order of magnitude faster than a reshape + multi-axis ``max`` and
-    exactly equal (max involves no rounding).
+    Folds the window separably -- rows, then columns -- via strided
+    pairwise ``np.maximum`` passes (two at window 2), which is an order
+    of magnitude faster than a reshape + multi-axis ``max`` and exactly
+    equal (max involves no rounding).
     """
-    out = np.ascontiguousarray(x[:, :, ::window, ::window])
-    for i in range(window):
-        for j in range(window):
-            if i == 0 and j == 0:
-                continue
-            np.maximum(out, x[:, :, i::window, j::window], out=out)
+    if window == 1:
+        return np.ascontiguousarray(x)
+    rows = np.maximum(x[:, :, 0::window], x[:, :, 1::window])
+    for i in range(2, window):
+        np.maximum(rows, x[:, :, i::window], out=rows)
+    out = np.maximum(rows[..., 0::window], rows[..., 1::window])
+    for j in range(2, window):
+        np.maximum(out, rows[..., j::window], out=out)
     return out

@@ -10,7 +10,7 @@ recording pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -23,6 +23,12 @@ class SpikeStats:
     name -> spikes *emitted by that layer's LIF output*, and
     ``per_layer_timestep`` keeps the timestep split needed for latency
     modelling. ``samples`` lets callers derive per-image averages.
+
+    Every recorded count is an exact integer, stored as a float: the
+    inference engine passes the number of spikes it counted, and the
+    float32 ``spikes.sum()`` recorded otherwise equals that number while
+    a layer-timestep has fewer than 2^24 spikes (float32 counts ones
+    exactly up to there).
     """
 
     per_layer: Dict[str, float] = field(default_factory=dict)
@@ -31,9 +37,15 @@ class SpikeStats:
     samples: int = 0
     timesteps: int = 0
 
-    def record(self, layer: str, t: int, spikes: np.ndarray) -> None:
-        """Accumulate a (batch, ...) binary spike tensor for ``layer`` at ``t``."""
-        count = float(spikes.sum())
+    def record(
+        self, layer: str, t: int, spikes: np.ndarray, count: Optional[int] = None
+    ) -> None:
+        """Accumulate a (batch, ...) binary spike tensor for ``layer`` at ``t``.
+
+        ``count`` is the tensor's number of spikes when the caller has
+        already counted them; otherwise they are counted here.
+        """
+        count = float(spikes.sum() if count is None else count)
         self.per_layer[layer] = self.per_layer.get(layer, 0.0) + count
         series = self.per_layer_timestep.setdefault(layer, [])
         while len(series) <= t:

@@ -13,6 +13,7 @@ more easily.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -102,12 +103,21 @@ class LIFNeuron:
         )
 
 
+#: Neurons per block of :func:`lif_scan`. A block's current, spike,
+#: membrane and scratch slices (1 MB together in float32) stay
+#: cache-resident through all ``T`` steps, so the scan streams each
+#: current and spike train through memory once.
+LIF_BLOCK_ELEMENTS = 1 << 16
+
+
 def lif_scan(
     current: np.ndarray,
     beta: float,
     threshold: float,
     spike_rule: str = "threshold",
-) -> Tuple[np.ndarray, np.ndarray]:
+    *,
+    final_reset: bool = True,
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Inference-only LIF scan over a time-fused current tensor.
 
     Runs Eq. 1/2 sequentially along the leading time axis of ``current``
@@ -119,20 +129,60 @@ def lif_scan(
       Heaviside); the forms differ only when the subtraction rounds to
       zero, but exactness demands matching each consumer.
 
+    The scan works in place, one block of :data:`LIF_BLOCK_ELEMENTS`
+    neurons (whole slices along axis 1) at a time: one membrane and one
+    scratch array of a block's shape, and each step's spikes written
+    straight into the output train. Every arithmetic step is the legacy
+    one (``u * beta + I``, compare, ``u - s * theta``) applied
+    elementwise, so the result is bit-identical to the allocating form.
+
     Returns the full spike train ``(T, ...)`` and the final membrane.
+    Callers that discard the membrane pass ``final_reset=False`` to skip
+    the last step's reset; the membrane is then ``None``.
     """
     if spike_rule not in ("threshold", "shifted"):
         raise ConfigError(
             f"spike_rule must be 'threshold' or 'shifted', got {spike_rule!r}"
         )
+    if current.ndim == 1:
+        spikes, final = lif_scan(
+            current[:, None], beta, threshold, spike_rule, final_reset=final_reset
+        )
+        return spikes[:, 0], None if final is None else final[0]
+    steps, rows = current.shape[0], current.shape[1]
     spikes = np.empty(current.shape, dtype=np.float32)
-    membrane: Optional[np.ndarray] = None
-    for t in range(current.shape[0]):
-        integrated = current[t] if membrane is None else membrane * beta + current[t]
-        if spike_rule == "threshold":
-            fired = (integrated > threshold).astype(np.float32)
-        else:
-            fired = ((integrated - threshold) > 0).astype(np.float32)
-        membrane = integrated - fired * threshold
-        spikes[t] = fired
-    return spikes, membrane
+    final = (
+        np.empty(current.shape[1:], dtype=current.dtype)
+        if final_reset and steps
+        else None
+    )
+    row_shape = current.shape[2:]
+    block = max(1, LIF_BLOCK_ELEMENTS // max(1, math.prod(row_shape)))
+    membrane = np.empty((min(block, rows),) + row_shape, dtype=current.dtype)
+    scratch = np.empty_like(membrane)
+    for lo in range(0, rows, block):
+        hi = min(rows, lo + block)
+        u, s = membrane[: hi - lo], scratch[: hi - lo]
+        for t in range(steps):
+            # ``integrated`` is u * beta + I[t]; u[0] = 0 integrates I[0] alone.
+            if t == 0:
+                integrated = current[0, lo:hi]
+            else:
+                integrated = np.multiply(u, beta, out=s)
+                np.add(integrated, current[t, lo:hi], out=integrated)
+            fired = spikes[t, lo:hi]
+            if spike_rule == "threshold":
+                np.greater(integrated, threshold, out=fired)
+            else:
+                # ``u`` is free until the reset below overwrites it.
+                np.greater(np.subtract(integrated, threshold, out=u), 0, out=fired)
+            if t < steps - 1:
+                target = u
+            elif final is not None:
+                target = final[lo:hi]
+            else:
+                break
+            np.subtract(
+                integrated, np.multiply(fired, threshold, out=target), out=target
+            )
+    return spikes, final

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.runtime import InferenceEngine, runtime_overrides
+from repro.runtime.costmodel import LayerCostState
 from repro.runtime.kernels import (
     calibrate_block_exact,
     dense_conv,
@@ -171,12 +172,18 @@ class TestEngineRoutesDeepShapesEvent:
         assert counters.dense_steps == 0
         assert counters.event_steps == 2
 
-    def test_cost_model_vetoes_event_on_dense_input(self, plan):
-        """Cost routing where the margin is decisive (>10x): at 40%
-        density the scatter would accumulate ~100k updates against a
-        ~1ms GEMM, so the model must route dense -- and the counters
-        must attribute the decision to the cost model, not the
-        threshold (raised to keep the step eligible)."""
+    def test_cost_model_vetoes_event_on_dense_input(self):
+        """Cost routing on a dense input: at 40% density the scatter
+        would accumulate ~100k updates, so a model that rates an update
+        no cheaper than a whole sample's GEMM must route dense -- and
+        the counters must attribute the decision to the cost model, not
+        the threshold (raised to keep the step eligible). The rates are
+        seeded explicitly, so the test checks the routing rule rather
+        than this host's wall clock."""
+        plan = make_conv_network_plan(64, 16, 16, 128, seed=3)
+        plan.layers[0].cost_state = LayerCostState(
+            dense_ms_per_sample=1.0, event_ms_per_update=1.0
+        )
         spikes = binary_batch((3, 64, 16, 16), 0.4, seed=17, batch=2)
         with runtime_overrides(dispatch_threshold=0.5):
             routed = InferenceEngine(plan).run(spikes)

@@ -9,6 +9,7 @@ from repro.runtime import (
     conv_geometry,
     plan_deployable,
     plan_spiking,
+    runtime_overrides,
 )
 from repro.runtime.kernels import (
     calibrate_event_exact,
@@ -125,6 +126,34 @@ class TestKernels:
         assert a is not c
         pool.clear()
         assert pool.get("cols", (2, 3)) is not a
+
+    def test_buffer_pool_holds_one_cols_buffer_per_conv_shape(self, network):
+        """Every batch size and tail chunk slices the same im2col
+        buffer, so varied dynamic batches cannot grow the pool."""
+        deployable = convert(network, FP32)
+        plan = plan_deployable(deployable)
+        conv_shapes = {
+            (layer.geometry.k, layer.geometry.p)
+            for layer in plan.layers
+            if layer.kind == "conv"
+        }
+        images = np.random.default_rng(0).random((9, 3, 8, 8)).astype(np.float32)
+        # Chunks of 4 samples at the first conv shape, so batches 5..9
+        # end in a tail chunk of another size.
+        first = plan.layers[0].geometry
+        with runtime_overrides(
+            force_path="dense", max_fused_elements=4 * first.k * first.p
+        ):
+            want = deployable.forward(images, 2).logits
+            for batch in range(1, 10):
+                got = deployable.forward(images[:batch], 2).logits
+                assert np.array_equal(got, want[:batch])
+        cols = [
+            shape[1:]
+            for tag, shape, _ in deployable._runtime_buffers._buffers
+            if tag == "cols"
+        ]
+        assert sorted(cols) == sorted(conv_shapes)
 
 
 class TestLifScan:
