@@ -94,40 +94,19 @@ class BufferPool:
 # Dense (time-fused) path
 # ---------------------------------------------------------------------------
 
-def _chunk_buffer(
-    buffers: Optional[BufferPool],
-    tag: str,
-    cap: int,
-    rows: int,
-    tail: Tuple[int, ...],
-    dtype=np.float32,
-) -> np.ndarray:
-    """A ``(rows,) + tail`` scratch array for one batch chunk.
-
-    Pooled buffers are leading slices of one ``(cap,) + tail`` array per
-    tag and shape, so every batch size and tail chunk shares it and the
-    pool holds one buffer per layer shape, not one per batch size.
-    """
-    if buffers is None:
-        return np.empty((rows,) + tail, dtype=dtype)
-    return buffers.get(tag, (cap,) + tail, dtype)[:rows]
-
-
 def _padded_chunk(
-    buffers: Optional[BufferPool], xc: np.ndarray, pad: int, cap: int
+    pool: BufferPool, xc: np.ndarray, pad: int, cap: int
 ) -> np.ndarray:
-    """``xc`` zero-padded by ``pad`` on both spatial sides.
+    """``xc`` zero-padded by ``pad`` on both spatial sides, in ``pool``.
 
-    Pooled chunks write only the interior of a buffer whose border is
-    zero from allocation and never written, which saves ``np.pad``'s
-    per-call cost on every chunk.
+    Only the interior is written: the border keeps the zeros the buffer
+    was allocated with, which saves ``np.pad``'s per-call cost on every
+    chunk.
     """
     rows, cin, height, width = xc.shape
-    tail = (cin, height + 2 * pad, width + 2 * pad)
-    if buffers is None:
-        padded = np.zeros((rows,) + tail, dtype=xc.dtype)
-    else:
-        padded = buffers.get(f"padded{pad}", (cap,) + tail, xc.dtype)[:rows]
+    padded = pool.get(
+        f"padded{pad}", (cap, cin, height + 2 * pad, width + 2 * pad), xc.dtype
+    )[:rows]
     padded[:, :, pad:pad + height, pad:pad + width] = xc
     return padded
 
@@ -155,11 +134,16 @@ def dense_conv(
     in ascending block order. :func:`event_conv_blocked` folds the same
     partials in the same order, which is what makes the two bit-identical
     at shapes whose full-``K`` fold is multi-lane (see module docs).
+
+    Scratch arrays (padded input, im2col columns, block partials) are
+    leading slices of one ``cap``-row array per shape in ``buffers``, so
+    every batch size and tail chunk shares them.
     """
     g = layer.geometry
     batch = x.shape[0]
     cout = layer.out_channels
     kernel = g.kernel
+    pool = buffers if buffers is not None else BufferPool()
     out = np.empty((batch, cout, g.p), dtype=np.float32)
     cap = max(1, max_elements // max(1, g.k * g.p))
     chunk = max(1, min(batch, cap))
@@ -168,11 +152,11 @@ def dense_conv(
         stop = min(batch, start + chunk)
         xc = x[start:stop]
         if g.padding:
-            xc = _padded_chunk(buffers, xc, g.padding, cap)
+            xc = _padded_chunk(pool, xc, g.padding, cap)
         windows = np.lib.stride_tricks.sliding_window_view(
             xc, (kernel, kernel), axis=(2, 3)
         )  # (b, Cin, OH, OW, K, K)
-        cols = _chunk_buffer(buffers, "cols", cap, stop - start, (g.k, g.p))
+        cols = pool.get("cols", (cap, g.k, g.p))[: stop - start]
         np.copyto(
             cols.reshape(stop - start, g.cin, kernel, kernel, g.oh, g.ow),
             windows.transpose(0, 1, 4, 5, 2, 3),
@@ -181,9 +165,7 @@ def dense_conv(
         if tables is None or tables.nblocks == 1:
             np.matmul(layer.wmat, cols, out=out_chunk)
         else:
-            partial = _chunk_buffer(
-                buffers, "kpartial", cap, stop - start, (cout, g.p)
-            )
+            partial = pool.get("kpartial", (cap, cout, g.p))[: stop - start]
             edges = tables.edges
             np.matmul(
                 tables.wmat_blocks[0], cols[:, edges[0]:edges[1], :],
@@ -436,6 +418,7 @@ def dense_conv_int(
     batch = x.shape[0]
     cout = layer.out_channels
     kernel = g.kernel
+    pool = buffers if buffers is not None else BufferPool()
     acc = np.empty((batch, cout, g.p), dtype=np.int32)
     cap = max(1, max_elements // max(1, g.k * g.p))
     chunk = max(1, min(batch, cap))
@@ -444,13 +427,11 @@ def dense_conv_int(
         stop = min(batch, start + chunk)
         xc = x[start:stop]
         if g.padding:
-            xc = _padded_chunk(buffers, xc, g.padding, cap)
+            xc = _padded_chunk(pool, xc, g.padding, cap)
         windows = np.lib.stride_tricks.sliding_window_view(
             xc, (kernel, kernel), axis=(2, 3)
         )
-        cols = _chunk_buffer(
-            buffers, "cols_i32", cap, stop - start, (g.k, g.p), np.int32
-        )
+        cols = pool.get("cols_i32", (cap, g.k, g.p), np.int32)[: stop - start]
         np.copyto(
             cols.reshape(stop - start, g.cin, kernel, kernel, g.oh, g.ow),
             windows.transpose(0, 1, 4, 5, 2, 3),

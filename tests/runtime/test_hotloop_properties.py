@@ -39,7 +39,7 @@ def currents(draw):
     threshold (and with zero), optionally a time-invariant broadcast."""
     threshold = draw(st.sampled_from([0.5, 1.0, 0.1]))
     steps = draw(st.integers(1, 12))
-    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=0, max_size=3)))
     seed = draw(st.integers(0, 2**31 - 1))
     rng = np.random.default_rng(seed)
     invariant = draw(st.booleans())
@@ -122,7 +122,10 @@ class TestEventContributionsProperties:
         g = layer.geometry
         rng = np.random.default_rng(seed)
         choices = np.array([0.0, -0.0, 1.0, 0.5, np.nan], dtype=np.float32)
-        x = rng.choice(choices, size=(batch, cin, height, width), p=[0.4, 0.3, 0.2, 0.05, 0.05])
+        x = rng.choice(
+            choices, size=(batch, cin, height, width),
+            p=[0.4, 0.3, 0.2, 0.05, 0.05],
+        )
         sample, pix = np.nonzero(x.reshape(batch, -1))
         valid = g.contrib_valid[pix]
         want_ks = g.contrib_k[pix][valid]
