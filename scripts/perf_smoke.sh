@@ -77,6 +77,7 @@ import json, sys
 result = json.loads(sys.argv[1])
 sys.exit(0 if result["correct"] is True and result["failed"] == 0 else 1)
 ' "$last" || { echo "perfbench $1 failed its checks: $last" >&2; exit 1; }
+    echo "perfbench $1 gate passed (correct, 0 failed)"
 }
 perfbench_correct offline_direct_b64
 perfbench_correct sim_rate_int4

@@ -20,10 +20,11 @@ from repro.errors import ConfigError
 
 #: Default cap on a fused dense call's im2col buffer, in float32 elements
 #: (4 MB). A chunk whose columns fit in the core-local caches is read
-#: back by the GEMM while still resident; the earlier 64 MB cap streamed
-#: every batch-64 chunk through main memory. On a 2-core host with 2 MB
-#: of L2 per core, 1 << 20 measured faster than 1 << 19 and 1 << 21 on a
-#: batch-64 VGG9 forward.
+#: back by the GEMM while still resident, where a 64 MB cap streams every
+#: batch-64 chunk through main memory and keeps that much resident per
+#: layer shape. On a 2-core Xeon with 2 MB of L2 per core, 1 << 20 was
+#: the fastest of 1 << 19, 1 << 20 and 1 << 21 on the heaviest conv
+#: layers of the small-scale VGG9 at batch 64.
 MAX_FUSED_ELEMENTS = 1 << 20
 
 

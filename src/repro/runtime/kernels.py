@@ -260,14 +260,7 @@ def event_conv(
     """
     batch = x.shape[0]
     rows, ks = _event_contributions(layer, x)
-    if ks.size:
-        out2d = _scatter_columns(
-            rows, ks, layer.wT, batch * layer.geometry.p, backend
-        )
-    else:
-        out2d = np.zeros(
-            (batch * layer.geometry.p, layer.out_channels), dtype=np.float32
-        )
+    out2d = _scatter_columns(rows, ks, layer.wT, batch * layer.geometry.p, backend)
     return _event_current(out2d, layer, batch), int(ks.size)
 
 
@@ -387,12 +380,7 @@ def event_conv_int(
     batch = x.shape[0]
     cout = layer.out_channels
     rows, ks = _event_contributions(layer, x)
-    if ks.size:
-        acc2d = _scatter_columns_int(
-            rows, ks, layer.wqT_i32(), batch * g.p, backend
-        )
-    else:
-        acc2d = np.zeros((batch * g.p, cout), dtype=np.int32)
+    acc2d = _scatter_columns_int(rows, ks, layer.wqT_i32(), batch * g.p, backend)
     acc = np.ascontiguousarray(
         acc2d.reshape(batch, g.p, cout).transpose(0, 2, 1)
     ).reshape(batch, cout, g.oh, g.ow)
