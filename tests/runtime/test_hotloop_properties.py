@@ -15,6 +15,7 @@ from repro.runtime.kernels import _event_contributions, or_pool
 from repro.runtime.refshapes import make_conv_layer_plan
 from repro.snn import build_network
 from repro.snn.encoding import DirectEncoder, RateEncoder
+from repro.snn import neuron
 from repro.snn.neuron import lif_scan
 
 
@@ -59,12 +60,18 @@ class TestLifScanProperties:
         currents(),
         st.sampled_from([0.0, 0.15, 1.0]),
         st.sampled_from(["threshold", "shifted"]),
+        st.sampled_from([1, 7, neuron.LIF_BLOCK_ELEMENTS]),
     )
     @settings(max_examples=150, deadline=None)
-    def test_in_place_scan_matches_reference(self, drawn, beta, rule):
+    def test_in_place_scan_matches_reference(self, drawn, beta, rule, block):
         current, threshold = drawn
         want_spikes, want_membrane = reference_scan(current, beta, threshold, rule)
-        spikes, membrane = lif_scan(current, beta, threshold, rule)
+        default_block = neuron.LIF_BLOCK_ELEMENTS
+        neuron.LIF_BLOCK_ELEMENTS = block  # small blocks split every shape
+        try:
+            spikes, membrane = lif_scan(current, beta, threshold, rule)
+        finally:
+            neuron.LIF_BLOCK_ELEMENTS = default_block
         assert spikes.dtype == np.float32
         assert spikes.tobytes() == want_spikes.tobytes()
         assert membrane.dtype == want_membrane.dtype
