@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="MODE",
             help=(
                 "integer datapath for quantized models: off = always "
-                "float; auto (default) = int32-accumulating kernels "
+                "float; auto (default) = exact integer kernels "
                 "wherever they proved bit-exact against float; on = "
                 "force the integer path on every int-lowered layer "
                 "(logits may differ from float). Default: "

@@ -162,14 +162,15 @@ class ExperimentContext:
         Cold-started worker processes load the ``.plan.npz`` sidecar and
         skip lowering + BLAS-fold calibration; a stale or mismatched
         sidecar (digest of the stored parameters differs -- e.g. a
-        retrain under an old sidecar) is silently rebuilt from the model.
+        retrain under an old sidecar), or one in an older format, is
+        silently rebuilt from the model and re-saved.
         """
         if not runtime_config().enabled:
             return
         sidecar = plan_sidecar_path(path)
         digest = model.weights_digest()
         loaded = try_load_plan(sidecar, model_digest=digest)
-        if loaded is not None and self._plan_serves_numeric_path(model, loaded):
+        if loaded is not None:
             try:
                 model.attach_plan(loaded)
                 return
@@ -178,23 +179,6 @@ class ExperimentContext:
         plan = plan_deployable(model)
         model.attach_plan(plan)
         save_plan(plan, sidecar, model_digest=digest)
-
-    @staticmethod
-    def _plan_serves_numeric_path(model: DeployableNetwork, plan) -> bool:
-        """Whether a loaded sidecar plan carries the datapath we need.
-
-        A quantized model running with integer kernels enabled needs the
-        integer lowering a pre-v4 (or foreign) sidecar does not carry;
-        such a plan would silently pin the run to the float path, so it
-        is rebuilt -- and re-saved as v4 -- instead.
-        """
-        if model.scheme.is_float or runtime_config().int_kernels == "off":
-            return True
-        return any(
-            layer.has_int_lowering
-            for layer in plan.layers
-            if layer.kind == "conv"
-        )
 
     def _train(
         self, dataset: str, scheme: QuantScheme, coding: str

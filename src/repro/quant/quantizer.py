@@ -104,12 +104,13 @@ def dequantize_accumulator(
 def int_accumulation_bound(q: np.ndarray) -> int:
     """Worst-case |accumulator| for binary activations: max_c sum_k |q[c,k]|.
 
-    Spikes are 0/1, so each output channel's int32 accumulator is a
-    subset sum of that channel's quantized weights; its magnitude never
-    exceeds the channel's L1 norm. The integer lowering requires this
-    bound to fit both int32 (no wraparound) and, for bit-exactness of the
-    boundary dequantization, 2^24 (exact int -> float32 cast). Computed
-    in int64 so the check itself cannot overflow.
+    Spikes are 0/1, so each output channel's accumulator -- and every
+    partial sum on the way to it -- is a subset sum of that channel's
+    quantized weights; its magnitude never exceeds the channel's L1
+    norm. The integer lowering requires this bound to stay within 2^24,
+    where every such integer is exact in float32: the runtime's float32
+    fold over the integer-valued weights is then exact in any order.
+    Computed in int64 so the check itself cannot overflow.
     """
     q = np.asarray(q, dtype=np.int64)
     if q.size == 0:

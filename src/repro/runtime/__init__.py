@@ -61,11 +61,7 @@ from repro.runtime.engine import (
     RuntimeResult,
     stack_encoder_frames,
 )
-from repro.runtime.costmodel import (
-    LayerCostState,
-    ensure_cost_state,
-    ensure_int_rates,
-)
+from repro.runtime.costmodel import LayerCostState, ensure_cost_state
 from repro.runtime.kernels import (
     KBLOCK_CANDIDATES,
     BufferPool,
@@ -120,7 +116,6 @@ __all__ = [
     "conv_geometry",
     "dense_conv_int",
     "ensure_cost_state",
-    "ensure_int_rates",
     "event_conv_int",
     "load_plan",
     "plan_deployable",

@@ -59,16 +59,16 @@ class RuntimeConfig:
             0`` forces that block size for every blockable conv shape
             (still probe-guarded). Env default: ``REPRO_EVENT_KBLOCK``.
         int_kernels: integer datapath for quantized deployables.
-            ``'auto'`` (default) runs int32-accumulating kernels on the
-            binary conv steps of int-lowered layers whenever the
-            per-layer exactness probe passed, the overflow bound holds
-            and the cost model predicts them no slower -- results stay
-            bit-identical to the float path by construction. ``'on'``
-            forces the integer kernels on every such step (both dense
-            and event flavours; integer accumulation is associative, so
-            results are still deterministic at any dispatch split, but
-            may differ from the float reference when the probe failed).
-            ``'off'`` disables the integer path entirely. Env default:
+            ``'auto'`` (default) runs the integer kernels on the binary
+            conv steps of int-lowered layers whenever the per-layer
+            exactness probe passed and the overflow bound holds --
+            results stay bit-identical to the float path by
+            construction, under either ``dispatch_policy``. ``'on'``
+            forces the integer kernels on every such step (dense and
+            event alike; their integer fold is exact, so results are
+            still deterministic at any dispatch split, but may differ
+            from the float reference when the probe failed). ``'off'``
+            disables the integer path entirely. Env default:
             ``REPRO_INT_KERNELS``.
         max_fused_elements: cap on the im2col buffer (elements) per fused
             dense call; larger batches are chunked (bit-exact either way).
@@ -202,13 +202,12 @@ class LayerCounters:
 
     The ``int_*`` fields attribute the integer datapath the same way:
     ``int_dense_steps`` / ``int_event_steps`` are the sub-counts of
-    ``dense_steps`` / ``event_steps`` that ran with int32 accumulation
-    (so the float-step count is the difference), ``int_event_updates``
-    the scatter contributions accumulated in int32, and the
-    ``float_*_steps`` fields say why an int-lowered layer's step stayed
-    float: ``exactness`` (the bit-exactness probe failed),
-    ``overflow`` (the int32/2^24 accumulation bound failed), ``cost``
-    (the cost model predicted the float kernel faster).
+    ``dense_steps`` / ``event_steps`` that ran the integer kernels (so
+    the float-step count is the difference), ``int_event_updates`` the
+    scatter contributions they accumulated, and the ``float_*_steps``
+    fields say why an int-lowered layer's step stayed float:
+    ``exactness`` (the bit-exactness probe failed) or ``overflow`` (the
+    2^24 accumulation bound failed).
     """
 
     dense_steps: int = 0
@@ -223,7 +222,6 @@ class LayerCounters:
     int_event_updates: int = 0
     float_exactness_steps: int = 0
     float_overflow_steps: int = 0
-    float_cost_steps: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -239,7 +237,6 @@ class LayerCounters:
             "int_event_updates": self.int_event_updates,
             "float_exactness_steps": self.float_exactness_steps,
             "float_overflow_steps": self.float_overflow_steps,
-            "float_cost_steps": self.float_cost_steps,
         }
 
     def count_dense(self, reason: Optional[str], steps: int = 1) -> None:
@@ -260,8 +257,6 @@ class LayerCounters:
             self.float_exactness_steps += steps
         elif reason == "overflow":
             self.float_overflow_steps += steps
-        elif reason == "cost":
-            self.float_cost_steps += steps
         else:
             raise ValueError(f"unknown float-fallback reason {reason!r}")
 
@@ -278,4 +273,3 @@ class LayerCounters:
         self.int_event_updates += other.int_event_updates
         self.float_exactness_steps += other.float_exactness_steps
         self.float_overflow_steps += other.float_overflow_steps
-        self.float_cost_steps += other.float_cost_steps

@@ -30,8 +30,14 @@ cost routing can only ever change *speed*. It does make the dispatch
 *counters* wall-clock dependent -- contexts that byte-compare counters
 pin ``dispatch_policy='density'`` (see :class:`RuntimeConfig`).
 
-Persistence: ``network-plan-v3`` sidecars (:mod:`repro.runtime.plan_io`)
-carry each event-eligible layer's probe-seeded rates, gated by the same
+The model arbitrates dense vs event only. Integer-lowered layers need
+no second arbitration: their integer kernels are the same unfold/GEMM
+and scatter code run over integer-valued float32 weights (see
+:mod:`repro.runtime.kernels`), so they cost what the float kernels cost
+and the rates observed on either describe both.
+
+Persistence: plan sidecars (:mod:`repro.runtime.plan_io`) carry each
+event-eligible layer's probe-seeded rates, gated by the same
 environment fingerprint as the calibration verdicts, so cold-started
 workers skip the seeding probe GEMMs and their first routed timestep is
 already informed by measured rates (then refined online as usual).
@@ -67,18 +73,10 @@ PROBE_BATCH = 4
 
 @dataclass
 class LayerCostState:
-    """Measured per-layer kernel rates (milliseconds).
-
-    The ``int_*`` rates cover the integer kernels of int-lowered layers;
-    they stay ``None`` until :func:`ensure_int_rates` probes them (or a
-    v4 sidecar seeds them), so float-only layers and v3 sidecars carry
-    no dead fields.
-    """
+    """Measured per-layer kernel rates (milliseconds)."""
 
     dense_ms_per_sample: float
     event_ms_per_update: float
-    int_dense_ms_per_sample: Optional[float] = None
-    int_event_ms_per_update: Optional[float] = None
 
     def predict_dense_ms(self, samples: int) -> float:
         return self.dense_ms_per_sample * samples
@@ -97,40 +95,6 @@ class LayerCostState:
             return
         rate = ms / updates
         self.event_ms_per_update += EMA_ALPHA * (rate - self.event_ms_per_update)
-
-    def observe_int_dense(self, ms: float, samples: int) -> None:
-        if samples < 1 or ms <= 0.0 or self.int_dense_ms_per_sample is None:
-            return
-        rate = ms / samples
-        self.int_dense_ms_per_sample += EMA_ALPHA * (
-            rate - self.int_dense_ms_per_sample
-        )
-
-    def observe_int_event(self, ms: float, updates: int) -> None:
-        if updates < 1 or ms <= 0.0 or self.int_event_ms_per_update is None:
-            return
-        rate = ms / updates
-        self.int_event_ms_per_update += EMA_ALPHA * (
-            rate - self.int_event_ms_per_update
-        )
-
-    def int_event_preferred(self) -> bool:
-        """True when the measured int event rate beats the float one.
-
-        Per-update rates compare directly (same updates either way), so
-        no predicted workload is needed for the flavour choice -- only
-        for the dense-vs-event choice that precedes it.
-        """
-        return (
-            self.int_event_ms_per_update is not None
-            and self.int_event_ms_per_update <= self.event_ms_per_update
-        )
-
-    def int_dense_preferred(self) -> bool:
-        return (
-            self.int_dense_ms_per_sample is not None
-            and self.int_dense_ms_per_sample <= self.dense_ms_per_sample
-        )
 
 
 def probe_cost_state(
@@ -180,52 +144,6 @@ def probe_cost_state(
         dense_ms_per_sample=max(dense_ms, 1e-6) / PROBE_BATCH,
         event_ms_per_update=max(event_ms, 1e-6) / max(updates, 1),
     )
-
-
-def probe_int_rates(layer: LayerPlan, backend: str) -> "tuple[float, float]":
-    """One-shot timing probe of both integer kernels on ``layer``.
-
-    Same probe input discipline as :func:`probe_cost_state` (same seed,
-    density and batch), so the int and float rates are measured on
-    comparable workloads.
-    """
-    from repro.runtime.kernels import dense_conv_int, event_conv_int
-
-    g = layer.geometry
-    rng = new_rng(0x5EED)
-    probe = (
-        rng.random((PROBE_BATCH, g.cin, g.height, g.width)) < PROBE_DENSITY
-    ).astype(np.float32)
-
-    start = time.perf_counter()
-    dense_conv_int(layer, probe)
-    dense_ms = (time.perf_counter() - start) * 1e3
-
-    start = time.perf_counter()
-    _, updates = event_conv_int(layer, probe, backend)
-    event_ms = (time.perf_counter() - start) * 1e3
-
-    return (
-        max(dense_ms, 1e-6) / PROBE_BATCH,
-        max(event_ms, 1e-6) / max(updates, 1),
-    )
-
-
-def ensure_int_rates(
-    layer: LayerPlan, backend: str, kblock: Optional[int]
-) -> LayerCostState:
-    """The layer's cost state with integer rates populated.
-
-    Probes the integer kernels on first use for a layer whose state (or
-    seeded sidecar rates) lacks them; float rates are ensured first so
-    both sides of the flavour comparison exist.
-    """
-    state = ensure_cost_state(layer, backend, kblock)
-    if state.int_event_ms_per_update is None:
-        dense_rate, event_rate = probe_int_rates(layer, backend)
-        state.int_dense_ms_per_sample = dense_rate
-        state.int_event_ms_per_update = event_rate
-    return state
 
 
 def ensure_cost_state(

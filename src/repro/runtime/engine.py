@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.runtime.config import LayerCounters, RuntimeConfig, runtime_config
-from repro.runtime.costmodel import ensure_cost_state, ensure_int_rates
+from repro.runtime.costmodel import ensure_cost_state
 from repro.runtime.kernels import (
     BufferPool,
     calibrate_int_exact,
@@ -127,7 +127,7 @@ class InferenceEngine:
         self.config = config
         self.buffers = buffers if buffers is not None else BufferPool()
         self._block_by_layer: Dict[str, Optional[int]] = {}
-        self._int_by_layer: Dict[str, Tuple[bool, bool, Optional[str]]] = {}
+        self._int_by_layer: Dict[str, Tuple[bool, Optional[str]]] = {}
 
     def _config(self) -> RuntimeConfig:
         return self.config if self.config is not None else runtime_config()
@@ -162,54 +162,47 @@ class InferenceEngine:
 
     def _layer_int(
         self, layer: LayerPlan, block: Optional[int]
-    ) -> Tuple[bool, bool, Optional[str]]:
-        """The layer's integer-datapath decision:
-        ``(event_int, dense_int, fallback_reason)``.
+    ) -> Tuple[bool, Optional[str]]:
+        """The layer's integer-datapath decision: ``(use_int, reason)``.
 
-        ``event_int`` / ``dense_int`` say whether that flavour of the
-        layer's binary conv steps runs with int32 accumulation;
-        ``fallback_reason`` attributes steps that stayed float on an
-        int-lowered layer (``'overflow'``, ``'exactness'``, ``'cost'``,
-        or ``None`` when nothing fell back -- including layers that
-        carry no lowering at all).
+        ``use_int`` says whether the layer's binary conv steps -- dense
+        and event alike -- run the integer kernels; ``reason``
+        attributes steps that stayed float on an int-lowered layer
+        (``'overflow'``, ``'exactness'``, or ``None`` when nothing fell
+        back -- including layers that carry no lowering at all).
 
         Resolution order (``int_kernels``): ``'off'`` never routes to
-        int. ``'on'`` forces both flavours whenever the overflow bound
-        holds -- integer accumulation is associative, so any
-        dense/event/batch split still yields identical results, but they
-        may differ from the float reference when the exactness probe
-        would have failed. ``'auto'`` is exactness-preserving: the
-        overflow bound and the per-layer bit-exactness probe must pass;
-        then under ``dispatch_policy='cost'`` the measured int rates
-        pick each flavour, while under ``'density'`` the int event
-        kernel is preferred deterministically (counters stay
-        byte-comparable across geometries) and dense steps keep the
-        BLAS-backed float GEMM.
+        int. ``'on'`` forces the integer kernels whenever the overflow
+        bound holds -- their fold is exact, so any dense/event/batch
+        split still yields identical results, but they may differ from
+        the float reference when the exactness probe would have failed.
+        ``'auto'`` is exactness-preserving: the overflow bound and the
+        per-layer bit-exactness probe must pass. The integer kernels run
+        the float kernels' code at the float kernels' speed, so no cost
+        arbitration is involved and the decision is the same under
+        either ``dispatch_policy``.
         """
         cached = self._int_by_layer.get(layer.name)
         if cached is not None:
             return cached
         config = self._config()
-        mode = config.int_kernels
-        event_int = dense_int = False
+        use_int = False
         reason: Optional[str] = None
-        if mode != "off" and layer.kind == "conv" and layer.has_int_lowering:
+        if (
+            config.int_kernels != "off"
+            and layer.kind == "conv"
+            and layer.has_int_lowering
+        ):
             backend = resolve_event_backend(config.event_backend)
             if not layer.int_overflow_ok:
                 reason = "overflow"
-            elif mode == "on":
-                event_int = dense_int = True
-            elif not calibrate_int_exact(layer, backend, block):
-                reason = "exactness"
-            elif config.dispatch_policy == "cost":
-                state = ensure_int_rates(layer, backend, block or None)
-                event_int = state.int_event_preferred()
-                dense_int = state.int_dense_preferred()
-                if not (event_int and dense_int):
-                    reason = "cost"
+            elif config.int_kernels == "on" or calibrate_int_exact(
+                layer, backend, block
+            ):
+                use_int = True
             else:
-                event_int = True
-        result = (event_int, dense_int, reason)
+                reason = "exactness"
+        result = (use_int, reason)
         self._int_by_layer[layer.name] = result
         return result
 
@@ -337,10 +330,8 @@ class InferenceEngine:
         int_eligible = (
             layer.kind == "conv" and not analog and layer.has_int_lowering
         )
-        event_int, dense_int, int_reason = (
-            self._layer_int(layer, block)
-            if int_eligible
-            else (False, False, None)
+        use_int, int_reason = (
+            self._layer_int(layer, block) if int_eligible else (False, None)
         )
         if time_invariant:
             cur0, used_event, updates, used_int, reason = self._batch_current(
@@ -375,17 +366,17 @@ class InferenceEngine:
                 reason = None
             counter.count_dense(reason, timesteps)
             fused = x.reshape((timesteps * samples,) + x.shape[2:])
-            use_int = False
-            if dense_int:
+            int_dense = False
+            if use_int:
                 # The int dense kernel needs strictly binary input; with
                 # the per-timestep scan disabled, check the fused batch.
                 nnz = int(np.count_nonzero(fused))
-                use_int = float(nnz) == sum(t_sums)
-                if use_int:
+                int_dense = float(nnz) == sum(t_sums)
+                if int_dense:
                     counter.int_dense_steps += timesteps
             elif int_reason is not None:
                 counter.count_float_fallback(int_reason, timesteps)
-            return self._kernel_dense(layer, fused, block, use_int).reshape(
+            return self._kernel_dense(layer, fused, block, int_dense).reshape(
                 (timesteps, samples) + out_spatial
             )
         slice_size = x[0].size
@@ -417,9 +408,9 @@ class InferenceEngine:
         counter.event_steps += len(event_ts) + len(empty_ts)
         # Dense steps run the int flavour only when the whole fused dense
         # batch is binary (one kernel call either way).
-        use_int_dense = dense_int and bool(dense_ts) and dense_binary
+        use_int_dense = use_int and bool(dense_ts) and dense_binary
         if event_ts:
-            if event_int:
+            if use_int:
                 counter.int_event_steps += len(event_ts)
             elif int_reason is not None:
                 counter.count_float_fallback(int_reason, len(event_ts))
@@ -440,9 +431,9 @@ class InferenceEngine:
             )
         if not dense_ts and not empty_ts:
             fused = x.reshape((timesteps * samples,) + x.shape[2:])
-            cur, updates = self._kernel_event(layer, fused, block, event_int)
+            cur, updates = self._kernel_event(layer, fused, block, use_int)
             counter.event_updates += updates
-            if event_int:
+            if use_int:
                 counter.int_event_updates += updates
             return cur.reshape((timesteps, samples) + out_spatial)
         current = np.empty((timesteps, samples) + out_spatial, dtype=np.float32)
@@ -455,9 +446,9 @@ class InferenceEngine:
             ).reshape((len(dense_ts), samples) + out_spatial)
         if event_ts:
             batch_e = x[event_ts].reshape((-1,) + x.shape[2:])
-            cur_e, updates = self._kernel_event(layer, batch_e, block, event_int)
+            cur_e, updates = self._kernel_event(layer, batch_e, block, use_int)
             counter.event_updates += updates
-            if event_int:
+            if use_int:
                 counter.int_event_updates += updates
             current[event_ts] = cur_e.reshape(
                 (len(event_ts), samples) + out_spatial
@@ -531,13 +522,13 @@ class InferenceEngine:
                 xb.shape[0],
             )
             if use_event:
-                event_int, _, _ = (
+                use_int, _ = (
                     self._layer_int(layer, block)
                     if layer.has_int_lowering
-                    else (False, False, None)
+                    else (False, None)
                 )
-                cur, updates = self._kernel_event(layer, xb, block, event_int)
-                return cur, True, updates, event_int, None
+                cur, updates = self._kernel_event(layer, xb, block, use_int)
+                return cur, True, updates, use_int, None
         else:
             reason = "forced" if config.force_path == "dense" else "density"
             if layer.kind != "conv" or analog:
@@ -556,28 +547,23 @@ class InferenceEngine:
     ) -> np.ndarray:
         if layer.kind == "conv":
             start = time.perf_counter()  # repro: lint-ok[D102] cost-model EMA measurement; never reaches results
+            max_elements = self._config().max_fused_elements
             if use_int:
                 out = dense_conv_int(
-                    layer,
-                    batch,
-                    buffers=self.buffers,
-                    max_elements=self._config().max_fused_elements,
+                    layer, batch, buffers=self.buffers, max_elements=max_elements
                 )
             else:
                 out = dense_conv(
                     layer,
                     batch,
                     buffers=self.buffers,
-                    max_elements=self._config().max_fused_elements,
+                    max_elements=max_elements,
                     kblock=block if block else None,
                 )
             state = layer.cost_state
             if state is not None:
                 ms = (time.perf_counter() - start) * 1e3  # repro: lint-ok[D102] cost-model EMA measurement; never reaches results
-                if use_int:
-                    state.observe_int_dense(ms, batch.shape[0])
-                else:
-                    state.observe_dense(ms, batch.shape[0])
+                state.observe_dense(ms, batch.shape[0])
             return out
         return dense_fc(layer, batch.reshape(batch.shape[0], -1))
 
@@ -591,19 +577,14 @@ class InferenceEngine:
         backend = resolve_event_backend(self._config().event_backend)
         start = time.perf_counter()  # repro: lint-ok[D102] cost-model EMA measurement; never reaches results
         if use_int:
-            # No blocked variant: integer accumulation is associative,
-            # so the unblocked scatter is exact at every depth.
+            # No blocked variant: the integer fold is exact in any order.
             result = event_conv_int(layer, batch, backend)
+        elif block:
+            result = event_conv_blocked(layer, batch, backend, block)
         else:
-            if block:
-                result = event_conv_blocked(layer, batch, backend, block)
-            else:
-                result = event_conv(layer, batch, backend)
+            result = event_conv(layer, batch, backend)
         state = layer.cost_state
         if state is not None:
             ms = (time.perf_counter() - start) * 1e3  # repro: lint-ok[D102] cost-model EMA measurement; never reaches results
-            if use_int:
-                state.observe_int_event(ms, result[1])
-            else:
-                state.observe_event(ms, result[1])
+            state.observe_event(ms, result[1])
         return result

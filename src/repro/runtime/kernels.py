@@ -39,6 +39,19 @@ event path stays open at any depth -- the software twin of the blocked
 event-accumulation pipelines in sparse-SNN accelerators (Sommer et al.,
 ExSpike). FC layers always take the dense path: their single small GEMM
 is negligible host cost and their BLAS shape is the multi-lane one.
+
+The **integer datapath** of quantized layers reuses both kernels
+unchanged: :func:`dense_conv_int` and :func:`event_conv_int` run the
+same unfold/GEMM and scatter code over the quantized weights held as
+integer-valued float32, then dequantize once at the layer boundary.
+While a layer's max channel L1 stays within 2^24
+(``LayerPlan.int_overflow_ok``), every partial sum over a binary input
+is an integer of magnitude at most 2^24 and therefore exact in float32
+-- in any fold order, lane split or k-block -- so the two int flavours
+agree by construction and need neither blocking nor calibration against
+each other. :func:`calibrate_int_exact` only decides whether they also
+reproduce the *float* path (they do whenever the dequantized weights
+and their sums are exact, e.g. power-of-two scales).
 """
 
 from __future__ import annotations
@@ -50,7 +63,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.runtime.config import MAX_FUSED_ELEMENTS
-from repro.runtime.plan import LayerPlan
+from repro.runtime.plan import BlockTables, LayerPlan
 from repro.utils.rng import new_rng
 
 try:  # scipy ships with the image; gate anyway so the runtime degrades cleanly
@@ -111,43 +124,39 @@ def _padded_chunk(
     return padded
 
 
-def dense_conv(
+def _unfold_matmul(
     layer: LayerPlan,
     x: np.ndarray,
-    buffers: Optional[BufferPool] = None,
-    max_elements: int = MAX_FUSED_ELEMENTS,
-    kblock: Optional[int] = None,
+    wmat: np.ndarray,
+    pool: BufferPool,
+    max_elements: int,
+    tables: Optional[BlockTables] = None,
 ) -> np.ndarray:
-    """Unfold-matmul convolution over a fused (B, Cin, H, W) batch.
+    """``wmat @ im2col(x)`` as a (B, Cout, P) float32 array.
 
     The unfold copies sliding windows into the pooled im2col buffer (one
     strided C-level copy, measurably faster than an index gather) and a
-    single batched matmul against the plan's cached weight matrix
-    produces every output position for the whole fused batch. Batches
-    whose im2col buffer would exceed ``max_elements`` are chunked --
-    bit-exact either way, since per-sample GEMM results are independent
-    of the batch split.
+    single batched matmul produces every output position for the whole
+    fused batch. Batches whose im2col buffer would exceed
+    ``max_elements`` are chunked -- bit-exact either way, since
+    per-sample GEMM results are independent of the batch split.
 
-    With ``kblock`` set, the ``k`` reduction runs as the canonical
-    blocked fold instead of one full-``K`` GEMM: one block GEMM per
-    ``kblock``-sized slice of the im2col rows, partial sums accumulated
-    in ascending block order. :func:`event_conv_blocked` folds the same
-    partials in the same order, which is what makes the two bit-identical
-    at shapes whose full-``K`` fold is multi-lane (see module docs).
+    With ``tables`` (a layer's :class:`~repro.runtime.plan.BlockTables`)
+    the ``k`` reduction runs as the canonical blocked fold instead of one
+    full-``K`` GEMM: one block GEMM per k-slice of the im2col rows,
+    partial sums accumulated in ascending block order.
 
     Scratch arrays (padded input, im2col columns, block partials) are
-    leading slices of one ``cap``-row array per shape in ``buffers``, so
+    leading slices of one ``cap``-row array per shape in ``pool``, so
     every batch size and tail chunk shares them.
     """
     g = layer.geometry
     batch = x.shape[0]
-    cout = layer.out_channels
+    cout = wmat.shape[0]
     kernel = g.kernel
-    pool = buffers if buffers is not None else BufferPool()
     out = np.empty((batch, cout, g.p), dtype=np.float32)
     cap = max(1, max_elements // max(1, g.k * g.p))
     chunk = max(1, min(batch, cap))
-    tables = layer.block_tables(kblock) if kblock else None
     for start in range(0, batch, chunk):
         stop = min(batch, start + chunk)
         xc = x[start:stop]
@@ -163,7 +172,7 @@ def dense_conv(
         )
         out_chunk = out[start:stop]
         if tables is None or tables.nblocks == 1:
-            np.matmul(layer.wmat, cols, out=out_chunk)
+            np.matmul(wmat, cols, out=out_chunk)
         else:
             partial = pool.get("kpartial", (cap, cout, g.p))[: stop - start]
             edges = tables.edges
@@ -177,7 +186,30 @@ def dense_conv(
                     out=partial,
                 )
                 np.add(out_chunk, partial, out=out_chunk)
-    out = out.reshape(batch, cout, g.oh, g.ow)
+    return out
+
+
+def dense_conv(
+    layer: LayerPlan,
+    x: np.ndarray,
+    buffers: Optional[BufferPool] = None,
+    max_elements: int = MAX_FUSED_ELEMENTS,
+    kblock: Optional[int] = None,
+) -> np.ndarray:
+    """Unfold-matmul convolution over a fused (B, Cin, H, W) batch.
+
+    One im2col + GEMM against the plan's cached weight matrix (see
+    :func:`_unfold_matmul`), then the bias. With ``kblock`` set the
+    GEMM runs as the canonical blocked fold; :func:`event_conv_blocked`
+    folds the same partials in the same order, which is what makes the
+    two bit-identical at shapes whose full-``K`` fold is multi-lane (see
+    module docs).
+    """
+    g = layer.geometry
+    pool = buffers if buffers is not None else BufferPool()
+    tables = layer.block_tables(kblock) if kblock else None
+    out = _unfold_matmul(layer, x, layer.wmat, pool, max_elements, tables)
+    out = out.reshape(x.shape[0], layer.out_channels, g.oh, g.ow)
     np.add(out, layer.bias.reshape(1, -1, 1, 1), out=out)
     return out
 
@@ -317,74 +349,44 @@ def event_conv_blocked(
 
 
 # ---------------------------------------------------------------------------
-# Integer (int32-accumulation) path for quantized deployables
+# Integer datapath for quantized deployables
 # ---------------------------------------------------------------------------
 
-def _dequantize_current(acc: np.ndarray, layer: LayerPlan) -> np.ndarray:
-    """Layer-boundary dequantization of a (B, Cout, OH, OW) accumulator.
-
-    The documented rounding rule (see :mod:`repro.quant.quantizer`): one
-    float32 multiply by the scale, one float32 bias add, IEEE-754
-    round-half-to-even at each step. The int32 -> float32 cast is exact
-    because the engine only routes here when ``layer.int_overflow_ok``.
+def _dequantize(acc: np.ndarray, layer: LayerPlan) -> None:
+    """Layer-boundary dequantization of an integer-valued accumulator
+    with channels on axis 1, in place: one float32 multiply by the
+    scale, IEEE-754 round-half-to-even -- the documented rounding rule
+    (see :mod:`repro.quant.quantizer`). The bias add follows in the
+    caller's output layout.
     """
-    current = acc.astype(np.float32)
     scale = layer.wq_scale
-    if scale.ndim == 0:
-        np.multiply(current, scale, out=current)
-    else:
-        np.multiply(current, scale.reshape(1, -1, 1, 1), out=current)
-    np.add(current, layer.bias.reshape(1, -1, 1, 1), out=current)
-    return current
-
-
-def _scatter_columns_int(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    weight_rows: np.ndarray,
-    n_rows: int,
-    backend: str,
-) -> np.ndarray:
-    """Integer twin of :func:`_scatter_columns`: int32 in, int32 out.
-
-    No sorting and no k-blocking: integer addition is associative, so
-    every accumulation order yields the same exact int32 sums (given the
-    overflow bound the dispatcher enforces) -- the order discipline the
-    float scatter needs simply has nothing to protect here.
-    """
-    if backend == "scipy":
-        matrix = _sparse.csr_matrix(
-            (np.ones(rows.size, dtype=np.int32), (rows, cols)),
-            shape=(n_rows, weight_rows.shape[0]),
-        )
-        return matrix @ weight_rows
-    out = np.zeros((n_rows, weight_rows.shape[1]), dtype=np.int32)
-    if rows.size:
-        np.add.at(out, rows, weight_rows[cols])
-    return out
+    if scale.ndim:
+        scale = scale.reshape((1, -1) + (1,) * (acc.ndim - 2))
+    np.multiply(acc, scale, out=acc)
 
 
 def event_conv_int(
     layer: LayerPlan, x: np.ndarray, backend: str
 ) -> Tuple[np.ndarray, int]:
-    """Event-driven convolution with int32 accumulation.
+    """Event-driven convolution on the integer datapath.
 
     Same contract as :func:`event_conv` -- (current, updates) -- but the
-    scatter accumulates the layer's quantized int32 weight rows and the
-    float current is produced by a single boundary dequantization. This
-    is the software twin of the paper's integer datapath: binary spikes
-    select quantized weight columns, the accumulator is an integer, and
-    the shift-and-add de-quantizer runs once per output element.
+    scatter accumulates the layer's quantized weight rows (held as
+    integer-valued float32) and the float current is produced by a
+    single boundary dequantization. This is the software twin of the
+    paper's integer datapath: binary spikes select quantized weight
+    columns, the accumulator holds exact integers, and the de-quantizer
+    runs once per output element. No k-blocking is needed: while
+    ``layer.int_overflow_ok`` holds every partial sum is an integer of
+    magnitude at most 2^24, exact in float32 in any fold order.
     """
-    g = layer.geometry
     batch = x.shape[0]
-    cout = layer.out_channels
     rows, ks = _event_contributions(layer, x)
-    acc2d = _scatter_columns_int(rows, ks, layer.wqT_i32(), batch * g.p, backend)
-    acc = np.ascontiguousarray(
-        acc2d.reshape(batch, g.p, cout).transpose(0, 2, 1)
-    ).reshape(batch, cout, g.oh, g.ow)
-    return _dequantize_current(acc, layer), int(ks.size)
+    acc2d = _scatter_columns(
+        rows, ks, layer.wqT_f32(), batch * layer.geometry.p, backend
+    )
+    _dequantize(acc2d, layer)
+    return _event_current(acc2d, layer, batch), int(ks.size)
 
 
 def dense_conv_int(
@@ -393,41 +395,21 @@ def dense_conv_int(
     buffers: Optional[BufferPool] = None,
     max_elements: int = MAX_FUSED_ELEMENTS,
 ) -> np.ndarray:
-    """Unfold-matmul convolution with int32 accumulation.
+    """Unfold-matmul convolution on the integer datapath.
 
-    The im2col gather casts the binary float input to int32 (exact for
-    0/1 values) and the GEMM runs entirely in int32; associativity makes
-    the result identical to :func:`event_conv_int` by construction, so
-    no blocked variant is needed at any depth. Numpy's integer matmul
-    has no BLAS backing, so this kernel trades speed for an exact
-    integer fold -- the cost model decides when that trade is worth it.
+    The float GEMM of :func:`dense_conv` over the integer-valued float32
+    weights: on binary input every partial sum is an exact integer
+    (bounded by the max channel L1, see ``layer.int_overflow_ok``), so
+    the BLAS fold is exact whatever its lane split and equals
+    :func:`event_conv_int` by construction, at every depth.
     """
     g = layer.geometry
-    batch = x.shape[0]
-    cout = layer.out_channels
-    kernel = g.kernel
     pool = buffers if buffers is not None else BufferPool()
-    acc = np.empty((batch, cout, g.p), dtype=np.int32)
-    cap = max(1, max_elements // max(1, g.k * g.p))
-    chunk = max(1, min(batch, cap))
-    wq = layer.wq_i32()
-    for start in range(0, batch, chunk):
-        stop = min(batch, start + chunk)
-        xc = x[start:stop]
-        if g.padding:
-            xc = _padded_chunk(pool, xc, g.padding, cap)
-        windows = np.lib.stride_tricks.sliding_window_view(
-            xc, (kernel, kernel), axis=(2, 3)
-        )
-        cols = pool.get("cols_i32", (cap, g.k, g.p), np.int32)[: stop - start]
-        np.copyto(
-            cols.reshape(stop - start, g.cin, kernel, kernel, g.oh, g.ow),
-            windows.transpose(0, 1, 4, 5, 2, 3),
-            casting="unsafe",
-        )
-        np.matmul(wq, cols, out=acc[start:stop])
-    acc = acc.reshape(batch, cout, g.oh, g.ow)
-    return _dequantize_current(acc, layer)
+    acc = _unfold_matmul(layer, x, layer.wq_f32(), pool, max_elements)
+    acc = acc.reshape(x.shape[0], layer.out_channels, g.oh, g.ow)
+    _dequantize(acc, layer)
+    np.add(acc, layer.bias.reshape(1, -1, 1, 1), out=acc)
+    return acc
 
 
 def calibrate_int_exact(

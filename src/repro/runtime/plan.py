@@ -149,8 +149,8 @@ class LayerPlan:
     bn_beta: Optional[np.ndarray] = None
     # Integer lowering (quantized deployables only): the quantized weight
     # matrix in its narrowest storage dtype (int8 when |q| <= 127, int16
-    # for wider schemes) and its dequantization scale(s). The int32
-    # compute twins are built lazily via wq_i32 / wqT_i32.
+    # for wider schemes) and its dequantization scale(s). The float32
+    # compute copies are built lazily via wq_f32 / wqT_f32.
     wq: Optional[np.ndarray] = None  # (Cout, K) int8/int16
     wq_scale: Optional[np.ndarray] = None  # float32 scalar or (Cout,)
     # Lazily built per-block weight slices, keyed by block size.
@@ -160,15 +160,17 @@ class LayerPlan:
     # Measured dispatch-cost state (repro.runtime.costmodel), seeded by a
     # one-shot probe and refined online; never persisted.
     cost_state: Optional[object] = field(default=None, repr=False, compare=False)
-    # Lazy int32 compute twins of wq (dense matmul / event scatter rows).
-    _wq_i32: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    _wqT_i32: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    # Cached worst-case |int32 accumulator| for binary inputs (int64).
+    # Lazy integer-valued float32 copies of wq (dense GEMM / event
+    # scatter rows), shared with the float kernels' code paths.
+    _wq_f32: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _wqT_f32: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    # Cached worst-case |integer accumulator| for binary inputs.
     _int_bound: Optional[int] = field(default=None, repr=False, compare=False)
     # Bit-exactness verdicts of the integer path vs the float reference,
-    # keyed by scatter backend ('scipy' | 'numpy'). Weight-dependent, so
-    # cached per layer (not per shape); seedable from plan sidecars.
-    _int_exact: Dict[str, bool] = field(
+    # keyed by (scatter backend, resolved k-block; 0 = unblocked).
+    # Weight-dependent, so cached per layer (not per shape); seedable
+    # from plan sidecars.
+    _int_exact: Dict[Tuple[str, int], bool] = field(
         default_factory=dict, repr=False, compare=False
     )
 
@@ -199,24 +201,27 @@ class LayerPlan:
     def int_overflow_ok(self) -> bool:
         """True when every binary-input partial sum is exact in float32.
 
-        The bound also sits far inside int32, so passing it rules out
-        wraparound and inexact boundary dequantization at once.
+        Any partial sum of a channel's weights over a binary input is an
+        integer no larger in magnitude than the channel's L1 norm, so
+        below the 2^24 limit the integer kernels' float32 fold is exact
+        in any order, and so is the accumulator the dequantization reads.
         """
         from repro.quant.quantizer import INT_ACCUMULATION_LIMIT
 
         return self.has_int_lowering and self.int_bound <= INT_ACCUMULATION_LIMIT
 
-    def wq_i32(self) -> np.ndarray:
-        """(Cout, K) int32 twin of ``wq`` for the dense integer fold."""
-        if self._wq_i32 is None:
-            self._wq_i32 = np.ascontiguousarray(self.wq, dtype=np.int32)
-        return self._wq_i32
+    def wq_f32(self) -> np.ndarray:
+        """(Cout, K) float32 copy of ``wq`` for the integer-datapath GEMM
+        (integer values, exact in float32)."""
+        if self._wq_f32 is None:
+            self._wq_f32 = np.ascontiguousarray(self.wq, dtype=np.float32)
+        return self._wq_f32
 
-    def wqT_i32(self) -> np.ndarray:
-        """(K, Cout) contiguous int32 twin for the event scatter rows."""
-        if self._wqT_i32 is None:
-            self._wqT_i32 = np.ascontiguousarray(self.wq.T, dtype=np.int32)
-        return self._wqT_i32
+    def wqT_f32(self) -> np.ndarray:
+        """(K, Cout) contiguous float32 copy for the event scatter rows."""
+        if self._wqT_f32 is None:
+            self._wqT_f32 = np.ascontiguousarray(self.wq.T, dtype=np.float32)
+        return self._wqT_f32
 
     def block_tables(self, block: int) -> BlockTables:
         """The (cached) per-block weight slices for ``block``-sized k-folds."""
@@ -306,7 +311,7 @@ def attach_int_lowering(
 
     Stores the (Cout, K) quantized matrix in the narrowest integer dtype
     that holds it (int8 up to |q| <= 127) plus the float32 scale(s); the
-    int32 compute twins and the overflow bound are derived lazily. The
+    float32 compute copies and the overflow bound are derived lazily. The
     exactness probe (``runtime.kernels.calibrate_int_exact``) and the
     engine decide per step whether this lowering actually runs.
     """
@@ -316,8 +321,8 @@ def attach_int_lowering(
     dtype = np.int8 if max_abs <= 127 else np.int16
     plan.wq = np.ascontiguousarray(q2d, dtype=dtype)
     plan.wq_scale = np.asarray(weight_scale, dtype=np.float32)
-    plan._wq_i32 = None
-    plan._wqT_i32 = None
+    plan._wq_f32 = None
+    plan._wqT_f32 = None
     plan._int_bound = None
     plan._int_exact = {}
 
@@ -329,7 +334,8 @@ def plan_deployable(network) -> NetworkPlan:
     ``effective_weight()`` materialisation of the legacy loop is hoisted
     into the plan. Quantized conv layers additionally carry their integer
     weights + scales (see :func:`attach_int_lowering`) so the engine can
-    run them with int32 accumulation instead of dequantized floats.
+    run them with exact integer accumulation instead of dequantized
+    floats.
     """
     layers: List[LayerPlan] = []
     for layer in network.layers:

@@ -26,24 +26,16 @@ configuration at all and stay on the dense fallback. Passing a run's
 dispatch counters additionally explains every dense *decision* taken at
 runtime (density vs calibration vs cost vs forced).
 
-Sidecar format history: ``network-plan-v4`` (current) additionally
-persists each quantized conv layer's integer lowering -- the int8/int16
-weight matrix, its dequantization scale(s), the integer bit-exactness
-verdict and overflow bound, and (when the verdict passed) the int kernel
-cost rates -- so cold loaders restore the full integer datapath without
-re-probing; ``network-plan-v3`` extended each event-eligible calibration
-entry with the probe-seeded dispatch cost-model rates (dense ms/sample,
-event ms/update -- see :mod:`repro.runtime.costmodel`), trusted under
-the same environment fingerprint as the calibration verdicts and refined
-online after loading, so cold-started workers skip the seeding probe
-GEMMs; ``network-plan-v2`` added the auto-resolved k-block per entry;
-``network-plan-v1`` sidecars (written before the blocked fold existed)
-still load -- their verdicts seed the unblocked calibration cache only,
-and the block resolution (v1) and cost rates (v1/v2) re-probe lazily on
-first dispatch. v1-v3 sidecars carry no integer lowering: they load
-fine, but a quantized model loses its integer datapath with them, so
-sidecar consumers on the numeric path (see
-``repro.experiments.context``) rebuild and re-save such sidecars.
+The sidecar format is ``network-plan-v4``: weights, BN constants and
+calibration verdicts, each event-eligible shape's probe-seeded dispatch
+cost rates (dense ms/sample, event ms/update -- see
+:mod:`repro.runtime.costmodel`), and each quantized conv layer's
+integer lowering -- the int8/int16 weight matrix, its dequantization
+scale(s), the integer bit-exactness verdict and overflow bound. Rates
+and verdicts are trusted under the same environment fingerprint. A
+sidecar is a regenerable cache, so any other format -- and any sidecar
+whose metadata does not parse -- is rejected with a typed error, and
+:func:`try_load_plan` callers simply rebuild it.
 """
 
 from __future__ import annotations
@@ -53,17 +45,13 @@ import json
 import os
 import platform
 import zipfile
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ReproError, RuntimeUnsupportedError
 from repro.runtime.config import runtime_config
-from repro.runtime.costmodel import (
-    LayerCostState,
-    ensure_cost_state,
-    ensure_int_rates,
-)
+from repro.runtime.costmodel import LayerCostState, ensure_cost_state
 from repro.runtime.kernels import (
     calibrate_event_exact,
     calibrate_int_exact,
@@ -79,15 +67,8 @@ from repro.utils.serialization import load_npz, save_npz
 
 PLAN_SIDECAR_SUFFIX = ".plan.npz"
 
-#: Accepted sidecar formats, newest first. v3 lacks the integer lowering
-#: (quantized weights + scales + int verdicts); v2 additionally lacks
-#: per-entry ``cost`` rates; v1 additionally lacks per-entry ``block``.
-_PLAN_FORMATS = (
-    "network-plan-v4",
-    "network-plan-v3",
-    "network-plan-v2",
-    "network-plan-v1",
-)
+#: The one sidecar format written and accepted.
+_PLAN_FORMAT = "network-plan-v4"
 
 _BN_FIELDS = ("bn_mu", "bn_inv_std", "bn_gamma", "bn_beta")
 
@@ -162,7 +143,7 @@ def save_plan(
     backend = resolve_event_backend(backend or runtime_config().event_backend)
     arrays: Dict[str, np.ndarray] = {}
     meta: Dict[str, object] = {
-        "format": "network-plan-v4",
+        "format": _PLAN_FORMAT,
         "model_digest": model_digest,
         "beta": plan.beta,
         "threshold": plan.threshold,
@@ -212,7 +193,7 @@ def save_plan(
                 "block": block,
             }
             if block is not None:
-                # Dispatch cost rates (v3): probe-seeded here (or taken
+                # Dispatch cost rates: probe-seeded here (or taken
                 # from the live plan's already-refined state) so cold
                 # loaders skip the one-shot seeding GEMMs. Only
                 # event-eligible shapes ever consult the cost model;
@@ -223,26 +204,12 @@ def save_plan(
                     "event_ms_per_update": float(state.event_ms_per_update),
                 }
             if layer.has_int_lowering:
-                # Integer datapath verdicts (v4): the per-layer
-                # bit-exactness probe and overflow bound, plus -- only
-                # when the probe passed, the sole case the dispatcher
-                # consults them -- the int kernel cost rates.
-                int_exact = calibrate_int_exact(layer, backend, block)
-                int_entry: Dict[str, object] = {
-                    "exact": bool(int_exact),
+                # Integer datapath verdicts: the per-layer bit-exactness
+                # probe and overflow bound.
+                entry["int"] = {
+                    "exact": bool(calibrate_int_exact(layer, backend, block)),
                     "bound": int(layer.int_bound),
                 }
-                if int_exact:
-                    state = ensure_int_rates(layer, backend, block or None)
-                    int_entry["cost"] = {
-                        "int_dense_ms_per_sample": float(
-                            state.int_dense_ms_per_sample
-                        ),
-                        "int_event_ms_per_update": float(
-                            state.int_event_ms_per_update
-                        ),
-                    }
-                entry["int"] = int_entry
             meta["calibration"].append(entry)
     save_npz(path, arrays, meta)
 
@@ -254,12 +221,15 @@ def load_plan(path: str, model_digest: Optional[str] = None) -> NetworkPlan:
     when the environment fingerprint matches, so the loading process
     never re-probes shapes the saving process already settled. When both
     sides carry a ``model_digest`` and they differ, the sidecar is stale
-    (the model was retrained under it) and loading fails.
+    (the model was retrained under it) and loading fails. A sidecar in
+    any other format, or with metadata that does not parse, raises
+    :class:`~repro.errors.RuntimeUnsupportedError`; nothing is seeded
+    from it.
     """
     arrays, meta = load_npz(path)
-    if meta.get("format") not in _PLAN_FORMATS:
+    if not isinstance(meta, dict) or meta.get("format") != _PLAN_FORMAT:
         raise RuntimeUnsupportedError(
-            f"{path!r} is not a serialized network plan"
+            f"{path!r} is not a {_PLAN_FORMAT} network plan"
         )
     stored_digest = meta.get("model_digest")
     if (
@@ -271,8 +241,27 @@ def load_plan(path: str, model_digest: Optional[str] = None) -> NetworkPlan:
             f"plan sidecar {path!r} was lowered from a different model "
             "(digest mismatch; retrain left a stale sidecar)"
         )
+    try:
+        plan = _plan_from_meta(arrays, meta)
+        shape_seeds = (
+            _seed_layers(plan, meta)
+            if meta.get("fingerprint") == environment_fingerprint()
+            else []
+        )
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise RuntimeUnsupportedError(
+            f"plan sidecar {path!r} has malformed metadata: {exc!r}"
+        ) from exc
+    # Process-wide caches are seeded only once the whole sidecar parsed.
+    for key, exact, block in shape_seeds:
+        seed_calibration(key, exact)
+        seed_block_resolution(key, block)
+    return plan
+
+
+def _plan_from_meta(arrays: Dict[str, np.ndarray], meta: Dict) -> NetworkPlan:
     layers: List[LayerPlan] = []
-    for index, info in enumerate(meta["layers"]):
+    for index, info in enumerate(_as_list(meta["layers"])):
         prefix = f"layer{index}"
         wmat = np.ascontiguousarray(arrays[f"{prefix}.wmat"])
         input_shape = tuple(info["input_shape"])
@@ -299,16 +288,13 @@ def load_plan(path: str, model_digest: Optional[str] = None) -> NetworkPlan:
         if info["has_bn"]:
             for bn_field in _BN_FIELDS:
                 setattr(layer, bn_field, arrays[f"{prefix}.{bn_field}"])
-        # v4 sidecars persist the integer lowering; v1-v3 predate it
-        # ("has_int" absent), so quantized plans loaded from them run
-        # float-only until the sidecar is rebuilt.
-        if info.get("has_int"):
+        if info["has_int"]:
             layer.wq = np.ascontiguousarray(arrays[f"{prefix}.wq"])
             layer.wq_scale = np.ascontiguousarray(
                 arrays[f"{prefix}.wq_scale"]
             )
         layers.append(layer)
-    plan = NetworkPlan(
+    return NetworkPlan(
         layers=layers,
         beta=meta["beta"],
         threshold=meta["threshold"],
@@ -317,50 +303,49 @@ def load_plan(path: str, model_digest: Optional[str] = None) -> NetworkPlan:
         spike_rule=meta["spike_rule"],
         source=meta["source"],
     )
-    if meta.get("fingerprint") == environment_fingerprint():
-        conv_layers = [layer for layer in layers if layer.kind == "conv"]
-        entries = meta.get("calibration", [])
-        for index, entry in enumerate(entries):
-            key = tuple(entry["key"])
-            seed_calibration(key, entry["exact"])
-            # v1 sidecars carry no block resolution: leave the choice
-            # cache untouched so it is probed live on first dispatch.
-            if "block" in entry:
-                seed_block_resolution(key, entry["block"])
-            # v3 sidecars carry the probe-seeded dispatch cost rates;
-            # the entry order matches the conv-layer order save_plan
-            # walked. Timings from a different environment are never
-            # trusted (same fingerprint gate as the verdicts); seeded
-            # rates are still refined online by the dispatcher's EMA.
-            cost = entry.get("cost")
-            if cost is not None and index < len(conv_layers):
-                conv_layers[index].cost_state = LayerCostState(
-                    dense_ms_per_sample=float(cost["dense_ms_per_sample"]),
-                    event_ms_per_update=float(cost["event_ms_per_update"]),
-                )
-            # v4 sidecars carry the integer bit-exactness verdict (and,
-            # when it passed, the int kernel rates). The verdict is
-            # weight-dependent, so it is seeded per layer object, not
-            # into the shape-keyed calibration cache.
-            int_entry = entry.get("int")
-            if int_entry is not None and index < len(conv_layers):
-                conv = conv_layers[index]
-                if conv.has_int_lowering:
-                    seed_int_exact(
-                        conv,
-                        meta["backend"],
-                        entry.get("block"),
-                        bool(int_entry["exact"]),
-                    )
-                    int_cost = int_entry.get("cost")
-                    if int_cost is not None and conv.cost_state is not None:
-                        conv.cost_state.int_dense_ms_per_sample = float(
-                            int_cost["int_dense_ms_per_sample"]
-                        )
-                        conv.cost_state.int_event_ms_per_update = float(
-                            int_cost["int_event_ms_per_update"]
-                        )
-    return plan
+
+
+def _seed_layers(plan: NetworkPlan, meta: Dict) -> List[Tuple]:
+    """Attach the sidecar's per-layer cost rates and integer verdicts to
+    ``plan``; return the ``(key, exact, block)`` shape verdicts for the
+    process-wide caches.
+
+    Calibration entries follow the conv-layer order :func:`save_plan`
+    walked. Seeded rates are still refined online by the dispatcher's
+    EMA. The integer verdict is weight-dependent, so it is seeded per
+    layer object, not into the shape-keyed calibration cache. Int
+    entries from older writers may also carry kernel ``cost`` rates;
+    nothing reads them.
+    """
+    conv_layers = [layer for layer in plan.layers if layer.kind == "conv"]
+    seeds = []
+    for index, entry in enumerate(_as_list(meta["calibration"])):
+        key = tuple(_as_list(entry["key"]))
+        block = entry["block"]
+        block = None if block is None else int(block)
+        seeds.append((key, bool(entry["exact"]), block))
+        if index >= len(conv_layers):
+            continue
+        conv = conv_layers[index]
+        cost = entry.get("cost")
+        if cost is not None:
+            conv.cost_state = LayerCostState(
+                dense_ms_per_sample=float(cost["dense_ms_per_sample"]),
+                event_ms_per_update=float(cost["event_ms_per_update"]),
+            )
+        int_entry = entry.get("int")
+        if int_entry is not None and conv.has_int_lowering:
+            seed_int_exact(
+                conv, meta["backend"], block, bool(int_entry["exact"])
+            )
+    return seeds
+
+
+def _as_list(value) -> list:
+    """``value`` when it is a JSON list, else a ``TypeError``."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
 
 
 def try_load_plan(

@@ -437,64 +437,43 @@ class TestAttachPlan:
 
 
 class TestSchemaCompat:
-    """Earlier-PR sidecars must keep loading after each schema bump:
-    v1 (no per-entry k-block), v2 (no per-entry cost rates), v3 (no
-    integer lowering) and the current v4 all round-trip to bit-identical
-    engine outputs."""
+    """Sidecars are regenerable caches: only ``network-plan-v4`` loads;
+    older formats are refused (and rebuilt by their consumers)."""
 
-    def _downgrade_to_v1(self, path):
+    def _downgrade(self, path, version):
+        """Rewrite a v4 sidecar the way an older writer laid it out:
+        v3 lacks the integer lowering, v2 also the per-entry cost
+        rates, v1 also the per-entry k-block."""
         arrays, meta = load_npz(path)
-        meta["format"] = "network-plan-v1"
+        meta["format"] = f"network-plan-v{version}"
         for entry in meta["calibration"]:
-            entry.pop("block", None)
-            entry.pop("cost", None)
             entry.pop("int", None)
+            if version <= 2:
+                entry.pop("cost", None)
+            if version == 1:
+                entry.pop("block", None)
         for info in meta["layers"]:
             info.pop("has_int", None)
         arrays = {k: v for k, v in arrays.items() if ".wq" not in k}
         save_npz(path, arrays, meta)
 
-    def _downgrade_to_v2(self, path):
-        arrays, meta = load_npz(path)
-        meta["format"] = "network-plan-v2"
-        for entry in meta["calibration"]:
-            entry.pop("cost", None)
-            entry.pop("int", None)
-        for info in meta["layers"]:
-            info.pop("has_int", None)
-        arrays = {k: v for k, v in arrays.items() if ".wq" not in k}
-        save_npz(path, arrays, meta)
-
-    def _downgrade_to_v3(self, path):
-        arrays, meta = load_npz(path)
-        meta["format"] = "network-plan-v3"
-        for entry in meta["calibration"]:
-            entry.pop("int", None)
-        for info in meta["layers"]:
-            info.pop("has_int", None)
-        arrays = {k: v for k, v in arrays.items() if ".wq" not in k}
-        save_npz(path, arrays, meta)
-
-    def test_v1_sidecar_loads_and_seeds_unblocked_verdicts(
-        self, deployable, images, tmp_path, monkeypatch
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_older_format_is_refused(
+        self, network, tmp_path, monkeypatch, version
     ):
-        live = plan_deployable(deployable)
-        path = str(tmp_path / "legacy.plan.npz")
-        save_plan(live, path)
-        self._downgrade_to_v1(path)
-        from repro.runtime import kernels
+        from repro.quant import INT8_P2
+        from repro.runtime import kernels, try_load_plan
 
+        path = str(tmp_path / f"v{version}.plan.npz")
+        save_plan(plan_deployable(convert(network, INT8_P2)), path)
+        self._downgrade(path, version)
         monkeypatch.setattr(kernels, "_CALIBRATION_CACHE", {})
         monkeypatch.setattr(kernels, "_BLOCK_CHOICE_CACHE", {})
-        loaded = load_plan(path)
-        # Unblocked verdicts seeded; block choices left for live probing.
-        assert kernels._CALIBRATION_CACHE
+        assert try_load_plan(path) is None
+        assert kernels._CALIBRATION_CACHE == {}
         assert kernels._BLOCK_CHOICE_CACHE == {}
-        want = engine_outputs(live, images)
-        got = engine_outputs(loaded, images)
-        assert np.array_equal(got.accumulated, want.accumulated)
 
-    def test_v2_sidecar_seeds_block_resolution(
+    def test_sidecar_seeds_block_resolution(
         self, deployable, tmp_path, monkeypatch
     ):
         from repro.runtime import kernels
@@ -517,25 +496,7 @@ class TestSchemaCompat:
         load_plan(path)
         assert kernels._BLOCK_CHOICE_CACHE == expected
 
-    def test_v2_sidecar_loads_without_cost_rates(
-        self, deployable, images, tmp_path
-    ):
-        live = plan_deployable(deployable)
-        path = str(tmp_path / "v2.plan.npz")
-        save_plan(live, path)
-        self._downgrade_to_v2(path)
-        loaded = load_plan(path)
-        # No rates seeded: the dispatcher probes live on first use.
-        assert all(
-            layer.cost_state is None
-            for layer in loaded.layers
-            if layer.kind == "conv"
-        )
-        want = engine_outputs(live, images)
-        got = engine_outputs(loaded, images)
-        assert np.array_equal(got.accumulated, want.accumulated)
-
-    def test_v3_sidecar_seeds_cost_state_and_skips_probe(
+    def test_sidecar_seeds_cost_state_and_skips_probe(
         self, deployable, tmp_path, monkeypatch
     ):
         """Event-eligible layers come back with the persisted dispatch
@@ -550,7 +511,7 @@ class TestSchemaCompat:
 
         live = plan_deployable(deployable)
         backend = resolve_event_backend("auto")
-        path = str(tmp_path / "v3.plan.npz")
+        path = str(tmp_path / "rates.plan.npz")
         save_plan(live, path)
         arrays, meta = load_npz(path)
         assert meta["format"] == "network-plan-v4"
@@ -601,24 +562,16 @@ class TestSchemaCompat:
     def test_v4_persists_integer_lowering(
         self, network, images, tmp_path, monkeypatch
     ):
-        """A quantized plan's int8 weights, scales, exactness verdicts
-        and int cost rates all come back from the sidecar -- cold
-        loaders never re-run the integer probes."""
+        """A quantized plan's int8 weights, scales and exactness
+        verdicts all come back from the sidecar -- cold loaders never
+        re-run the integer probe."""
         from repro.quant import INT8_P2
-        from repro.runtime import costmodel
-        from repro.runtime.kernels import resolve_event_backend
+        from repro.runtime import kernels
 
         live = plan_deployable(convert(network, INT8_P2))
-        backend = resolve_event_backend("auto")
         path = str(tmp_path / "int.plan.npz")
         save_plan(live, path)
         loaded = load_plan(path)
-        monkeypatch.setattr(
-            costmodel,
-            "probe_int_rates",
-            lambda *a, **k: pytest.fail("int probe ran despite sidecar"),
-        )
-        from repro.runtime import kernels
 
         monkeypatch.setattr(
             kernels,
@@ -644,41 +597,51 @@ class TestSchemaCompat:
                     kernels.calibrate_int_exact(got, b, block or None)
                     == verdict
                 )
-            if want.cost_state is not None and (
-                want.cost_state.int_event_ms_per_update is not None
-            ):
-                assert got.cost_state is not None
-                assert (
-                    got.cost_state.int_event_ms_per_update
-                    == want.cost_state.int_event_ms_per_update
-                )
         assert seen_int  # the quantized plan did carry a lowering
 
-    def test_v3_sidecar_drops_integer_lowering_but_loads(
-        self, network, images, tmp_path
+    def test_v4_with_retired_int_cost_rates_loads(
+        self, network, tmp_path, monkeypatch
     ):
-        """Pre-v4 sidecars of quantized models load fine -- the plan
-        simply runs float-only until the sidecar is rebuilt."""
+        """v4 sidecars written before the integer kernels shared the
+        float kernels' code carry int ``cost`` rates next to the int
+        verdict; they load, and the verdict is still seeded."""
         from repro.quant import INT8_P2
+        from repro.runtime import kernels
 
         live = plan_deployable(convert(network, INT8_P2))
-        path = str(tmp_path / "v3-int.plan.npz")
+        path = str(tmp_path / "int-cost.plan.npz")
         save_plan(live, path)
-        self._downgrade_to_v3(path)
+        arrays, meta = load_npz(path)
+        int_entries = [e["int"] for e in meta["calibration"] if "int" in e]
+        assert int_entries
+        for int_entry in int_entries:
+            int_entry["cost"] = {
+                "int_dense_ms_per_sample": 0.5,
+                "int_event_ms_per_update": 1e-5,
+            }
+        save_npz(path, arrays, meta)
         loaded = load_plan(path)
-        assert all(not layer.has_int_lowering for layer in loaded.layers)
-        want = engine_outputs(live, images)
-        got = engine_outputs(loaded, images)
-        # auto int kernels are exactness-preserving, so the float-only
-        # plan computes the identical result.
-        assert np.array_equal(got.accumulated, want.accumulated)
+        monkeypatch.setattr(
+            kernels,
+            "dense_conv",
+            lambda *a, **k: pytest.fail("exactness probe ran"),
+        )
+        verdicts = 0
+        for got, want in zip(loaded.layers, live.layers):
+            for (b, block), verdict in want._int_exact.items():
+                assert (
+                    kernels.calibrate_int_exact(got, b, block or None)
+                    == verdict
+                )
+                verdicts += 1
+        assert verdicts == len(int_entries)
 
     def test_context_rebuilds_pre_v4_sidecar_for_quantized_model(
         self, tmp_path
     ):
-        """The numeric-path sidecar guard: a quantized model under
-        int_kernels != 'off' must not keep a v3 sidecar that would pin
-        it to float inference."""
+        """A downgraded sidecar is refused, and the experiment context
+        rebuilds it -- integer lowering included -- and re-saves it as
+        v4."""
         from repro.experiments.context import ExperimentContext
         from repro.runtime import try_load_plan
 
@@ -687,16 +650,15 @@ class TestSchemaCompat:
         ctx.trained("svhn", "int8")
         path = ctx.model_path(ctx.model_key("svhn", "int8", "direct"))
         sidecar = plan_sidecar_path(path)
-        self._downgrade_to_v3(sidecar)
-        assert all(
-            not layer.has_int_lowering
-            for layer in try_load_plan(sidecar).layers
-        )
+        self._downgrade(sidecar, 3)
+        assert try_load_plan(sidecar) is None
         fresh = ExperimentContext(scale="tiny", workspace=workspace, seed=0)
         model = fresh.trained("svhn", "int8")  # rebuilds + re-saves as v4
         assert any(
             layer.has_int_lowering for layer in model._runtime_plan.layers
         )
+        _, meta = load_npz(sidecar)
+        assert meta["format"] == "network-plan-v4"
         reloaded = try_load_plan(sidecar)
         assert any(layer.has_int_lowering for layer in reloaded.layers)
 
@@ -711,3 +673,72 @@ class TestSchemaCompat:
         save_npz(path, arrays, meta)
         with pytest.raises(RuntimeUnsupportedError):
             load_plan(path)
+
+
+def _mutate_layers(meta):
+    meta["layers"] = {str(i): info for i, info in enumerate(meta["layers"])}
+
+
+def _mutate_calibration(meta):
+    meta["calibration"] = {
+        str(i): entry for i, entry in enumerate(meta["calibration"])
+    }
+
+
+def _last_entry_with(meta, field):
+    return [e for e in meta["calibration"] if field in e][-1]
+
+
+def _mutate_key(meta):
+    _last_entry_with(meta, "key")["key"] = 7
+
+
+def _mutate_int_entry(meta):
+    _last_entry_with(meta, "int")["int"] = [True, 5]
+
+
+def _mutate_cost_entry(meta):
+    _last_entry_with(meta, "cost")["cost"] = [1.0, 2.0]
+
+
+def _mutate_input_shape(meta):
+    meta["layers"][-2]["input_shape"] = [3]
+
+
+class TestMalformedMetadata:
+    """A well-formed v4 npz whose metadata does not parse is a corrupt
+    sidecar like any other: a typed error from ``load_plan``, ``None``
+    from ``try_load_plan``, and nothing seeded process-wide."""
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            _mutate_layers,
+            _mutate_calibration,
+            _mutate_key,
+            _mutate_int_entry,
+            _mutate_cost_entry,
+            _mutate_input_shape,
+        ],
+    )
+    def test_malformed_metadata_loads_as_none(
+        self, network, tmp_path, monkeypatch, mutate
+    ):
+        from repro.errors import RuntimeUnsupportedError
+        from repro.quant import INT8_P2
+        from repro.runtime import kernels, try_load_plan
+
+        live = plan_deployable(convert(network, INT8_P2))
+        assert live.layers[-2].kind == "conv"
+        path = str(tmp_path / "malformed.plan.npz")
+        save_plan(live, path)
+        arrays, meta = load_npz(path)
+        mutate(meta)
+        save_npz(path, arrays, meta)
+        monkeypatch.setattr(kernels, "_CALIBRATION_CACHE", {})
+        monkeypatch.setattr(kernels, "_BLOCK_CHOICE_CACHE", {})
+        with pytest.raises(RuntimeUnsupportedError):
+            load_plan(path)
+        assert try_load_plan(path) is None
+        assert kernels._CALIBRATION_CACHE == {}
+        assert kernels._BLOCK_CHOICE_CACHE == {}
