@@ -19,6 +19,12 @@ byte-compared:
   -- see ``repro/parallel/shard.py``.) Rate coding was exempt from this
   gate while encoder snapshots made it geometry-dependent; any
   difference now is a regression of the counter-stream invariant.
+* **engine lanes**: one process splitting a batch into sample lanes on
+  threads (``repro.runtime.lanes``) must byte-match the one-lane
+  forward (what ``REPRO_WORKERS=1`` runs): direct coding at batch 64,
+  rate coding with ``record=True`` at batch 32 (recorded trains
+  included), and the ``HybridSimulator.run`` report of an int4
+  rate-coded batch of 32.
 
 Wired into ``scripts/perf_smoke.sh``; run standalone with:
 
@@ -38,9 +44,10 @@ if not any(os.path.isdir(os.path.join(p, "repro")) for p in sys.path if p):
 
 import numpy as np
 
-from repro.parallel import sharded_forward
-from repro.quant import FP32, convert
-from repro.runtime import runtime_overrides
+from repro.parallel import sharded_forward, workers_override
+from repro.quant import FP32, INT4, convert
+from repro.runtime import blas, runtime_overrides
+from repro.runtime.lanes import lane_count
 from repro.snn import build_vgg9
 from repro.snn.encoding import RateEncoder
 from repro.snn.neuron import LIFConfig
@@ -53,8 +60,12 @@ RATE_WORKERS = (1, 2)
 RATE_TIMESTEPS = 4
 RATE_SEED = 11
 
+LANE_WORKERS = 2
+LANE_DIRECT_BATCH = 64
+LANE_RATE_BATCH = 32
 
-def build_workload():
+
+def build_network():
     network = build_vgg9(
         num_classes=10,
         population=200,
@@ -64,7 +75,11 @@ def build_workload():
         seed=42,
     )
     network.eval()
-    deployable = convert(network, FP32)
+    return network
+
+
+def build_workload():
+    deployable = convert(build_network(), FP32)
     rng = np.random.default_rng(7)
     images = rng.random((12, 3, 16, 16)).astype(np.float32)
     return deployable, images
@@ -152,6 +167,63 @@ def check_rate(deployable, images, failures) -> int:
     return report_bytes
 
 
+def trains_digest(output) -> str:
+    digest = hashlib.sha256()
+    for name, train in sorted(output.spike_trains_stacked.items()):
+        digest.update(name.encode("utf-8"))
+        digest.update(np.ascontiguousarray(train).tobytes())
+    return digest.hexdigest()
+
+
+def simulation_report(report) -> bytes:
+    return json.dumps({
+        "latency_ms": report.latency_ms,
+        "energy_mj": report.energy_mj,
+        "spikes_per_image": report.total_spikes_per_image,
+        "layers": [repr(layer) for layer in report.layers],
+        "logits_sha256": hashlib.sha256(report.logits.tobytes()).hexdigest(),
+    }, sort_keys=True).encode("utf-8")
+
+
+def check_lanes(deployable, failures) -> str:
+    """Lanes against one lane, all in this process."""
+    from repro.baselines.rate_coded import rate_coded_config
+    from repro.hw.config import lw_config
+    from repro.hw.simulator import HybridSimulator
+
+    if not blas.available():
+        return "lanes: skipped (BLAS thread count not controllable: one lane)"
+    rng = np.random.default_rng(13)
+    direct = rng.random((LANE_DIRECT_BATCH, 3, 16, 16)).astype(np.float32)
+    rate = direct[:LANE_RATE_BATCH]
+    simulator = HybridSimulator(
+        convert(build_network(), INT4), rate_coded_config(lw_config("cifar10", INT4))
+    )
+    runs = {
+        "direct forward, batch 64": lambda: canonical_report(
+            deployable.forward(direct, TIMESTEPS)
+        ),
+        "rate forward, record=True, batch 32": lambda: (
+            lambda out: canonical_report(out) + trains_digest(out).encode()
+        )(deployable.forward(
+            rate, RATE_TIMESTEPS, RateEncoder(seed=RATE_SEED), record=True
+        )),
+        "HybridSimulator.run, int4 rate, batch 32": lambda: simulation_report(
+            simulator.run(rate, RATE_TIMESTEPS, RateEncoder(seed=RATE_SEED))
+        ),
+    }
+    for name, run in runs.items():
+        with workers_override(1):
+            one_lane = run()
+        with workers_override(LANE_WORKERS):
+            if lane_count(LANE_RATE_BATCH) < 2:
+                failures.append(f"lanes: {name} would run in one lane")
+            lanes = run()
+        if lanes != one_lane:
+            failures.append(f"lanes: {name} differs from the one-lane forward")
+    return f"lanes: {len(runs)} runs x {LANE_WORKERS} lanes vs one lane"
+
+
 def main() -> int:
     deployable, images = build_workload()
     # Pin the default runtime config, with one exception: the canonical
@@ -163,6 +235,7 @@ def main() -> int:
     with runtime_overrides(dispatch_policy="density"):
         direct_bytes = check_direct(deployable, images, failures)
         rate_bytes = check_rate(deployable, images, failures)
+        lanes_summary = check_lanes(deployable, failures)
     for failure in failures:
         print(f"PARALLEL NON-DETERMINISM: {failure}", file=sys.stderr)
     if failures:
@@ -171,7 +244,8 @@ def main() -> int:
         "parallel determinism gate passed "
         f"(direct: {SHARDS} shards, 2 workers, {direct_bytes}-byte report "
         "compared 3 ways; rate: shards {2,4} x workers {1,2} vs serial, "
-        f"shards {{1,2,4}} vs unsharded, {rate_bytes}-byte reports)"
+        f"shards {{1,2,4}} vs unsharded, {rate_bytes}-byte reports; "
+        f"{lanes_summary})"
     )
     return 0
 

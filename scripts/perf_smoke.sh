@@ -32,7 +32,12 @@
 # unsharded forward for shards in {1,2,4}, and the full pooled report
 # (counters included) byte-identical to serial at shards {2,4} x 2
 # workers (exit 1 on any difference). Rate coding was exempt while
-# encoder snapshots made it geometry-dependent.
+# encoder snapshots made it geometry-dependent. The same gate
+# byte-compares the engine's sample lanes (one batch split over threads
+# inside one forward) against the one-lane forward that REPRO_WORKERS=1
+# runs: direct coding at batch 64, rate coding with record=True at
+# batch 32 (recorded trains included) and the HybridSimulator.run
+# report of an int4 rate-coded batch.
 #
 # The fault recovery gate exercises the self-healing executor under a
 # pinned deterministic fault plan (one worker crash + one wedged shard

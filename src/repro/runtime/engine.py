@@ -24,6 +24,25 @@ calibration, forced) in the layer counters. The engine also memoises the
 first-layer current under time-invariant encodings (direct coding
 presents the same frame every timestep), which removes ``(T-1)/T`` of
 the dense-core work outright.
+
+**Sample lanes.** A batch of at least ``2 * MIN_LANE_SAMPLES`` runs in
+several lanes of contiguous samples, one per worker
+(:mod:`repro.runtime.lanes`). Per layer the calling thread routes on
+whole-batch numbers -- input totals, the per-timestep classification,
+integer verdicts, block resolution, cost probes -- then every lane
+executes those decisions on its samples (kernels, BN, LIF scan, spike
+counts, OR-pool), writing its slice of one whole-batch train, so a
+recorded train is never copied. The calling thread sums the lanes'
+exact integer counts into ``SpikeStats``, the next layer's activity and
+the counters, and feeds their kernel timings to the cost model in lane
+order. Lanes are byte-identical to one lane because no kernel's
+per-sample output depends on the other samples of its call: conv GEMMs
+run per sample (``np.matmul`` over stacked im2col matrices), CSR rows
+fold per output row in ascending k, LIF, BN and OR-pool are
+elementwise, and OpenBLAS splits a GEMM over M and N, never K, so
+running the lanes' GEMMs on one BLAS thread changes no fold. FC GEMMs
+are the exception -- OpenBLAS picks a row's fold by the batch height --
+so FC currents are computed on the whole batch before the split.
 """
 
 from __future__ import annotations
@@ -38,6 +57,7 @@ from repro.runtime.config import LayerCounters, RuntimeConfig, runtime_config
 from repro.runtime.costmodel import ensure_cost_state
 from repro.runtime.kernels import (
     BufferPool,
+    calibrate_event_exact,
     calibrate_int_exact,
     dense_conv,
     dense_conv_int,
@@ -49,6 +69,7 @@ from repro.runtime.kernels import (
     resolve_event_backend,
     resolve_event_block,
 )
+from repro.runtime.lanes import lane_bounds, lane_count, run_lanes
 from repro.runtime.plan import LayerPlan, NetworkPlan
 from repro.snn.metrics import SpikeStats
 from repro.snn.neuron import lif_scan
@@ -87,8 +108,8 @@ def stack_encoder_frames(encoder, images: np.ndarray, timesteps: int, record: bo
 
 
 def _spike_counts(train: np.ndarray) -> List[int]:
-    """Per-timestep spike counts of a contiguous (T, ...) train the
-    engine produced.
+    """Per-timestep spike counts of a (T, ...) train (or a lane's slice
+    of one) the engine produced.
 
     Its entries are exactly ``+0.0`` or ``1.0`` -- ``lif_scan`` writes
     comparison results and OR-pooling takes maxima of them, never
@@ -230,6 +251,9 @@ class InferenceEngine:
         plan = self.plan
         config = self._config()
         timesteps, samples = stacked.shape[0], stacked.shape[1]
+        bounds = lane_bounds(samples, lane_count(samples))
+        # Scratch pools are made here, not in the lanes.
+        pools = [self.buffers.lane(i) for i in range(len(bounds))]
         stats = SpikeStats(samples=samples, timesteps=timesteps)
         input_totals: Dict[str, float] = {}
         trains: Optional[Dict[str, np.ndarray]] = {} if record else None
@@ -269,31 +293,65 @@ class InferenceEngine:
                 total = total + value
             input_totals[layer.name] = total
             layer_counter = counters.setdefault(layer.name, LayerCounters())
-            current = self._layer_current(
+            route = self._route(
+                config,
                 layer,
                 x,
                 t_sums,
                 t_nnz,
                 analog=analog_first and layer.is_input_layer,
-                time_invariant=time_invariant and layer.is_input_layer,
+                time_invariant=invariant,
                 counter=layer_counter,
             )
-            if layer.has_bn:
-                current = (current - layer.bn_mu) * layer.bn_inv_std
-                current = current * layer.bn_gamma + layer.bn_beta
-            spikes, _ = lif_scan(
-                current, plan.beta, plan.threshold, plan.spike_rule,
-                final_reset=False,
+            timings: List[Tuple[str, float, int]] = []
+            updates = 0
+            if route.whole_batch:
+                route.current, updates = self._current(
+                    config, layer, route, x, self.buffers, timings
+                )
+            # Every lane writes its slice of these two whole-batch trains.
+            spikes = np.empty(
+                (timesteps, samples) + _out_shape(layer), dtype=np.float32
             )
-            counts = _spike_counts(spikes)
+            pooled = None
+            if layer.pool_after > 1:
+                window = layer.pool_after
+                pooled = np.empty(
+                    spikes.shape[:-2]
+                    + (spikes.shape[-2] // window, spikes.shape[-1] // window),
+                    dtype=np.float32,
+                )
+            lanes = run_lanes(
+                lambda i: self._lane(
+                    config, layer, route, x, spikes, pooled, bounds[i], pools[i]
+                ),
+                len(bounds),
+            )
+            counts = [
+                sum(lane.counts[t] for lane in lanes) for t in range(timesteps)
+            ]
             for t in range(timesteps):
                 stats.record(layer.name, t, spikes[t], counts[t])
+            for lane in lanes:
+                updates += lane.updates
+                timings += lane.timings
+            layer_counter.event_updates += updates
+            if route.int_event:
+                layer_counter.int_event_updates += updates
+            state = layer.cost_state
+            if state is not None:
+                for kind, ms, amount in timings:
+                    if kind == "dense":
+                        state.observe_dense(ms, amount)
+                    else:
+                        state.observe_event(ms, amount)
             x = spikes
-            if layer.pool_after > 1:
-                flat = x.reshape((timesteps * samples,) + x.shape[2:])
-                pooled = or_pool(flat, layer.pool_after)
-                x = pooled.reshape((timesteps, samples) + pooled.shape[1:])
-                counts = _spike_counts(x)
+            if pooled is not None:
+                x = pooled
+                counts = [
+                    sum(lane.pooled_counts[t] for lane in lanes)
+                    for t in range(timesteps)
+                ]
         accumulated = np.zeros(
             (samples, plan.layers[-1].out_channels), dtype=np.float32
         )
@@ -308,152 +366,211 @@ class InferenceEngine:
             counters=counters,
         )
 
+    def _lane(
+        self,
+        config: RuntimeConfig,
+        layer: LayerPlan,
+        route: "_Route",
+        x: np.ndarray,
+        spikes: np.ndarray,
+        pooled: Optional[np.ndarray],
+        bounds: Tuple[int, int],
+        pool: BufferPool,
+    ) -> "_LaneResult":
+        """One lane's share of a layer: current, BN, LIF scan and
+        OR-pool of samples ``[lo, hi)``, written into that slice of the
+        whole-batch ``spikes`` / ``pooled`` trains."""
+        lo, hi = bounds
+        timings: List[Tuple[str, float, int]] = []
+        if route.current is not None:
+            current, updates = route.current[:, lo:hi], 0
+        else:
+            current, updates = self._current(
+                config, layer, route, x[:, lo:hi], pool, timings
+            )
+        if layer.has_bn:
+            current = (current - layer.bn_mu) * layer.bn_inv_std
+            current = current * layer.bn_gamma + layer.bn_beta
+        lane_spikes = spikes[:, lo:hi]
+        plan = self.plan
+        lif_scan(
+            current, plan.beta, plan.threshold, plan.spike_rule,
+            final_reset=False, out=lane_spikes,
+        )
+        result = _LaneResult(_spike_counts(lane_spikes), None, updates, timings)
+        if pooled is not None:
+            lane_pooled = pooled[:, lo:hi]
+            or_pool(lane_spikes, layer.pool_after, out=lane_pooled)
+            result.pooled_counts = _spike_counts(lane_pooled)
+        return result
+
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def _layer_current(
+    def _route(
         self,
+        config: RuntimeConfig,
         layer: LayerPlan,
         x: np.ndarray,
         t_sums: List[float],
-        t_nnz: List[int],
+        t_nnz: Optional[List[int]],
         analog: bool,
         time_invariant: bool,
         counter: LayerCounters,
-    ) -> np.ndarray:
+    ) -> "_Route":
+        """Decide, on whole-batch activity, which kernel computes each
+        timestep of ``layer`` and tally the decisions in ``counter``
+        (all but the scatter updates, which the kernels count).
+
+        Lazily built state the kernels read (block tables, integer
+        weight copies, cost probes) is built here, before any lane runs.
+        """
         timesteps, samples = x.shape[0], x.shape[1]
-        block = (
-            self._layer_block(layer)
-            if layer.kind == "conv" and not analog
-            else None
-        )
-        int_eligible = (
-            layer.kind == "conv" and not analog and layer.has_int_lowering
-        )
+        conv = layer.kind == "conv"
+        block = self._layer_block(layer) if conv and not analog else None
+        int_eligible = conv and not analog and layer.has_int_lowering
         use_int, int_reason = (
             self._layer_int(layer, block) if int_eligible else (False, None)
         )
         if time_invariant:
-            cur0, used_event, updates, used_int, reason = self._batch_current(
-                layer,
-                x[0],
-                t_sums[0],
+            route = self._route_frame(
+                config, layer, x[0], t_sums[0],
                 t_nnz[0] if t_nnz is not None else None,
-                analog,
-                block,
+                analog, block, use_int, int_reason, timesteps, counter,
             )
-            if used_event:
-                counter.event_steps += timesteps
-                counter.event_updates += updates
-                if used_int:
-                    counter.int_event_steps += timesteps
-                    counter.int_event_updates += updates
-                elif int_reason is not None and updates:
-                    counter.count_float_fallback(int_reason, timesteps)
-            else:
-                counter.count_dense(reason, timesteps)
-            return np.broadcast_to(cur0, (timesteps,) + cur0.shape)
-
-        config = self._config()
-        out_spatial = (
-            (layer.out_channels, layer.geometry.oh, layer.geometry.ow)
-            if layer.kind == "conv"
-            else (layer.out_channels,)
-        )
-        if t_nnz is None:  # dispatch disabled: everything is dense
+        elif t_nnz is None:  # dispatch disabled: everything is dense
             reason = "forced" if config.force_path == "dense" else "density"
-            if layer.kind != "conv" or analog:
+            if not conv or analog:
                 reason = None
             counter.count_dense(reason, timesteps)
-            fused = x.reshape((timesteps * samples,) + x.shape[2:])
             int_dense = False
             if use_int:
                 # The int dense kernel needs strictly binary input; with
-                # the per-timestep scan disabled, check the fused batch.
-                nnz = int(np.count_nonzero(fused))
-                int_dense = float(nnz) == sum(t_sums)
+                # the per-timestep scan disabled, check the whole batch.
+                int_dense = float(np.count_nonzero(x)) == sum(t_sums)
                 if int_dense:
                     counter.int_dense_steps += timesteps
             elif int_reason is not None:
                 counter.count_float_fallback(int_reason, timesteps)
-            return self._kernel_dense(layer, fused, block, int_dense).reshape(
-                (timesteps, samples) + out_spatial
+            route = _Route(["dense"] * timesteps, block, int_dense=int_dense)
+        else:
+            route = self._route_steps(
+                config, layer, t_sums, t_nnz, x[0].size, samples, analog,
+                block, use_int, int_eligible, int_reason, counter,
             )
-        slice_size = x[0].size
+        # A GEMM's fold may depend on the BLAS thread count, which is
+        # one in the lanes: only a fold calibrated equal to the scatter
+        # kernel's ascending-k fold is proven not to. FC layers and
+        # uncalibrated float dense folds run on the whole batch here.
+        route.whole_batch = not conv or (
+            "dense" in route.paths
+            and not route.int_dense
+            and not self._fold_calibrated(config, layer, block, analog)
+        )
+        if block:
+            layer.block_tables(block)
+        if route.int_dense:
+            layer.wq_f32()
+        if route.int_event:
+            layer.wqT_f32()
+        return route
+
+    def _fold_calibrated(
+        self,
+        config: RuntimeConfig,
+        layer: LayerPlan,
+        block: Optional[int],
+        analog: bool,
+    ) -> bool:
+        """Whether the layer's float dense fold is calibrated identical to
+        the event kernel's -- a sequential ascending-k fold per output,
+        which OpenBLAS computes alike at every thread count. Analog
+        input runs the unblocked fold whatever the layer's block."""
+        if analog:
+            backend = resolve_event_backend(config.event_backend)
+            return calibrate_event_exact(layer, backend)
+        return block is not None
+
+    def _route_frame(
+        self, config, layer, frame, f_sum, f_nnz, analog, block,
+        use_int, int_reason, timesteps, counter,
+    ) -> "_Route":
+        """Route a time-invariant layer's one frame (memoised current,
+        broadcast over every timestep)."""
+        conv = layer.kind == "conv"
+        path, reason = "dense", None
+        if f_nnz is None:
+            reason = "forced" if config.force_path == "dense" else "density"
+            if not conv or analog:
+                reason = None
+        elif f_nnz == 0 and conv and not analog:
+            path = "empty"  # same shortcut as the per-timestep route
+        else:
+            use_event, reason = self._classify_step(
+                config, layer, block, analog, f_sum, f_nnz, frame.size,
+                frame.shape[0],
+            )
+            path = "event" if use_event else "dense"
+        if path == "dense":
+            counter.count_dense(reason, timesteps)
+        else:
+            counter.event_steps += timesteps
+            if path == "event":
+                if use_int:
+                    counter.int_event_steps += timesteps
+                elif int_reason is not None:
+                    counter.count_float_fallback(int_reason, timesteps)
+        return _Route(
+            [path], block, int_event=use_int and path == "event", broadcast=True
+        )
+
+    def _route_steps(
+        self, config, layer, t_sums, t_nnz, slice_size, samples, analog,
+        block, use_int, int_eligible, int_reason, counter,
+    ) -> "_Route":
+        """Route every timestep of a layer on its own activity."""
         # Timesteps with zero events short-circuit to a bias broadcast:
         # a GEMM over an all-zero input yields exact zeros under *any*
         # BLAS fold, so this is bit-exact without calibration (and it is
         # where near-silent deep layers spend most of their steps). The
         # integer path agrees by construction: a zero accumulator
         # dequantizes to exactly the bias.
-        empty_ts: List[int] = []
-        event_ts: List[int] = []
-        dense_ts: List[int] = []
+        paths: List[str] = []
         dense_binary = True  # every routed dense step had binary input
-        for t in range(timesteps):
-            if t_nnz[t] == 0:
-                empty_ts.append(t)
+        for t, nnz in enumerate(t_nnz):
+            if nnz == 0:
+                paths.append("empty")
                 continue
             use_event, reason = self._classify_step(
-                config, layer, block, analog,
-                t_sums[t], t_nnz[t], slice_size, samples,
+                config, layer, block, analog, t_sums[t], nnz, slice_size,
+                samples,
             )
             if use_event:
-                event_ts.append(t)
+                paths.append("event")
             else:
-                dense_ts.append(t)
+                paths.append("dense")
                 counter.count_dense(reason)
-                if float(t_nnz[t]) != t_sums[t]:
+                if float(nnz) != t_sums[t]:
                     dense_binary = False
-        counter.event_steps += len(event_ts) + len(empty_ts)
-        # Dense steps run the int flavour only when the whole fused dense
-        # batch is binary (one kernel call either way).
-        use_int_dense = use_int and bool(dense_ts) and dense_binary
-        if event_ts:
+        events = paths.count("event")
+        denses = paths.count("dense")
+        counter.event_steps += events + paths.count("empty")
+        # Dense steps run the int flavour only when every routed dense
+        # step is binary.
+        int_dense = use_int and denses > 0 and dense_binary
+        if events:
             if use_int:
-                counter.int_event_steps += len(event_ts)
+                counter.int_event_steps += events
             elif int_reason is not None:
-                counter.count_float_fallback(int_reason, len(event_ts))
-        if dense_ts and int_eligible and dense_binary:
-            if use_int_dense:
-                counter.int_dense_steps += len(dense_ts)
+                counter.count_float_fallback(int_reason, events)
+        if denses and int_eligible and dense_binary:
+            if int_dense:
+                counter.int_dense_steps += denses
             elif int_reason is not None:
-                counter.count_float_fallback(int_reason, len(dense_ts))
-        bias_cast = layer.bias.reshape(
-            (1, 1, -1) + (1,) * (len(out_spatial) - 1)
+                counter.count_float_fallback(int_reason, denses)
+        return _Route(
+            paths, block, int_dense=int_dense, int_event=use_int and events > 0
         )
-        if not dense_ts and not event_ts:
-            return np.broadcast_to(bias_cast, (timesteps, samples) + out_spatial)
-        if not event_ts and not empty_ts:
-            fused = x.reshape((timesteps * samples,) + x.shape[2:])
-            return self._kernel_dense(layer, fused, block, use_int_dense).reshape(
-                (timesteps, samples) + out_spatial
-            )
-        if not dense_ts and not empty_ts:
-            fused = x.reshape((timesteps * samples,) + x.shape[2:])
-            cur, updates = self._kernel_event(layer, fused, block, use_int)
-            counter.event_updates += updates
-            if use_int:
-                counter.int_event_updates += updates
-            return cur.reshape((timesteps, samples) + out_spatial)
-        current = np.empty((timesteps, samples) + out_spatial, dtype=np.float32)
-        if empty_ts:
-            current[empty_ts] = bias_cast[0]
-        if dense_ts:
-            batch_d = x[dense_ts].reshape((-1,) + x.shape[2:])
-            current[dense_ts] = self._kernel_dense(
-                layer, batch_d, block, use_int_dense
-            ).reshape((len(dense_ts), samples) + out_spatial)
-        if event_ts:
-            batch_e = x[event_ts].reshape((-1,) + x.shape[2:])
-            cur_e, updates = self._kernel_event(layer, batch_e, block, use_int)
-            counter.event_updates += updates
-            if use_int:
-                counter.int_event_updates += updates
-            current[event_ts] = cur_e.reshape(
-                (len(event_ts), samples) + out_spatial
-            )
-        return current
 
     def _classify_step(
         self,
@@ -502,89 +619,148 @@ class InferenceEngine:
                 return False, "cost"
         return True, None
 
-    def _batch_current(self, layer, xb, b_sum, b_nnz, analog, block):
-        """Single-batch current with dispatch (time-invariant memo path).
-
-        Returns ``(current, used_event, updates, used_int, dense_reason)``.
-        """
-        config = self._config()
-        if b_nnz is not None:
-            if b_nnz == 0 and layer.kind == "conv" and not analog:
-                # Empty-input shortcut, same as the per-timestep path.
-                bias_cast = layer.bias.reshape(
-                    (1, -1) + (1,) * (xb.ndim - 2)
-                )
-                shape = (xb.shape[0], layer.out_channels,
-                         layer.geometry.oh, layer.geometry.ow)
-                return np.broadcast_to(bias_cast, shape), True, 0, False, None
-            use_event, reason = self._classify_step(
-                config, layer, block, analog, b_sum, b_nnz, xb.size,
-                xb.shape[0],
-            )
-            if use_event:
-                use_int, _ = (
-                    self._layer_int(layer, block)
-                    if layer.has_int_lowering
-                    else (False, None)
-                )
-                cur, updates = self._kernel_event(layer, xb, block, use_int)
-                return cur, True, updates, use_int, None
-        else:
-            reason = "forced" if config.force_path == "dense" else "density"
-            if layer.kind != "conv" or analog:
-                reason = None
-        return self._kernel_dense(layer, xb, block), False, 0, False, reason
-
     # ------------------------------------------------------------------
     # Kernels
     # ------------------------------------------------------------------
+    def _current(
+        self,
+        config: RuntimeConfig,
+        layer: LayerPlan,
+        route: "_Route",
+        x: np.ndarray,
+        pool: BufferPool,
+        timings: List[Tuple[str, float, int]],
+    ) -> Tuple[np.ndarray, int]:
+        """The (T, n, ...) current of input ``x`` (one lane's samples, or
+        the whole batch) under ``route``, and the scatter updates made.
+
+        Consecutive timesteps on the same kernel share one fused call
+        when ``x`` is contiguous; a lane's slice of a multi-step train is
+        not, so its kernels run one timestep (a contiguous block) at a
+        time, copying no input.
+        """
+        frames = x[:1] if route.broadcast else x
+        steps, samples = frames.shape[0], frames.shape[1]
+        out_shape = _out_shape(layer)
+        bias = layer.bias.reshape((-1,) + (1,) * (len(out_shape) - 1))
+        if all(path == "empty" for path in route.paths):
+            return np.broadcast_to(bias, (x.shape[0], samples) + out_shape), 0
+        current = np.empty((steps, samples) + out_shape, dtype=np.float32)
+        updates = 0
+        for path, first, stop in _runs(route.paths, frames.flags.c_contiguous):
+            out = current[first:stop].reshape((-1,) + out_shape)
+            if path == "empty":
+                out[...] = bias
+                continue
+            batch = frames[first:stop].reshape((-1,) + frames.shape[2:])
+            if path == "dense":
+                self._kernel_dense(config, layer, batch, route, pool, out, timings)
+            else:
+                updates += self._kernel_event(config, layer, batch, route, out, timings)
+        if route.broadcast:
+            current = np.broadcast_to(current, (x.shape[0],) + current.shape[1:])
+        return current, updates
+
     def _kernel_dense(
         self,
+        config: RuntimeConfig,
         layer: LayerPlan,
         batch: np.ndarray,
-        block: Optional[int] = None,
-        use_int: bool = False,
-    ) -> np.ndarray:
-        if layer.kind == "conv":
-            start = time.perf_counter()  # repro: lint-ok[D102] cost-model EMA measurement; never reaches results
-            max_elements = self._config().max_fused_elements
-            if use_int:
-                out = dense_conv_int(
-                    layer, batch, buffers=self.buffers, max_elements=max_elements
-                )
-            else:
-                out = dense_conv(
-                    layer,
-                    batch,
-                    buffers=self.buffers,
-                    max_elements=max_elements,
-                    kblock=block if block else None,
-                )
-            state = layer.cost_state
-            if state is not None:
-                ms = (time.perf_counter() - start) * 1e3  # repro: lint-ok[D102] cost-model EMA measurement; never reaches results
-                state.observe_dense(ms, batch.shape[0])
-            return out
-        return dense_fc(layer, batch.reshape(batch.shape[0], -1))
+        route: "_Route",
+        pool: BufferPool,
+        out: np.ndarray,
+        timings: List[Tuple[str, float, int]],
+    ) -> None:
+        if layer.kind != "conv":
+            out[...] = dense_fc(layer, batch.reshape(batch.shape[0], -1))
+            return
+        start = time.perf_counter()  # repro: lint-ok[D102] cost-model EMA measurement; never reaches results
+        if route.int_dense:
+            dense_conv_int(
+                layer, batch, buffers=pool,
+                max_elements=config.max_fused_elements, out=out,
+            )
+        else:
+            dense_conv(
+                layer, batch, buffers=pool,
+                max_elements=config.max_fused_elements,
+                kblock=route.block or None, out=out,
+            )
+        ms = (time.perf_counter() - start) * 1e3  # repro: lint-ok[D102] cost-model EMA measurement; never reaches results
+        timings.append(("dense", ms, batch.shape[0]))
 
     def _kernel_event(
         self,
+        config: RuntimeConfig,
         layer: LayerPlan,
         batch: np.ndarray,
-        block: Optional[int] = None,
-        use_int: bool = False,
-    ):
-        backend = resolve_event_backend(self._config().event_backend)
+        route: "_Route",
+        out: np.ndarray,
+        timings: List[Tuple[str, float, int]],
+    ) -> int:
+        backend = resolve_event_backend(config.event_backend)
         start = time.perf_counter()  # repro: lint-ok[D102] cost-model EMA measurement; never reaches results
-        if use_int:
+        if route.int_event:
             # No blocked variant: the integer fold is exact in any order.
-            result = event_conv_int(layer, batch, backend)
-        elif block:
-            result = event_conv_blocked(layer, batch, backend, block)
+            _, updates = event_conv_int(layer, batch, backend, out=out)
+        elif route.block:
+            _, updates = event_conv_blocked(
+                layer, batch, backend, route.block, out=out
+            )
         else:
-            result = event_conv(layer, batch, backend)
-        state = layer.cost_state
-        if state is not None:
-            ms = (time.perf_counter() - start) * 1e3  # repro: lint-ok[D102] cost-model EMA measurement; never reaches results
-            state.observe_event(ms, result[1])
-        return result
+            _, updates = event_conv(layer, batch, backend, out=out)
+        ms = (time.perf_counter() - start) * 1e3  # repro: lint-ok[D102] cost-model EMA measurement; never reaches results
+        timings.append(("event", ms, updates))
+        return updates
+
+
+@dataclass
+class _Route:
+    """One layer's whole-batch routing, executed alike by every lane.
+
+    ``paths`` names the kernel of each computed frame: ``'empty'`` (the
+    bias), ``'dense'`` or ``'event'``. A time-invariant layer computes
+    one frame and broadcasts it over every timestep (``broadcast``).
+    ``whole_batch`` layers compute their current on the whole batch
+    before the lanes split (``current``); the lanes slice it.
+    """
+
+    paths: List[str]
+    block: Optional[int] = None
+    int_dense: bool = False
+    int_event: bool = False
+    broadcast: bool = False
+    whole_batch: bool = False
+    current: Optional[np.ndarray] = None
+
+
+@dataclass
+class _LaneResult:
+    """What one lane reports for one layer: exact per-timestep spike
+    counts of its LIF output (and of its pooled train), its scatter
+    updates, and its kernel timings ``(kind, ms, samples | updates)``
+    in call order, for the cost model."""
+
+    counts: List[int]
+    pooled_counts: Optional[List[int]]
+    updates: int
+    timings: List[Tuple[str, float, int]]
+
+
+def _out_shape(layer: LayerPlan) -> Tuple[int, ...]:
+    """Per-sample shape of a layer's current and spike output."""
+    if layer.kind == "conv":
+        return (layer.out_channels, layer.geometry.oh, layer.geometry.ow)
+    return (layer.out_channels,)
+
+
+def _runs(paths: List[str], fuse: bool) -> List[Tuple[str, int, int]]:
+    """``(path, first, stop)`` timestep ranges covering ``paths``:
+    maximal runs of one path when ``fuse``, single timesteps otherwise."""
+    runs: List[Tuple[str, int, int]] = []
+    for t, path in enumerate(paths):
+        if fuse and runs and runs[-1][0] == path:
+            runs[-1] = (path, runs[-1][1], t + 1)
+        else:
+            runs.append((path, t, t + 1))
+    return runs

@@ -86,10 +86,40 @@ class BufferPool:
 
     New buffers start zeroed, so a buffer whose border no caller ever
     writes (the padded-input buffers) keeps a zero border for good.
+    Scratch that is overwritten whole before it is read comes from
+    :meth:`scratch` instead: one array per tag, shared by every shape.
+    A pool is used by one thread at a time: each engine lane draws from
+    its own :meth:`lane` pool.
     """
 
     def __init__(self) -> None:
         self._buffers: Dict[Tuple, np.ndarray] = {}
+        self._flat: Dict[Tuple[str, str], np.ndarray] = {}
+        self._lanes: Dict[int, "BufferPool"] = {}
+
+    def scratch(
+        self, tag: str, shape: Tuple[int, ...], dtype=np.float32
+    ) -> np.ndarray:
+        """A ``shape`` array the caller overwrites whole before reading
+        it: a view of one flat array per tag, grown to the largest shape
+        asked for, so the pool holds one such array however many layer
+        shapes and batch sizes it serves."""
+        size = math.prod(shape)
+        key = (tag, np.dtype(dtype).str)
+        flat = self._flat.get(key)
+        if flat is None or flat.size < size:
+            flat = self._flat[key] = np.empty(size, dtype=dtype)
+        return flat[:size].reshape(shape)
+
+    def lane(self, index: int) -> "BufferPool":
+        """The pool engine lane ``index`` draws from: this pool for lane
+        0, a child pool (made on first use) for each other lane."""
+        if index == 0:
+            return self
+        pool = self._lanes.get(index)
+        if pool is None:
+            pool = self._lanes[index] = BufferPool()
+        return pool
 
     def get(self, tag: str, shape: Tuple[int, ...], dtype=np.float32) -> np.ndarray:
         key = (tag, shape, np.dtype(dtype).str)
@@ -101,6 +131,8 @@ class BufferPool:
 
     def clear(self) -> None:
         self._buffers.clear()
+        self._flat.clear()
+        self._lanes.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +163,10 @@ def _unfold_matmul(
     pool: BufferPool,
     max_elements: int,
     tables: Optional[BlockTables] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """``wmat @ im2col(x)`` as a (B, Cout, P) float32 array.
+    """``wmat @ im2col(x)`` as a (B, Cout, P) float32 array, written into
+    ``out`` when given.
 
     The unfold copies sliding windows into the pooled im2col buffer (one
     strided C-level copy, measurably faster than an index gather) and a
@@ -146,15 +180,18 @@ def _unfold_matmul(
     full-``K`` GEMM: one block GEMM per k-slice of the im2col rows,
     partial sums accumulated in ascending block order.
 
-    Scratch arrays (padded input, im2col columns, block partials) are
-    leading slices of one ``cap``-row array per shape in ``pool``, so
-    every batch size and tail chunk shares them.
+    The padded input is a leading slice of one zero-bordered ``cap``-row
+    array per shape in ``pool``; the im2col columns and block partials
+    come from the pool's shared :meth:`BufferPool.scratch` arrays. So
+    every batch size and tail chunk shares them, and the columns of
+    every layer shape share one array.
     """
     g = layer.geometry
     batch = x.shape[0]
     cout = wmat.shape[0]
     kernel = g.kernel
-    out = np.empty((batch, cout, g.p), dtype=np.float32)
+    if out is None:
+        out = np.empty((batch, cout, g.p), dtype=np.float32)
     cap = max(1, max_elements // max(1, g.k * g.p))
     chunk = max(1, min(batch, cap))
     for start in range(0, batch, chunk):
@@ -165,7 +202,7 @@ def _unfold_matmul(
         windows = np.lib.stride_tricks.sliding_window_view(
             xc, (kernel, kernel), axis=(2, 3)
         )  # (b, Cin, OH, OW, K, K)
-        cols = pool.get("cols", (cap, g.k, g.p))[: stop - start]
+        cols = pool.scratch("cols", (stop - start, g.k, g.p))
         np.copyto(
             cols.reshape(stop - start, g.cin, kernel, kernel, g.oh, g.ow),
             windows.transpose(0, 1, 4, 5, 2, 3),
@@ -174,7 +211,7 @@ def _unfold_matmul(
         if tables is None or tables.nblocks == 1:
             np.matmul(wmat, cols, out=out_chunk)
         else:
-            partial = pool.get("kpartial", (cap, cout, g.p))[: stop - start]
+            partial = pool.scratch("kpartial", (stop - start, cout, g.p))
             edges = tables.edges
             np.matmul(
                 tables.wmat_blocks[0], cols[:, edges[0]:edges[1], :],
@@ -195,6 +232,7 @@ def dense_conv(
     buffers: Optional[BufferPool] = None,
     max_elements: int = MAX_FUSED_ELEMENTS,
     kblock: Optional[int] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Unfold-matmul convolution over a fused (B, Cin, H, W) batch.
 
@@ -203,15 +241,26 @@ def dense_conv(
     GEMM runs as the canonical blocked fold; :func:`event_conv_blocked`
     folds the same partials in the same order, which is what makes the
     two bit-identical at shapes whose full-``K`` fold is multi-lane (see
-    module docs).
+    module docs). ``out``, when given, is a C-contiguous
+    (B, Cout, OH, OW) float32 array the current is written into.
     """
     g = layer.geometry
     pool = buffers if buffers is not None else BufferPool()
     tables = layer.block_tables(kblock) if kblock else None
-    out = _unfold_matmul(layer, x, layer.wmat, pool, max_elements, tables)
+    out = _unfold_matmul(
+        layer, x, layer.wmat, pool, max_elements, tables, _flat_out(out, g)
+    )
     out = out.reshape(x.shape[0], layer.out_channels, g.oh, g.ow)
     np.add(out, layer.bias.reshape(1, -1, 1, 1), out=out)
     return out
+
+
+def _flat_out(out: Optional[np.ndarray], g) -> Optional[np.ndarray]:
+    """A (B, Cout, OH, OW) output array as the (B, Cout, P) view the
+    unfold GEMM and the scatter transpose write."""
+    if out is None:
+        return None
+    return out.reshape((out.shape[0], out.shape[1], g.p), copy=False)
 
 
 def dense_fc(layer: LayerPlan, x2d: np.ndarray) -> np.ndarray:
@@ -268,36 +317,50 @@ def _event_contributions(
     return rows, ks
 
 
-def _event_current(out2d: np.ndarray, layer: LayerPlan, batch: int) -> np.ndarray:
+def _event_current(
+    out2d: np.ndarray,
+    layer: LayerPlan,
+    batch: int,
+    current: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """The (B, Cout, OH, OW) current of a (B*P, Cout) scatter result:
-    transposed and bias-added in one pass."""
+    transposed and bias-added in one pass, into ``current`` when given."""
     g = layer.geometry
     cout = layer.out_channels
-    current = np.empty((batch, cout, g.oh, g.ow), dtype=np.float32)
+    if current is None:
+        current = np.empty((batch, cout, g.oh, g.ow), dtype=np.float32)
     np.add(
         out2d.reshape(batch, g.p, cout).transpose(0, 2, 1),
         layer.bias.reshape(1, -1, 1),
-        out=current.reshape(batch, cout, g.p),
+        out=current.reshape((batch, cout, g.p), copy=False),
     )
     return current
 
 
 def event_conv(
-    layer: LayerPlan, x: np.ndarray, backend: str
+    layer: LayerPlan,
+    x: np.ndarray,
+    backend: str,
+    out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, int]:
     """Event-driven convolution over a (B, Cin, H, W) binary batch.
 
-    Returns the layer current and the number of scatter contributions
-    (events x in-bounds taps) actually accumulated.
+    Returns the layer current (written into ``out`` when given, like
+    :func:`dense_conv`) and the number of scatter contributions (events
+    x in-bounds taps) actually accumulated.
     """
     batch = x.shape[0]
     rows, ks = _event_contributions(layer, x)
     out2d = _scatter_columns(rows, ks, layer.wT, batch * layer.geometry.p, backend)
-    return _event_current(out2d, layer, batch), int(ks.size)
+    return _event_current(out2d, layer, batch, out), int(ks.size)
 
 
 def event_conv_blocked(
-    layer: LayerPlan, x: np.ndarray, backend: str, kblock: int
+    layer: LayerPlan,
+    x: np.ndarray,
+    backend: str,
+    kblock: int,
+    out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, int]:
     """Blocked event-driven convolution over a (B, Cin, H, W) binary batch.
 
@@ -345,7 +408,7 @@ def event_conv_blocked(
                 np.add(out2d, partial, out=out2d)
     if out2d is None:
         out2d = np.zeros((n_rows, layer.out_channels), dtype=np.float32)
-    return _event_current(out2d, layer, batch), int(ks.size)
+    return _event_current(out2d, layer, batch, out), int(ks.size)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +429,10 @@ def _dequantize(acc: np.ndarray, layer: LayerPlan) -> None:
 
 
 def event_conv_int(
-    layer: LayerPlan, x: np.ndarray, backend: str
+    layer: LayerPlan,
+    x: np.ndarray,
+    backend: str,
+    out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, int]:
     """Event-driven convolution on the integer datapath.
 
@@ -386,7 +452,7 @@ def event_conv_int(
         rows, ks, layer.wqT_f32(), batch * layer.geometry.p, backend
     )
     _dequantize(acc2d, layer)
-    return _event_current(acc2d, layer, batch), int(ks.size)
+    return _event_current(acc2d, layer, batch, out), int(ks.size)
 
 
 def dense_conv_int(
@@ -394,6 +460,7 @@ def dense_conv_int(
     x: np.ndarray,
     buffers: Optional[BufferPool] = None,
     max_elements: int = MAX_FUSED_ELEMENTS,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Unfold-matmul convolution on the integer datapath.
 
@@ -405,7 +472,9 @@ def dense_conv_int(
     """
     g = layer.geometry
     pool = buffers if buffers is not None else BufferPool()
-    acc = _unfold_matmul(layer, x, layer.wq_f32(), pool, max_elements)
+    acc = _unfold_matmul(
+        layer, x, layer.wq_f32(), pool, max_elements, out=_flat_out(out, g)
+    )
     acc = acc.reshape(x.shape[0], layer.out_channels, g.oh, g.ow)
     _dequantize(acc, layer)
     np.add(acc, layer.bias.reshape(1, -1, 1, 1), out=acc)
@@ -631,8 +700,12 @@ def seed_block_resolution(key: Tuple, block: Optional[int]) -> None:
 # Spike-domain helpers
 # ---------------------------------------------------------------------------
 
-def or_pool(x: np.ndarray, window: int) -> np.ndarray:
-    """OR-gate max pooling on a (B, C, H, W) binary batch (Sec. IV-B).
+def or_pool(
+    x: np.ndarray, window: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """OR-gate max pooling over the last two (H, W) axes of a binary
+    batch such as (B, C, H, W) or (T, B, C, H, W) (Sec. IV-B), written
+    into ``out`` when given.
 
     Folds the window separably -- rows, then columns -- via strided
     pairwise ``np.maximum`` passes (two at window 2), which is an order
@@ -640,11 +713,14 @@ def or_pool(x: np.ndarray, window: int) -> np.ndarray:
     equal (max involves no rounding).
     """
     if window == 1:
-        return np.ascontiguousarray(x)
-    rows = np.maximum(x[:, :, 0::window], x[:, :, 1::window])
+        if out is None:
+            return np.ascontiguousarray(x)
+        np.copyto(out, x)
+        return out
+    rows = np.maximum(x[..., 0::window, :], x[..., 1::window, :])
     for i in range(2, window):
-        np.maximum(rows, x[:, :, i::window], out=rows)
-    out = np.maximum(rows[..., 0::window], rows[..., 1::window])
+        np.maximum(rows, x[..., i::window, :], out=rows)
+    out = np.maximum(rows[..., 0::window], rows[..., 1::window], out=out)
     for j in range(2, window):
         np.maximum(out, rows[..., j::window], out=out)
     return out

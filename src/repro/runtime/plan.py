@@ -24,10 +24,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import RuntimeUnsupportedError
+from repro.errors import QuantizationError, RuntimeUnsupportedError
 
 _GEOMETRY_CACHE: Dict[Tuple[int, int, int, int, int], "ConvGeometry"] = {}  # repro: lint-ok[P102] per-process memo of pure conv geometry; same key gives same value in every process
 _GEOMETRY_CACHE_MAX = 64
+
+#: Largest quantized weight magnitude an integer lowering can store.
+INT16_MAX = int(np.iinfo(np.int16).max)
 
 
 @dataclass(frozen=True)
@@ -310,14 +313,24 @@ def attach_int_lowering(
     """Carry a conv layer's quantized weights into its plan.
 
     Stores the (Cout, K) quantized matrix in the narrowest integer dtype
-    that holds it (int8 up to |q| <= 127) plus the float32 scale(s); the
-    float32 compute copies and the overflow bound are derived lazily. The
-    exactness probe (``runtime.kernels.calibrate_int_exact``) and the
-    engine decide per step whether this lowering actually runs.
+    that holds it (int8 up to |q| <= 127, int16 up to 32767) plus the
+    float32 scale(s); the float32 compute copies and the overflow bound
+    are derived lazily. The exactness probe
+    (``runtime.kernels.calibrate_int_exact``) and the engine decide per
+    step whether this lowering actually runs.
+
+    Raises:
+        QuantizationError: some |q| exceeds the int16 range (storing it
+            would wrap silently).
     """
     q = np.asarray(weight_q)
     q2d = q.reshape(q.shape[0], -1)
-    max_abs = int(np.abs(q2d).max()) if q2d.size else 0
+    max_abs = int(np.abs(q2d.astype(np.int64)).max()) if q2d.size else 0
+    if max_abs > INT16_MAX:
+        raise QuantizationError(
+            f"layer {plan.name!r}: quantized weight magnitude {max_abs} "
+            f"exceeds the int16 storage range (|q| <= {INT16_MAX})"
+        )
     dtype = np.int8 if max_abs <= 127 else np.int16
     plan.wq = np.ascontiguousarray(q2d, dtype=dtype)
     plan.wq_scale = np.asarray(weight_scale, dtype=np.float32)

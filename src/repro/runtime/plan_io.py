@@ -289,10 +289,7 @@ def _plan_from_meta(arrays: Dict[str, np.ndarray], meta: Dict) -> NetworkPlan:
             for bn_field in _BN_FIELDS:
                 setattr(layer, bn_field, arrays[f"{prefix}.{bn_field}"])
         if info["has_int"]:
-            layer.wq = np.ascontiguousarray(arrays[f"{prefix}.wq"])
-            layer.wq_scale = np.ascontiguousarray(
-                arrays[f"{prefix}.wq_scale"]
-            )
+            layer.wq, layer.wq_scale = _int_lowering(arrays, prefix, wmat)
         layers.append(layer)
     return NetworkPlan(
         layers=layers,
@@ -303,6 +300,28 @@ def _plan_from_meta(arrays: Dict[str, np.ndarray], meta: Dict) -> NetworkPlan:
         spike_rule=meta["spike_rule"],
         source=meta["source"],
     )
+
+
+def _int_lowering(
+    arrays: Dict[str, np.ndarray], prefix: str, wmat: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A layer's stored ``(wq, wq_scale)``, refused unless they are what
+    :func:`~repro.runtime.plan.attach_int_lowering` writes: ``wq`` int8
+    or int16 of ``wmat``'s shape, ``wq_scale`` a float32 scalar or one
+    scale per output channel."""
+    wq = arrays[f"{prefix}.wq"]
+    scale = arrays[f"{prefix}.wq_scale"]
+    if wq.dtype not in (np.int8, np.int16) or wq.shape != wmat.shape:
+        raise RuntimeUnsupportedError(
+            f"{prefix}.wq must be int8/int16 of shape {wmat.shape}, "
+            f"got {wq.dtype} {wq.shape}"
+        )
+    if scale.dtype != np.float32 or scale.shape not in ((), (wmat.shape[0],)):
+        raise RuntimeUnsupportedError(
+            f"{prefix}.wq_scale must be float32 of shape () or "
+            f"({wmat.shape[0]},), got {scale.dtype} {scale.shape}"
+        )
+    return np.ascontiguousarray(wq), np.ascontiguousarray(scale)
 
 
 def _seed_layers(plan: NetworkPlan, meta: Dict) -> List[Tuple]:

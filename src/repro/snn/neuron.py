@@ -117,6 +117,7 @@ def lif_scan(
     spike_rule: str = "threshold",
     *,
     final_reset: bool = True,
+    out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Inference-only LIF scan over a time-fused current tensor.
 
@@ -136,9 +137,11 @@ def lif_scan(
     one (``u * beta + I``, compare, ``u - s * theta``) applied
     elementwise, so the result is bit-identical to the allocating form.
 
-    Returns the full spike train ``(T, ...)`` and the final membrane.
-    Callers that discard the membrane pass ``final_reset=False`` to skip
-    the last step's reset; the membrane is then ``None``.
+    Returns the full spike train ``(T, ...)`` -- written into ``out``
+    (a float32 array or view of ``current``'s shape) when given -- and
+    the final membrane. Callers that discard the membrane pass
+    ``final_reset=False`` to skip the last step's reset; the membrane is
+    then ``None``.
     """
     if spike_rule not in ("threshold", "shifted"):
         raise ConfigError(
@@ -146,11 +149,13 @@ def lif_scan(
         )
     if current.ndim == 1:
         spikes, final = lif_scan(
-            current[:, None], beta, threshold, spike_rule, final_reset=final_reset
+            current[:, None], beta, threshold, spike_rule,
+            final_reset=final_reset,
+            out=None if out is None else out[:, None],
         )
         return spikes[:, 0], None if final is None else final[0]
     steps, rows = current.shape[0], current.shape[1]
-    spikes = np.empty(current.shape, dtype=np.float32)
+    spikes = np.empty(current.shape, dtype=np.float32) if out is None else out
     final = (
         np.empty(current.shape[1:], dtype=current.dtype)
         if final_reset and steps

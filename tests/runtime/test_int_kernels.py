@@ -197,6 +197,23 @@ class TestOverflowGate:
         assert layer.int_bound > INT_ACCUMULATION_LIMIT
         assert not layer.int_overflow_ok
 
+    def test_int16_range_enforced(self):
+        """A magnitude past int16 is refused, not wrapped on storage
+        (40000 would otherwise be stored as -25536)."""
+        from repro.errors import QuantizationError
+
+        layer = make_conv_layer_plan(4, 4, 4, 2, seed=3)
+        q = np.zeros((2, layer.geometry.k), dtype=np.int32)
+        q[0, 0] = 32767
+        q[1, 1] = -32767
+        attach_int_lowering(layer, q, np.float32(2.0**-20))
+        assert layer.wq.dtype == np.int16
+        assert int(layer.wq[0, 0]) == 32767
+        for value in (40000, -32768):
+            q[1, 1] = value
+            with pytest.raises(QuantizationError):
+                attach_int_lowering(layer, q, np.float32(2.0**-20))
+
     def test_probe_refuses_overflowing_layer(self, backend):
         assert calibrate_int_exact(self._overflowing_layer(), backend) is False
 

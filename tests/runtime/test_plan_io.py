@@ -705,6 +705,32 @@ def _mutate_input_shape(meta):
     meta["layers"][-2]["input_shape"] = [3]
 
 
+def _int_prefix(meta):
+    """Array prefix of the last integer-lowered layer."""
+    index = max(i for i, info in enumerate(meta["layers"]) if info["has_int"])
+    return f"layer{index}"
+
+
+def _mutate_wq_column(arrays, meta):
+    key = f"{_int_prefix(meta)}.wq"
+    arrays[key] = np.ascontiguousarray(arrays[key][:, :-1])
+
+
+def _mutate_wq_dtype(arrays, meta):
+    key = f"{_int_prefix(meta)}.wq"
+    arrays[key] = arrays[key].astype(np.int32)
+
+
+def _mutate_scale_dtype(arrays, meta):
+    key = f"{_int_prefix(meta)}.wq_scale"
+    arrays[key] = arrays[key].astype(np.float64)
+
+
+def _mutate_scale_shape(arrays, meta):
+    key = f"{_int_prefix(meta)}.wq_scale"
+    arrays[key] = np.ones((3, 2), dtype=np.float32)
+
+
 class TestMalformedMetadata:
     """A well-formed v4 npz whose metadata does not parse is a corrupt
     sidecar like any other: a typed error from ``load_plan``, ``None``
@@ -724,6 +750,28 @@ class TestMalformedMetadata:
     def test_malformed_metadata_loads_as_none(
         self, network, tmp_path, monkeypatch, mutate
     ):
+        self._check_refused(
+            network, tmp_path, monkeypatch, lambda arrays, meta: mutate(meta)
+        )
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            _mutate_wq_column,
+            _mutate_wq_dtype,
+            _mutate_scale_dtype,
+            _mutate_scale_shape,
+        ],
+    )
+    def test_malformed_int_lowering_loads_as_none(
+        self, network, tmp_path, monkeypatch, mutate
+    ):
+        """An integer lowering that ``attach_int_lowering`` could not
+        have written is refused at load time, not at the first forward."""
+        self._check_refused(network, tmp_path, monkeypatch, mutate)
+
+    @staticmethod
+    def _check_refused(network, tmp_path, monkeypatch, mutate):
         from repro.errors import RuntimeUnsupportedError
         from repro.quant import INT8_P2
         from repro.runtime import kernels, try_load_plan
@@ -733,7 +781,7 @@ class TestMalformedMetadata:
         path = str(tmp_path / "malformed.plan.npz")
         save_plan(live, path)
         arrays, meta = load_npz(path)
-        mutate(meta)
+        mutate(arrays, meta)
         save_npz(path, arrays, meta)
         monkeypatch.setattr(kernels, "_CALIBRATION_CACHE", {})
         monkeypatch.setattr(kernels, "_BLOCK_CHOICE_CACHE", {})

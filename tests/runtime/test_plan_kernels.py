@@ -127,33 +127,42 @@ class TestKernels:
         pool.clear()
         assert pool.get("cols", (2, 3)) is not a
 
-    def test_buffer_pool_holds_one_cols_buffer_per_conv_shape(self, network):
-        """Every batch size and tail chunk slices the same im2col
-        buffer, so varied dynamic batches cannot grow the pool."""
+    def test_buffer_pool_scratch_shares_one_array(self):
+        pool = BufferPool()
+        a = pool.scratch("cols", (2, 3))
+        b = pool.scratch("cols", (3, 2))
+        assert a.shape == (2, 3) and b.shape == (3, 2)
+        assert np.shares_memory(a, b)
+        assert not np.shares_memory(a, pool.scratch("kpartial", (2, 3)))
+        pool.scratch("cols", (4, 4))  # grows
+        assert pool._flat[("cols", np.dtype(np.float32).str)].size == 16
+
+    def test_buffer_pool_holds_one_cols_array_for_all_shapes(self, network):
+        """Every layer shape, batch size and tail chunk slices the same
+        im2col array, so varied dynamic batches cannot grow the pool."""
         deployable = convert(network, FP32)
         plan = plan_deployable(deployable)
-        conv_shapes = {
-            (layer.geometry.k, layer.geometry.p)
-            for layer in plan.layers
-            if layer.kind == "conv"
-        }
         images = np.random.default_rng(0).random((9, 3, 8, 8)).astype(np.float32)
         # Chunks of 4 samples at the first conv shape, so batches 5..9
         # end in a tail chunk of another size.
         first = plan.layers[0].geometry
+        max_elements = 4 * first.k * first.p
         with runtime_overrides(
-            force_path="dense", max_fused_elements=4 * first.k * first.p
+            force_path="dense", max_fused_elements=max_elements
         ):
             want = deployable.forward(images, 2).logits
             for batch in range(1, 10):
                 got = deployable.forward(images[:batch], 2).logits
                 assert np.array_equal(got, want[:batch])
-        cols = [
-            shape[1:]
-            for tag, shape, _ in deployable._runtime_buffers._buffers
-            if tag == "cols"
-        ]
-        assert sorted(cols) == sorted(conv_shapes)
+        pool = deployable._runtime_buffers
+        assert not [key for key in pool._buffers if key[0] == "cols"]
+        cols = [array for (tag, _), array in pool._flat.items() if tag == "cols"]
+        # The largest chunk any conv shape took (9 samples x T=2 fused).
+        largest = max(
+            min(18, max(1, max_elements // (g.k * g.p))) * g.k * g.p
+            for g in (layer.geometry for layer in plan.layers if layer.kind == "conv")
+        )
+        assert len(cols) == 1 and cols[0].size == largest
 
 
 class TestLifScan:
