@@ -63,6 +63,8 @@ RATE_SEED = 11
 LANE_WORKERS = 2
 LANE_DIRECT_BATCH = 64
 LANE_RATE_BATCH = 32
+#: Two lanes of 16 and 17 samples: cycle sums from unequal lane slices.
+LANE_ODD_BATCH = 33
 
 
 def build_network():
@@ -210,6 +212,12 @@ def check_lanes(deployable, failures) -> str:
         )),
         "HybridSimulator.run, int4 rate, batch 32": lambda: simulation_report(
             simulator.run(rate, RATE_TIMESTEPS, RateEncoder(seed=RATE_SEED))
+        ),
+        "HybridSimulator.run, int4 rate, batch 33": lambda: simulation_report(
+            simulator.run(
+                direct[:LANE_ODD_BATCH], RATE_TIMESTEPS,
+                RateEncoder(seed=RATE_SEED),
+            )
         ),
     }
     for name, run in runs.items():

@@ -37,7 +37,9 @@
 # inside one forward) against the one-lane forward that REPRO_WORKERS=1
 # runs: direct coding at batch 64, rate coding with record=True at
 # batch 32 (recorded trains included) and the HybridSimulator.run
-# report of an int4 rate-coded batch.
+# report of an int4 rate-coded batch, at batch 32 and at batch 33,
+# whose lanes of 16 and 17 samples reduce unequal slices of every
+# train to cycle sums.
 #
 # The fault recovery gate exercises the self-healing executor under a
 # pinned deterministic fault plan (one worker crash + one wedged shard

@@ -132,30 +132,43 @@ def compression_cycles_batch(
         count per train (identical to :func:`compress_exact` train by
         train, but one NumPy pass for the whole batch).
     """
+    return compression_counts_batch(trains, chunk_bits)[0].astype(np.float64)
+
+
+#: Chunk widths that are one machine word.
+_WORD_DTYPES = {8: np.uint8, 16: np.uint16, 32: np.uint32, 64: np.uint64}
+
+
+def compression_counts_batch(trains: np.ndarray, chunk_bits: int):
+    """int64 ``(cycles, spikes)`` per train: the cycles of
+    :func:`compression_cycles_batch` and the set bits they count.
+
+    A train costs its set bits plus its empty chunks. A chunk of one
+    machine word that tiles the train is popcounted on the packed
+    nonzero mask; other widths sum the one-byte mask chunk by chunk.
+    """
     if chunk_bits < 1:
         raise HardwareModelError(f"chunk_bits must be >= 1, got {chunk_bits}")
     trains = np.asarray(trains)
     if trains.ndim < 1 or trains.shape[-1] == 0:
         raise HardwareModelError("trains must have a non-empty last axis")
     bits = trains.shape[-1]
-    num_chunks = int(np.ceil(bits / chunk_bits))
+    num_chunks = -(-bits // chunk_bits)
     pad = num_chunks * chunk_bits - bits
-    # One byte per bit instead of the old int64 materialisation: the
-    # {0, 1} mask is viewed as uint8 and popcounted per chunk with a
-    # widening sum. Stacked (T, N, ...) trains whose bit axis is already
-    # a chunk multiple (the layout the simulator feeds) take the no-pad
-    # fast path with zero extra copies beyond the mask itself.
-    binary = (trains != 0)
-    if pad:
-        widths = [(0, 0)] * (trains.ndim - 1) + [(0, pad)]
-        binary = np.pad(binary, widths)
-    chunked = binary.view(np.uint8).reshape(
-        trains.shape[:-1] + (num_chunks, chunk_bits)
-    )
-    per_chunk = chunked.sum(axis=-1, dtype=np.int64)
-    spikes = per_chunk.sum(axis=-1)
-    empty = (per_chunk == 0).sum(axis=-1)
-    return (spikes + empty).astype(np.float64)
+    binary = trains != 0
+    word = _WORD_DTYPES.get(chunk_bits)
+    if word is not None and not pad:
+        per_chunk = np.bitwise_count(np.packbits(binary, axis=-1).view(word))
+    else:
+        if pad:
+            widths = [(0, 0)] * (trains.ndim - 1) + [(0, pad)]
+            binary = np.pad(binary, widths)
+        per_chunk = binary.view(np.uint8).reshape(
+            trains.shape[:-1] + (num_chunks, chunk_bits)
+        ).sum(axis=-1, dtype=np.int64)
+    spikes = per_chunk.sum(axis=-1, dtype=np.int64)
+    empty = (per_chunk == 0).sum(axis=-1, dtype=np.int64)
+    return spikes + empty, spikes
 
 
 def event_addresses_to_coords(

@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.errors import ConfigError, HardwareModelError
 from repro.hw.compression import (
-    compression_cycles_batch,
+    compression_counts_batch,
     compression_cycles_estimate,
 )
 from repro.hw.config import AcceleratorConfig
@@ -48,6 +48,7 @@ from repro.hw.energy import EnergyReport, build_energy_report
 from repro.hw.power import PowerModel, PowerReport
 from repro.hw.resources import ResourceEstimate, ResourceEstimator
 from repro.quant.convert import DeployableNetwork
+from repro.runtime.lanes import lane_bounds, lane_count, run_lanes
 from repro.snn.encoding import DirectEncoder, Encoder
 
 
@@ -125,28 +126,29 @@ def sparse_layer_cycle_sums(
     """Per-timestep cycle *sums* over samples for one sparse layer.
 
     The whole stacked ``(T, N, ...)`` train goes through
-    :func:`compression_cycles_batch` in one vectorised pass; the
-    per-sample compression / accumulation / busy (their overlapped max,
-    Sec. IV-B) and event values are then summed over the sample axis per
-    timestep, in float64. Every summand is an exact integer, so the
-    ``(T,)`` sums are exact and shard-order independent -- adding the
-    sums of two shards equals the sum over their union bit-for-bit,
-    which is what lets :meth:`HybridSimulator.run` merge sharded cycle
+    :func:`compression_counts_batch` in one vectorised pass, which also
+    yields the events (sparse-core trains are binary: analog input is
+    rejected when the dense core is off); the per-sample compression /
+    accumulation / busy (their overlapped max, Sec. IV-B) and event
+    values are then summed over the sample axis per timestep, in
+    float64. Every summand is an exact integer, so the ``(T,)`` sums
+    are exact and shard-order independent -- adding the sums of two
+    shards equals the sum over their union bit-for-bit, which is what
+    lets :meth:`HybridSimulator.run` merge sharded (and laned) cycle
     statistics without ever shipping trains.
     """
     owned = ceil(layer.out_channels / cores)
     timesteps, n = trains.shape[0], trains.shape[1]
     if layer.kind == "conv":
-        taps = layer.kernel * layer.kernel
-        maps = trains.reshape(timesteps, n, layer.input_shape[0], -1)
-        compr_all = compression_cycles_batch(maps, chunk_bits).sum(axis=2)
-        events_all = maps.sum(axis=(2, 3), dtype=np.float64)
-        accum_all = events_all * (taps * owned)
+        channels, taps = layer.input_shape[0], layer.kernel * layer.kernel
     else:
-        binary = trains.reshape(timesteps, n, -1)
-        compr_all = compression_cycles_batch(binary, chunk_bits)
-        events_all = binary.sum(axis=2, dtype=np.float64)
-        accum_all = events_all * owned
+        channels, taps = 1, 1
+    cycles, spikes = compression_counts_batch(
+        trains.reshape(timesteps, n, channels, -1), chunk_bits
+    )
+    compr_all = cycles.sum(axis=2).astype(np.float64)
+    events_all = spikes.sum(axis=2).astype(np.float64)
+    accum_all = events_all * (taps * owned)
     # Compression and accumulation overlap (Sec. IV-B): per sample and
     # timestep the layer is busy for the slower of the two.
     busy_all = np.maximum(compr_all, accum_all)
@@ -188,17 +190,29 @@ def _sim_shard_result(model, config: AcceleratorConfig, out) -> Tuple:
     from repro.quant.convert import DeployableOutput
 
     stacked_trains = getattr(out, "spike_trains_stacked", None) or {}
-    sums: Dict[str, Dict[str, np.ndarray]] = {}
+    sparse = []
     for index, layer in enumerate(model.layers):
         if index == 0 and config.use_dense_core:
             continue  # dense-core layer: activity-independent timing
         stacked = stacked_trains.get(layer.name)
         if stacked is None:
             stacked = np.stack(out.spike_trains[layer.name])
-        sums[layer.name] = sparse_layer_cycle_sums(
-            layer, config.allocation[index], stacked,
-            config.compression_chunk_bits,
-        )
+        sparse.append((layer, config.allocation[index], stacked))
+    samples = out.logits.shape[0]
+    bounds = lane_bounds(samples, lane_count(samples))
+
+    def lane(i: int) -> Dict[str, Dict[str, np.ndarray]]:
+        # A sample slice of a contiguous stack reshapes to a view, so
+        # no lane copies its train.
+        lo, hi = bounds[i]
+        return {
+            layer.name: sparse_layer_cycle_sums(
+                layer, cores, trains[:, lo:hi], config.compression_chunk_bits
+            )
+            for layer, cores, trains in sparse
+        }
+
+    sums = merge_cycle_sums(run_lanes(lane, len(bounds)))
     slim = DeployableOutput(
         logits=out.logits,
         stats=out.stats,

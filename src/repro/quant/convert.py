@@ -143,6 +143,20 @@ class DeployableNetwork:
     # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------
+    def _checked_images(self, images: np.ndarray, timesteps: int) -> np.ndarray:
+        """``images`` as float32, once they and ``timesteps`` are known
+        to describe at least one step of a non-empty batch."""
+        if timesteps < 1:
+            raise ShapeError(f"timesteps must be >= 1, got {timesteps}")
+        images = np.asarray(images, dtype=np.float32)
+        if images.ndim != 4 or images.shape[1:] != self.input_shape:
+            raise ShapeError(
+                f"expected (N, {self.input_shape}) images, got {images.shape}"
+            )
+        if images.shape[0] == 0:
+            raise ShapeError("expected at least one image, got an empty batch")
+        return images
+
     def forward(
         self,
         images: np.ndarray,
@@ -160,13 +174,9 @@ class DeployableNetwork:
         setting (forced dense == forced event == cost-routed) but may
         differ from the legacy loop's full-``K`` GEMM in the last ulp.
         """
-        images = np.asarray(images, dtype=np.float32)
-        if images.ndim != 4 or images.shape[1:] != self.input_shape:
-            raise ShapeError(
-                f"expected (N, {self.input_shape}) images, got {images.shape}"
-            )
+        images = self._checked_images(images, timesteps)
         encoder = encoder or DirectEncoder()
-        if runtime_config().enabled and timesteps >= 1:
+        if runtime_config().enabled:
             return self._forward_runtime(images, timesteps, encoder, record)
         return self.forward_legacy(images, timesteps, encoder, record)
 
@@ -178,11 +188,7 @@ class DeployableNetwork:
         record: bool = False,
     ) -> DeployableOutput:
         """The original per-timestep loop (reference + fallback path)."""
-        images = np.asarray(images, dtype=np.float32)
-        if images.ndim != 4 or images.shape[1:] != self.input_shape:
-            raise ShapeError(
-                f"expected (N, {self.input_shape}) images, got {images.shape}"
-            )
+        images = self._checked_images(images, timesteps)
         encoder = encoder or DirectEncoder()
         encoder.reset()
         n = images.shape[0]

@@ -135,9 +135,10 @@ class RateEncoder(Encoder):
     def encode(self, images: np.ndarray, t: int) -> Tensor:
         images = np.asarray(images)
         probabilities = np.clip(images, 0.0, 1.0) * self.gain
-        # One Philox stream per sample, all run in a single vectorised
-        # batch (byte-identical to a counter_rng(...).random(...) call
-        # per sample, without the per-sample generator setup cost).
+        # One Philox stream per sample, each drawn by numpy's own
+        # Philox re-keyed to the sample's coordinates: byte-identical
+        # to a counter_rng(...).random(...) call per sample. The draws,
+        # not the per-sample setup, are what cost (see counter_uniforms).
         n_samples = images.shape[0]
         per_sample = int(np.prod(images.shape[1:], dtype=np.int64))
         draws = counter_uniforms(

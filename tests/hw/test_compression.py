@@ -9,6 +9,7 @@ from repro.errors import HardwareModelError
 from repro.hw.compression import (
     compress_exact,
     compress_exact_2d,
+    compression_counts_batch,
     compression_cycles_batch,
     compression_cycles_estimate,
     event_addresses_to_coords,
@@ -146,7 +147,56 @@ class TestProperties:
             compression_cycles_estimate(10, 5, 0)
 
 
+#: Per dtype: the zero values (``-0.0`` must count as no spike) and the
+#: nonzero values (any of them is one spike) a train is drawn from.
+_VALUES = {
+    np.bool_: ([False], [True]),
+    np.int8: ([0], [1, -3, 127]),
+    np.float32: ([0.0, -0.0], [1.0, 0.5, -2.0]),
+    np.float64: ([0.0, -0.0], [1.0, 1e-300, -7.0]),
+}
+
+
+@st.composite
+def _train_batches(draw):
+    """A (lead..., bits) batch, 0-3 leading axes, whose bit axis holds
+    1-3 chunks of 1-64 bits, the last one whole or padded. Word-sized,
+    unpadded chunks (the popcount path) are drawn often on purpose."""
+    chunk = draw(
+        st.one_of(st.sampled_from([8, 16, 32, 64]), st.integers(1, 64))
+    )
+    chunks = draw(st.integers(1, 3))
+    pad = draw(st.one_of(st.just(0), st.integers(0, chunk - 1)))
+    bits = chunks * chunk - pad
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=3)))
+    dtype = draw(st.sampled_from(sorted(_VALUES, key=str)))
+    density = draw(st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    zeros, ones = (np.array(v, dtype=dtype) for v in _VALUES[dtype])
+    shape = lead + (bits,)
+    trains = np.where(
+        rng.random(shape) < density,
+        rng.choice(ones, size=shape),
+        rng.choice(zeros, size=shape),
+    ).astype(dtype)
+    return trains, chunk
+
+
 class TestBatch:
+    @given(_train_batches())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_exact_train_by_train(self, args):
+        trains, chunk = args
+        cycles = compression_cycles_batch(trains, chunk)
+        counts, spikes = compression_counts_batch(trains, chunk)
+        assert cycles.shape == trains.shape[:-1]
+        for index in np.ndindex(trains.shape[:-1]):
+            exact = compress_exact(trains[index], chunk)
+            assert cycles[index] == exact.cycles
+            assert counts[index] == exact.cycles
+            assert spikes[index] == exact.spike_count
+
     def test_matches_exact(self, rng):
         trains = (rng.random((6, 5, 48)) < 0.2).astype(np.float32)
         batch = compression_cycles_batch(trains, 16)

@@ -1,12 +1,17 @@
 """Hybrid simulator integration tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, HardwareModelError
+from repro.errors import ConfigError, HardwareModelError, ShapeError
 from repro.hw.config import AcceleratorConfig
 from repro.hw.simulator import HybridSimulator
+from repro.parallel import workers_override
+from repro.quant import convert
 from repro.quant.schemes import FP32, INT4
+from repro.snn import build_network
 from repro.snn.encoding import RateEncoder
 
 
@@ -98,6 +103,15 @@ class TestRun:
         sim = HybridSimulator(tiny_deployable, config)
         with pytest.raises(HardwareModelError, match="dense core"):
             sim.run(images[0], 2)
+
+    @pytest.mark.parametrize("timesteps", [0, -2])
+    def test_rejects_no_timesteps(self, simulator, images, timesteps):
+        with pytest.raises(ShapeError, match="timesteps"):
+            simulator.run(images[0], timesteps)
+
+    def test_rejects_empty_batch(self, simulator, images):
+        with pytest.raises(ShapeError, match="empty"):
+            simulator.run(images[0][:0], 2)
 
     def test_allocation_mismatch_rejected(self, tiny_deployable):
         config = AcceleratorConfig(name="bad", allocation=(1, 2), scheme=FP32)
@@ -194,3 +208,34 @@ class TestEnergyScaling:
         int4_report = int4_sim.run(images[0], 2)
         assert int4_report.energy_mj < fp32_report.energy_mj
         assert int4_report.dynamic_power_w < fp32_report.dynamic_power_w
+
+
+class TestPinnedReport:
+    """A small rate-coded run (every layer on the sparse cores, chunk
+    widths taking both the popcount and the padded reduction, 33
+    samples split into lanes of 16 and 17) must keep reproducing the
+    report this digest was taken from, whatever the lane count."""
+
+    DIGEST = "7ae6c05e553ffad4b59b0c300f44b8e45f92d02f042a809015b484efe109235c"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_report_digest(self, workers):
+        network = build_network(
+            "8C3-MP2-16C3-MP2-40", input_shape=(3, 8, 8), num_classes=10,
+            seed=11,
+        )
+        network.eval()
+        config = AcceleratorConfig(
+            name="pin", allocation=(2, 2, 2), scheme=INT4,
+            use_dense_core=False,
+        )
+        simulator = HybridSimulator(convert(network, INT4), config)
+        images = np.random.default_rng(3).random(
+            (33, 3, 8, 8), dtype=np.float32
+        )
+        with workers_override(workers):
+            report = simulator.run(images, 3, RateEncoder(seed=5))
+        digest = hashlib.sha256(
+            repr(report.layers).encode() + report.logits.tobytes()
+        ).hexdigest()
+        assert digest == self.DIGEST

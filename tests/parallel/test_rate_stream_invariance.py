@@ -267,6 +267,13 @@ class TestVectorisedUniforms:
             (123, [(5, 2)], 7),
             (0xDEADBEEF, [(2**40, 2**33, 5)], 129),
             (7, [(i, t) for i in range(6) for t in range(3)], 27),
+            # The benchmark's rate-coded frame: 64 samples x 3072 pixels.
+            (1, [(i, 11) for i in range(64)], 3072),
+            # Streams that end mid-block (1001 = 4 * 250 + 1), then a
+            # short one: a generator re-keyed without emptying its
+            # buffer would start each next stream on leftover draws.
+            (9, [(0, 0), (1, 0)], 1001),
+            (9, [(1, 0)], 3),
         ]
         for seed, coords, n in cases:
             got = counter_uniforms(seed, coords, n)

@@ -57,6 +57,16 @@ def images():
     return rng.random((13, 3, 8, 8)).astype(np.float32)
 
 
+#: Random splits of the 13-image batch into 2-5 contiguous parts, as
+#: sorted interior cut points.
+_RANDOM_CUTS = [
+    tuple(sorted(int(c) for c in np.random.default_rng(seed).choice(
+        np.arange(1, 13), size=parts - 1, replace=False
+    )))
+    for seed, parts in enumerate((2, 3, 4, 5))
+]
+
+
 def assert_reports_equal(got, want):
     for got_layer, want_layer in zip(got.layers, want.layers):
         assert got_layer.cycles == want_layer.cycles
@@ -106,22 +116,28 @@ class TestShardedSimulatorStats:
         )
         assert_reports_equal(pooled, plain)
 
-    def test_merged_sums_are_exact_integers(self, simulator, images):
+    @pytest.mark.parametrize("layer_index", [1, 2])
+    @pytest.mark.parametrize("cuts", [(5,)] + _RANDOM_CUTS)
+    def test_merged_sums_are_exact_integers(
+        self, simulator, images, cuts, layer_index
+    ):
         """The merge contract: per-shard sums are integer-valued and
-        add exactly, so splitting cannot perturb a single bit."""
+        add exactly, so splitting cannot perturb a single bit -- at any
+        split of the samples, on the padded (conv2_1) and the popcount
+        (fc1) compression reductions."""
         from repro.hw.simulator import sparse_layer_cycle_sums
 
         out = simulator.network.forward(images, 2, record=True)
-        layer = simulator.network.layers[1]
+        layer = simulator.network.layers[layer_index]
+        trains = out.spike_trains_stacked[layer.name]
         whole = sparse_layer_cycle_sums(
-            layer, 2, out.spike_trains_stacked[layer.name],
-            simulator.config.compression_chunk_bits,
+            layer, 2, trains, simulator.config.compression_chunk_bits
         )
+        edges = (0,) + tuple(cuts) + (len(images),)
         parts = []
-        for piece in (slice(0, 5), slice(5, 13)):
+        for lo, hi in zip(edges[:-1], edges[1:]):
             part = sparse_layer_cycle_sums(
-                layer, 2,
-                out.spike_trains_stacked[layer.name][:, piece],
+                layer, 2, trains[:, lo:hi],
                 simulator.config.compression_chunk_bits,
             )
             parts.append({layer.name: part})

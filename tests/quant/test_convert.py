@@ -12,6 +12,7 @@ from repro.quant import (
     INT4,
     convert,
 )
+from repro.runtime import runtime_overrides
 from repro.snn import build_network
 from repro.snn.encoding import RateEncoder
 from repro.tensor import no_grad
@@ -89,6 +90,23 @@ class TestFunctionalEquivalence:
             tiny_deployable.forward(
                 rng.random((2, 3, 9, 9)).astype(np.float32), 2
             )
+
+    @pytest.mark.parametrize("timesteps", [0, -1])
+    @pytest.mark.parametrize("runtime", [True, False])
+    def test_rejects_no_timesteps(
+        self, tiny_deployable, tiny_dataset, timesteps, runtime
+    ):
+        _, test = tiny_dataset
+        with runtime_overrides(enabled=runtime):
+            with pytest.raises(ShapeError, match="timesteps"):
+                tiny_deployable.forward(test.images[:4], timesteps)
+
+    @pytest.mark.parametrize("runtime", [True, False])
+    def test_rejects_empty_batch(self, tiny_deployable, runtime):
+        empty = np.zeros((0, 3, 8, 8), dtype=np.float32)
+        with runtime_overrides(enabled=runtime):
+            with pytest.raises(ShapeError, match="empty"):
+                tiny_deployable.forward(empty, 2, RateEncoder(seed=0))
 
     def test_zero_weight_fraction_nonneg(self, tiny_deployable_int4):
         for layer in tiny_deployable_int4.layers:
