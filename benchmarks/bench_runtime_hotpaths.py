@@ -11,7 +11,7 @@ Times three implementations of the layer-current computation
 across a sweep of input spike densities, plus the ``blocked_scatter``
 deep-VGG9 micro (blocked event vs dense kernel on a K >= 500 shape --
 the shapes only the canonical blocked k-fold can keep on the event
-path, with the measured cost model's routing verdict per density), the
+path, with the density rule's routing verdict per density), the
 end-to-end ``DeployableNetwork.forward`` legacy-vs-runtime comparison on
 a small-scale VGG9 at paper-typical spike densities, the sharded
 serial-vs-pooled throughput, warm-vs-cold persistent-pool latency, the
@@ -56,13 +56,13 @@ import numpy as np
 from repro.parallel import sharded_forward
 from repro.quant import FP32, convert
 from repro.runtime import (
+    RuntimeConfig,
     calibrate_event_exact,
     plan_deployable,
     resolve_event_backend,
     resolve_event_block,
     runtime_overrides,
 )
-from repro.runtime.costmodel import probe_cost_state
 from repro.runtime.kernels import dense_conv, event_conv, event_conv_blocked
 from repro.runtime.refshapes import DEEP_VGG9_SHAPES, make_conv_layer_plan
 from repro.snn import build_vgg9
@@ -74,8 +74,8 @@ DENSITIES = (0.01, 0.05, 0.20, 0.50)
 #: sparsest are the perf gate: they bracket the near-silent regime the
 #: deepest VGG9 layers actually run at (0.0-0.02 in end_to_end), where
 #: the event path must beat the dense kernel outright. The denser two
-#: document where the crossover sits -- that is the cost model's job to
-#: detect at dispatch time, not a regression.
+#: document where the crossover sits relative to the dispatch
+#: threshold, not a regression.
 BLOCKED_DENSITIES = (0.002, 0.01, 0.05, 0.2)
 
 #: One canonical deep-VGG9 shape (conv2_2 at CIFAR scale, K=576). Fixed
@@ -199,9 +199,9 @@ def bench_blocked_scatter(params) -> Dict:
     fold locked out of the event path (K >= 500): the blocked k-fold is
     what lets them dispatch at all. Bit-exactness of blocked event vs
     blocked dense is asserted before any timing; the rows also record
-    the measured cost model's prediction for each density so the record
-    shows where (and why) the dispatcher flips to dense as activity
-    rises.
+    the density rule's verdict (``density <= dispatch_threshold``) so
+    the record shows where the dispatcher flips to dense against where
+    the kernels cross over.
     """
     cin, height, width, cout = BLOCKED_SHAPE
     layer = make_conv_layer_plan(cin, height, width, cout, seed=19)
@@ -213,7 +213,7 @@ def bench_blocked_scatter(params) -> Dict:
         raise SystemExit(
             f"deep shape K={geometry.k} failed to resolve a k-block"
         )
-    cost = probe_cost_state(layer, backend, block)
+    threshold = RuntimeConfig().dispatch_threshold
     batch = params["timesteps"] * params["batch"]
     rows = []
     for density in BLOCKED_DENSITIES:
@@ -237,8 +237,6 @@ def bench_blocked_scatter(params) -> Dict:
                 f"blocked event diverged from blocked dense at density "
                 f"{density} (K={geometry.k}, block={block})"
             )
-        predicted_event = cost.predict_event_ms(updates)
-        predicted_dense = cost.predict_dense_ms(batch)
         rows.append(
             {
                 "density": density,
@@ -248,9 +246,7 @@ def bench_blocked_scatter(params) -> Dict:
                     run_dense_unblocked, params["repeats"]
                 ),
                 "event_ms": timeit(run_event_blocked, params["repeats"]),
-                "cost_model_routes_event": bool(
-                    predicted_event <= predicted_dense
-                ),
+                "density_routes_event": density <= threshold,
             }
         )
     return {
@@ -824,7 +820,7 @@ def smoke_check(record: Dict) -> List[str]:
     # Integer-kernel gates: at the two sparsest benched densities the
     # int8 event kernel must be at least as fast as the float event
     # kernel, and the int8 dense kernel within 1.25x of the float dense
-    # kernel. No cost model arbitrates int vs float: 'auto' runs the int
+    # kernel. Nothing arbitrates int vs float by speed: 'auto' runs the int
     # kernels wherever they are exact, which is only free while they run
     # at float speed -- these gates hold that premise.
     quantized = record["quantized_kernels"]
@@ -979,11 +975,11 @@ def main(argv=None) -> int:
         f"batch {blocked['batch']}):"
     )
     for row in blocked["rows"]:
-        routed = "event" if row["cost_model_routes_event"] else "dense"
+        routed = "event" if row["density_routes_event"] else "dense"
         print(
             f"  @ {row['density']:.1%}: dense {row['dense_ms']:.3f} ms | "
             f"event {row['event_ms']:.3f} ms ({row['updates']} updates, "
-            f"cost model routes {routed})"
+            f"density rule routes {routed})"
         )
     quantized = record["quantized_kernels"]
     print(

@@ -63,8 +63,7 @@ def main() -> int:
             ).astype(np.float32)
             with runtime_overrides(force_path="dense"):
                 dense = InferenceEngine(plan).run(spikes)
-            with runtime_overrides(dispatch_policy="density"):
-                routed = InferenceEngine(plan).run(spikes)
+            routed = InferenceEngine(plan).run(spikes)
             counters = routed.counters[conv.name]
             if counters.dense_steps != 0:
                 failures.append(

@@ -53,7 +53,6 @@ from repro.parallel import (
 )
 from repro.parallel.retry import reset_retry_stats
 from repro.quant import FP32, convert
-from repro.runtime import runtime_overrides
 from repro.snn import build_vgg9
 from repro.snn.encoding import RateEncoder
 from repro.snn.neuron import LIFConfig
@@ -110,57 +109,56 @@ def main() -> int:
         task_timeout_s=3.0,
     )
     failures = []
-    with runtime_overrides(dispatch_policy="density"):
-        clean = run_report(deployable, images, policy)
+    clean = run_report(deployable, images, policy)
 
-        shutdown_worker_service()  # the plan is read at worker spawn
-        reset_retry_stats()
-        os.environ[FAULT_PLAN_ENV] = RECOVERY_PLAN
-        try:
-            faulted = run_report(deployable, images, policy)
-        finally:
-            del os.environ[FAULT_PLAN_ENV]
-            shutdown_worker_service()
+    shutdown_worker_service()  # the plan is read at worker spawn
+    reset_retry_stats()
+    os.environ[FAULT_PLAN_ENV] = RECOVERY_PLAN
+    try:
+        faulted = run_report(deployable, images, policy)
+    finally:
+        del os.environ[FAULT_PLAN_ENV]
+        shutdown_worker_service()
 
-        stats = retry_stats()
-        if faulted != clean:
-            failures.append(
-                "faulted run is not byte-identical to the clean run "
-                f"(plan {RECOVERY_PLAN!r})"
-            )
-        if stats.retries < 2:
-            failures.append(
-                f"expected >=2 retries (1 crash + 1 wedge), saw "
-                f"{stats.retries}: the plan did not exercise recovery"
-            )
-        if stats.recovered_calls < 1:
-            failures.append("no call was recorded as recovered")
-        if stats.quarantined != 0:
-            failures.append(
-                f"recoverable plan quarantined {stats.quarantined} task(s)"
-            )
+    stats = retry_stats()
+    if faulted != clean:
+        failures.append(
+            "faulted run is not byte-identical to the clean run "
+            f"(plan {RECOVERY_PLAN!r})"
+        )
+    if stats.retries < 2:
+        failures.append(
+            f"expected >=2 retries (1 crash + 1 wedge), saw "
+            f"{stats.retries}: the plan did not exercise recovery"
+        )
+    if stats.recovered_calls < 1:
+        failures.append("no call was recorded as recovered")
+    if stats.quarantined != 0:
+        failures.append(
+            f"recoverable plan quarantined {stats.quarantined} task(s)"
+        )
 
-        os.environ[FAULT_PLAN_ENV] = POISON_PLAN
-        try:
-            run_report(deployable, images, policy)
+    os.environ[FAULT_PLAN_ENV] = POISON_PLAN
+    try:
+        run_report(deployable, images, policy)
+        failures.append(
+            "poison shard was not quarantined: the call succeeded "
+            f"under plan {POISON_PLAN!r}"
+        )
+    except PoisonTaskError as err:
+        survivors = sum(1 for r in err.results if r is not None)
+        if err.quarantined != [0]:
             failures.append(
-                "poison shard was not quarantined: the call succeeded "
-                f"under plan {POISON_PLAN!r}"
+                f"expected quarantined shards [0], got {err.quarantined}"
             )
-        except PoisonTaskError as err:
-            survivors = sum(1 for r in err.results if r is not None)
-            if err.quarantined != [0]:
-                failures.append(
-                    f"expected quarantined shards [0], got {err.quarantined}"
-                )
-            if survivors != SHARDS - 1:
-                failures.append(
-                    f"expected {SHARDS - 1} surviving shard results, "
-                    f"got {survivors}"
-                )
-        finally:
-            del os.environ[FAULT_PLAN_ENV]
-            shutdown_worker_service()
+        if survivors != SHARDS - 1:
+            failures.append(
+                f"expected {SHARDS - 1} surviving shard results, "
+                f"got {survivors}"
+            )
+    finally:
+        del os.environ[FAULT_PLAN_ENV]
+        shutdown_worker_service()
 
     for failure in failures:
         print(f"FAULT RECOVERY FAILURE: {failure}", file=sys.stderr)

@@ -25,6 +25,10 @@ byte-compared:
   rate coding with ``record=True`` at batch 32 (recorded trains
   included), and the ``HybridSimulator.run`` report of an int4
   rate-coded batch of 32.
+* **fresh processes**: dense/event routing is a pure function of the
+  plan and the input activity, so two fresh interpreters must print
+  byte-identical dispatch counters for the same direct- and rate-coded
+  forwards at batch 1 and batch 64.
 
 Wired into ``scripts/perf_smoke.sh``; run standalone with:
 
@@ -36,6 +40,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import subprocess
 import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -46,7 +51,7 @@ import numpy as np
 
 from repro.parallel import sharded_forward, workers_override
 from repro.quant import FP32, INT4, convert
-from repro.runtime import blas, runtime_overrides
+from repro.runtime import blas
 from repro.runtime.lanes import lane_count
 from repro.snn import build_vgg9
 from repro.snn.encoding import RateEncoder
@@ -65,6 +70,10 @@ LANE_DIRECT_BATCH = 64
 LANE_RATE_BATCH = 32
 #: Two lanes of 16 and 17 samples: cycle sums from unequal lane slices.
 LANE_ODD_BATCH = 33
+
+FRESH_BATCHES = (1, 64)
+#: Makes the script print its counters record instead of gating.
+COUNTERS_FLAG = "--print-counters"
 
 
 def build_network():
@@ -232,18 +241,57 @@ def check_lanes(deployable, failures) -> str:
     return f"lanes: {len(runs)} runs x {LANE_WORKERS} lanes vs one lane"
 
 
+def counters_record() -> bytes:
+    """The gate model's dispatch counters for direct- and rate-coded
+    forwards at every batch of :data:`FRESH_BATCHES`, as canonical JSON."""
+    deployable, _ = build_workload()
+    rng = np.random.default_rng(17)
+    images = rng.random((max(FRESH_BATCHES), 3, 16, 16)).astype(np.float32)
+    record = {}
+    for batch in FRESH_BATCHES:
+        for coding, encoder in (("direct", None), ("rate", RateEncoder)):
+            out = deployable.forward(
+                images[:batch], RATE_TIMESTEPS,
+                encoder(seed=RATE_SEED) if encoder else None,
+            )
+            record[f"{coding}, batch {batch}"] = {
+                name: counter.as_dict()
+                for name, counter in out.runtime_counters.items()
+            }
+    return json.dumps(record, sort_keys=True).encode("utf-8")
+
+
+def check_fresh_processes(failures) -> str:
+    """Counters of two fresh interpreters, byte-compared."""
+    command = [sys.executable, os.path.abspath(__file__), COUNTERS_FLAG]
+    outputs = []
+    for _ in range(2):
+        proc = subprocess.run(command, capture_output=True)
+        if proc.returncode != 0:
+            failures.append(
+                f"fresh processes: counters run exited {proc.returncode}: "
+                + proc.stderr.decode("utf-8", "replace").strip()[-2000:]
+            )
+            return "fresh processes: failed"
+        outputs.append(proc.stdout)
+    if outputs[0] != outputs[1]:
+        failures.append(
+            "fresh processes: two interpreters printed different dispatch "
+            "counters for the same forwards"
+        )
+    return f"fresh processes: 2 x {len(outputs[0])}-byte counter records"
+
+
 def main() -> int:
+    if COUNTERS_FLAG in sys.argv[1:]:
+        sys.stdout.buffer.write(counters_record() + b"\n")
+        return 0
     deployable, images = build_workload()
-    # Pin the default runtime config, with one exception: the canonical
-    # report byte-compares dispatch counters, and cost-model routing is
-    # wall-clock dependent by design (results are dispatch-invariant,
-    # counters are not) -- so the gate runs the deterministic density
-    # policy.
     failures = []
-    with runtime_overrides(dispatch_policy="density"):
-        direct_bytes = check_direct(deployable, images, failures)
-        rate_bytes = check_rate(deployable, images, failures)
-        lanes_summary = check_lanes(deployable, failures)
+    direct_bytes = check_direct(deployable, images, failures)
+    rate_bytes = check_rate(deployable, images, failures)
+    lanes_summary = check_lanes(deployable, failures)
+    fresh_summary = check_fresh_processes(failures)
     for failure in failures:
         print(f"PARALLEL NON-DETERMINISM: {failure}", file=sys.stderr)
     if failures:
@@ -253,7 +301,7 @@ def main() -> int:
         f"(direct: {SHARDS} shards, 2 workers, {direct_bytes}-byte report "
         "compared 3 ways; rate: shards {2,4} x workers {1,2} vs serial, "
         f"shards {{1,2,4}} vs unsharded, {rate_bytes}-byte reports; "
-        f"{lanes_summary})"
+        f"{lanes_summary}; {fresh_summary})"
     )
     return 0
 

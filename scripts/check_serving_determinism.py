@@ -30,7 +30,6 @@ if not any(os.path.isdir(os.path.join(p, "repro")) for p in sys.path if p):
 import numpy as np
 
 from repro.quant import FP32, convert
-from repro.runtime import runtime_overrides
 from repro.serving import InferenceServer, resolve_serve_config
 from repro.snn import build_vgg9
 from repro.snn.encoding import DirectEncoder, RateEncoder
@@ -136,9 +135,8 @@ def main() -> int:
     deployable, images = build_workload()
     failures = []
     compared = 0
-    with runtime_overrides(dispatch_policy="density"):
-        for coding in ("direct", "rate"):
-            compared += check_coding(deployable, images, coding, failures)
+    for coding in ("direct", "rate"):
+        compared += check_coding(deployable, images, coding, failures)
     for failure in failures:
         print(f"SERVING NON-DETERMINISM: {failure}", file=sys.stderr)
     if failures:

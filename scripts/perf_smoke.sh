@@ -9,7 +9,7 @@
 # deep-VGG9 (K >= 500) shape, or if, at the two sparsest
 # quantized_kernels densities, the int8 event kernel is slower than the
 # float event kernel or the int8 dense kernel takes more than 1.25x the
-# float dense kernel's time (no cost model arbitrates int vs float:
+# float dense kernel's time (nothing arbitrates int vs float by speed:
 # 'auto' runs the exact integer kernels wherever they apply, which is
 # only free while they run at float speed). Wire this into CI so
 # future PRs cannot silently regress the event-driven win. Results land in
@@ -39,7 +39,11 @@
 # batch 32 (recorded trains included) and the HybridSimulator.run
 # report of an int4 rate-coded batch, at batch 32 and at batch 33,
 # whose lanes of 16 and 17 samples reduce unequal slices of every
-# train to cycle sums.
+# train to cycle sums. Last, it starts two fresh interpreters that each
+# print the gate model's dispatch counters (LayerCounters.as_dict() per
+# layer) for direct- and rate-coded forwards at batch 1 and batch 64,
+# and byte-compares the two outputs: dense/event routing depends on the
+# plan and the input activity alone, never on timing.
 #
 # The fault recovery gate exercises the self-healing executor under a
 # pinned deterministic fault plan (one worker crash + one wedged shard

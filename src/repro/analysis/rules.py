@@ -12,8 +12,8 @@ Four families, lettered after the invariants they defend (see
     ``counter_rng`` / ``counter_uniforms`` (coordinate-keyed streams)
     or ``new_rng``/``fork_rng`` (explicitly seeded sequential streams).
   - ``D102`` wall-clock reads: ``time.time``/``perf_counter``/
-    ``datetime.now`` & friends outside the blessed measurement modules
-    (``repro/utils/timing.py``, ``repro/runtime/costmodel.py``).
+    ``datetime.now`` & friends outside the blessed measurement module
+    (``repro/utils/timing.py``).
     ``time.monotonic`` is deliberately allowed: the codebase uses it
     only for deadline/timeout arithmetic, which bounds *when* work
     stops, never *what* it computes.
@@ -82,7 +82,7 @@ RULES: Tuple[Rule, ...] = (
          "randomness through counter_rng/counter_uniforms or new_rng"),
     Rule("D102", "wall-clock",
          "time.time/perf_counter/datetime.now outside the blessed "
-         "measurement modules (utils/timing.py, runtime/costmodel.py)"),
+         "measurement module (utils/timing.py)"),
     Rule("P101", "ambient-env",
          "os.environ / os.getenv read outside a layer config.py module"),
     Rule("P102", "worker-mutable-state",
@@ -120,10 +120,7 @@ RULE_IDS: Tuple[str, ...] = tuple(rule.id for rule in RULES)
 RNG_BLESSED_SUFFIXES = ("repro/utils/rng.py",)
 
 #: Modules whose purpose *is* wall-clock measurement.
-CLOCK_BLESSED_SUFFIXES = (
-    "repro/utils/timing.py",
-    "repro/runtime/costmodel.py",
-)
+CLOCK_BLESSED_SUFFIXES = ("repro/utils/timing.py",)
 
 #: Environment reads are legal only in per-layer config modules.
 ENV_BLESSED_BASENAME = "config.py"
@@ -324,8 +321,8 @@ def check_wall_clock(ctx: FileContext) -> List[Finding]:
                 findings.append(ctx.finding(
                     "D102", node,
                     f"wall-clock read {chain}(); results must not depend "
-                    "on the clock -- measure inside utils/timing.py or "
-                    "runtime/costmodel.py, or pragma with a justification",
+                    "on the clock -- measure inside utils/timing.py, "
+                    "or pragma with a justification",
                 ))
             elif (
                 chain.startswith("datetime.")

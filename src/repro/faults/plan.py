@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -192,9 +193,12 @@ def _parse_entry(entry: str) -> FaultSpec:
             raise FaultPlanError(
                 f"fault-plan duration must be a number, got {raw_seconds!r}"
             )
-        if seconds < 0:
+        # time.sleep refuses NaN and overflows past TIMEOUT_MAX: reject
+        # both here rather than as an untyped error inside the worker.
+        if not 0.0 <= seconds <= threading.TIMEOUT_MAX:
             raise FaultPlanError(
-                f"fault-plan duration must be >= 0, got {seconds}"
+                "fault-plan duration must be finite, >= 0 and <= "
+                f"{threading.TIMEOUT_MAX:g} s, got {seconds}"
             )
     if "@" in entry:
         kind, _, coords = entry.partition("@")

@@ -40,9 +40,10 @@ k-fold** (:func:`~repro.runtime.kernels.calibrate_event_block` picks the
 largest block size whose within-block fold proves single-lane), so the
 event path stays open at any depth; only shapes with no bit-exact
 configuration at all remain on the dense fallback. Dispatch therefore
-affects speed only, and under the default measured cost model
-(:mod:`repro.runtime.costmodel`) each eligible timestep takes whichever
-calibrated kernel is predicted cheaper on this machine. Dispatch
+affects speed only, and it is a pure function of the plan and the input
+activity: a binary conv timestep takes the event path iff its density is
+at most the dispatch threshold and its layer has a calibrated fold, so
+every dispatch count repeats exactly across runs and processes. Dispatch
 decisions -- with the reason for every dense one -- are tallied per
 layer in :class:`~repro.runtime.config.LayerCounters` and surfaced in
 simulation reports and :func:`~repro.runtime.plan_io.plan_report`.
@@ -61,7 +62,6 @@ from repro.runtime.engine import (
     RuntimeResult,
     stack_encoder_frames,
 )
-from repro.runtime.costmodel import LayerCostState, ensure_cost_state
 from repro.runtime.kernels import (
     KBLOCK_CANDIDATES,
     BufferPool,
@@ -100,7 +100,6 @@ __all__ = [
     "ConvGeometry",
     "InferenceEngine",
     "KBLOCK_CANDIDATES",
-    "LayerCostState",
     "LayerCounters",
     "LayerPlan",
     "NetworkPlan",
@@ -115,7 +114,6 @@ __all__ = [
     "configure",
     "conv_geometry",
     "dense_conv_int",
-    "ensure_cost_state",
     "event_conv_int",
     "load_plan",
     "plan_deployable",

@@ -35,19 +35,9 @@ class RuntimeConfig:
     Attributes:
         enabled: route eligible forwards through the runtime at all.
         dispatch_threshold: input spike density (fraction of set bits) at
-            or below which a layer-timestep is *eligible* for the
-            event-driven path; 0 disables the event path, 1 forces it
-            whenever legal.
-        dispatch_policy: how eligible timesteps are routed. ``'cost'``
-            (default) predicts each side's wall time from measured
-            per-layer rates (seeded by a one-shot probe, refined online;
-            see :mod:`repro.runtime.costmodel`) and takes the cheaper
-            kernel; ``'density'`` restores the pre-cost-model behaviour
-            (eligible == event). Cost routing depends on wall-clock
-            measurements, so dispatch *counters* may vary between runs
-            under ``'cost'`` -- results never do (both kernels are
-            calibrated bit-identical); pin ``'density'`` where counters
-            are byte-compared.
+            or below which a binary conv layer-timestep takes the
+            event-driven path (when the layer has a calibrated fold); 0
+            disables the event path, 1 takes it whenever legal.
         force_path: pin every eligible layer-timestep to ``'dense'`` or
             ``'event'`` regardless of density (equivalence testing).
         event_backend: ``'scipy'`` (CSR scatter-matmul), ``'numpy'``
@@ -63,13 +53,12 @@ class RuntimeConfig:
             conv steps of int-lowered layers whenever the per-layer
             exactness probe passed and the overflow bound holds --
             results stay bit-identical to the float path by
-            construction, under either ``dispatch_policy``. ``'on'``
-            forces the integer kernels on every such step (dense and
-            event alike; their integer fold is exact, so results are
-            still deterministic at any dispatch split, but may differ
-            from the float reference when the probe failed). ``'off'``
-            disables the integer path entirely. Env default:
-            ``REPRO_INT_KERNELS``.
+            construction. ``'on'`` forces the integer kernels on every
+            such step (dense and event alike; their integer fold is
+            exact, so results are still deterministic at any dispatch
+            split, but may differ from the float reference when the
+            probe failed). ``'off'`` disables the integer path
+            entirely. Env default: ``REPRO_INT_KERNELS``.
         max_fused_elements: cap on the im2col buffer (elements) per fused
             dense call; larger batches are chunked (bit-exact either way).
             The default, :data:`MAX_FUSED_ELEMENTS`, is sized to the
@@ -79,7 +68,6 @@ class RuntimeConfig:
 
     enabled: bool = True
     dispatch_threshold: float = 0.05
-    dispatch_policy: str = "cost"
     force_path: Optional[str] = None
     event_backend: str = "auto"
     event_kblock: Optional[int] = None
@@ -90,11 +78,6 @@ class RuntimeConfig:
         if not 0.0 <= self.dispatch_threshold <= 1.0:
             raise ConfigError(
                 f"dispatch_threshold must be in [0, 1], got {self.dispatch_threshold}"
-            )
-        if self.dispatch_policy not in ("cost", "density"):
-            raise ConfigError(
-                f"dispatch_policy must be 'cost' or 'density', "
-                f"got {self.dispatch_policy!r}"
             )
         if self.force_path not in (None, "dense", "event"):
             raise ConfigError(
@@ -122,23 +105,17 @@ class RuntimeConfig:
 
 
 def _env_event_kblock() -> Optional[int]:
-    """``REPRO_EVENT_KBLOCK``: ``auto`` (default) -> None, else an int.
+    """``REPRO_EVENT_KBLOCK``: ``auto`` (default) -> None, else an int >= 0.
 
-    Unparseable values fall back to auto -- consistent with the lenient
-    ``REPRO_RUNTIME`` handling (a typo must not break every import)."""
+    Unparseable and negative values fall back to auto -- consistent with
+    the lenient ``REPRO_RUNTIME`` handling (a typo must not break every
+    import, nor silently disable blocking)."""
     raw = os.environ.get("REPRO_EVENT_KBLOCK", "auto").strip().lower()
-    if raw in ("", "auto"):
-        return None
     try:
-        return max(0, int(raw))
+        value = int(raw)
     except ValueError:
         return None
-
-
-def _env_dispatch_policy() -> str:
-    """``REPRO_DISPATCH_POLICY``: ``cost`` (default) or ``density``."""
-    raw = os.environ.get("REPRO_DISPATCH_POLICY", "cost").strip().lower()
-    return raw if raw in ("cost", "density") else "cost"
+    return value if value >= 0 else None
 
 
 def _env_int_kernels() -> str:
@@ -152,7 +129,6 @@ def _env_int_kernels() -> str:
 
 _CONFIG = RuntimeConfig(  # repro: lint-ok[P102] per-process config snapshot; workers re-resolve it from env at bootstrap
     enabled=os.environ.get("REPRO_RUNTIME", "1") != "0",
-    dispatch_policy=_env_dispatch_policy(),
     event_kblock=_env_event_kblock(),
     int_kernels=_env_int_kernels(),
 )
@@ -193,12 +169,11 @@ class LayerCounters:
     ``dense_steps`` is the total; the ``dense_*_steps`` fields attribute
     each dense decision to its cause so a report can explain *why* a
     layer stayed dense: ``density`` (input activity above the dispatch
-    threshold, or the event path disabled), ``cost`` (eligible, but the
-    measured cost model predicted the dense kernel cheaper),
-    ``calibration`` (no bit-exact event configuration at this shape --
-    the dense fallback), ``forced`` (``force_path='dense'``). Steps that
-    are ineligible by construction (FC layers, analog or non-binary
-    input) are counted in the total only.
+    threshold, or the event path disabled), ``calibration`` (no
+    bit-exact event configuration at this shape -- the dense fallback),
+    ``forced`` (``force_path='dense'``). Steps that are ineligible by
+    construction (FC layers, analog or non-binary input) are counted in
+    the total only.
 
     The ``int_*`` fields attribute the integer datapath the same way:
     ``int_dense_steps`` / ``int_event_steps`` are the sub-counts of
@@ -214,7 +189,6 @@ class LayerCounters:
     event_steps: int = 0
     event_updates: int = 0  # scatter contributions routed through the event path
     dense_density_steps: int = 0
-    dense_cost_steps: int = 0
     dense_calibration_steps: int = 0
     dense_forced_steps: int = 0
     int_dense_steps: int = 0
@@ -229,7 +203,6 @@ class LayerCounters:
             "event_steps": self.event_steps,
             "event_updates": self.event_updates,
             "dense_density_steps": self.dense_density_steps,
-            "dense_cost_steps": self.dense_cost_steps,
             "dense_calibration_steps": self.dense_calibration_steps,
             "dense_forced_steps": self.dense_forced_steps,
             "int_dense_steps": self.int_dense_steps,
@@ -244,8 +217,6 @@ class LayerCounters:
         self.dense_steps += steps
         if reason == "density":
             self.dense_density_steps += steps
-        elif reason == "cost":
-            self.dense_cost_steps += steps
         elif reason == "calibration":
             self.dense_calibration_steps += steps
         elif reason == "forced":
@@ -265,7 +236,6 @@ class LayerCounters:
         self.event_steps += other.event_steps
         self.event_updates += other.event_updates
         self.dense_density_steps += other.dense_density_steps
-        self.dense_cost_steps += other.dense_cost_steps
         self.dense_calibration_steps += other.dense_calibration_steps
         self.dense_forced_steps += other.dense_forced_steps
         self.int_dense_steps += other.int_dense_steps

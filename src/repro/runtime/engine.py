@@ -15,27 +15,26 @@ bit-identical -- for deep conv shapes via the canonical blocked k-fold,
 which both kernels share -- so dispatch never changes results, only
 speed. Which fold a layer uses is a pure function of the layer shape and
 ``event_kblock``; the routing knobs (``force_path``,
-``dispatch_threshold``, ``dispatch_policy``) choose between
-already-bit-identical kernels. Under ``dispatch_policy='cost'``
-(default) eligible timesteps are routed by predicted wall time from the
-measured per-layer cost model (:mod:`repro.runtime.costmodel`), and
-every dense decision is attributed to its cause (density, cost,
-calibration, forced) in the layer counters. The engine also memoises the
-first-layer current under time-invariant encodings (direct coding
-presents the same frame every timestep), which removes ``(T-1)/T`` of
-the dense-core work outright.
+``dispatch_threshold``) choose between already-bit-identical kernels. A
+binary conv timestep takes the event path iff its input density is at
+most ``dispatch_threshold`` and the layer has a calibrated fold, so the
+route is a pure function of (plan, input activity) and every counter
+repeats exactly across runs and processes. Every dense decision is
+attributed to its cause (density, calibration, forced) in the layer
+counters. The engine also memoises the first-layer current under
+time-invariant encodings (direct coding presents the same frame every
+timestep), which removes ``(T-1)/T`` of the dense-core work outright.
 
 **Sample lanes.** A batch of at least ``2 * MIN_LANE_SAMPLES`` runs in
 several lanes of contiguous samples, one per worker
 (:mod:`repro.runtime.lanes`). Per layer the calling thread routes on
 whole-batch numbers -- input totals, the per-timestep classification,
-integer verdicts, block resolution, cost probes -- then every lane
-executes those decisions on its samples (kernels, BN, LIF scan, spike
-counts, OR-pool), writing its slice of one whole-batch train, so a
-recorded train is never copied. The calling thread sums the lanes'
+integer verdicts, block resolution -- then every lane executes those
+decisions on its samples (kernels, BN, LIF scan, spike counts,
+OR-pool), writing its slice of one whole-batch train, so a recorded
+train is never copied. The calling thread sums the lanes'
 exact integer counts into ``SpikeStats``, the next layer's activity and
-the counters, and feeds their kernel timings to the cost model in lane
-order. Lanes are byte-identical to one lane because no kernel's
+the counters. Lanes are byte-identical to one lane because no kernel's
 per-sample output depends on the other samples of its call: conv GEMMs
 run per sample (``np.matmul`` over stacked im2col matrices), CSR rows
 fold per output row in ascending k, LIF, BN and OR-pool are
@@ -47,14 +46,12 @@ so FC currents are computed on the whole batch before the split.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.runtime.config import LayerCounters, RuntimeConfig, runtime_config
-from repro.runtime.costmodel import ensure_cost_state
 from repro.runtime.kernels import (
     BufferPool,
     calibrate_event_exact,
@@ -159,8 +156,8 @@ class InferenceEngine:
         path exact) or a block size.
 
         A pure function of (shape, ``event_kblock``, backend) -- never of
-        the routing knobs -- so forcing a path or changing the dispatch
-        policy can never change which fold a layer computes with. This
+        the routing knobs -- so forcing a path or moving the dispatch
+        threshold can never change which fold a layer computes with. This
         is deliberate even for dense-only configurations
         (``force_path='dense'``, threshold 0): they pay the one-time
         resolution probes and the slightly slower blocked dense GEMM on
@@ -199,9 +196,8 @@ class InferenceEngine:
         the float reference when the exactness probe would have failed.
         ``'auto'`` is exactness-preserving: the overflow bound and the
         per-layer bit-exactness probe must pass. The integer kernels run
-        the float kernels' code at the float kernels' speed, so no cost
-        arbitration is involved and the decision is the same under
-        either ``dispatch_policy``.
+        the float kernels' code at the float kernels' speed, so the
+        dense/event route is the same whichever datapath runs.
         """
         cached = self._int_by_layer.get(layer.name)
         if cached is not None:
@@ -303,11 +299,10 @@ class InferenceEngine:
                 time_invariant=invariant,
                 counter=layer_counter,
             )
-            timings: List[Tuple[str, float, int]] = []
             updates = 0
             if route.whole_batch:
                 route.current, updates = self._current(
-                    config, layer, route, x, self.buffers, timings
+                    config, layer, route, x, self.buffers
                 )
             # Every lane writes its slice of these two whole-batch trains.
             spikes = np.empty(
@@ -332,19 +327,10 @@ class InferenceEngine:
             ]
             for t in range(timesteps):
                 stats.record(layer.name, t, spikes[t], counts[t])
-            for lane in lanes:
-                updates += lane.updates
-                timings += lane.timings
+            updates += sum(lane.updates for lane in lanes)
             layer_counter.event_updates += updates
             if route.int_event:
                 layer_counter.int_event_updates += updates
-            state = layer.cost_state
-            if state is not None:
-                for kind, ms, amount in timings:
-                    if kind == "dense":
-                        state.observe_dense(ms, amount)
-                    else:
-                        state.observe_event(ms, amount)
             x = spikes
             if pooled is not None:
                 x = pooled
@@ -381,12 +367,11 @@ class InferenceEngine:
         OR-pool of samples ``[lo, hi)``, written into that slice of the
         whole-batch ``spikes`` / ``pooled`` trains."""
         lo, hi = bounds
-        timings: List[Tuple[str, float, int]] = []
         if route.current is not None:
             current, updates = route.current[:, lo:hi], 0
         else:
             current, updates = self._current(
-                config, layer, route, x[:, lo:hi], pool, timings
+                config, layer, route, x[:, lo:hi], pool
             )
         if layer.has_bn:
             current = (current - layer.bn_mu) * layer.bn_inv_std
@@ -397,7 +382,7 @@ class InferenceEngine:
             current, plan.beta, plan.threshold, plan.spike_rule,
             final_reset=False, out=lane_spikes,
         )
-        result = _LaneResult(_spike_counts(lane_spikes), None, updates, timings)
+        result = _LaneResult(_spike_counts(lane_spikes), None, updates)
         if pooled is not None:
             lane_pooled = pooled[:, lo:hi]
             or_pool(lane_spikes, layer.pool_after, out=lane_pooled)
@@ -423,9 +408,9 @@ class InferenceEngine:
         (all but the scatter updates, which the kernels count).
 
         Lazily built state the kernels read (block tables, integer
-        weight copies, cost probes) is built here, before any lane runs.
+        weight copies) is built here, before any lane runs.
         """
-        timesteps, samples = x.shape[0], x.shape[1]
+        timesteps = x.shape[0]
         conv = layer.kind == "conv"
         block = self._layer_block(layer) if conv and not analog else None
         int_eligible = conv and not analog and layer.has_int_lowering
@@ -455,7 +440,7 @@ class InferenceEngine:
             route = _Route(["dense"] * timesteps, block, int_dense=int_dense)
         else:
             route = self._route_steps(
-                config, layer, t_sums, t_nnz, x[0].size, samples, analog,
+                config, layer, t_sums, t_nnz, x[0].size, analog,
                 block, use_int, int_eligible, int_reason, counter,
             )
         # A GEMM's fold may depend on the BLAS thread count, which is
@@ -507,8 +492,7 @@ class InferenceEngine:
             path = "empty"  # same shortcut as the per-timestep route
         else:
             use_event, reason = self._classify_step(
-                config, layer, block, analog, f_sum, f_nnz, frame.size,
-                frame.shape[0],
+                config, layer, block, analog, f_sum, f_nnz, frame.size
             )
             path = "event" if use_event else "dense"
         if path == "dense":
@@ -525,7 +509,7 @@ class InferenceEngine:
         )
 
     def _route_steps(
-        self, config, layer, t_sums, t_nnz, slice_size, samples, analog,
+        self, config, layer, t_sums, t_nnz, slice_size, analog,
         block, use_int, int_eligible, int_reason, counter,
     ) -> "_Route":
         """Route every timestep of a layer on its own activity."""
@@ -542,8 +526,7 @@ class InferenceEngine:
                 paths.append("empty")
                 continue
             use_event, reason = self._classify_step(
-                config, layer, block, analog, t_sums[t], nnz, slice_size,
-                samples,
+                config, layer, block, analog, t_sums[t], nnz, slice_size
             )
             if use_event:
                 paths.append("event")
@@ -581,13 +564,14 @@ class InferenceEngine:
         t_sum: float,
         nnz: int,
         size: int,
-        samples: int,
     ) -> Tuple[bool, Optional[str]]:
         """Route one layer-timestep: ``(use_event, dense_reason)``.
 
-        ``dense_reason`` attributes a dense decision for the counters:
-        ``None`` (ineligible by construction), ``'forced'``,
-        ``'density'``, ``'calibration'`` or ``'cost'``.
+        A binary conv step takes the event path iff its density
+        ``nnz / size`` is at most ``dispatch_threshold`` and the layer
+        has a calibrated fold. ``dense_reason`` attributes a dense
+        decision for the counters: ``None`` (ineligible by
+        construction), ``'forced'``, ``'density'`` or ``'calibration'``.
         """
         if layer.kind != "conv" or analog or size == 0:
             return False, None
@@ -611,12 +595,6 @@ class InferenceEngine:
             return False, "density"
         if block is None:
             return False, "calibration"
-        if config.dispatch_policy == "cost" and config.dispatch_threshold < 1.0:
-            backend = resolve_event_backend(config.event_backend)
-            state = ensure_cost_state(layer, backend, block or None)
-            updates = nnz * layer.geometry.avg_taps
-            if state.predict_event_ms(updates) > state.predict_dense_ms(samples):
-                return False, "cost"
         return True, None
 
     # ------------------------------------------------------------------
@@ -629,7 +607,6 @@ class InferenceEngine:
         route: "_Route",
         x: np.ndarray,
         pool: BufferPool,
-        timings: List[Tuple[str, float, int]],
     ) -> Tuple[np.ndarray, int]:
         """The (T, n, ...) current of input ``x`` (one lane's samples, or
         the whole batch) under ``route``, and the scatter updates made.
@@ -654,9 +631,9 @@ class InferenceEngine:
                 continue
             batch = frames[first:stop].reshape((-1,) + frames.shape[2:])
             if path == "dense":
-                self._kernel_dense(config, layer, batch, route, pool, out, timings)
+                self._kernel_dense(config, layer, batch, route, pool, out)
             else:
-                updates += self._kernel_event(config, layer, batch, route, out, timings)
+                updates += self._kernel_event(config, layer, batch, route, out)
         if route.broadcast:
             current = np.broadcast_to(current, (x.shape[0],) + current.shape[1:])
         return current, updates
@@ -669,13 +646,10 @@ class InferenceEngine:
         route: "_Route",
         pool: BufferPool,
         out: np.ndarray,
-        timings: List[Tuple[str, float, int]],
     ) -> None:
         if layer.kind != "conv":
             out[...] = dense_fc(layer, batch.reshape(batch.shape[0], -1))
-            return
-        start = time.perf_counter()  # repro: lint-ok[D102] cost-model EMA measurement; never reaches results
-        if route.int_dense:
+        elif route.int_dense:
             dense_conv_int(
                 layer, batch, buffers=pool,
                 max_elements=config.max_fused_elements, out=out,
@@ -686,8 +660,6 @@ class InferenceEngine:
                 max_elements=config.max_fused_elements,
                 kblock=route.block or None, out=out,
             )
-        ms = (time.perf_counter() - start) * 1e3  # repro: lint-ok[D102] cost-model EMA measurement; never reaches results
-        timings.append(("dense", ms, batch.shape[0]))
 
     def _kernel_event(
         self,
@@ -696,10 +668,8 @@ class InferenceEngine:
         batch: np.ndarray,
         route: "_Route",
         out: np.ndarray,
-        timings: List[Tuple[str, float, int]],
     ) -> int:
         backend = resolve_event_backend(config.event_backend)
-        start = time.perf_counter()  # repro: lint-ok[D102] cost-model EMA measurement; never reaches results
         if route.int_event:
             # No blocked variant: the integer fold is exact in any order.
             _, updates = event_conv_int(layer, batch, backend, out=out)
@@ -709,8 +679,6 @@ class InferenceEngine:
             )
         else:
             _, updates = event_conv(layer, batch, backend, out=out)
-        ms = (time.perf_counter() - start) * 1e3  # repro: lint-ok[D102] cost-model EMA measurement; never reaches results
-        timings.append(("event", ms, updates))
         return updates
 
 
@@ -737,14 +705,12 @@ class _Route:
 @dataclass
 class _LaneResult:
     """What one lane reports for one layer: exact per-timestep spike
-    counts of its LIF output (and of its pooled train), its scatter
-    updates, and its kernel timings ``(kind, ms, samples | updates)``
-    in call order, for the cost model."""
+    counts of its LIF output (and of its pooled train) and its scatter
+    updates."""
 
     counts: List[int]
     pooled_counts: Optional[List[int]]
     updates: int
-    timings: List[Tuple[str, float, int]]
 
 
 def _out_shape(layer: LayerPlan) -> Tuple[int, ...]:

@@ -50,7 +50,6 @@ class ConvGeometry:
     contrib_k: np.ndarray  # (Cin*H*W, K*K) int32 -- im2col row per pixel/tap
     contrib_p: np.ndarray  # (Cin*H*W, K*K) int32 -- output position per pixel/tap
     contrib_valid: np.ndarray  # (Cin*H*W, K*K) bool -- in-bounds taps
-    avg_taps: float  # mean in-bounds taps per input pixel (cost prediction)
 
 
 def conv_geometry(
@@ -99,7 +98,6 @@ def conv_geometry(
         contrib_k=np.ascontiguousarray(contrib_k),
         contrib_p=np.ascontiguousarray(contrib_p),
         contrib_valid=np.ascontiguousarray(valid),
-        avg_taps=float(valid.sum()) / max(1, valid.shape[0]),
     )
     if len(_GEOMETRY_CACHE) >= _GEOMETRY_CACHE_MAX:
         _GEOMETRY_CACHE.pop(next(iter(_GEOMETRY_CACHE)))
@@ -160,9 +158,6 @@ class LayerPlan:
     _block_tables: Dict[int, BlockTables] = field(
         default_factory=dict, repr=False, compare=False
     )
-    # Measured dispatch-cost state (repro.runtime.costmodel), seeded by a
-    # one-shot probe and refined online; never persisted.
-    cost_state: Optional[object] = field(default=None, repr=False, compare=False)
     # Lazy integer-valued float32 copies of wq (dense GEMM / event
     # scatter rows), shared with the float kernels' code paths.
     _wq_f32: Optional[np.ndarray] = field(default=None, repr=False, compare=False)

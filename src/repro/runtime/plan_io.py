@@ -24,18 +24,16 @@ shapes take the unblocked event path, which needed the canonical blocked
 k-fold (and at what block size), and which have no bit-exact event
 configuration at all and stay on the dense fallback. Passing a run's
 dispatch counters additionally explains every dense *decision* taken at
-runtime (density vs calibration vs cost vs forced).
+runtime (density vs calibration vs forced).
 
-The sidecar format is ``network-plan-v4``: weights, BN constants and
-calibration verdicts, each event-eligible shape's probe-seeded dispatch
-cost rates (dense ms/sample, event ms/update -- see
-:mod:`repro.runtime.costmodel`), and each quantized conv layer's
-integer lowering -- the int8/int16 weight matrix, its dequantization
-scale(s), the integer bit-exactness verdict and overflow bound. Rates
-and verdicts are trusted under the same environment fingerprint. A
-sidecar is a regenerable cache, so any other format -- and any sidecar
-whose metadata does not parse -- is rejected with a typed error, and
-:func:`try_load_plan` callers simply rebuild it.
+The sidecar format is ``network-plan-v5``: weights, BN constants and
+calibration verdicts (with each conv shape's resolved k-block), and each
+quantized conv layer's integer lowering -- the int8/int16 weight matrix,
+its dequantization scale(s), the integer bit-exactness verdict and
+overflow bound. Verdicts are trusted under the same environment
+fingerprint. A sidecar is a regenerable cache, so any other format --
+and any sidecar whose metadata does not parse -- is rejected with a
+typed error, and :func:`try_load_plan` callers simply rebuild it.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ import numpy as np
 
 from repro.errors import ReproError, RuntimeUnsupportedError
 from repro.runtime.config import runtime_config
-from repro.runtime.costmodel import LayerCostState, ensure_cost_state
 from repro.runtime.kernels import (
     calibrate_event_exact,
     calibrate_int_exact,
@@ -68,7 +65,7 @@ from repro.utils.serialization import load_npz, save_npz
 PLAN_SIDECAR_SUFFIX = ".plan.npz"
 
 #: The one sidecar format written and accepted.
-_PLAN_FORMAT = "network-plan-v4"
+_PLAN_FORMAT = "network-plan-v5"
 
 _BN_FIELDS = ("bn_mu", "bn_inv_std", "bn_gamma", "bn_beta")
 
@@ -192,17 +189,6 @@ def save_plan(
                 # loaders skip every block-candidate GEMM.
                 "block": block,
             }
-            if block is not None:
-                # Dispatch cost rates: probe-seeded here (or taken
-                # from the live plan's already-refined state) so cold
-                # loaders skip the one-shot seeding GEMMs. Only
-                # event-eligible shapes ever consult the cost model;
-                # dense-fallback shapes carry no rates.
-                state = ensure_cost_state(layer, backend, block or None)
-                entry["cost"] = {
-                    "dense_ms_per_sample": float(state.dense_ms_per_sample),
-                    "event_ms_per_update": float(state.event_ms_per_update),
-                }
             if layer.has_int_lowering:
                 # Integer datapath verdicts: the per-layer bit-exactness
                 # probe and overflow bound.
@@ -325,16 +311,13 @@ def _int_lowering(
 
 
 def _seed_layers(plan: NetworkPlan, meta: Dict) -> List[Tuple]:
-    """Attach the sidecar's per-layer cost rates and integer verdicts to
-    ``plan``; return the ``(key, exact, block)`` shape verdicts for the
+    """Attach the sidecar's per-layer integer verdicts to ``plan``;
+    return the ``(key, exact, block)`` shape verdicts for the
     process-wide caches.
 
     Calibration entries follow the conv-layer order :func:`save_plan`
-    walked. Seeded rates are still refined online by the dispatcher's
-    EMA. The integer verdict is weight-dependent, so it is seeded per
-    layer object, not into the shape-keyed calibration cache. Int
-    entries from older writers may also carry kernel ``cost`` rates;
-    nothing reads them.
+    walked. The integer verdict is weight-dependent, so it is seeded per
+    layer object, not into the shape-keyed calibration cache.
     """
     conv_layers = [layer for layer in plan.layers if layer.kind == "conv"]
     seeds = []
@@ -346,12 +329,6 @@ def _seed_layers(plan: NetworkPlan, meta: Dict) -> List[Tuple]:
         if index >= len(conv_layers):
             continue
         conv = conv_layers[index]
-        cost = entry.get("cost")
-        if cost is not None:
-            conv.cost_state = LayerCostState(
-                dense_ms_per_sample=float(cost["dense_ms_per_sample"]),
-                event_ms_per_update=float(cost["event_ms_per_update"]),
-            )
         int_entry = entry.get("int")
         if int_entry is not None and conv.has_int_lowering:
             seed_int_exact(
@@ -408,8 +385,7 @@ def plan_report(
     dense at runtime. Passing a run's dispatch counters (a mapping of
     layer name to :class:`~repro.runtime.config.LayerCounters`) adds a
     ``dispatch`` column explaining every dense decision of that run --
-    density above threshold vs cost-model veto vs calibration fallback
-    vs forced.
+    density above threshold vs calibration fallback vs forced.
     """
     backend = resolve_event_backend(backend or runtime_config().event_backend)
     kblock = runtime_config().event_kblock

@@ -9,7 +9,6 @@ the fp32-vs-int4 comparison keeps everything else equal.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -21,6 +20,7 @@ from repro.snn.network import SpikingNetwork
 from repro.tensor import ops
 from repro.tensor.optim import Adam
 from repro.utils.rng import SeedLike, new_rng
+from repro.utils.timing import Stopwatch
 
 
 @dataclass
@@ -106,48 +106,49 @@ class Trainer:
         """Run the full training loop; returns the per-epoch history."""
         cfg = self.config
         result = TrainingResult()
-        start = time.perf_counter()
-        n = len(train_images)
-        encoder = self._make_encoder()
-        for epoch in range(cfg.epochs):
-            self.network.train(True)
-            order = self._rng.permutation(n)
-            losses: List[float] = []
-            correct = 0
-            for begin in range(0, n, cfg.batch_size):
-                batch_idx = order[begin : begin + cfg.batch_size]
-                images = train_images[batch_idx]
-                labels = train_labels[batch_idx]
-                # Counter-stream encoders key draws on the global sample
-                # index; advance it by (epoch, position-in-epoch) so
-                # every training step sees fresh encoding noise instead
-                # of replaying the indices of the first batch.
-                loss, batch_correct = self._step(
-                    images, labels, encoder.for_samples(epoch * n + begin)
-                )
-                losses.append(loss)
-                correct += batch_correct
-            result.epoch_losses.append(float(np.mean(losses)))
-            result.epoch_train_accuracy.append(correct / n)
-            if test_images is not None and test_labels is not None:
-                predictions = self.network.predict(
-                    test_images, cfg.timesteps, self._make_encoder()
-                )
-                test_acc = float((predictions == test_labels).mean())
-                result.epoch_test_accuracy.append(test_acc)
-            if cfg.verbose:
-                test_part = (
-                    f", test acc {result.epoch_test_accuracy[-1] * 100.0:.1f}%"
-                    if result.epoch_test_accuracy
-                    else ""
-                )
-                print(
-                    f"epoch {epoch + 1}/{cfg.epochs}: "
-                    f"loss {result.epoch_losses[-1]:.4f}, "
-                    f"train acc {result.epoch_train_accuracy[-1] * 100.0:.1f}%"
-                    f"{test_part}"
-                )
-        result.wall_seconds = time.perf_counter() - start
+        watch = Stopwatch()
+        with watch.section("fit"):
+            n = len(train_images)
+            encoder = self._make_encoder()
+            for epoch in range(cfg.epochs):
+                self.network.train(True)
+                order = self._rng.permutation(n)
+                losses: List[float] = []
+                correct = 0
+                for begin in range(0, n, cfg.batch_size):
+                    batch_idx = order[begin : begin + cfg.batch_size]
+                    images = train_images[batch_idx]
+                    labels = train_labels[batch_idx]
+                    # Counter-stream encoders key draws on the global sample
+                    # index; advance it by (epoch, position-in-epoch) so
+                    # every training step sees fresh encoding noise instead
+                    # of replaying the indices of the first batch.
+                    loss, batch_correct = self._step(
+                        images, labels, encoder.for_samples(epoch * n + begin)
+                    )
+                    losses.append(loss)
+                    correct += batch_correct
+                result.epoch_losses.append(float(np.mean(losses)))
+                result.epoch_train_accuracy.append(correct / n)
+                if test_images is not None and test_labels is not None:
+                    predictions = self.network.predict(
+                        test_images, cfg.timesteps, self._make_encoder()
+                    )
+                    test_acc = float((predictions == test_labels).mean())
+                    result.epoch_test_accuracy.append(test_acc)
+                if cfg.verbose:
+                    test_part = (
+                        f", test acc {result.epoch_test_accuracy[-1] * 100.0:.1f}%"
+                        if result.epoch_test_accuracy
+                        else ""
+                    )
+                    print(
+                        f"epoch {epoch + 1}/{cfg.epochs}: "
+                        f"loss {result.epoch_losses[-1]:.4f}, "
+                        f"train acc {result.epoch_train_accuracy[-1] * 100.0:.1f}%"
+                        f"{test_part}"
+                    )
+        result.wall_seconds = watch.total("fit")
         return result
 
     def _step(self, images: np.ndarray, labels: np.ndarray, encoder: Encoder):

@@ -53,7 +53,7 @@ class TestLintCli:
         assert payload["findings"] == []
         assert payload["files_scanned"] > 50
         assert payload["suppressed"] > 0
-        assert payload["baselined"] == 2
+        assert payload["baselined"] == 0
 
     def test_unknown_rule_select_is_a_usage_error(self):
         proc = run_cli(["-m", "repro.analysis", "src", "--select", "Z999"])

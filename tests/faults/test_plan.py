@@ -61,6 +61,9 @@ class TestGrammar:
             "crash%maybe",  # non-numeric probability
             "wedge@0~soon",  # non-numeric duration
             "wedge@0~-1",  # negative duration
+            "slow@0~nan",  # NaN duration
+            "wedge@0~inf",  # infinite duration
+            "slow%0.5~1e300",  # duration past threading.TIMEOUT_MAX
             "seed=xyz,crash@0",  # bad seed
             "seed=3",  # no fault entries
             "",  # empty plan

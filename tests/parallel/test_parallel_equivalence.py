@@ -18,16 +18,6 @@ from repro.snn import build_network
 from repro.snn.encoding import RateEncoder, TtfsEncoder
 
 
-@pytest.fixture(autouse=True)
-def _pin_dispatch_policy():
-    """Dispatch counters are byte-compared against the serial reference
-    here, and cost-model routing is wall-clock dependent by design (the
-    *results* are dispatch-invariant; the counters are not). Pin the
-    deterministic density policy so counter equality is meaningful."""
-    with runtime_overrides(dispatch_policy="density"):
-        yield
-
-
 @pytest.fixture(scope="module")
 def deployable():
     net = build_network(

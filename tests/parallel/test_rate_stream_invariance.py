@@ -23,15 +23,6 @@ from repro.snn.encoding import RateEncoder
 from repro.utils.rng import counter_rng
 
 
-@pytest.fixture(autouse=True)
-def _pin_dispatch_policy():
-    """Counters are byte-compared against serial references here; pin
-    the deterministic density policy (cost routing is wall-clock
-    dependent by design and may only change counters, never results)."""
-    with runtime_overrides(dispatch_policy="density"):
-        yield
-
-
 @pytest.fixture(scope="module")
 def deployable():
     net = build_network(

@@ -21,17 +21,8 @@ from repro.hw.config import AcceleratorConfig
 from repro.hw.simulator import HybridSimulator, merge_cycle_sums
 from repro.parallel import sharded_forward
 from repro.quant import FP32, convert
-from repro.runtime import runtime_overrides
 from repro.snn import build_network
 from repro.snn.encoding import TtfsEncoder
-
-
-@pytest.fixture(autouse=True)
-def _pin_dispatch_policy():
-    # Simulator notes embed dispatch counters; see the equivalence
-    # suite's pin for why counters require the deterministic policy.
-    with runtime_overrides(dispatch_policy="density"):
-        yield
 
 
 @pytest.fixture(scope="module")

@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.runtime import InferenceEngine, runtime_overrides
-from repro.runtime.costmodel import LayerCostState
 from repro.runtime.kernels import (
     calibrate_block_exact,
     dense_conv,
@@ -157,14 +156,13 @@ class TestEngineRoutesDeepShapesEvent:
 
     @pytest.mark.parametrize("density", [0.005, 0.02, 0.04])
     def test_sparse_steps_route_event_and_match_dense(self, plan, density):
-        """Eligibility routing (density policy: deterministic): every
-        paper-density timestep of the deep shape takes the event path,
-        and the result matches the forced-dense run bit for bit."""
+        """Density routing: every paper-density timestep of the deep
+        shape takes the event path, and the result matches the
+        forced-dense run bit for bit."""
         spikes = binary_batch((3, 64, 16, 16), density, seed=11, batch=2)
         with runtime_overrides(force_path="dense"):
             dense = InferenceEngine(plan).run(spikes)
-        with runtime_overrides(dispatch_policy="density"):
-            routed = InferenceEngine(plan).run(spikes)
+        routed = InferenceEngine(plan).run(spikes)
         assert np.array_equal(routed.accumulated, dense.accumulated)
         counters = routed.counters[plan.layers[0].name]
         # Every sparse timestep left the dense kernel behind (empty
@@ -172,36 +170,12 @@ class TestEngineRoutesDeepShapesEvent:
         assert counters.dense_steps == 0
         assert counters.event_steps == 2
 
-    def test_cost_model_vetoes_event_on_dense_input(self):
-        """Cost routing on a dense input: at 40% density the scatter
-        would accumulate ~100k updates, so a model that rates an update
-        no cheaper than a whole sample's GEMM must route dense -- and
-        the counters must attribute the decision to the cost model, not
-        the threshold (raised to keep the step eligible). The rates are
-        seeded explicitly, so the test checks the routing rule rather
-        than this host's wall clock."""
-        plan = make_conv_network_plan(64, 16, 16, 128, seed=3)
-        plan.layers[0].cost_state = LayerCostState(
-            dense_ms_per_sample=1.0, event_ms_per_update=1.0
-        )
-        spikes = binary_batch((3, 64, 16, 16), 0.4, seed=17, batch=2)
-        with runtime_overrides(dispatch_threshold=0.5):
-            routed = InferenceEngine(plan).run(spikes)
-        counters = routed.counters[plan.layers[0].name]
-        assert counters.dense_steps == 2
-        assert counters.dense_cost_steps == 2
-        # Dispatch never changes results: same bits as forced event.
-        with runtime_overrides(force_path="event"):
-            forced = InferenceEngine(plan).run(spikes)
-        assert np.array_equal(routed.accumulated, forced.accumulated)
-
-    def test_forced_paths_agree_with_cost_routing(self, plan):
+    def test_forced_paths_agree_with_routing(self, plan):
         spikes = binary_batch((3, 64, 16, 16), 0.02, seed=13, batch=2)
         results = []
         for overrides in (
             dict(force_path="event"),
             dict(force_path="dense"),
-            dict(dispatch_policy="density"),
             dict(),
         ):
             with runtime_overrides(**overrides):

@@ -177,3 +177,24 @@ class TestConfig:
             assert active.dispatch_threshold == 0.5
             assert runtime_config() is active
         assert runtime_config() is before
+
+    @pytest.mark.parametrize(
+        "raw, want",
+        [
+            ("auto", None),
+            ("", None),
+            ("typo", None),
+            ("-3", None),
+            ("-1", None),
+            ("0", 0),
+            ("64", 64),
+        ],
+    )
+    def test_env_event_kblock(self, monkeypatch, raw, want):
+        """Invalid values -- negative ones included -- fall back to
+        auto; a negative value must not silently disable blocking."""
+        from repro.runtime.config import _env_event_kblock
+
+        monkeypatch.setenv("REPRO_EVENT_KBLOCK", raw)
+        assert _env_event_kblock() == want
+        RuntimeConfig(event_kblock=want)  # every resolved value is legal

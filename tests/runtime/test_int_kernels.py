@@ -225,7 +225,7 @@ class TestOverflowGate:
         q = np.full((8, conv.geometry.k), 32767, dtype=np.int32)
         attach_int_lowering(conv, q, np.float32(2.0**-20))
         spikes = binary_batch((64, 4, 4), 0.02, seed=12, batch=2)
-        with runtime_overrides(int_kernels="on", dispatch_policy="density"):
+        with runtime_overrides(int_kernels="on"):
             out = InferenceEngine(plan).run(spikes)
         counters = out.counters[conv.name]
         assert counters.int_dense_steps == 0
@@ -259,8 +259,8 @@ class TestEngineIntegration:
     @pytest.fixture(scope="class")
     def images(self):
         rng = np.random.default_rng(13)
-        # Faint images -> sparse rate-coded trains -> event-eligible
-        # steps under the density policy.
+        # Faint images -> sparse rate-coded trains -> event-routed
+        # steps.
         return (rng.random((4, 3, 8, 8)) * 0.1).astype(np.float32)
 
     def test_auto_int_path_is_bit_exact_and_attributed(
@@ -274,7 +274,6 @@ class TestEngineIntegration:
             want = int_model.forward(images, 6, encoder)
         with runtime_overrides(
             int_kernels="auto",
-            dispatch_policy="density",
             dispatch_threshold=0.25,
         ):
             got = int_model.forward(images, 6, encoder)
@@ -298,7 +297,6 @@ class TestEngineIntegration:
             want = arb_model.forward(images, 4, encoder)
         with runtime_overrides(
             int_kernels="auto",
-            dispatch_policy="density",
             dispatch_threshold=0.25,
         ):
             got = arb_model.forward(images, 4, encoder)
@@ -309,7 +307,7 @@ class TestEngineIntegration:
         assert sum(c.float_exactness_steps for c in counters.values()) > 0
 
     def test_off_mode_never_runs_int(self, int_model, images):
-        with runtime_overrides(int_kernels="off", dispatch_policy="density"):
+        with runtime_overrides(int_kernels="off"):
             out = int_model.forward(images, 4, RateEncoder(seed=0))
         counters = out.runtime_counters
         assert sum(c.int_event_steps for c in counters.values()) == 0
@@ -326,7 +324,7 @@ class TestEngineIntegration:
         for overrides in (
             dict(int_kernels="on", force_path="dense"),
             dict(int_kernels="on", force_path="event"),
-            dict(int_kernels="on", dispatch_policy="density"),
+            dict(int_kernels="on"),
         ):
             with runtime_overrides(**overrides):
                 outs.append(arb_model.forward(images, 4, encoder))
@@ -339,7 +337,7 @@ class TestEngineIntegration:
         """Shard-merge determinism survives on the integer path: half
         batches concatenate to the full-batch logits exactly."""
         encoder = RateEncoder(seed=0)
-        with runtime_overrides(int_kernels="on", dispatch_policy="density"):
+        with runtime_overrides(int_kernels="on"):
             whole = arb_model.forward(images, 4, encoder).logits
             lo = arb_model.forward(images[:2], 4, encoder).logits
             hi = arb_model.forward(

@@ -128,9 +128,7 @@ class TestLanesEqualOneLane:
         images = np.random.default_rng(seed).random(
             (samples, 3, 8, 8), dtype=np.float32
         )
-        with runtime_overrides(
-            dispatch_policy="density", int_kernels=int_kernels, **ROUTES[route]
-        ):
+        with runtime_overrides(int_kernels=int_kernels, **ROUTES[route]):
             want = _forward(model, images, timesteps, coding, workers=1)
             with workers_override(workers):
                 assert lane_count(samples) > 1
@@ -162,31 +160,27 @@ class TestLanesEqualOneLane:
 
     def test_cold_start_runs_in_lanes(self):
         """A fresh plan's first forward already runs in lanes: the lazily
-        built state (block tables, integer weight copies, cost probes)
-        is built before the lanes start, so none of it races."""
+        built state (block tables, integer weight copies) is built
+        before the lanes start, so none of it races."""
         images = np.random.default_rng(3).random((32, 3, 8, 8), dtype=np.float32)
         outputs = []
         for workers in (1, 2):
             model = convert(_network(seed=77), INT8_P2)
-            assert model._runtime_plan is None or all(
-                layer.cost_state is None for layer in model._runtime_plan.layers
-            )
+            assert model._runtime_plan is None
             with runtime_overrides(int_kernels="on", dispatch_threshold=0.2):
                 outputs.append(_forward(model, images, 3, "rate", workers))
-        # The cost policy's counters depend on wall time; results do not.
-        assert_identical(outputs[1], outputs[0], counters=False)
+        assert_identical(outputs[1], outputs[0])
 
     def test_fork_after_lane_run(self, models):
         """A lane run leaves a thread pool behind; forked workers must
         neither hang on it nor change a bit."""
         model = models["fp32"]
         images = np.random.default_rng(4).random((32, 3, 8, 8), dtype=np.float32)
-        with runtime_overrides(dispatch_policy="density"):
-            lanes = _forward(model, images, 2, "direct", workers=2)
-            serial = sharded_forward(model, images, 2, shards=2, workers=1)
-            pooled = sharded_forward(
-                model, images, 2, shards=2, workers=2, timeout=120
-            )
+        lanes = _forward(model, images, 2, "direct", workers=2)
+        serial = sharded_forward(model, images, 2, shards=2, workers=1)
+        pooled = sharded_forward(
+            model, images, 2, shards=2, workers=2, timeout=120
+        )
         assert pooled.logits.tobytes() == serial.logits.tobytes()
         assert pooled.stats.per_layer == serial.stats.per_layer
         assert lanes.stats.per_layer == _forward(
@@ -197,21 +191,20 @@ class TestLanesEqualOneLane:
         """A child forked after a lane run builds its own lane pool."""
         model = models["fp32"]
         images = np.random.default_rng(5).random((32, 3, 8, 8), dtype=np.float32)
-        with runtime_overrides(dispatch_policy="density"):
-            want = _forward(model, images, 2, "direct", workers=2, record=False)
-            read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # child: one lane run, report, exit hard
-                try:
-                    out = _forward(model, images, 2, "direct", 2, record=False)
-                    payload = pickle.dumps((out.logits.tobytes(), blas.threads()))
-                    os.write(write, payload)
-                finally:
-                    os._exit(0)
-            os.close(write)
-            with os.fdopen(read, "rb") as pipe:
-                logits, threads = pickle.loads(pipe.read())
-            os.waitpid(pid, 0)
+        want = _forward(model, images, 2, "direct", workers=2, record=False)
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # child: one lane run, report, exit hard
+            try:
+                out = _forward(model, images, 2, "direct", 2, record=False)
+                payload = pickle.dumps((out.logits.tobytes(), blas.threads()))
+                os.write(write, payload)
+            finally:
+                os._exit(0)
+        os.close(write)
+        with os.fdopen(read, "rb") as pipe:
+            logits, threads = pickle.loads(pipe.read())
+        os.waitpid(pid, 0)
         assert logits == want.logits.tobytes()
         assert threads == blas.threads()
 
@@ -289,7 +282,7 @@ class TestFoldIndependentOfBlasThreads:
 
         monkeypatch.setattr(engine, "lif_scan", recording)
         currents = []
-        with runtime_overrides(event_kblock=0, dispatch_policy="density"):
+        with runtime_overrides(event_kblock=0):
             for workers in (1, 2):
                 scans.clear()
                 with workers_override(workers):

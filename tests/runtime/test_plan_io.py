@@ -437,27 +437,33 @@ class TestAttachPlan:
 
 
 class TestSchemaCompat:
-    """Sidecars are regenerable caches: only ``network-plan-v4`` loads;
+    """Sidecars are regenerable caches: only ``network-plan-v5`` loads;
     older formats are refused (and rebuilt by their consumers)."""
 
     def _downgrade(self, path, version):
-        """Rewrite a v4 sidecar the way an older writer laid it out:
-        v3 lacks the integer lowering, v2 also the per-entry cost
-        rates, v1 also the per-entry k-block."""
+        """Rewrite a v5 sidecar the way an older writer laid it out: v4
+        adds each event-eligible entry's dispatch cost rates, v3 also
+        lacks the integer lowering, v2 also the cost rates, v1 also the
+        per-entry k-block."""
         arrays, meta = load_npz(path)
         meta["format"] = f"network-plan-v{version}"
         for entry in meta["calibration"]:
-            entry.pop("int", None)
-            if version <= 2:
-                entry.pop("cost", None)
+            if version in (3, 4) and entry["block"] is not None:
+                entry["cost"] = {
+                    "dense_ms_per_sample": 0.5,
+                    "event_ms_per_update": 1e-5,
+                }
+            if version <= 3:
+                entry.pop("int", None)
             if version == 1:
                 entry.pop("block", None)
-        for info in meta["layers"]:
-            info.pop("has_int", None)
-        arrays = {k: v for k, v in arrays.items() if ".wq" not in k}
+        if version <= 3:
+            for info in meta["layers"]:
+                info.pop("has_int", None)
+            arrays = {k: v for k, v in arrays.items() if ".wq" not in k}
         save_npz(path, arrays, meta)
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_older_format_is_refused(
         self, network, tmp_path, monkeypatch, version
     ):
@@ -495,69 +501,6 @@ class TestSchemaCompat:
         monkeypatch.setattr(kernels, "_BLOCK_EXACT_CACHE", {})
         load_plan(path)
         assert kernels._BLOCK_CHOICE_CACHE == expected
-
-    def test_sidecar_seeds_cost_state_and_skips_probe(
-        self, deployable, tmp_path, monkeypatch
-    ):
-        """Event-eligible layers come back with the persisted dispatch
-        cost rates attached, so cold workers never run the one-shot
-        seeding probe GEMMs."""
-        from repro.runtime import costmodel
-        from repro.runtime.costmodel import ensure_cost_state
-        from repro.runtime.kernels import (
-            resolve_event_backend,
-            resolve_event_block,
-        )
-
-        live = plan_deployable(deployable)
-        backend = resolve_event_backend("auto")
-        path = str(tmp_path / "rates.plan.npz")
-        save_plan(live, path)
-        arrays, meta = load_npz(path)
-        assert meta["format"] == "network-plan-v4"
-        saved = {
-            tuple(entry["key"]): entry["cost"]
-            for entry in meta["calibration"]
-            if entry.get("cost") is not None
-        }
-        assert saved  # the tiny conv shapes are event-eligible
-        loaded = load_plan(path)
-        monkeypatch.setattr(
-            costmodel,
-            "probe_cost_state",
-            lambda *a, **k: pytest.fail("probe ran despite seeded rates"),
-        )
-        for layer in loaded.layers:
-            if layer.kind != "conv":
-                continue
-            block = resolve_event_block(layer, backend)
-            if block is None:
-                continue
-            state = ensure_cost_state(layer, backend, block or None)
-            from repro.runtime.kernels import calibration_key
-
-            rates = saved[calibration_key(layer, backend)]
-            assert state.dense_ms_per_sample == rates["dense_ms_per_sample"]
-            assert state.event_ms_per_update == rates["event_ms_per_update"]
-
-    def test_foreign_fingerprint_ignores_cost_rates(
-        self, deployable, tmp_path
-    ):
-        """Rates are wall-clock measurements of the saving machine --
-        like the calibration verdicts they must never cross an
-        environment-fingerprint boundary."""
-        live = plan_deployable(deployable)
-        path = str(tmp_path / "foreign-cost.plan.npz")
-        save_plan(live, path)
-        arrays, meta = load_npz(path)
-        meta["fingerprint"]["numpy"] = "0.0.0-foreign"
-        save_npz(path, arrays, meta)
-        loaded = load_plan(path)
-        assert all(
-            layer.cost_state is None
-            for layer in loaded.layers
-            if layer.kind == "conv"
-        )
 
     def test_v4_persists_integer_lowering(
         self, network, images, tmp_path, monkeypatch
@@ -599,49 +542,12 @@ class TestSchemaCompat:
                 )
         assert seen_int  # the quantized plan did carry a lowering
 
-    def test_v4_with_retired_int_cost_rates_loads(
-        self, network, tmp_path, monkeypatch
-    ):
-        """v4 sidecars written before the integer kernels shared the
-        float kernels' code carry int ``cost`` rates next to the int
-        verdict; they load, and the verdict is still seeded."""
-        from repro.quant import INT8_P2
-        from repro.runtime import kernels
-
-        live = plan_deployable(convert(network, INT8_P2))
-        path = str(tmp_path / "int-cost.plan.npz")
-        save_plan(live, path)
-        arrays, meta = load_npz(path)
-        int_entries = [e["int"] for e in meta["calibration"] if "int" in e]
-        assert int_entries
-        for int_entry in int_entries:
-            int_entry["cost"] = {
-                "int_dense_ms_per_sample": 0.5,
-                "int_event_ms_per_update": 1e-5,
-            }
-        save_npz(path, arrays, meta)
-        loaded = load_plan(path)
-        monkeypatch.setattr(
-            kernels,
-            "dense_conv",
-            lambda *a, **k: pytest.fail("exactness probe ran"),
-        )
-        verdicts = 0
-        for got, want in zip(loaded.layers, live.layers):
-            for (b, block), verdict in want._int_exact.items():
-                assert (
-                    kernels.calibrate_int_exact(got, b, block or None)
-                    == verdict
-                )
-                verdicts += 1
-        assert verdicts == len(int_entries)
-
     def test_context_rebuilds_pre_v4_sidecar_for_quantized_model(
         self, tmp_path
     ):
         """A downgraded sidecar is refused, and the experiment context
         rebuilds it -- integer lowering included -- and re-saves it as
-        v4."""
+        v5."""
         from repro.experiments.context import ExperimentContext
         from repro.runtime import try_load_plan
 
@@ -653,12 +559,12 @@ class TestSchemaCompat:
         self._downgrade(sidecar, 3)
         assert try_load_plan(sidecar) is None
         fresh = ExperimentContext(scale="tiny", workspace=workspace, seed=0)
-        model = fresh.trained("svhn", "int8")  # rebuilds + re-saves as v4
+        model = fresh.trained("svhn", "int8")  # rebuilds + re-saves as v5
         assert any(
             layer.has_int_lowering for layer in model._runtime_plan.layers
         )
         _, meta = load_npz(sidecar)
-        assert meta["format"] == "network-plan-v4"
+        assert meta["format"] == "network-plan-v5"
         reloaded = try_load_plan(sidecar)
         assert any(layer.has_int_lowering for layer in reloaded.layers)
 
@@ -697,10 +603,6 @@ def _mutate_int_entry(meta):
     _last_entry_with(meta, "int")["int"] = [True, 5]
 
 
-def _mutate_cost_entry(meta):
-    _last_entry_with(meta, "cost")["cost"] = [1.0, 2.0]
-
-
 def _mutate_input_shape(meta):
     meta["layers"][-2]["input_shape"] = [3]
 
@@ -732,7 +634,7 @@ def _mutate_scale_shape(arrays, meta):
 
 
 class TestMalformedMetadata:
-    """A well-formed v4 npz whose metadata does not parse is a corrupt
+    """A well-formed v5 npz whose metadata does not parse is a corrupt
     sidecar like any other: a typed error from ``load_plan``, ``None``
     from ``try_load_plan``, and nothing seeded process-wide."""
 
@@ -743,7 +645,6 @@ class TestMalformedMetadata:
             _mutate_calibration,
             _mutate_key,
             _mutate_int_entry,
-            _mutate_cost_entry,
             _mutate_input_shape,
         ],
     )
