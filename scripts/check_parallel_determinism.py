@@ -21,10 +21,14 @@ byte-compared:
   difference now is a regression of the counter-stream invariant.
 * **engine lanes**: one process splitting a batch into sample lanes on
   threads (``repro.runtime.lanes``) must byte-match the one-lane
-  forward (what ``REPRO_WORKERS=1`` runs): direct coding at batch 64,
-  rate coding with ``record=True`` at batch 32 (recorded trains
-  included), and the ``HybridSimulator.run`` report of an int4
-  rate-coded batch of 32.
+  forward (what ``REPRO_WORKERS=1`` runs): direct coding at batch 64
+  (with and without ``record=True``), rate coding with ``record=True``
+  at batch 32 (recorded trains included), and the
+  ``HybridSimulator.run`` report of an int4 rate-coded batch of 32.
+  The recorded runs also check the trains' dtype contract: every
+  binary train is uint8 and direct coding's analog input float32, so
+  a silent fallback to float32 spike trains (four times the memory)
+  fails the gate.
 * **fresh processes**: dense/event routing is a pure function of the
   plan and the input activity, so two fresh interpreters must print
   byte-identical dispatch counters for the same direct- and rate-coded
@@ -186,6 +190,20 @@ def trains_digest(output) -> str:
     return digest.hexdigest()
 
 
+def recorded_report(output, analog_first: bool, label: str, failures) -> bytes:
+    """The canonical report and trains digest of a recorded forward;
+    a recorded train of the wrong dtype is a failure."""
+    first = next(iter(output.spike_trains_stacked))
+    for name, train in output.spike_trains_stacked.items():
+        want = np.dtype(np.float32 if analog_first and name == first else np.uint8)
+        if train.dtype != want:
+            failures.append(
+                f"lanes: {label}: recorded {name} train is {train.dtype}, "
+                f"not {want}"
+            )
+    return canonical_report(output) + trains_digest(output).encode()
+
+
 def simulation_report(report) -> bytes:
     return json.dumps({
         "latency_ms": report.latency_ms,
@@ -214,11 +232,16 @@ def check_lanes(deployable, failures) -> str:
         "direct forward, batch 64": lambda: canonical_report(
             deployable.forward(direct, TIMESTEPS)
         ),
-        "rate forward, record=True, batch 32": lambda: (
-            lambda out: canonical_report(out) + trains_digest(out).encode()
-        )(deployable.forward(
-            rate, RATE_TIMESTEPS, RateEncoder(seed=RATE_SEED), record=True
-        )),
+        "direct forward, record=True, batch 64": lambda: recorded_report(
+            deployable.forward(direct, TIMESTEPS, record=True),
+            True, "direct forward, record=True", failures,
+        ),
+        "rate forward, record=True, batch 32": lambda: recorded_report(
+            deployable.forward(
+                rate, RATE_TIMESTEPS, RateEncoder(seed=RATE_SEED), record=True
+            ),
+            False, "rate forward, record=True", failures,
+        ),
         "HybridSimulator.run, int4 rate, batch 32": lambda: simulation_report(
             simulator.run(rate, RATE_TIMESTEPS, RateEncoder(seed=RATE_SEED))
         ),

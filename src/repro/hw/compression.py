@@ -145,7 +145,10 @@ def compression_counts_batch(trains: np.ndarray, chunk_bits: int):
 
     A train costs its set bits plus its empty chunks. A chunk of one
     machine word that tiles the train is popcounted on the packed
-    nonzero mask; other widths sum the one-byte mask chunk by chunk.
+    nonzero mask -- ``packbits`` sets a bit for every nonzero integer,
+    so an integer train (the engine's uint8 ones) is packed as it is,
+    with no mask pass; other widths sum the one-byte mask chunk by
+    chunk.
     """
     if chunk_bits < 1:
         raise HardwareModelError(f"chunk_bits must be >= 1, got {chunk_bits}")
@@ -155,11 +158,12 @@ def compression_counts_batch(trains: np.ndarray, chunk_bits: int):
     bits = trains.shape[-1]
     num_chunks = -(-bits // chunk_bits)
     pad = num_chunks * chunk_bits - bits
-    binary = trains != 0
     word = _WORD_DTYPES.get(chunk_bits)
     if word is not None and not pad:
-        per_chunk = np.bitwise_count(np.packbits(binary, axis=-1).view(word))
+        packable = trains if trains.dtype.kind in "biu" else trains != 0
+        per_chunk = np.bitwise_count(np.packbits(packable, axis=-1).view(word))
     else:
+        binary = trains != 0
         if pad:
             widths = [(0, 0)] * (trains.ndim - 1) + [(0, pad)]
             binary = np.pad(binary, widths)

@@ -146,7 +146,17 @@ def merge_outputs(parts: Sequence) -> "DeployableOutput":
                 counters.setdefault(name, LayerCounters()).merge(counter)
     trains = None
     stacked = None
-    if all(part.spike_trains is not None for part in parts):
+    if all(part.spike_trains_stacked is not None for part in parts):
+        # One merged stack per layer; the per-timestep list views it,
+        # as on the unsharded path.
+        stacked = {
+            name: np.concatenate(
+                [part.spike_trains_stacked[name] for part in parts], axis=1
+            )
+            for name in parts[0].spike_trains_stacked
+        }
+        trains = {name: list(train) for name, train in stacked.items()}
+    elif all(part.spike_trains is not None for part in parts):
         trains = {}
         for name in parts[0].spike_trains:
             timesteps = len(parts[0].spike_trains[name])
@@ -156,13 +166,6 @@ def merge_outputs(parts: Sequence) -> "DeployableOutput":
                 )
                 for t in range(timesteps)
             ]
-        if all(part.spike_trains_stacked is not None for part in parts):
-            stacked = {
-                name: np.concatenate(
-                    [part.spike_trains_stacked[name] for part in parts], axis=1
-                )
-                for name in parts[0].spike_trains_stacked
-            }
     return DeployableOutput(
         logits=logits,
         stats=stats,

@@ -97,6 +97,13 @@ class DeployableOutput:
     ``spike_trains_stacked`` exposes the same trains as one ``(T, N, ...)``
     array per layer (zero-copy views of each other on the runtime path),
     which the hardware simulator consumes in a single batched pass.
+
+    On the runtime path a binary train is uint8 with values in {0, 1}
+    (every layer's input after the first, and a rate- or TTFS-coded
+    first layer's); direct coding's analog first-layer input stays
+    float32. The legacy loop records float32 trains of the same values,
+    so compare trains by value. The runtime does not cast its trains
+    back to float32: that copy would be four times their size.
     """
 
     logits: np.ndarray

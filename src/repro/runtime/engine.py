@@ -30,9 +30,11 @@ several lanes of contiguous samples, one per worker
 (:mod:`repro.runtime.lanes`). Per layer the calling thread routes on
 whole-batch numbers -- input totals, the per-timestep classification,
 integer verdicts, block resolution -- then every lane executes those
-decisions on its samples (kernels, BN, LIF scan, spike counts,
-OR-pool), writing its slice of one whole-batch train, so a recorded
-train is never copied. The calling thread sums the lanes'
+decisions on its samples -- kernels, then one pass per LIF block of
+samples for BN, LIF scan, spike counts and OR-pool (:func:`spike_pass`)
+-- writing its slice of one whole-batch uint8 train, so a recorded
+train is never copied and a pooling layer's unpooled train only
+exists block by block. The calling thread sums the lanes'
 exact integer counts into ``SpikeStats``, the next layer's activity and
 the counters. Lanes are byte-identical to one lane because no kernel's
 per-sample output depends on the other samples of its call: conv GEMMs
@@ -46,6 +48,7 @@ so FC currents are computed on the whole batch before the split.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -69,7 +72,7 @@ from repro.runtime.kernels import (
 from repro.runtime.lanes import lane_bounds, lane_count, run_lanes
 from repro.runtime.plan import LayerPlan, NetworkPlan
 from repro.snn.metrics import SpikeStats
-from repro.snn.neuron import lif_scan
+from repro.snn.neuron import lif_block_rows, lif_scan
 
 _UNRESOLVED = object()
 
@@ -89,6 +92,11 @@ def stack_encoder_frames(encoder, images: np.ndarray, timesteps: int, record: bo
     particular encoder object, so re-materialised worker-side encoders
     and the parent's original memoise identically.
 
+    Binary encodings (``encoder.byte_frames``) write each timestep's
+    spikes straight into one uint8 stack: a spike train in the engine
+    is bytes from its first layer on. Other encodings are stacked as
+    :meth:`~repro.snn.encoding.Encoder.encode` returns them.
+
     Returns ``(stacked, time_invariant)``.
     """
     encoder.reset()
@@ -98,6 +106,12 @@ def stack_encoder_frames(encoder, images: np.ndarray, timesteps: int, record: bo
         if record:
             base = base.copy()
         return np.broadcast_to(base, (timesteps,) + base.shape), True
+    if getattr(encoder, "byte_frames", False):
+        images = np.asarray(images)
+        stacked = np.empty((timesteps,) + images.shape, dtype=np.uint8)
+        for t in range(timesteps):
+            encoder.encode_into(images, t, stacked[t])
+        return stacked, False
     stacked = np.stack(
         [encoder.encode(images, t).data for t in range(timesteps)]
     )
@@ -105,15 +119,73 @@ def stack_encoder_frames(encoder, images: np.ndarray, timesteps: int, record: bo
 
 
 def _spike_counts(train: np.ndarray) -> List[int]:
-    """Per-timestep spike counts of a (T, ...) train (or a lane's slice
+    """Per-timestep spike counts of a (T, ...) byte train (or a block
     of one) the engine produced.
 
-    Its entries are exactly ``+0.0`` or ``1.0`` -- ``lif_scan`` writes
-    comparison results and OR-pooling takes maxima of them, never
-    ``-0.0`` -- so counting nonzero uint32 words is exact, and several
-    times faster than a float scan.
+    Its bytes are exactly 0 or 1 -- ``lif_scan`` and the encoders write
+    comparison results, OR-pooling takes maxima of them -- so counting
+    the set entries of its bool view is exact, and the fastest scan
+    numpy has.
     """
-    return [int(np.count_nonzero(step)) for step in train.view(np.uint32)]
+    return [int(np.count_nonzero(step)) for step in train.view(np.bool_)]
+
+
+def spike_pass(
+    current: np.ndarray,
+    beta: float,
+    threshold: float,
+    spike_rule: str,
+    window: int,
+    out: np.ndarray,
+    pool: Optional[BufferPool] = None,
+    bn: Optional[LayerPlan] = None,
+) -> Tuple[List[int], List[int]]:
+    """Everything after a layer's kernel, one pass per ``lif_scan``
+    block of samples: BN (of ``bn``, when given), the LIF scan, its
+    per-timestep spike counts, the OR-pool over ``window`` and the
+    pooled train's counts.
+
+    ``current`` is ``(T, n, ...)`` and ``out`` the ``(T, n, ...)``
+    uint8 train the pass writes: the LIF output itself when ``window``
+    is 1, else its pooled train, while the unpooled block lives in a
+    block-sized byte scratch from ``pool``. Every stage is elementwise
+    per sample, so the blocks change no value; the result equals
+    ``lif_scan`` + ``or_pool`` + per-timestep ``count_nonzero`` on the
+    whole train. Returns ``(counts, out_counts)``: exact per-timestep
+    counts of the LIF output and of ``out`` (one list when ``window``
+    is 1).
+    """
+    timesteps, samples = current.shape[0], current.shape[1]
+    rows = max(1, min(samples, lif_block_rows(current.shape[2:])))
+    if window > 1:
+        pool = pool if pool is not None else BufferPool()
+        scratch = pool.scratch(
+            "lif_train", (timesteps, rows) + current.shape[2:], np.uint8
+        )
+    counts = [0] * timesteps
+    out_counts = counts if window == 1 else [0] * timesteps
+    for start in range(0, samples, rows):
+        stop = min(samples, start + rows)
+        block = current[:, start:stop]
+        if bn is not None:
+            block = (block - bn.bn_mu) * bn.bn_inv_std
+            block = block * bn.bn_gamma + bn.bn_beta
+        spikes = out[:, start:stop] if window == 1 else scratch[:, : stop - start]
+        lif_scan(
+            block, beta, threshold, spike_rule, final_reset=False, out=spikes
+        )
+        _add_counts(counts, spikes)
+        if window > 1:
+            pooled = out[:, start:stop]
+            or_pool(spikes, window, out=pooled)
+            _add_counts(out_counts, pooled)
+    return counts, out_counts
+
+
+def _add_counts(totals: List[int], train: np.ndarray) -> None:
+    """Add a (T, ...) byte train's per-timestep counts to ``totals``."""
+    for t, count in enumerate(_spike_counts(train)):
+        totals[t] += count
 
 
 @dataclass
@@ -122,7 +194,11 @@ class RuntimeResult:
 
     ``trains`` holds the exact per-layer input trains as stacked
     ``(T, N, ...)`` arrays (views are shared with engine internals; do
-    not mutate). ``counters`` records the dispatcher's dense/event split.
+    not mutate). A binary train -- every layer's input after the first,
+    and a rate- or TTFS-coded first layer's -- is uint8 with values in
+    {0, 1}; direct coding's analog input frame stays float32. Compare
+    trains by value, not by dtype or bytes. ``counters`` records the
+    dispatcher's dense/event split.
     """
 
     accumulated: np.ndarray  # (N, population) output spike counts
@@ -268,10 +344,13 @@ class InferenceEngine:
             # Per-timestep activity: reused for the legacy-ordered input
             # totals, the density dispatch, and the binary check. A spike
             # train's count is both its sum and its nnz (binary values,
-            # exact below 2^24 per timestep); only the encoder's output is
+            # exact below 2^24 per timestep), and a binary encoder's byte
+            # frames are a spike train; only float encoder output is
             # scanned twice. A time-invariant first layer scans its one
             # frame once.
             invariant = time_invariant and layer.is_input_layer
+            if counts is None and x.dtype == np.uint8:
+                counts = _spike_counts(x)
             if counts is not None:
                 t_sums = [float(count) for count in counts]
                 t_nnz = counts if dispatch_possible else None
@@ -304,40 +383,36 @@ class InferenceEngine:
                 route.current, updates = self._current(
                     config, layer, route, x, self.buffers
                 )
-            # Every lane writes its slice of these two whole-batch trains.
-            spikes = np.empty(
-                (timesteps, samples) + _out_shape(layer), dtype=np.float32
-            )
-            pooled = None
+            # Every lane writes its slice of the layer's whole-batch
+            # output train: the pooled one when the layer pools, whose
+            # unpooled spikes only ever exist block by block.
+            shape = (timesteps, samples) + _out_shape(layer)
             if layer.pool_after > 1:
                 window = layer.pool_after
-                pooled = np.empty(
-                    spikes.shape[:-2]
-                    + (spikes.shape[-2] // window, spikes.shape[-1] // window),
-                    dtype=np.float32,
-                )
+                shape = shape[:-2] + (shape[-2] // window, shape[-1] // window)
+            train = np.empty(shape, dtype=np.uint8)
             lanes = run_lanes(
                 lambda i: self._lane(
-                    config, layer, route, x, spikes, pooled, bounds[i], pools[i]
+                    config, layer, route, x, train, bounds[i], pools[i]
                 ),
                 len(bounds),
             )
-            counts = [
-                sum(lane.counts[t] for lane in lanes) for t in range(timesteps)
-            ]
+            neurons = math.prod(_out_shape(layer))
             for t in range(timesteps):
-                stats.record(layer.name, t, spikes[t], counts[t])
+                stats.record(
+                    layer.name, t,
+                    count=sum(lane.counts[t] for lane in lanes),
+                    neurons=neurons,
+                )
             updates += sum(lane.updates for lane in lanes)
             layer_counter.event_updates += updates
             if route.int_event:
                 layer_counter.int_event_updates += updates
-            x = spikes
-            if pooled is not None:
-                x = pooled
-                counts = [
-                    sum(lane.pooled_counts[t] for lane in lanes)
-                    for t in range(timesteps)
-                ]
+            x = train
+            counts = [
+                sum(lane.train_counts[t] for lane in lanes)
+                for t in range(timesteps)
+            ]
         accumulated = np.zeros(
             (samples, plan.layers[-1].out_channels), dtype=np.float32
         )
@@ -358,14 +433,13 @@ class InferenceEngine:
         layer: LayerPlan,
         route: "_Route",
         x: np.ndarray,
-        spikes: np.ndarray,
-        pooled: Optional[np.ndarray],
+        train: np.ndarray,
         bounds: Tuple[int, int],
         pool: BufferPool,
     ) -> "_LaneResult":
-        """One lane's share of a layer: current, BN, LIF scan and
-        OR-pool of samples ``[lo, hi)``, written into that slice of the
-        whole-batch ``spikes`` / ``pooled`` trains."""
+        """One lane's share of a layer: the current of samples
+        ``[lo, hi)`` and its :func:`spike_pass` into that slice of the
+        whole-batch output ``train``."""
         lo, hi = bounds
         if route.current is not None:
             current, updates = route.current[:, lo:hi], 0
@@ -373,21 +447,13 @@ class InferenceEngine:
             current, updates = self._current(
                 config, layer, route, x[:, lo:hi], pool
             )
-        if layer.has_bn:
-            current = (current - layer.bn_mu) * layer.bn_inv_std
-            current = current * layer.bn_gamma + layer.bn_beta
-        lane_spikes = spikes[:, lo:hi]
         plan = self.plan
-        lif_scan(
+        counts, train_counts = spike_pass(
             current, plan.beta, plan.threshold, plan.spike_rule,
-            final_reset=False, out=lane_spikes,
+            layer.pool_after, train[:, lo:hi], pool,
+            bn=layer if layer.has_bn else None,
         )
-        result = _LaneResult(_spike_counts(lane_spikes), None, updates)
-        if pooled is not None:
-            lane_pooled = pooled[:, lo:hi]
-            or_pool(lane_spikes, layer.pool_after, out=lane_pooled)
-            result.pooled_counts = _spike_counts(lane_pooled)
-        return result
+        return _LaneResult(counts, train_counts, updates)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -705,11 +771,12 @@ class _Route:
 @dataclass
 class _LaneResult:
     """What one lane reports for one layer: exact per-timestep spike
-    counts of its LIF output (and of its pooled train) and its scatter
+    counts of its LIF output and of its output train (the pooled one
+    when the layer pools; the same list otherwise) and its scatter
     updates."""
 
     counts: List[int]
-    pooled_counts: Optional[List[int]]
+    train_counts: List[int]
     updates: int
 
 

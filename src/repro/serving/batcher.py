@@ -44,7 +44,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -88,10 +88,12 @@ class GatherStreamEncoder(Encoder):
         self.analog_input = base.analog_input
         self.time_invariant = base.time_invariant
         self.deterministic = base.deterministic
+        self.byte_frames = base.byte_frames
         self.name = f"gather[{base.name}]"
 
-    def encode(self, images: np.ndarray, t: int) -> Tensor:
-        n = images.shape[0]
+    def _runs(self, n: int) -> List[Tuple[Encoder, int, int]]:
+        """``(encoder, lo, hi)``: the base encoder positioned for each
+        sample range ``[lo, hi)`` of an ``n``-sample batch."""
         if n > len(self.indices):
             raise ShapeError(
                 f"gather encoder carries {len(self.indices)} stream "
@@ -99,19 +101,29 @@ class GatherStreamEncoder(Encoder):
             )
         if n == 0 or self.base.for_samples(1) is self.base:
             # Index-independent stream: positioning is a no-op.
-            return self.base.encode(images, t)
+            return [(self.base, 0, n)]
         # A shard may consume a prefix of the window (sharded_forward
         # positions with for_samples(start) then encodes `stop - start`
         # samples), so only the first n indices apply here.
         window = self.indices[:n]
         first = window[0]
         if all(index == first + i for i, index in enumerate(window)):
-            return self.base.for_samples(first).encode(images, t)
-        parts = [
-            self.base.for_samples(index).encode(images[i : i + 1], t).data
+            return [(self.base.for_samples(first), 0, n)]
+        return [
+            (self.base.for_samples(index), i, i + 1)
             for i, index in enumerate(window)
         ]
+
+    def encode(self, images: np.ndarray, t: int) -> Tensor:
+        runs = self._runs(images.shape[0])
+        if len(runs) == 1:
+            return runs[0][0].encode(images, t)
+        parts = [encoder.encode(images[lo:hi], t).data for encoder, lo, hi in runs]
         return Tensor(np.concatenate(parts, axis=0))
+
+    def encode_into(self, images: np.ndarray, t: int, out: np.ndarray) -> None:
+        for encoder, lo, hi in self._runs(images.shape[0]):
+            encoder.encode_into(images[lo:hi], t, out[lo:hi])
 
     def reset(self) -> None:
         self.base.reset()

@@ -49,9 +49,24 @@ class Encoder:
     #: to set it must degrade to the sequential path, never silently
     #: shard.
     deterministic = False
+    #: True when the encoding emits binary spikes and implements
+    #: :meth:`encode_into`, so the runtime stacks its frames as bytes.
+    byte_frames = False
     name = "base"
 
     def encode(self, images: np.ndarray, t: int) -> Tensor:
+        """The float32 input of timestep ``t``; a byte-frame encoder's
+        is its :meth:`encode_into` frame."""
+        if not self.byte_frames:
+            raise NotImplementedError
+        spikes = np.empty(np.shape(images), dtype=np.uint8)
+        self.encode_into(images, t, spikes)
+        return Tensor(spikes.astype(np.float32))
+
+    def encode_into(self, images: np.ndarray, t: int, out: np.ndarray) -> None:
+        """Write timestep ``t``'s spikes into the uint8 array ``out`` (of
+        ``images``' shape) as bytes in {0, 1}, without a float frame.
+        Only encoders that set :attr:`byte_frames` implement it."""
         raise NotImplementedError
 
     def reset(self) -> None:
@@ -114,6 +129,7 @@ class RateEncoder(Encoder):
 
     analog_input = False
     deterministic = True
+    byte_frames = True
     name = "rate"
 
     def __init__(
@@ -132,7 +148,7 @@ class RateEncoder(Encoder):
         self.seed = canonical_stream_seed(seed)
         self.sample_offset = int(sample_offset)
 
-    def encode(self, images: np.ndarray, t: int) -> Tensor:
+    def encode_into(self, images: np.ndarray, t: int, out: np.ndarray) -> None:
         images = np.asarray(images)
         probabilities = np.clip(images, 0.0, 1.0) * self.gain
         # One Philox stream per sample, each drawn by numpy's own
@@ -146,7 +162,7 @@ class RateEncoder(Encoder):
             [(self.sample_offset + i, t) for i in range(n_samples)],
             per_sample,
         ).reshape(images.shape)
-        return Tensor((draws < probabilities).astype(np.float32))
+        np.less(draws, probabilities, out=out.view(np.bool_))
 
     def reset(self) -> None:
         """A no-op by construction: every (sample, timestep) block is
@@ -182,6 +198,7 @@ class TtfsEncoder(Encoder):
 
     analog_input = False
     deterministic = True
+    byte_frames = True
     name = "ttfs"
 
     def __init__(self, timesteps: int) -> None:
@@ -189,12 +206,12 @@ class TtfsEncoder(Encoder):
             raise ConfigError(f"timesteps must be >= 1, got {timesteps}")
         self.timesteps = timesteps
 
-    def encode(self, images: np.ndarray, t: int) -> Tensor:
+    def encode_into(self, images: np.ndarray, t: int, out: np.ndarray) -> None:
         intensity = np.clip(images, 0.0, 1.0)
         fire_step = np.minimum(
             (1.0 - intensity) * self.timesteps, self.timesteps - 1
         ).astype(np.int64)
-        return Tensor((fire_step == t).astype(np.float32))
+        np.equal(fire_step, t, out=out.view(np.bool_))
 
     def stream_signature(self) -> str:
         return f"ttfs/timesteps={self.timesteps}"

@@ -38,20 +38,27 @@ class SpikeStats:
     timesteps: int = 0
 
     def record(
-        self, layer: str, t: int, spikes: np.ndarray, count: Optional[int] = None
+        self,
+        layer: str,
+        t: int,
+        spikes: Optional[np.ndarray] = None,
+        count: Optional[int] = None,
+        neurons: Optional[int] = None,
     ) -> None:
-        """Accumulate a (batch, ...) binary spike tensor for ``layer`` at ``t``.
-
-        ``count`` is the tensor's number of spikes when the caller has
-        already counted them; otherwise they are counted here.
-        """
-        count = float(spikes.sum() if count is None else count)
+        """Accumulate ``layer``'s spikes at ``t``: a (batch, ...) binary
+        spike tensor, or -- when the caller counted them while writing
+        its trains -- their ``count`` and the layer's per-sample
+        ``neurons``."""
+        if spikes is not None:
+            count = spikes.sum() if count is None else count
+            neurons = int(np.prod(spikes.shape[1:]))
+        count = float(count)
         self.per_layer[layer] = self.per_layer.get(layer, 0.0) + count
         series = self.per_layer_timestep.setdefault(layer, [])
         while len(series) <= t:
             series.append(0.0)
         series[t] += count
-        self.neuron_counts[layer] = int(np.prod(spikes.shape[1:]))
+        self.neuron_counts[layer] = int(neurons)
 
     def merge(self, other: "SpikeStats") -> None:
         for layer, count in other.per_layer.items():

@@ -70,6 +70,8 @@ class NetworkOutput:
         spike_trains: when recording, per compute layer a list of T
             arrays holding the layer's input at each timestep (binary for
             sparse layers; analog frame for the direct-coded input layer).
+            The runtime path records binary trains as uint8, the
+            training loop as float32; compare them by value.
         output_spike_counts: (N, P) spike counts of the output layer.
     """
 

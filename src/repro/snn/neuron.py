@@ -110,6 +110,13 @@ class LIFNeuron:
 LIF_BLOCK_ELEMENTS = 1 << 16
 
 
+def lif_block_rows(row_shape: Tuple[int, ...]) -> int:
+    """Slices along axis 1 per :func:`lif_scan` block, for slices of
+    ``row_shape``: as many as fit :data:`LIF_BLOCK_ELEMENTS` neurons,
+    at least one."""
+    return max(1, LIF_BLOCK_ELEMENTS // max(1, math.prod(row_shape)))
+
+
 def lif_scan(
     current: np.ndarray,
     beta: float,
@@ -138,10 +145,14 @@ def lif_scan(
     elementwise, so the result is bit-identical to the allocating form.
 
     Returns the full spike train ``(T, ...)`` -- written into ``out``
-    (a float32 array or view of ``current``'s shape) when given -- and
-    the final membrane. Callers that discard the membrane pass
-    ``final_reset=False`` to skip the last step's reset; the membrane is
-    then ``None``.
+    (an array or view of ``current``'s shape) when given -- and the
+    final membrane. The default train is float32. A uint8 ``out``
+    receives one byte per spike, written through its bool view; the
+    reset multiplies those bytes by the float32 threshold, the same
+    ``{0, theta}`` terms the float32 train yields, so the membrane and
+    every spike stay byte-identical. Callers that discard the membrane
+    pass ``final_reset=False`` to skip the last step's reset; the
+    membrane is then ``None``.
     """
     if spike_rule not in ("threshold", "shifted"):
         raise ConfigError(
@@ -156,13 +167,17 @@ def lif_scan(
         return spikes[:, 0], None if final is None else final[0]
     steps, rows = current.shape[0], current.shape[1]
     spikes = np.empty(current.shape, dtype=np.float32) if out is None else out
+    # Comparisons write a byte train through its bool view; the reset
+    # term is the spike times the float32 threshold either way.
+    fired_train = spikes.view(np.bool_) if spikes.dtype == np.uint8 else spikes
+    theta = np.float32(threshold)
     final = (
         np.empty(current.shape[1:], dtype=current.dtype)
         if final_reset and steps
         else None
     )
     row_shape = current.shape[2:]
-    block = max(1, LIF_BLOCK_ELEMENTS // max(1, math.prod(row_shape)))
+    block = lif_block_rows(row_shape)
     membrane = np.empty((min(block, rows),) + row_shape, dtype=current.dtype)
     scratch = np.empty_like(membrane)
     for lo in range(0, rows, block):
@@ -175,7 +190,7 @@ def lif_scan(
             else:
                 integrated = np.multiply(u, beta, out=s)
                 np.add(integrated, current[t, lo:hi], out=integrated)
-            fired = spikes[t, lo:hi]
+            fired = fired_train[t, lo:hi]
             if spike_rule == "threshold":
                 np.greater(integrated, threshold, out=fired)
             else:
@@ -188,6 +203,6 @@ def lif_scan(
             else:
                 break
             np.subtract(
-                integrated, np.multiply(fired, threshold, out=target), out=target
+                integrated, np.multiply(fired, theta, out=target), out=target
             )
     return spikes, final

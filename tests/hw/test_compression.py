@@ -152,6 +152,7 @@ class TestProperties:
 _VALUES = {
     np.bool_: ([False], [True]),
     np.int8: ([0], [1, -3, 127]),
+    np.uint8: ([0], [1, 2, 255]),
     np.float32: ([0.0, -0.0], [1.0, 0.5, -2.0]),
     np.float64: ([0.0, -0.0], [1.0, 1e-300, -7.0]),
 }

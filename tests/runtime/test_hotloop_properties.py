@@ -1,8 +1,9 @@
 """Property tests for the engine's per-layer hot loop.
 
-The in-place LIF scan, the separable OR-pool and the count-fed spike
-statistics are pure performance rewrites: each must reproduce its
-allocating reference bit for bit, for any input hypothesis can find.
+The in-place LIF scan (into float32 or byte trains), the separable
+OR-pool, the per-block spike pass and the count-fed spike statistics
+are pure performance rewrites: each must reproduce its allocating
+reference bit for bit, for any input hypothesis can find.
 """
 
 import numpy as np
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 from repro.quant import FP32, convert
 from repro.runtime import runtime_overrides
-from repro.runtime.kernels import _event_contributions, or_pool
+from repro.runtime.engine import spike_pass
+from repro.runtime.kernels import BufferPool, _event_contributions, or_pool
 from repro.runtime.refshapes import make_conv_layer_plan
 from repro.snn import build_network
 from repro.snn.encoding import DirectEncoder, RateEncoder
@@ -80,6 +82,85 @@ class TestLifScanProperties:
         train, none = lif_scan(current, beta, threshold, rule, final_reset=False)
         assert none is None
         assert train.tobytes() == want_spikes.tobytes()
+
+    @given(
+        currents(),
+        st.sampled_from([0.0, 0.15, 1.0]),
+        st.sampled_from(["threshold", "shifted"]),
+        st.sampled_from([1, 7, neuron.LIF_BLOCK_ELEMENTS]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_byte_train_matches_float_train(self, drawn, beta, rule, block):
+        """A uint8 ``out`` holds the float32 train's values, and the
+        membrane the reset leaves is byte-identical."""
+        current, threshold = drawn
+        want_spikes, want_membrane = lif_scan(current, beta, threshold, rule)
+        default_block = neuron.LIF_BLOCK_ELEMENTS
+        neuron.LIF_BLOCK_ELEMENTS = block
+        try:
+            out = np.full(current.shape, 7, dtype=np.uint8)
+            spikes, membrane = lif_scan(
+                current, beta, threshold, rule, out=out
+            )
+        finally:
+            neuron.LIF_BLOCK_ELEMENTS = default_block
+        assert np.shares_memory(spikes, out)
+        assert set(np.unique(out).tolist()) <= {0, 1}
+        assert np.array_equal(out, want_spikes)
+        assert membrane.tobytes() == want_membrane.tobytes()
+
+
+@st.composite
+def pooled_currents(draw):
+    """A (T, N, C, H, W) float32 current whose H and W tile ``window``."""
+    window = draw(st.sampled_from([2, 4]))
+    steps = draw(st.integers(1, 6))
+    samples = draw(st.integers(1, 9))
+    channels = draw(st.integers(1, 3))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    shape = (steps, samples, channels, rows * window, cols * window)
+    current = rng.normal(scale=1.0, size=shape).astype(np.float32)
+    current[rng.random(shape) < 0.2] = np.float32(0.5)  # ties with theta
+    return current, window
+
+
+class TestSpikePassProperties:
+    @given(
+        pooled_currents(),
+        st.sampled_from([0.0, 0.15, 1.0]),
+        st.sampled_from(["threshold", "shifted"]),
+        st.sampled_from([1, 7, neuron.LIF_BLOCK_ELEMENTS]),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_block_pass_matches_whole_train(
+        self, drawn, beta, rule, block, pool_it
+    ):
+        """LIF -> counts -> OR-pool -> counts, one block of samples at a
+        time, equals the whole-train scan, pool and counts."""
+        current, window = drawn
+        window = window if pool_it else 1
+        threshold = 0.5
+        want_spikes, _ = lif_scan(
+            current, beta, threshold, rule, final_reset=False
+        )
+        want_out = or_pool(want_spikes, window)
+        want_counts = [int(np.count_nonzero(step)) for step in want_spikes]
+        want_out_counts = [int(np.count_nonzero(step)) for step in want_out]
+        out = np.full(want_out.shape, 7, dtype=np.uint8)
+        default_block = neuron.LIF_BLOCK_ELEMENTS
+        neuron.LIF_BLOCK_ELEMENTS = block
+        try:
+            counts, out_counts = spike_pass(
+                current, beta, threshold, rule, window, out, BufferPool()
+            )
+        finally:
+            neuron.LIF_BLOCK_ELEMENTS = default_block
+        assert np.array_equal(out, want_out)
+        assert counts == want_counts
+        assert out_counts == want_out_counts
 
 
 class TestOrPoolProperties:

@@ -14,6 +14,7 @@ reference conv shape.
 
 import os
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -277,7 +278,7 @@ class TestFoldIndependentOfBlasThreads:
             start = out.__array_interface__["data"][0]
             origin = out.base.__array_interface__["data"][0]
             sample = (start - origin) // out[0, 0].nbytes
-            scans.append((sample, np.array(current)))
+            scans.append((sample, threading.get_ident(), np.array(current)))
             return lif_scan(current, *args, out=out, **kwargs)
 
         monkeypatch.setattr(engine, "lif_scan", recording)
@@ -288,12 +289,15 @@ class TestFoldIndependentOfBlasThreads:
                 with workers_override(workers):
                     out = InferenceEngine(plan).run(spikes)
                 assert out.counters[conv.name].dense_calibration_steps == 2
+                # One scan per LIF block of one sample, in ``workers``
+                # lane threads.
                 conv_scans = sorted(
-                    (sample, current) for sample, current in scans
-                    if current.shape[2:] == conv.output_shape
+                    (scan for scan in scans if scan[2].shape[2:] == conv.output_shape),
+                    key=lambda scan: scan[0],
                 )
-                assert len(conv_scans) == workers
+                assert [scan[0] for scan in conv_scans] == list(range(16))
+                assert len({scan[1] for scan in conv_scans}) == workers
                 currents.append(
-                    np.concatenate([current for _, current in conv_scans], axis=1)
+                    np.concatenate([scan[2] for scan in conv_scans], axis=1)
                 )
         assert currents[1].tobytes() == currents[0].tobytes()

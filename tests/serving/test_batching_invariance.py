@@ -196,6 +196,11 @@ class TestGatherStreamEncoder:
                 axis=0,
             )
             assert got.tobytes() == want.tobytes()
+            # The byte frames the runtime stacks hold the same spikes.
+            assert gathered.byte_frames
+            frame = np.empty(got.shape, dtype=np.uint8)
+            gathered.encode_into(images[indices], t, frame)
+            assert np.array_equal(frame, want)
 
     def test_contiguous_run_uses_vector_path_identically(self, images):
         base = RateEncoder(seed=9)
