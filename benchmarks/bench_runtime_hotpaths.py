@@ -380,7 +380,6 @@ def bench_persistent_pool(params) -> Dict:
     were served warm.
     """
     from repro.parallel import (
-        persistent_pool_enabled,
         run_tasks,
         service_stats,
         shutdown_worker_service,
@@ -401,7 +400,6 @@ def bench_persistent_pool(params) -> Dict:
     warm_ms = timeit(call, params["repeats"])
     after = service_stats()
     return {
-        "enabled": persistent_pool_enabled(),
         "workers": 2,
         "payloads": len(payloads),
         "cold_call_ms": cold_ms,

@@ -12,9 +12,13 @@ declaration and fails with exit code 1 on any disagreement:
    ``snn-hybrid`` CLI (all subcommands) must be registered, and every
    registered flag must exist on the parser;
 3. **registry vs docs** -- every registered token must appear in
-   ``docs/CONFIGURATION.md``.
+   ``docs/CONFIGURATION.md``;
+4. **docs vs registry** -- every ``REPRO_*`` token in
+   ``docs/CONFIGURATION.md`` must be registered (a variable, or a family
+   prefix for starred prose like ``REPRO_RETRY_*``).
 
-So a new knob cannot land without being registered *and* documented.
+So a new knob cannot land without being registered *and* documented,
+and a deleted one cannot leave its doc section behind.
 ``repro lint`` enforces (1) and (2) statically per-file (rules
 R101/R102/R103); this gate re-checks them end-to-end at CI time. Wired
 into ``scripts/perf_smoke.sh``; run standalone with:
@@ -115,6 +119,14 @@ def main() -> int:
             problems.append(
                 f"DOCS DRIFT: {kind} {token} is registered but missing "
                 f"from docs/CONFIGURATION.md"
+            )
+
+    # 4. docs vs registry
+    for token in sorted(registry.scan_env_tokens_in_text(documented)):
+        if not registry.is_registered_env_token(token):
+            problems.append(
+                f"DOCS DRIFT: docs/CONFIGURATION.md mentions {token}, "
+                f"which is not declared in repro/analysis/registry.py"
             )
 
     for problem in problems:

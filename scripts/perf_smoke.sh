@@ -17,17 +17,17 @@
 # is reserved for the canonical small-scale record tracked across PRs).
 #
 # Also runs the blocked routing gate (every deep-VGG9 conv shape must
-# calibrate a k-block and route its density <= 5% timesteps to the
-# event path bit-exactly), the docs drift gate (every REPRO_* variable
-# and CLI flag must be registered in repro/analysis/registry.py and
-# documented in docs/CONFIGURATION.md), the static analysis gate
-# (scripts/check_static.py: repro lint must report zero fresh findings
-# -- determinism, cross-process safety, typed-error discipline and
-# registry drift, see docs/LINTING.md -- plus ruff when installed) and
-# the
-# parallel determinism gate: the direct-coded sharded evaluation path
-# with 2 workers, twice, byte-compared against each other and against
-# the serial fallback, plus the rate-coded counter-stream gate --
+# calibrate a k-block and route its density <= 5% timesteps to the event
+# path bit-exactly), the docs drift gate (every REPRO_* variable and CLI
+# flag must be registered in repro/analysis/registry.py and documented in
+# docs/CONFIGURATION.md, and every REPRO_* token that
+# docs/CONFIGURATION.md mentions must be registered), the static analysis
+# gate (scripts/check_static.py: repro lint must report zero fresh
+# findings -- determinism, cross-process safety, typed-error discipline
+# and registry drift, see docs/LINTING.md -- plus ruff when installed)
+# and the parallel determinism gate: the direct-coded sharded evaluation
+# path with 2 workers, twice, byte-compared against each other and
+# against the serial fallback, plus the rate-coded counter-stream gate --
 # logits, spike statistics and input totals byte-identical against the
 # unsharded forward for shards in {1,2,4}, and the full pooled report
 # (counters included) byte-identical to serial at shards {2,4} x 2
@@ -35,15 +35,17 @@
 # encoder snapshots made it geometry-dependent. The same gate
 # byte-compares the engine's sample lanes (one batch split over threads
 # inside one forward) against the one-lane forward that REPRO_WORKERS=1
-# runs: direct coding at batch 64, rate coding with record=True at
-# batch 32 (recorded trains included) and the HybridSimulator.run
-# report of an int4 rate-coded batch, at batch 32 and at batch 33,
-# whose lanes of 16 and 17 samples reduce unequal slices of every
-# train to cycle sums. Last, it starts two fresh interpreters that each
-# print the gate model's dispatch counters (LayerCounters.as_dict() per
-# layer) for direct- and rate-coded forwards at batch 1 and batch 64,
-# and byte-compares the two outputs: dense/event routing depends on the
-# plan and the input activity alone, never on timing.
+# runs: direct coding at batch 64, plain and with record=True, rate
+# coding with record=True at batch 32 (recorded trains included) and the
+# HybridSimulator.run report of an int4 rate-coded batch, at batch 32 and
+# at batch 33, whose lanes of 16 and 17 samples reduce unequal slices of
+# every train to cycle sums. The recorded runs also fail the gate when a
+# binary layer's train is not uint8 or direct coding's analog input not
+# float32. Last, it starts two fresh interpreters that each print the
+# gate model's dispatch counters (LayerCounters.as_dict() per layer) for
+# direct- and rate-coded forwards at batch 1 and batch 64, and
+# byte-compares the two outputs: dense/event routing depends on the plan
+# and the input activity alone, never on timing.
 #
 # The fault recovery gate exercises the self-healing executor under a
 # pinned deterministic fault plan (one worker crash + one wedged shard

@@ -9,8 +9,9 @@ consumers keep each other honest:
   appears in the source tree without a registry entry -- and when a
   registry entry no longer appears anywhere (stale entry);
 * ``scripts/check_docs.py`` fails when a registry entry is missing from
-  ``docs/CONFIGURATION.md`` -- docs drift and code drift are caught
-  against the *same* list instead of two independent greps;
+  ``docs/CONFIGURATION.md``, or the doc mentions an unregistered token
+  -- docs drift and code drift are caught against the *same* list
+  instead of two independent greps;
 * the config modules themselves import their env-var names from here,
   so a renamed variable cannot silently fork from its registration.
 
@@ -67,8 +68,6 @@ _ENV_VARS: Tuple[EnvVar, ...] = (
            "worker-process count; 1 is the serial fallback"),
     EnvVar("REPRO_ON_SHARD_FAILURE", "repro/parallel/config.py",
            "poison-shard handling: raise (default) or skip"),
-    EnvVar("REPRO_PERSISTENT_POOL", "repro/parallel/config.py",
-           "0 reverts run_tasks to the pool-per-call executor"),
     EnvVar("REPRO_START_METHOD", "repro/parallel/config.py",
            "multiprocessing start method override for service pools"),
     EnvVar("REPRO_BREAKER_THRESHOLD", "repro/parallel/config.py",
@@ -111,7 +110,11 @@ _ENV_VARS: Tuple[EnvVar, ...] = (
 
 #: Registered family prefixes: prose shorthand for a group of variables
 #: ("REPRO_RETRY_*"). Each must prefix at least one registered variable.
-FAMILY_PREFIXES: Tuple[str, ...] = ("REPRO_RETRY_", "REPRO_SERVE_")
+FAMILY_PREFIXES: Tuple[str, ...] = (
+    "REPRO_BREAKER_",
+    "REPRO_RETRY_",
+    "REPRO_SERVE_",
+)
 
 
 _CLI_FLAGS: Tuple[CliFlag, ...] = (

@@ -222,14 +222,13 @@ def _sim_shard_result(model, config: AcceleratorConfig, out) -> Tuple:
     return slim, sums
 
 
-def _init_sim_worker(model_payload, config, images, encoder_blob) -> None:
+def _init_sim_worker(model_payload, config, encoder_blob) -> None:
     from repro.parallel.shard import _materialize_model
 
     global _SIM_WORKER_STATE
     _SIM_WORKER_STATE = {
         "model": _materialize_model(model_payload),
         "config": config,
-        "images": images,
         "encoder_blob": encoder_blob,
     }
 
@@ -239,7 +238,7 @@ def _run_sim_shard(task: Tuple[object, int, int]):
 
     payload, start, timesteps = task
     state = _SIM_WORKER_STATE
-    shard_images = resolve_task_images(payload, state["images"])
+    shard_images = resolve_task_images(payload)
     # Position the encoder on the shard's global sample offset so
     # counter-stream encoders replay the unsharded stream exactly;
     # stateful encoders ignore it (snapshot per shard, as before).
@@ -342,9 +341,7 @@ class HybridSimulator:
                     _sim_shard_result(self.network, self.config, out)
                 )
         else:
-            init_images, image_payloads, cleanup = plan_task_images(
-                images, slices
-            )
+            image_payloads, cleanup = plan_task_images(images, slices)
             tasks = [
                 (payload, piece.start, timesteps)
                 for payload, piece in zip(image_payloads, slices)
@@ -358,7 +355,6 @@ class HybridSimulator:
                     initargs=(
                         ("object", self.network, None),
                         self.config,
-                        init_images,
                         encoder_blob,
                     ),
                 )

@@ -30,20 +30,19 @@ Worker lifecycle
 ----------------
 
 Pooled ``run_tasks`` calls are served by the process-wide persistent
-:class:`~repro.parallel.service.WorkerService` (disable with
-``REPRO_PERSISTENT_POOL=0`` to get a pool per call): the pool starts
-lazily on the first pooled call and is reused afterwards, amortizing
-the ~20 ms pool startup that used to be paid per call. Workers are
-bootstrapped once (environment pinned to ``REPRO_WORKERS=1``); per-call
-state -- the parent's runtime config plus the caller's initializer --
-travels with the tasks as a *generation* and is applied once per worker
-per call. Long-lived state that should out-live one call still belongs
-on disk -- which is exactly what the ``.plan.npz`` sidecar
+:class:`~repro.parallel.service.WorkerService`: the pool starts lazily
+on the first pooled call and is reused afterwards, so the ~20 ms pool
+startup is paid once, not per call. Workers are bootstrapped once
+(environment pinned to ``REPRO_WORKERS=1``); per-call state -- the
+parent's runtime config plus the caller's initializer -- travels with
+the tasks as a *generation* and is applied once per worker per call.
+Long-lived state that should out-live one call still belongs on disk --
+which is exactly what the ``.plan.npz`` sidecar
 (:mod:`repro.runtime.plan_io`) and the ``.eval.json`` evaluation cache
 (:mod:`repro.experiments.evalcache`) provide: cold-started workers load
 the deployable ``.npz`` plus its serialized plan and skip lowering,
-calibration probes and -- with a warm evaluation cache -- whole
-test-set evaluations.
+calibration probes and -- with a warm evaluation cache -- whole test-set
+evaluations.
 
 Merge semantics and determinism
 -------------------------------
@@ -58,6 +57,7 @@ locks each of these guarantees down against the serial reference.
 """
 
 from repro.parallel.config import (
+    START_METHOD_ENV,
     WORKERS_ENV,
     resolve_workers,
     workers_override,
@@ -69,8 +69,6 @@ from repro.parallel.retry import (
     retry_stats,
 )
 from repro.parallel.service import (
-    PERSISTENT_POOL_ENV,
-    START_METHOD_ENV,
     CircuitBreaker,
     WorkerService,
     persistent_pool_enabled,
@@ -88,7 +86,6 @@ from repro.parallel.shard import (
 
 __all__ = [
     "DEFAULT_SHARD_SIZE",
-    "PERSISTENT_POOL_ENV",
     "START_METHOD_ENV",
     "WORKERS_ENV",
     "CircuitBreaker",

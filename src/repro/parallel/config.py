@@ -17,8 +17,10 @@ without ever nesting process pools.
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import os
+import sys
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
@@ -27,8 +29,6 @@ from repro.errors import ConfigError
 WORKERS_ENV = "REPRO_WORKERS"
 
 ON_SHARD_FAILURE_ENV = "REPRO_ON_SHARD_FAILURE"
-
-PERSISTENT_POOL_ENV = "REPRO_PERSISTENT_POOL"
 
 START_METHOD_ENV = "REPRO_START_METHOD"
 
@@ -53,14 +53,21 @@ _WORKERS_OVERRIDE: Optional[int] = None  # repro: lint-ok[P102] per-process scop
 
 
 def env_number(name: str, default: float, cast=float) -> float:
-    """A numeric env var, or ``default`` when unset/blank."""
+    """A finite numeric env var, or ``default`` when unset/blank.
+
+    ``nan`` and ``inf`` parse as floats but are rejected: a ``nan``
+    cooldown would hold the circuit breaker open forever.
+    """
     raw = os.environ.get(name)
     if raw is None or not raw.strip():
         return default
     try:
-        return cast(raw)
+        value = cast(raw)
     except ValueError:
         raise ConfigError(f"{name} must be a number, got {raw!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {raw!r}")
+    return value
 
 
 def env_positive(name: str, default: float, cast=float) -> float:
@@ -71,23 +78,20 @@ def env_positive(name: str, default: float, cast=float) -> float:
     return value
 
 
-def persistent_pool_enabled() -> bool:
-    """Whether ``run_tasks`` routes through the shared persistent pool.
-
-    On by default; ``REPRO_PERSISTENT_POOL=0`` reverts every pooled
-    entry point to the pool-per-call executor (bit-identical results,
-    pool startup paid per call again).
-    """
-    return os.environ.get(PERSISTENT_POOL_ENV, "1") != "0"
-
-
 def service_start_method() -> str:
-    """Start method for service pools: env override, then the default."""
+    """Start method for service pools: env override, then the default.
+
+    The default is ``fork`` only on Linux (cheap worker startup);
+    ``spawn`` everywhere else -- notably macOS, where forking after the
+    Objective-C runtime / Accelerate BLAS initialises is unsafe and
+    CPython itself switched the default to spawn.
+    """
     method = os.environ.get(START_METHOD_ENV)
     if method is None:
-        from repro.parallel.pool import pool_start_method
-
-        return pool_start_method()
+        linux = sys.platform.startswith("linux")
+        if linux and "fork" in mp.get_all_start_methods():
+            return "fork"
+        return "spawn"
     if method not in mp.get_all_start_methods():
         raise ConfigError(
             f"{START_METHOD_ENV} must be one of "

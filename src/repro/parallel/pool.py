@@ -10,30 +10,25 @@ that every equivalence test compares against.
 Worker lifecycle
 ----------------
 
-By default pooled calls are served by the process-wide persistent
+Pooled calls are served by the process-wide persistent
 :class:`~repro.parallel.service.WorkerService`: the pool starts once,
 lazily, and is reused across calls, with per-call state shipped as a
-versioned *generation* (see :mod:`repro.parallel.service`). With
-``REPRO_PERSISTENT_POOL=0`` the pre-service behaviour returns: workers
-are started once per :func:`run_tasks` call and reused for every payload
-they are handed (``chunksize=1`` keeps assignment balanced). Either way
-each worker observes the same bootstrap state:
+versioned *generation* (see :mod:`repro.parallel.service`). Each worker
+observes the same state:
 
 * ``REPRO_WORKERS=1`` in its environment, so cells that themselves call
   parallel entry points degrade to the serial fallback instead of
   nesting pools;
 * the parent's exact :class:`~repro.runtime.config.RuntimeConfig`, so a
   scoped ``runtime_overrides(...)`` in the parent governs the children
-  even under a ``spawn`` start method (under ``fork`` it would be
-  inherited anyway; shipping it explicitly makes both start methods
-  behave identically);
+  under every start method;
 * an optional caller initializer (e.g. the shard worker's model/image
-  state), which runs once per worker -- per-process caches (plan
-  geometry, BLAS-fold calibration verdicts) therefore warm up once and
-  are reused across every cell the worker executes.
+  state), which runs once per worker per call -- per-process caches
+  (plan geometry, BLAS-fold calibration verdicts) therefore warm up
+  once and are reused across every cell the worker executes.
 
-Exceptions raised by a cell propagate to the caller from ``Pool.map``
-exactly as they would from the inline loop.
+Exceptions raised by a cell propagate to the caller exactly as they
+would from the inline loop.
 
 Fault containment
 -----------------
@@ -53,54 +48,16 @@ serving layer (and any other long-lived caller) builds on.
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import os
-import sys
 import time
-from dataclasses import asdict
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import WorkerCrashError, WorkerTimeoutError
-from repro.parallel.config import (
-    WORKERS_ENV,
-    _reset_override_for_worker,
-    resolve_workers,
-)
-from repro.runtime.config import RuntimeConfig, runtime_config, set_runtime_config
+from repro.parallel.config import resolve_workers
 
 #: How often the guarded wait re-checks worker liveness. Coarse enough
 #: to cost nothing against multi-millisecond cells, fine enough that a
 #: crashed worker surfaces as a typed error within ~a poll interval.
 _LIVENESS_POLL_S = 0.05
-
-
-def pool_start_method() -> str:
-    """The start method every pool in this package uses.
-
-    ``fork`` only on Linux (cheap: workers inherit the parent's memory,
-    so initializer state costs nothing to ship); ``spawn`` everywhere
-    else -- notably macOS, where forking after the Objective-C runtime /
-    Accelerate BLAS initialises is unsafe and CPython itself switched
-    the default to spawn.
-    """
-    if sys.platform.startswith("linux") and "fork" in mp.get_all_start_methods():
-        return "fork"
-    return "spawn"
-
-
-def _bootstrap_worker(
-    config_kwargs: dict,
-    initializer: Optional[Callable],
-    initargs: Tuple,
-) -> None:  # pragma: no cover - runs inside worker processes
-    os.environ[WORKERS_ENV] = "1"
-    _reset_override_for_worker()
-    from repro.faults import mark_worker_process
-
-    mark_worker_process()
-    set_runtime_config(RuntimeConfig(**config_kwargs))
-    if initializer is not None:
-        initializer(*initargs)
 
 
 def _pool_members(pool) -> List:
@@ -292,28 +249,16 @@ def run_tasks(
             timeout=timeout,
             policy=retry,
         )
-    from repro.parallel.service import persistent_pool_enabled, shared_service
+    from repro.parallel.service import shared_service
 
-    if persistent_pool_enabled():
-        return shared_service().run(
-            fn,
-            payloads,
-            workers=count,
-            initializer=initializer,
-            initargs=initargs,
-            timeout=timeout,
-        )
-    context = mp.get_context(pool_start_method())
-    bootstrap_args = (asdict(runtime_config()), initializer, initargs)
-    # The with-block tears the pool down via terminate(), which is safe
-    # even after a crash left tasks unaccounted for (close+join is not).
-    with context.Pool(
-        processes=count,
-        initializer=_bootstrap_worker,
-        initargs=bootstrap_args,
-    ) as pool:
-        result = pool.map_async(fn, payloads, chunksize=1)
-        return guarded_map_wait(pool, result, timeout=timeout)
+    return shared_service().run(
+        fn,
+        payloads,
+        workers=count,
+        initializer=initializer,
+        initargs=initargs,
+        timeout=timeout,
+    )
 
 
 def effective_workers(

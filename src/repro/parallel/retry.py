@@ -11,8 +11,9 @@ completed call is bookkeeping. :func:`run_tasks_resilient` is that
 bookkeeping:
 
 * tasks are submitted individually (through
-  :func:`repro.parallel.pool.gather_indexed`), so a crash mid-call keeps
-  every completed result and re-executes **only** the lost tasks;
+  :meth:`repro.parallel.service.WorkerService.run_indexed`), so a crash
+  mid-call keeps every completed result and re-executes **only** the
+  lost tasks;
 * failed tasks are retried up to :attr:`RetryPolicy.max_attempts` times
   with exponential backoff whose jitter is drawn from the deterministic
   counter streams in :mod:`repro.utils.rng` -- two runs of the same
@@ -39,16 +40,14 @@ sweeps get recovery without threading a policy through every caller;
 from __future__ import annotations
 
 import hashlib
-import multiprocessing as mp
 import pickle
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import (
     ConfigError,
     PoisonTaskError,
-    WorkerCrashError,
     WorkerTimeoutError,
 )
 from repro.faults.plan import active_fault_spec, cached_plan, in_worker_process
@@ -62,6 +61,7 @@ from repro.parallel.config import (  # noqa: F401
     RETRY_TASK_TIMEOUT_MS_ENV,
     env_number as _env_number,
 )
+from repro.parallel.service import shared_service
 
 
 @dataclass(frozen=True)
@@ -199,57 +199,6 @@ def _resilient_cell(task: Tuple[Optional[str], int, int, Callable, object]):
     return result
 
 
-def _execute_round(
-    tasks: List[Tuple[int, object]],
-    count: int,
-    initializer: Optional[Callable],
-    initargs: Tuple,
-    timeout: Optional[float],
-) -> Tuple[dict, set, Optional[BaseException]]:
-    """One recovery round: run indexed tasks, harvesting partial results.
-
-    Dispatches to the persistent service (which owns the circuit breaker
-    and restart backoff) or, under ``REPRO_PERSISTENT_POOL=0``, to a
-    dedicated per-round pool. Returns ``(done, dispatched, error)`` --
-    see :func:`repro.parallel.pool.gather_indexed`.
-    """
-    from repro.parallel.service import persistent_pool_enabled, shared_service
-
-    if persistent_pool_enabled():
-        return shared_service().run_indexed(
-            _resilient_cell,
-            tasks,
-            workers=count,
-            initializer=initializer,
-            initargs=initargs,
-            timeout=timeout,
-        )
-    from repro.parallel.pool import (
-        _bootstrap_worker,
-        gather_indexed,
-        pool_start_method,
-    )
-    from repro.runtime.config import runtime_config
-
-    context = mp.get_context(pool_start_method())
-    payload_by = dict(tasks)
-    bootstrap_args = (asdict(runtime_config()), initializer, initargs)
-    with context.Pool(
-        processes=count,
-        initializer=_bootstrap_worker,
-        initargs=bootstrap_args,
-    ) as pool:
-        return gather_indexed(
-            pool,
-            lambda index: pool.apply_async(
-                _resilient_cell, (payload_by[index],)
-            ),
-            [index for index, _ in tasks],
-            window=count,
-            timeout=timeout,
-        )
-
-
 def _payload_fingerprint(payload) -> str:
     blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     return hashlib.sha256(blob).hexdigest()
@@ -320,9 +269,11 @@ def run_tasks_resilient(
             (index, (spec, index, attempts[index], fn, payloads[index]))
             for index in batch
         ]
-        done, dispatched, error = _execute_round(
+        # The service owns the circuit breaker and restart backoff.
+        done, dispatched, error = shared_service().run_indexed(
+            _resilient_cell,
             tasks,
-            count=min(count, len(batch)),
+            workers=min(count, len(batch)),
             initializer=initializer,
             initargs=initargs,
             timeout=round_timeout,

@@ -1,13 +1,12 @@
 """Persistent worker pools: one long-lived pool, many ``run_tasks`` calls.
 
-PR 2's executor started a fresh process pool for every :func:`run_tasks`
-call, which priced pooling out of small batches: ~20 ms of pool startup
-plus model/state shipping were paid per call, per worker.
-:class:`WorkerService` keeps one pool alive across calls instead --
-lazily started on first use, reused while the resolved worker count
-stays put, resized (restarted) when it changes, and shut down cleanly
-through a context manager, an explicit :meth:`WorkerService.shutdown`,
-or the ``atexit`` hook guarding the process-wide shared instance.
+:class:`WorkerService` is the one pooled executor: a process pool kept
+alive across :func:`~repro.parallel.pool.run_tasks` calls -- lazily
+started on first use, grown (restarted) when a call needs more workers,
+and shut down cleanly through a context manager, an explicit
+:meth:`WorkerService.shutdown`, or the ``atexit`` hook guarding the
+process-wide shared instance -- so the ~20 ms pool startup and the
+workers' warm per-process caches are paid once, not per call.
 
 Generations
 -----------
@@ -21,28 +20,27 @@ caller's ``(initializer, initargs)``, pickled once -- and every task
 carries the generation id. A worker whose last-seen generation differs
 re-applies the runtime config and re-runs the initializer before
 executing the cell; a worker already on the right generation runs the
-cell directly. The effect is exactly the per-call pool's semantics
-(state applied once per worker per call) without the per-call startup.
-As a further warm-path shortcut, a call whose state pickles
-byte-identically to the previous call's *reuses* the previous
+cell directly: state is applied once per worker per call, without a pool
+startup per call. As a further warm-path shortcut, a call whose state
+pickles byte-identically to the previous call's *reuses* the previous
 generation: already-initialized workers then skip re-initialization and
 keep what the initializer built (a loaded model, a warmed plan) -- the
-model-shipping amortization repeated evaluations want. Initializers
-must therefore establish state idempotently; cells must not mutate it
-in ways a repeated identical call may not observe (every cell in this
-package treats worker state as read-only).
+model-shipping amortization repeated evaluations want. Initializers must
+therefore establish state idempotently; cells must not mutate it in ways
+a repeated identical call may not observe (every cell in this package
+treats worker state as read-only).
 
-Because generation state travels with the tasks rather than through
-fork-time memory inheritance, small blobs ride inline in every task
-(cheap, and workers already on the right generation ignore them), while
-a blob past :data:`_INLINE_BLOB_LIMIT` -- e.g. a whole pickled model --
-is spilled to a temporary file once per call and tasks carry only its
-path: each worker reads the file at most once, so a large model crosses
-the parent's pipe zero times and the disk once, instead of once per
-task. Callers should still prefer artifact paths for long-lived state
-(``sharded_forward(model_path=...)`` ships the ``.npz`` + ``.plan.npz``
-location, and :func:`repro.parallel.shard.sharded_forward` switches to
-slice-carrying task payloads whenever the service is active).
+Generation state travels with the tasks (the workers were started before
+the call and inherit none of its memory): small blobs ride inline in
+every task (cheap, and workers already on the right generation ignore
+them), while a blob past :data:`_INLINE_BLOB_LIMIT` -- e.g. a whole
+pickled model -- is spilled to a temporary file once per call and tasks
+carry only its path: each worker reads the file at most once, so a large
+model crosses the parent's pipe zero times and the disk once, instead of
+once per task. Callers should still prefer artifact paths for long-lived
+state (``sharded_forward(model_path=...)`` ships the ``.npz`` +
+``.plan.npz`` location, and :func:`repro.parallel.shard.sharded_forward`
+ships image row slices of a memory-mapped temp file).
 
 Pool sizing is grow-only: a call needing fewer workers than the running
 pool reuses it (submissions are chunked so at most the requested count
@@ -54,18 +52,14 @@ startup or the workers' warm per-process caches.
 Start methods
 -------------
 
-The service defaults to :func:`repro.parallel.pool.pool_start_method`
-(``fork`` on Linux, ``spawn`` elsewhere) but honours
-``REPRO_START_METHOD`` (``fork`` | ``forkserver`` | ``spawn``).
+The service defaults to ``fork`` on Linux and ``spawn`` elsewhere but
+honours ``REPRO_START_METHOD`` (``fork`` | ``forkserver`` | ``spawn``).
 ``forkserver`` is the recommended override for long-lived services
 embedded in threaded parents: workers fork from a clean server process
 instead of from whatever state the parent has accumulated, at the cost
 of one extra process. None of this affects results -- the service never
 relies on inherited memory, so every start method computes the same
 bytes (locked down by ``tests/parallel/``).
-
-``REPRO_PERSISTENT_POOL=0`` disables the service globally;
-:func:`run_tasks` then reverts to PR 2's pool-per-call executor.
 """
 
 from __future__ import annotations
@@ -82,19 +76,13 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigError, WorkerCrashError, WorkerTimeoutError
-
-# The env constants and readers were defined here historically; they
-# moved to the layer's config module (rule P101) and stay importable.
-from repro.parallel.config import (  # noqa: F401
+from repro.parallel.config import (
     BREAKER_COOLDOWN_MS_ENV,
     BREAKER_THRESHOLD_ENV,
     BREAKER_WINDOW_MS_ENV,
-    PERSISTENT_POOL_ENV,
-    START_METHOD_ENV,
     WORKERS_ENV,
     _reset_override_for_worker,
     env_positive as _env_positive,
-    persistent_pool_enabled,
     resolve_workers,
     service_start_method,
 )
@@ -244,9 +232,8 @@ def _service_cell(task: Tuple[int, Tuple[str, object], Callable, object]):
 
     The generation blob -- inline bytes, or a temp-file path for large
     state -- re-applies the parent's runtime config and runs the
-    caller's initializer exactly once per worker per generation -- the
-    same guarantee the per-call pool gave via its creation-time
-    initializer. An initializer that raises leaves the worker's
+    caller's initializer exactly once per worker per generation. An
+    initializer that raises leaves the worker's
     generation unchanged, so the next task retries it rather than
     running the cell against half-applied state.
     """
@@ -658,6 +645,16 @@ def shutdown_worker_service() -> None:
     """Stop the shared pool (idempotent; the service restarts lazily)."""
     if _SHARED is not None:
         _SHARED.shutdown()
+
+
+def persistent_pool_enabled() -> bool:
+    """Always ``True``: the shared service is the only pooled executor.
+
+    Kept because the benchmark harness records it in every run's
+    environment (``perfbench/envinfo.py``), so the field keeps its name
+    and value across records.
+    """
+    return True
 
 
 def service_stats() -> Dict[str, int]:

@@ -43,26 +43,20 @@ Determinism guarantees, in decreasing strength:
    geometry, but not geometry-invariant. The in-tree rate encoder no
    longer works this way (see :class:`repro.snn.encoding.RateEncoder`).
 
-Workers receive the model once, at pool bootstrap: either the live
-object (pickled, for in-memory models) or -- preferably -- the cached
-``.npz`` path, in which case each worker loads the deployable artifact
-plus its ``.plan.npz`` sidecar and skips lowering and BLAS-fold
-calibration outright (see :mod:`repro.runtime.plan_io`).
+Workers receive the model once per call, through the worker
+initializer: either the live object (pickled, for in-memory models) or
+-- preferably -- the cached ``.npz`` path, in which case each worker
+loads the deployable artifact plus its ``.plan.npz`` sidecar and skips
+lowering and BLAS-fold calibration outright (see
+:mod:`repro.runtime.plan_io`).
 
-Image payload routing (:func:`plan_task_images` /
-:func:`resolve_task_images`, shared with the sharded simulator):
-
-* **fork, pool-per-call** -- workers inherit the parent's memory, so the
-  full array travels through the initializer for free and tasks carry
-  only ``(start, stop)`` bounds;
-* **persistent** :class:`~repro.parallel.service.WorkerService` -- the
-  array is written once to a temp ``.npy`` and every task ships a
-  ``('mmap', path, start, stop)`` row slice; workers memory-map the file
-  and copy out only their rows, so the per-call generation blob and the
-  task pipes stay small no matter how large the evaluation set is. When
-  the temp file cannot be created the payloads fall back inline;
-* **spawn, pool-per-call** -- each task carries its own shard array
-  (every sample pickled exactly once).
+Image payloads (:func:`plan_task_images` / :func:`resolve_task_images`,
+shared with the sharded simulator): the array is written once to a temp
+``.npy`` and every task ships a ``('mmap', path, start, stop)`` row
+slice; workers memory-map the file and copy out only their rows, so the
+per-call generation blob and the task pipes stay small no matter how
+large the evaluation set is. When the temp file cannot be written, each
+task carries its own shard array instead.
 """
 
 from __future__ import annotations
@@ -180,18 +174,6 @@ def merge_outputs(parts: Sequence) -> "DeployableOutput":
 # Image payload planning (parent side) and resolution (worker side)
 # ---------------------------------------------------------------------------
 
-def _inherit_via_fork() -> bool:
-    """Workers see the parent's memory only under fork-per-call pools."""
-    from repro.parallel.pool import pool_start_method
-    from repro.parallel.service import persistent_pool_enabled
-
-    # Fork-time memory inheritance only exists when the pool is created
-    # for this call: the persistent service's workers were forked at
-    # service start and see none of the parent's later allocations, so
-    # under the service every per-call byte must travel with the tasks.
-    return pool_start_method() == "fork" and not persistent_pool_enabled()
-
-
 def _write_shard_file(images: np.ndarray) -> Optional[str]:
     """``images`` as a temp ``.npy`` for memory-mapped shard payloads.
 
@@ -214,67 +196,49 @@ def _write_shard_file(images: np.ndarray) -> Optional[str]:
 
 def plan_task_images(
     images: np.ndarray, slices: Sequence[slice]
-) -> Tuple[Optional[np.ndarray], List[object], Callable[[], None]]:
+) -> Tuple[List[object], Callable[[], None]]:
     """Decide how each shard's rows of ``images`` reach the workers.
 
-    Returns ``(init_images, payloads, cleanup)``: ``init_images`` is the
-    array to hand the worker initializer (fork inheritance) or ``None``;
-    ``payloads[i]`` is what shard ``i``'s task carries (bounds, an
-    ``('mmap', path, start, stop)`` slice, or the shard's own array);
+    Returns ``(payloads, cleanup)``: ``payloads[i]`` is what shard
+    ``i``'s task carries (an ``('mmap', path, start, stop)`` slice, or
+    the shard's own array when the temp file cannot be written);
     ``cleanup`` must be called -- after the pooled call returns -- to
-    remove any temp file (a no-op otherwise; already-mapped workers keep
+    remove the temp file (a no-op otherwise; already-mapped workers keep
     reading through their open mapping even after the unlink).
     """
-    if _inherit_via_fork():
+    path = _write_shard_file(images)
+    if path is None:
         return (
-            images,
-            [(piece.start, piece.stop) for piece in slices],
+            [np.ascontiguousarray(images[piece]) for piece in slices],
             lambda: None,
         )
-    from repro.parallel.service import persistent_pool_enabled
 
-    if persistent_pool_enabled():
-        path = _write_shard_file(images)
-        if path is not None:
-            def cleanup(path=path):
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-            return (
-                None,
-                [
-                    ("mmap", path, piece.start, piece.stop)
-                    for piece in slices
-                ],
-                cleanup,
-            )
+    def cleanup() -> None:
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
+
     return (
-        None,
-        [np.ascontiguousarray(images[piece]) for piece in slices],
-        lambda: None,
+        [("mmap", path, piece.start, piece.stop) for piece in slices],
+        cleanup,
     )
 
 
 _MMAP_CACHE: Dict[str, np.ndarray] = {}  # repro: lint-ok[P102] per-process read-only mmap handles keyed by path; contents identical everywhere
 
 
-def resolve_task_images(
-    payload: object, init_images: Optional[np.ndarray]
-) -> np.ndarray:
+def resolve_task_images(payload: object) -> np.ndarray:
     """A task's image rows from whatever :func:`plan_task_images` shipped."""
     if isinstance(payload, np.ndarray):
         return payload
-    if isinstance(payload, tuple) and payload and payload[0] == "mmap":
-        _, path, start, stop = payload
-        mapped = _MMAP_CACHE.get(path)
-        if mapped is None:
-            _MMAP_CACHE.clear()  # one eval file at a time; old paths are gone
-            mapped = np.load(path, mmap_mode="r")
-            _MMAP_CACHE[path] = mapped
-        return np.array(mapped[start:stop])
-    start, stop = payload
-    return init_images[start:stop]
+    _, path, start, stop = payload
+    mapped = _MMAP_CACHE.get(path)
+    if mapped is None:
+        _MMAP_CACHE.clear()  # one eval file at a time; old paths are gone
+        mapped = np.load(path, mmap_mode="r")
+        _MMAP_CACHE[path] = mapped
+    return np.array(mapped[start:stop])
 
 
 # ---------------------------------------------------------------------------
@@ -322,29 +286,25 @@ def _materialize_model(payload: Tuple[str, object, Optional[str]]):
 
 
 def _init_shard_worker(
-    model_payload: Tuple[str, object],
-    images: Optional[np.ndarray],
-    encoder_blob: bytes,
+    model_payload: Tuple[str, object], encoder_blob: bytes
 ) -> None:
     global _WORKER_STATE
     _WORKER_STATE = {
         "model": _materialize_model(model_payload),
-        "images": images,
         "encoder_blob": encoder_blob,
     }
 
 
 def _run_shard(task: Tuple[object, int, int, bool]):
     """One shard: ``payload`` is whatever :func:`plan_task_images`
-    shipped -- inherited-array bounds (fork), a memory-mapped row slice
-    (persistent service) or the shard's own array (spawn). ``start`` is
-    the shard's global sample offset: counter-stream encoders position
-    themselves on it so the shard draws exactly the rows of the
-    unsharded stream; stateful encoders ignore it (fresh snapshot per
-    shard, the legacy semantics)."""
+    shipped -- a memory-mapped row slice or the shard's own array.
+    ``start`` is the shard's global sample offset: counter-stream
+    encoders position themselves on it so the shard draws exactly the
+    rows of the unsharded stream; stateful encoders ignore it (fresh
+    snapshot per shard, the legacy semantics)."""
     payload, start, timesteps, record = task
     state = _WORKER_STATE
-    shard_images = resolve_task_images(payload, state["images"])
+    shard_images = resolve_task_images(payload)
     encoder = pickle.loads(state["encoder_blob"]).for_samples(start)
     return state["model"].forward(
         shard_images, timesteps, encoder, record=record
@@ -420,18 +380,14 @@ def sharded_forward(
                 )
             )
         return merge_outputs(parts)
-    # Under fork-per-call the live object (attached plan, warm caches
-    # included) reaches workers through the inherited address space for
-    # free; the disk artifact + sidecar pays off whenever workers must
-    # materialise state explicitly (spawn, or the persistent service)
-    # and would otherwise be shipped the whole pickled model.
-    use_path = model_path is not None and not _inherit_via_fork()
+    # The disk artifact + sidecar spares every worker the whole pickled
+    # model; the digest ties the generation to the weights behind it.
     payload = (
         ("path", model_path, model.weights_digest())
-        if use_path
+        if model_path is not None
         else ("object", model, None)
     )
-    init_images, image_payloads, cleanup = plan_task_images(images, slices)
+    image_payloads, cleanup = plan_task_images(images, slices)
     tasks = [
         (image_payload, piece.start, timesteps, record)
         for image_payload, piece in zip(image_payloads, slices)
@@ -446,7 +402,7 @@ def sharded_forward(
             tasks,
             workers=count,
             initializer=_init_shard_worker,
-            initargs=(payload, init_images, encoder_blob),
+            initargs=(payload, encoder_blob),
             timeout=timeout,
             retry=retry,
         )

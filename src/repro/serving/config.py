@@ -18,6 +18,7 @@ bound.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -78,6 +79,8 @@ def _env_float(env: str, minimum: float) -> Optional[float]:
         value = float(raw)
     except ValueError:
         raise ConfigError(f"{env} must be a number, got {raw!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{env} must be finite, got {raw!r}")
     if value < minimum:
         raise ConfigError(f"{env} must be >= {minimum}, got {value}")
     return value
@@ -94,8 +97,8 @@ def resolve_serve_config(
 
     Explicit (non-``None``) arguments win, then the ``REPRO_SERVE_*``
     environment, then the defaults. Raises
-    :class:`~repro.errors.ConfigError` on unparseable or out-of-range
-    values, wherever they came from.
+    :class:`~repro.errors.ConfigError` on unparseable, non-finite or
+    out-of-range values, wherever they came from.
     """
     defaults = ServeConfig()
 
@@ -106,6 +109,8 @@ def resolve_serve_config(
             return env_value  # already validated by the env reader
         else:
             return default
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
         if value < minimum:
             raise ConfigError(f"{name} must be >= {minimum}, got {value}")
         return value

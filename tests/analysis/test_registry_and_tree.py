@@ -57,6 +57,20 @@ class TestRegistry:
             probe = token + "*" if token.endswith("_") else token
             assert probe in doc, token
 
+    def test_configuration_md_mentions_only_registered_tokens(self):
+        """The reverse direction: a deleted variable's doc section
+        cannot outlive its registry entry."""
+        doc = open(
+            os.path.join(REPO_ROOT, "docs", "CONFIGURATION.md"),
+            encoding="utf-8",
+        ).read()
+        stray = {
+            token
+            for token in registry.scan_env_tokens_in_text(doc)
+            if not registry.is_registered_env_token(token)
+        }
+        assert stray == set()
+
 
 class TestShippedTree:
     def test_src_lints_clean_against_checked_in_baseline(self):

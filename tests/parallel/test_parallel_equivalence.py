@@ -170,24 +170,20 @@ class TestPooledVsSerial:
         assert_stats_equal(merged.stats, plain.stats)
 
     def test_spawn_start_method_bit_identical(
-        self, deployable, images, monkeypatch
+        self, deployable, images, spawn_service
     ):
-        """The spawn path (macOS default; ships shard slices per task
-        instead of relying on fork inheritance) must merge identically."""
+        """Spawn workers (the macOS default) share none of the parent's
+        memory; the shared service must still merge identically."""
         serial = sharded_forward(deployable, images, 2, shards=2, workers=1)
-        monkeypatch.setattr(
-            "repro.parallel.pool.pool_start_method", lambda: "spawn"
-        )
         pooled = sharded_forward(deployable, images, 2, shards=2, workers=2)
+        assert spawn_service() == "spawn"
         assert_outputs_equal(pooled, serial, counters=True)
 
     def test_model_path_workers_match_in_memory_model(
-        self, deployable, images, tmp_path, monkeypatch
+        self, deployable, images, tmp_path, spawn_service
     ):
-        """Workers cold-starting from the .npz + .plan.npz sidecar must
-        produce exactly what the in-memory model produces. Forced onto
-        the spawn path -- under fork the live object is inherited and
-        the disk payload is deliberately never used."""
+        """Spawn workers cold-starting from the .npz + .plan.npz sidecar
+        must produce exactly what the in-memory model produces serially."""
         from repro.runtime import plan_deployable, plan_sidecar_path, save_plan
 
         model_path = str(tmp_path / "model.npz")
@@ -197,16 +193,27 @@ class TestPooledVsSerial:
             plan_sidecar_path(model_path),
             model_digest=deployable.weights_digest(),
         )
-        in_memory = sharded_forward(
-            deployable, images, 2, shards=2, workers=2
-        )
-        monkeypatch.setattr(
-            "repro.parallel.pool.pool_start_method", lambda: "spawn"
-        )
+        serial = sharded_forward(deployable, images, 2, shards=2, workers=1)
         cold_start = sharded_forward(
             deployable, images, 2, shards=2, workers=2, model_path=model_path
         )
-        assert_outputs_equal(cold_start, in_memory, counters=True)
+        assert spawn_service() == "spawn"
+        assert_outputs_equal(cold_start, serial, counters=True)
+
+
+@pytest.fixture
+def spawn_service(monkeypatch):
+    """The shared service restarted on ``REPRO_START_METHOD=spawn``.
+
+    Yields a probe returning the running pool's start method, so a test
+    can show its pooled calls really ran on spawn workers.
+    """
+    from repro.parallel import shared_service, shutdown_worker_service
+
+    monkeypatch.setenv("REPRO_START_METHOD", "spawn")
+    shutdown_worker_service()
+    yield lambda: shared_service()._pool._ctx.get_start_method()
+    shutdown_worker_service()
 
 
 class TestAnalyticSweepEquivalence:

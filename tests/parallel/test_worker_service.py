@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import ConfigError, WorkerCrashError, WorkerTimeoutError
 from repro.parallel import (
-    PERSISTENT_POOL_ENV,
     WORKERS_ENV,
     WorkerService,
     persistent_pool_enabled,
@@ -171,14 +170,10 @@ class TestSharedServiceReuse:
         assert second == ["beta"] * 3
         assert _INIT_STATE == {}  # parent state untouched
 
-    def test_disabled_service_falls_back_to_pool_per_call(self, monkeypatch):
-        monkeypatch.setenv(PERSISTENT_POOL_ENV, "0")
-        assert not persistent_pool_enabled()
-        shutdown_worker_service()
-        before = service_stats()
-        pooled = run_tasks(_square, list(range(5)), workers=2)
-        assert pooled == [x * x for x in range(5)]
-        assert service_stats() == before  # service never touched
+    def test_persistent_pool_enabled_stays_true(self):
+        """Benchmark environment records read it; the service is the
+        only pooled executor."""
+        assert persistent_pool_enabled() is True
 
 
 class TestStandaloneService:
@@ -269,26 +264,12 @@ class TestFaultContainment:
         assert after["aborts"] - before["aborts"] == 1
         assert after["pool_starts"] - before["pool_starts"] == 2
 
-    def test_worker_death_raises_typed_error_pool_per_call(self, monkeypatch):
-        monkeypatch.setenv(PERSISTENT_POOL_ENV, "0")
-        shutdown_worker_service()
-        with pytest.raises(WorkerCrashError):
-            run_tasks(_kill_or_linger, ["die", "a", "b", "c"], workers=2)
-        assert run_tasks(_square, [3, 4], workers=2) == [9, 16]
-
     def test_timeout_raises_typed_error_and_pool_recovers(self):
         shutdown_worker_service()
         with pytest.raises(WorkerTimeoutError):
             run_tasks(_sleep_cell, [30.0, 30.0], workers=2, timeout=0.2)
         assert run_tasks(_square, [1, 2, 3], workers=2) == [1, 4, 9]
         assert service_stats()["aborts"] >= 1
-
-    def test_timeout_pool_per_call(self, monkeypatch):
-        monkeypatch.setenv(PERSISTENT_POOL_ENV, "0")
-        shutdown_worker_service()
-        with pytest.raises(WorkerTimeoutError):
-            run_tasks(_sleep_cell, [30.0, 30.0], workers=2, timeout=0.2)
-        assert run_tasks(_square, [5, 6], workers=2) == [25, 36]
 
     def test_generous_timeout_does_not_fire(self):
         shutdown_worker_service()
@@ -382,6 +363,17 @@ class TestCircuitBreaker:
         assert service.breaker.threshold == 7
         assert service.breaker.window_s == 5.0
         assert service.breaker.cooldown_s == 0.25
+
+    @pytest.mark.parametrize(
+        "env", ["REPRO_BREAKER_COOLDOWN_MS", "REPRO_BREAKER_WINDOW_MS"]
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_breaker_env_rejected(self, monkeypatch, env, value):
+        """A ``nan`` cooldown would hold the breaker open forever, and
+        every pooled call would silently run serially."""
+        monkeypatch.setenv(env, value)
+        with pytest.raises(ConfigError, match="finite"):
+            WorkerService(workers=2)
 
     def test_open_breaker_degrades_run_to_inline(self):
         """With the breaker open, runs complete serially in the parent

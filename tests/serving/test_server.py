@@ -341,6 +341,28 @@ class TestServeConfig:
         with pytest.raises(ConfigError):
             resolve_serve_config(max_wait_ms=-0.5)
 
+    @pytest.mark.parametrize(
+        "env,value",
+        [
+            (MAX_WAIT_ENV, "nan"),  # Condition.wait(nan) raises in the batcher
+            (TIMEOUT_ENV, "inf"),
+            (DRAIN_ENV, "inf"),  # thread.join(inf) overflows at shutdown
+            (DRAIN_ENV, "NaN"),
+        ],
+    )
+    def test_non_finite_env_values_rejected(self, monkeypatch, env, value):
+        monkeypatch.setenv(env, value)
+        with pytest.raises(ConfigError, match="finite"):
+            resolve_serve_config()
+
+    @pytest.mark.parametrize(
+        "knob", ["max_wait_ms", "timeout_ms", "drain_ms"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_explicit_values_rejected(self, knob, value):
+        with pytest.raises(ConfigError, match="finite"):
+            resolve_serve_config(**{knob: value})
+
 
 class TestStatsAccounting:
     def test_every_admission_resolves_exactly_once(self):
