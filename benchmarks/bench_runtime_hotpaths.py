@@ -2,8 +2,9 @@
 
 Times three implementations of the layer-current computation
 
-* **legacy** -- the per-timestep ``DeployableNetwork._layer_current``
-  loop (fresh im2col + einsum + dequantize per timestep),
+* **legacy** -- the reference oracle's per-timestep ``layer_current``
+  loop (fresh im2col + einsum + dequantize per timestep; see
+  ``tests/legacy_oracle.py``),
 * **fused** -- the runtime's time-fused dense kernel (one unfold + one
   batched matmul for all timesteps),
 * **event** -- the runtime's event-driven scatter kernel,
@@ -12,7 +13,7 @@ across a sweep of input spike densities, plus the ``blocked_scatter``
 deep-VGG9 micro (blocked event vs dense kernel on a K >= 500 shape --
 the shapes only the canonical blocked k-fold can keep on the event
 path, with the density rule's routing verdict per density), the
-end-to-end ``DeployableNetwork.forward`` legacy-vs-runtime comparison on
+end-to-end ``DeployableNetwork.forward`` runtime-vs-oracle comparison on
 a small-scale VGG9 at paper-typical spike densities, the sharded
 serial-vs-pooled throughput, warm-vs-cold persistent-pool latency, the
 disk-backed evaluation cache's cold/warm split, the
@@ -50,8 +51,11 @@ from typing import Callable, Dict, List
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if not any(os.path.isdir(os.path.join(p, "repro")) for p in sys.path if p):
     sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+# The per-timestep reference loop lives with the tests it anchors.
+sys.path.append(os.path.join(REPO_ROOT, "tests"))
 
 import numpy as np
+import scipy
 
 from repro.parallel import sharded_forward
 from repro.quant import FP32, convert
@@ -59,7 +63,6 @@ from repro.runtime import (
     RuntimeConfig,
     calibrate_event_exact,
     plan_deployable,
-    resolve_event_backend,
     resolve_event_block,
     runtime_overrides,
 )
@@ -67,6 +70,8 @@ from repro.runtime.kernels import dense_conv, event_conv, event_conv_blocked
 from repro.runtime.refshapes import DEEP_VGG9_SHAPES, make_conv_layer_plan
 from repro.snn import build_vgg9
 from repro.snn.neuron import LIFConfig
+
+from legacy_oracle import forward_legacy, layer_current
 
 DENSITIES = (0.01, 0.05, 0.20, 0.50)
 
@@ -142,17 +147,16 @@ def build_workload(scale: str):
 def pick_micro_layer(deployable):
     """First non-input conv layer whose shape calibrates event-exact."""
     plan = plan_deployable(deployable)
-    backend = resolve_event_backend("auto")
     for index, layer in enumerate(plan.layers):
         if layer.kind != "conv" or layer.is_input_layer:
             continue
-        if calibrate_event_exact(layer, backend):
-            return index, layer, backend
+        if calibrate_event_exact(layer):
+            return index, layer
     raise SystemExit("no event-exact conv layer found for the micro-bench")
 
 
 def bench_layer_micro(deployable, params) -> List[Dict]:
-    index, layer, backend = pick_micro_layer(deployable)
+    index, layer = pick_micro_layer(deployable)
     legacy_layer = deployable.layers[index]
     timesteps = params["timesteps"]
     batch = params["batch"]
@@ -165,15 +169,13 @@ def bench_layer_micro(deployable, params) -> List[Dict]:
         per_t = [fused[t * batch : (t + 1) * batch] for t in range(timesteps)]
 
         def run_legacy():
-            return [
-                deployable._layer_current(legacy_layer, xt) for xt in per_t
-            ]
+            return [layer_current(legacy_layer, xt) for xt in per_t]
 
         def run_fused():
             return dense_conv(layer, fused)
 
         def run_event():
-            return event_conv(layer, fused, backend)[0]
+            return event_conv(layer, fused)[0]
 
         # The three paths must agree bit-for-bit before being timed.
         want = np.concatenate(run_legacy())
@@ -207,8 +209,7 @@ def bench_blocked_scatter(params) -> Dict:
     layer = make_conv_layer_plan(cin, height, width, cout, seed=19)
     geometry = layer.geometry
     rng = np.random.default_rng(19)
-    backend = resolve_event_backend("auto")
-    block = resolve_event_block(layer, backend)
+    block = resolve_event_block(layer)
     if not block:
         raise SystemExit(
             f"deep shape K={geometry.k} failed to resolve a k-block"
@@ -228,10 +229,10 @@ def bench_blocked_scatter(params) -> Dict:
             return dense_conv(layer, x)
 
         def run_event_blocked():
-            return event_conv_blocked(layer, x, backend, block)[0]
+            return event_conv_blocked(layer, x, block)[0]
 
         want = run_dense_blocked()
-        got, updates = event_conv_blocked(layer, x, backend, block)
+        got, updates = event_conv_blocked(layer, x, block)
         if not np.array_equal(got, want):
             raise SystemExit(
                 f"blocked event diverged from blocked dense at density "
@@ -255,7 +256,6 @@ def bench_blocked_scatter(params) -> Dict:
         },
         "k": int(geometry.k),
         "k_block": int(block),
-        "backend": backend,
         "batch": batch,
         "bit_exact": True,
         "rows": rows,
@@ -264,7 +264,7 @@ def bench_blocked_scatter(params) -> Dict:
 
 def bench_end_to_end(deployable, images, params) -> Dict:
     timesteps = params["timesteps"]
-    legacy_out = deployable.forward_legacy(images, timesteps)
+    legacy_out = forward_legacy(deployable, images, timesteps)
     # Two distinct exactness contracts, asserted separately. (1) With
     # blocking disabled every layer computes the same unblocked fold the
     # legacy loop uses, so the runtime must match legacy bit for bit.
@@ -285,7 +285,7 @@ def bench_end_to_end(deployable, images, params) -> Dict:
     if not np.array_equal(runtime_out.logits, forced_dense_out.logits):
         raise SystemExit("default routing diverged from forced dense")
     legacy_ms = timeit(
-        lambda: deployable.forward_legacy(images, timesteps), params["repeats"]
+        lambda: forward_legacy(deployable, images, timesteps), params["repeats"]
     )
     runtime_ms = timeit(
         lambda: deployable.forward(images, timesteps), params["repeats"]
@@ -568,9 +568,8 @@ def bench_quantized_kernels(params) -> Dict:
     layer.wmat = wmat
     layer.wT = np.ascontiguousarray(wmat.T)
     attach_int_lowering(layer, q, scale)
-    backend = resolve_event_backend("auto")
-    block = resolve_event_block(layer, backend)
-    if not calibrate_int_exact(layer, backend, block):
+    block = resolve_event_block(layer)
+    if not calibrate_int_exact(layer, block):
         raise SystemExit("pow2 int lowering failed the exactness probe")
     rng = np.random.default_rng(23)
     batch = params["timesteps"] * params["batch"]
@@ -582,11 +581,11 @@ def bench_quantized_kernels(params) -> Dict:
 
         def run_float_event():
             if block:
-                return event_conv_blocked(layer, x, backend, block)[0]
-            return event_conv(layer, x, backend)[0]
+                return event_conv_blocked(layer, x, block)[0]
+            return event_conv(layer, x)[0]
 
         def run_int_event():
-            return event_conv_int(layer, x, backend)[0]
+            return event_conv_int(layer, x)[0]
 
         def run_float_dense():
             return dense_conv(layer, x, kblock=block if block else None)
@@ -595,7 +594,7 @@ def bench_quantized_kernels(params) -> Dict:
             return dense_conv_int(layer, x)
 
         want = run_float_dense()
-        got, updates = event_conv_int(layer, x, backend)
+        got, updates = event_conv_int(layer, x)
         if not np.array_equal(got, want):
             raise SystemExit(
                 f"int event kernel diverged from float at density {density}"
@@ -655,7 +654,6 @@ def bench_quantized_kernels(params) -> Dict:
         },
         "k": int(layer.geometry.k),
         "k_block": int(block or 0),
-        "backend": backend,
         "batch": batch,
         "scheme": "int8p2",
         "int_bound": int(layer.int_bound),
@@ -909,7 +907,7 @@ def main(argv=None) -> int:
             "env": {
                 "python": platform.python_version(),
                 "numpy": np.__version__,
-                "event_backend": resolve_event_backend("auto"),
+                "scipy": scipy.__version__,
             },
             "layer_micro": bench_layer_micro(deployable, params),
             "blocked_scatter": bench_blocked_scatter(params),

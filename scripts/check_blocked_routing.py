@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.runtime import (
     InferenceEngine,
-    resolve_event_backend,
     resolve_event_block,
     runtime_overrides,
 )
@@ -43,14 +42,13 @@ BATCH = 2
 
 def main() -> int:
     failures = []
-    backend = resolve_event_backend("auto")
     for index, (cin, height, width, cout) in enumerate(DEEP_VGG9_SHAPES):
         plan = make_conv_network_plan(
             cin, height, width, cout, seed=100 + index
         )
         conv = plan.layers[0]
         k = conv.geometry.k
-        block = resolve_event_block(conv, backend)
+        block = resolve_event_block(conv)
         if not block:
             failures.append(
                 f"K={k}: no calibrated k-block (resolution {block!r})"

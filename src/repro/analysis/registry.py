@@ -57,8 +57,6 @@ class CliFlag:
 
 _ENV_VARS: Tuple[EnvVar, ...] = (
     # -- runtime layer (src/repro/runtime/config.py) ------------------
-    EnvVar("REPRO_RUNTIME", "repro/runtime/config.py",
-           "0 disables the fused inference runtime globally"),
     EnvVar("REPRO_EVENT_KBLOCK", "repro/runtime/config.py",
            "blocked k-fold control: auto, 0 (off) or a block size"),
     EnvVar("REPRO_INT_KERNELS", "repro/runtime/config.py",

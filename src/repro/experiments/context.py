@@ -165,8 +165,6 @@ class ExperimentContext:
         retrain under an old sidecar), or one in an older format, is
         silently rebuilt from the model and re-saved.
         """
-        if not runtime_config().enabled:
-            return
         sidecar = plan_sidecar_path(path)
         digest = model.weights_digest()
         loaded = try_load_plan(sidecar, model_digest=digest)
@@ -342,15 +340,18 @@ class ExperimentContext:
             images, labels = images[:max_samples], labels[:max_samples]
         steps = timesteps or self.timesteps_for(coding)
         batch = self.eval_batch
-        if getattr(encoder, "deterministic", False) and len(images):
-            # Deterministic encodings -- direct, TTFS *and* counter-
-            # stream rate coding -- split freely: shard at the same
-            # 128-sample granularity the serial loop always used (the
-            # merge is bit-identical to it) and let REPRO_WORKERS decide
-            # how many processes serve the shards. Workers cold-start
-            # from the cached .npz + .plan.npz sidecar.
+        degraded = None
+        if not len(images):
+            # An empty evaluation set has no shard to run.
+            stats, input_events, correct, samples = SpikeStats(), {}, 0, 0
+        else:
+            # Every encoding -- direct, TTFS and counter-stream rate
+            # coding -- splits freely: shard at the same 128-sample
+            # granularity a serial batch loop uses (the merge is
+            # bit-identical to it) and let REPRO_WORKERS decide how many
+            # processes serve the shards. Workers cold-start from the
+            # cached .npz + .plan.npz sidecar.
             model_path = self.model_path(self.model_key(dataset, scheme, coding))
-            degraded = None
             try:
                 out = sharded_forward(
                     model,
@@ -401,26 +402,6 @@ class ExperimentContext:
             input_events = dict(out.input_spike_totals)
             correct = int((out.logits.argmax(axis=1) == eval_labels).sum())
             samples = int(out.logits.shape[0])
-        else:
-            # Leftover stateful encoders (deterministic=False) keep the
-            # sequential legacy loop: their spike streams depend on
-            # evaluation order. No in-tree encoder takes this branch.
-            degraded = None
-            samples = len(images)
-            stats = SpikeStats()
-            input_events = {}
-            correct = 0
-            for start in range(0, len(images), batch):
-                chunk = images[start : start + batch]
-                out = model.forward(chunk, steps, encoder)
-                stats.merge(out.stats)
-                for name, value in out.input_spike_totals.items():
-                    input_events[name] = input_events.get(name, 0.0) + value
-                correct += int(
-                    (
-                        out.logits.argmax(axis=1) == labels[start : start + batch]
-                    ).sum()
-                )
         result = EvaluationResult(
             accuracy=correct / samples if samples else 0.0,
             spikes_per_image=stats.spikes_per_image(),

@@ -21,8 +21,8 @@ Two timing modes:
   The sums are integer-valued and therefore merge exactly; the single
   mean-per-timestep division happens once, on the merged totals, in the
   same order the unsharded path uses -- so sharded cycle statistics are
-  bit-identical to the unsharded run for deterministic encoders, at any
-  shard geometry and worker count.
+  bit-identical to the unsharded run, for every encoder, at any shard
+  geometry and worker count.
 * **analytic** (:meth:`run_from_counts`): needs only per-layer event
   counts (e.g. the paper-scale workload profile); used by the Table I /
   Table III harnesses where only cycle/power structure matters.
@@ -189,15 +189,13 @@ def _sim_shard_result(model, config: AcceleratorConfig, out) -> Tuple:
     functional output (no trains) plus per-layer cycle sums."""
     from repro.quant.convert import DeployableOutput
 
-    stacked_trains = getattr(out, "spike_trains_stacked", None) or {}
     sparse = []
     for index, layer in enumerate(model.layers):
         if index == 0 and config.use_dense_core:
             continue  # dense-core layer: activity-independent timing
-        stacked = stacked_trains.get(layer.name)
-        if stacked is None:
-            stacked = np.stack(out.spike_trains[layer.name])
-        sparse.append((layer, config.allocation[index], stacked))
+        sparse.append(
+            (layer, config.allocation[index], out.spike_trains_stacked[layer.name])
+        )
     samples = out.logits.shape[0]
     bounds = lane_bounds(samples, lane_count(samples))
 
@@ -240,8 +238,7 @@ def _run_sim_shard(task: Tuple[object, int, int]):
     state = _SIM_WORKER_STATE
     shard_images = resolve_task_images(payload)
     # Position the encoder on the shard's global sample offset so
-    # counter-stream encoders replay the unsharded stream exactly;
-    # stateful encoders ignore it (snapshot per shard, as before).
+    # counter-stream encoders replay the unsharded stream exactly.
     encoder = pickle.loads(state["encoder_blob"]).for_samples(start)
     out = state["model"].forward(
         shard_images, timesteps, encoder, record=True
@@ -286,11 +283,9 @@ class HybridSimulator:
         shard reduces its own trains to per-(layer, timestep) cycle sums
         in place (in a worker process, or inline under the serial
         fallback), and the merged statistics are bit-identical to the
-        unsharded run for deterministic encoders -- see the module
-        docstring. Counter-stream rate coding is deterministic in this
-        sense: every task carries its shard's global sample offset and
-        the encoder replays the unsharded stream exactly; only leftover
-        stateful encoders fall back to snapshot-per-shard semantics.
+        unsharded run -- see the module docstring. Every task carries
+        its shard's global sample offset, so counter-stream rate coding
+        replays the unsharded stream exactly.
         """
         encoder = encoder or DirectEncoder()
         self._check_encoder(encoder)
@@ -392,7 +387,7 @@ class HybridSimulator:
             report.accuracy = float(
                 (out.logits.argmax(axis=1) == np.asarray(labels)).mean()
             )
-        counters = getattr(out, "runtime_counters", None)
+        counters = out.runtime_counters
         if counters:
             dense = sum(c.dense_steps for c in counters.values())
             event = sum(c.event_steps for c in counters.values())

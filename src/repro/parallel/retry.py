@@ -40,6 +40,7 @@ sweeps get recovery without threading a policy through every caller;
 from __future__ import annotations
 
 import hashlib
+import math
 import pickle
 import time
 from dataclasses import dataclass
@@ -94,19 +95,27 @@ class RetryPolicy:
             raise ConfigError(
                 f"retry max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.backoff_ms < 0 or self.backoff_max_ms < 0:
-            raise ConfigError("retry backoff must be >= 0 ms")
-        if self.backoff_factor < 1.0:
+        # Comparisons with nan are false, so each range check below also
+        # refuses nan.
+        for name in ("backoff_ms", "backoff_max_ms"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ConfigError(
+                    f"retry {name} must be finite and >= 0, got {value}"
+                )
+        if not 1.0 <= self.backoff_factor < math.inf:
             raise ConfigError(
-                f"retry backoff_factor must be >= 1, got {self.backoff_factor}"
+                f"retry backoff_factor must be finite and >= 1, "
+                f"got {self.backoff_factor}"
             )
         if not 0.0 <= self.jitter <= 1.0:
             raise ConfigError(
                 f"retry jitter must be in [0, 1], got {self.jitter}"
             )
-        if self.task_timeout_s is not None and self.task_timeout_s <= 0:
+        if self.task_timeout_s is not None and not 0 < self.task_timeout_s < math.inf:
             raise ConfigError(
-                f"retry task_timeout_s must be > 0, got {self.task_timeout_s}"
+                f"retry task_timeout_s must be finite and > 0, "
+                f"got {self.task_timeout_s}"
             )
 
     def backoff_delay_s(self, task: int, attempt: int) -> float:

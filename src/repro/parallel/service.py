@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import atexit
 import hashlib
+import math
 import multiprocessing as mp
 import os
 import pickle
@@ -145,6 +146,12 @@ class CircuitBreaker:
             raise ConfigError(
                 f"breaker threshold must be >= 1, got {threshold}"
             )
+        # A nan cooldown would hold the breaker open forever.
+        for name, value in (("window_s", window_s), ("cooldown_s", cooldown_s)):
+            if not 0 <= value < math.inf:
+                raise ConfigError(
+                    f"breaker {name} must be finite and >= 0, got {value}"
+                )
         self.threshold = threshold
         self.window_s = window_s
         self.cooldown_s = cooldown_s

@@ -29,19 +29,14 @@ Determinism guarantees, in decreasing strength:
    worker count (``REPRO_WORKERS=1`` serial fallback included): each
    shard is a pure function of (model, shard images, encoder + global
    sample offset), and the merge runs in shard order on the parent.
-2. For deterministic encoders -- direct, TTFS, *and* counter-stream
-   rate coding -- logits, spike trains and ``SpikeStats`` are
-   additionally bit-identical across *all* shard geometries, including
-   the unsharded ``model.forward``. Each task carries its shard's
-   global start index and the worker positions the encoder with
-   ``encoder.for_samples(start)``, so sample ``i`` draws the stream of
-   global sample ``start + i`` no matter how the batch was split.
-3. Leftover *stateful* stochastic encoders (``deterministic=False``
-   subclasses whose draws depend on order) degrade to the legacy
-   snapshot semantics: every shard re-materialises the pickled encoder
-   and the offset is a no-op on the base class -- deterministic per
-   geometry, but not geometry-invariant. The in-tree rate encoder no
-   longer works this way (see :class:`repro.snn.encoding.RateEncoder`).
+2. Every encoder -- direct, TTFS and counter-stream rate coding -- is a
+   pure function of (images, global sample index, t), so logits, spike
+   trains and ``SpikeStats`` are additionally bit-identical across
+   *all* shard geometries, including the unsharded ``model.forward``.
+   Each task carries its shard's global start index and the worker
+   positions the encoder with ``encoder.for_samples(start)``, so sample
+   ``i`` draws the stream of global sample ``start + i`` no matter how
+   the batch was split.
 
 Workers receive the model once per call, through the worker
 initializer: either the live object (pickled, for in-memory models) or
@@ -132,15 +127,13 @@ def merge_outputs(parts: Sequence) -> "DeployableOutput":
         stats.merge(part.stats)
         for name, value in part.input_spike_totals.items():
             input_totals[name] = input_totals.get(name, 0.0) + value
-    counters: Optional[Dict[str, LayerCounters]] = None
-    if all(part.runtime_counters is not None for part in parts):
-        counters = {}
-        for part in parts:
-            for name, counter in part.runtime_counters.items():
-                counters.setdefault(name, LayerCounters()).merge(counter)
+    counters: Dict[str, LayerCounters] = {}
+    for part in parts:
+        for name, counter in part.runtime_counters.items():
+            counters.setdefault(name, LayerCounters()).merge(counter)
     trains = None
     stacked = None
-    if all(part.spike_trains_stacked is not None for part in parts):
+    if parts[0].spike_trains_stacked is not None:
         # One merged stack per layer; the per-timestep list views it,
         # as on the unsharded path.
         stacked = {
@@ -150,16 +143,6 @@ def merge_outputs(parts: Sequence) -> "DeployableOutput":
             for name in parts[0].spike_trains_stacked
         }
         trains = {name: list(train) for name, train in stacked.items()}
-    elif all(part.spike_trains is not None for part in parts):
-        trains = {}
-        for name in parts[0].spike_trains:
-            timesteps = len(parts[0].spike_trains[name])
-            trains[name] = [
-                np.concatenate(
-                    [part.spike_trains[name][t] for part in parts], axis=0
-                )
-                for t in range(timesteps)
-            ]
     return DeployableOutput(
         logits=logits,
         stats=stats,
@@ -300,8 +283,7 @@ def _run_shard(task: Tuple[object, int, int, bool]):
     shipped -- a memory-mapped row slice or the shard's own array.
     ``start`` is the shard's global sample offset: counter-stream
     encoders position themselves on it so the shard draws exactly the
-    rows of the unsharded stream; stateful encoders ignore it (fresh
-    snapshot per shard, the legacy semantics)."""
+    rows of the unsharded stream."""
     payload, start, timesteps, record = task
     state = _WORKER_STATE
     shard_images = resolve_task_images(payload)

@@ -25,14 +25,12 @@ from repro.runtime import (
     InferenceEngine,
     LayerCounters,
     plan_deployable,
-    runtime_config,
     stack_encoder_frames,
 )
 from repro.snn.encoding import DirectEncoder, Encoder
 from repro.snn.metrics import SpikeStats
 from repro.snn.network import SpikingNetwork
 from repro.snn.neuron import LIFConfig
-from repro.tensor.ops import im2col
 from repro.utils.serialization import load_npz, save_npz
 
 
@@ -93,17 +91,17 @@ class DeployableLayer:
 class DeployableOutput:
     """Results of one deployable forward pass.
 
-    ``spike_trains`` keeps the legacy per-timestep list layout;
-    ``spike_trains_stacked`` exposes the same trains as one ``(T, N, ...)``
-    array per layer (zero-copy views of each other on the runtime path),
-    which the hardware simulator consumes in a single batched pass.
+    When recording, ``spike_trains_stacked`` holds each layer's input
+    train as one ``(T, N, ...)`` array, which the hardware simulator
+    consumes in a single batched pass, and ``spike_trains`` the same
+    trains as per-timestep lists of zero-copy views.
+    ``runtime_counters`` holds the dispatcher's per-layer counts.
 
-    On the runtime path a binary train is uint8 with values in {0, 1}
-    (every layer's input after the first, and a rate- or TTFS-coded
-    first layer's); direct coding's analog first-layer input stays
-    float32. The legacy loop records float32 trains of the same values,
-    so compare trains by value. The runtime does not cast its trains
-    back to float32: that copy would be four times their size.
+    A binary train is uint8 with values in {0, 1} (every layer's input
+    after the first, and a rate- or TTFS-coded first layer's); direct
+    coding's analog first-layer input stays float32. Compare trains by
+    value: the runtime does not cast its trains back to float32, as
+    that copy would be four times their size.
     """
 
     logits: np.ndarray
@@ -171,82 +169,18 @@ class DeployableNetwork:
         encoder: Optional[Encoder] = None,
         record: bool = False,
     ) -> DeployableOutput:
-        """Run ``timesteps`` of inference on an image batch.
+        """Run ``timesteps`` of inference on an image batch through the
+        fused inference runtime (see :mod:`repro.runtime`).
 
-        Routes through the fused inference runtime unless it is
-        disabled; see :mod:`repro.runtime`. Shapes on the unblocked
-        fold (every layer, when ``event_kblock=0``) are bit-exact
-        against :meth:`forward_legacy`; deep conv shapes on the default
-        canonical blocked fold are bit-exact across every dispatch
-        setting (forced dense == forced event == cost-routed) but may
-        differ from the legacy loop's full-``K`` GEMM in the last ulp.
+        Results are bit-identical across every dispatch setting (forced
+        dense == forced event == density-routed). Shapes on the
+        unblocked fold (every layer, when ``event_kblock=0``) also match
+        a per-timestep loop over full-``K`` GEMMs bit for bit; deep conv
+        shapes on the default canonical blocked fold may differ from
+        that loop in the last ulp.
         """
         images = self._checked_images(images, timesteps)
         encoder = encoder or DirectEncoder()
-        if runtime_config().enabled:
-            return self._forward_runtime(images, timesteps, encoder, record)
-        return self.forward_legacy(images, timesteps, encoder, record)
-
-    def forward_legacy(
-        self,
-        images: np.ndarray,
-        timesteps: int,
-        encoder: Optional[Encoder] = None,
-        record: bool = False,
-    ) -> DeployableOutput:
-        """The original per-timestep loop (reference + fallback path)."""
-        images = self._checked_images(images, timesteps)
-        encoder = encoder or DirectEncoder()
-        encoder.reset()
-        n = images.shape[0]
-        beta, theta = self.lif.beta, self.lif.threshold
-
-        stats = SpikeStats(samples=n, timesteps=timesteps)
-        input_totals: Dict[str, float] = {}
-        trains: Optional[Dict[str, List[np.ndarray]]] = (
-            {layer.name: [] for layer in self.layers} if record else None
-        )
-        membranes: Dict[str, Optional[np.ndarray]] = {
-            layer.name: None for layer in self.layers
-        }
-        accumulated = np.zeros((n, self.population_size), dtype=np.float32)
-
-        for t in range(timesteps):
-            x = encoder.encode(images, t).data
-            for layer in self.layers:
-                if trains is not None:
-                    trains[layer.name].append(x.copy())
-                input_totals[layer.name] = (
-                    input_totals.get(layer.name, 0.0) + float(x.sum())
-                )
-                current = self._layer_current(layer, x)
-                previous = membranes[layer.name]
-                integrated = current if previous is None else beta * previous + current
-                spikes = (integrated > theta).astype(np.float32)
-                membranes[layer.name] = integrated - spikes * theta
-                stats.record(layer.name, t, spikes)
-                x = spikes
-                if layer.pool_after > 1:
-                    x = _or_pool(x, layer.pool_after)
-            accumulated += x
-
-        logits = accumulated.reshape(n, self.num_classes, self.population_group).sum(
-            axis=2
-        )
-        return DeployableOutput(
-            logits=logits,
-            stats=stats,
-            input_spike_totals=input_totals,
-            spike_trains=trains,
-        )
-
-    def _forward_runtime(
-        self,
-        images: np.ndarray,
-        timesteps: int,
-        encoder: Encoder,
-        record: bool,
-    ) -> DeployableOutput:
         stacked, time_invariant = stack_encoder_frames(
             encoder, images, timesteps, record=record
         )
@@ -345,27 +279,6 @@ class DeployableNetwork:
                     f"layer {layer.name!r}"
                 )
         self._runtime_plan = plan
-
-    def _layer_current(self, layer: DeployableLayer, x: np.ndarray) -> np.ndarray:
-        weight = layer.effective_weight()
-        bias = layer.effective_bias()
-        if layer.kind == "conv":
-            n = x.shape[0]
-            cols = im2col(x, (layer.kernel, layer.kernel), 1, layer.padding)
-            wmat = weight.reshape(layer.out_channels, -1)
-            out = np.einsum("ok,nkp->nop", wmat, cols, optimize=True)
-            oh, ow = layer.output_shape[1], layer.output_shape[2]
-            return (
-                out.reshape(n, layer.out_channels, oh, ow)
-                + bias.reshape(1, -1, 1, 1)
-            ).astype(np.float32)
-        flat = x.reshape(x.shape[0], -1)
-        if flat.shape[1] != weight.shape[1]:
-            raise ShapeError(
-                f"layer {layer.name} expects {weight.shape[1]} inputs, "
-                f"got {flat.shape[1]}"
-            )
-        return (flat @ weight.T + bias).astype(np.float32)
 
     def predict(
         self,
@@ -469,12 +382,6 @@ class DeployableNetwork:
                 f"{layer.input_shape} -> {layer.output_shape}{pool}{dense}"
             )
         return "\n".join(lines)
-
-
-def _or_pool(x: np.ndarray, window: int) -> np.ndarray:
-    """OR-gate max pooling on binary maps (hardware Sec. IV-B)."""
-    n, c, h, w = x.shape
-    return x.reshape(n, c, h // window, window, w // window, window).max(axis=(3, 5))
 
 
 def convert(network: SpikingNetwork, scheme: QuantScheme = FP32) -> DeployableNetwork:

@@ -1,12 +1,12 @@
 """Runtime configuration and per-layer dispatch counters.
 
-One process-wide :class:`RuntimeConfig` governs whether the fused
-inference runtime is used at all, where the density dispatcher switches
-between the dense and the event-driven kernel, and which scatter backend
-realises the event path. Tests pin behaviour with
-:func:`runtime_overrides`; ``REPRO_RUNTIME=0`` in the environment turns
-the runtime off globally (every consumer then falls back to the legacy
-per-timestep loops).
+One process-wide :class:`RuntimeConfig` governs where the density
+dispatcher switches between the dense and the event-driven kernel, how
+deep conv shapes fold, whether quantized layers run the integer
+datapath and how large a fused dense call may grow. The fused runtime
+is the only inference path of a deployable network; the event path's
+scatter is always scipy's CSR matmul. Tests pin behaviour with
+:func:`runtime_overrides`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, Optional
+from typing import ClassVar, Dict, Iterator, Optional
 
 from repro.errors import ConfigError
 
@@ -33,15 +33,12 @@ class RuntimeConfig:
     """Knobs of the fused inference runtime.
 
     Attributes:
-        enabled: route eligible forwards through the runtime at all.
         dispatch_threshold: input spike density (fraction of set bits) at
             or below which a binary conv layer-timestep takes the
             event-driven path (when the layer has a calibrated fold); 0
             disables the event path, 1 takes it whenever legal.
         force_path: pin every eligible layer-timestep to ``'dense'`` or
             ``'event'`` regardless of density (equivalence testing).
-        event_backend: ``'scipy'`` (CSR scatter-matmul), ``'numpy'``
-            (sorted ``np.add.at``), or ``'auto'`` (scipy when available).
         event_kblock: canonical blocked k-fold control. ``None`` (auto)
             calibrates per shape and picks the largest bit-exact block
             for shapes whose unblocked fold fails; ``0`` disables
@@ -66,10 +63,13 @@ class RuntimeConfig:
             cache-resident between the unfold and the GEMM.
     """
 
-    enabled: bool = True
+    #: The event path's scatter backend: CSR scatter-matmul, the only
+    #: one. A class constant, not a field, so it cannot be set. Kept only
+    #: because the benchmark harness records it (``perfbench/envinfo.py``).
+    event_backend: ClassVar[str] = "scipy"
+
     dispatch_threshold: float = 0.05
     force_path: Optional[str] = None
-    event_backend: str = "auto"
     event_kblock: Optional[int] = None
     int_kernels: str = "auto"
     max_fused_elements: int = MAX_FUSED_ELEMENTS
@@ -82,11 +82,6 @@ class RuntimeConfig:
         if self.force_path not in (None, "dense", "event"):
             raise ConfigError(
                 f"force_path must be None, 'dense' or 'event', got {self.force_path!r}"
-            )
-        if self.event_backend not in ("auto", "scipy", "numpy"):
-            raise ConfigError(
-                f"event_backend must be 'auto', 'scipy' or 'numpy', "
-                f"got {self.event_backend!r}"
             )
         if self.event_kblock is not None and self.event_kblock < 0:
             raise ConfigError(
@@ -107,9 +102,8 @@ class RuntimeConfig:
 def _env_event_kblock() -> Optional[int]:
     """``REPRO_EVENT_KBLOCK``: ``auto`` (default) -> None, else an int >= 0.
 
-    Unparseable and negative values fall back to auto -- consistent with
-    the lenient ``REPRO_RUNTIME`` handling (a typo must not break every
-    import, nor silently disable blocking)."""
+    Unparseable and negative values fall back to auto (a typo must not
+    break every import, nor silently disable blocking)."""
     raw = os.environ.get("REPRO_EVENT_KBLOCK", "auto").strip().lower()
     try:
         value = int(raw)
@@ -128,7 +122,6 @@ def _env_int_kernels() -> str:
 
 
 _CONFIG = RuntimeConfig(  # repro: lint-ok[P102] per-process config snapshot; workers re-resolve it from env at bootstrap
-    enabled=os.environ.get("REPRO_RUNTIME", "1") != "0",
     event_kblock=_env_event_kblock(),
     int_kernels=_env_int_kernels(),
 )

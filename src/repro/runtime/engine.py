@@ -5,8 +5,7 @@ layer the full ``(T, N, ...)`` input train is turned into currents in one
 or two kernel calls (time folded into the batch axis), the LIF state scan
 runs sequentially over ``T`` on the fused tensor, and the spike train
 feeds the next layer. Because the network is feed-forward and LIF state
-is purely per-layer, this reordering of the legacy time-major loop is
-exact.
+is purely per-layer, this reordering of a time-major loop is exact.
 
 Per layer and timestep the dispatcher measures input activity and routes
 the step to the dense gather-matmul kernel or the event-driven scatter
@@ -66,7 +65,6 @@ from repro.runtime.kernels import (
     event_conv_blocked,
     event_conv_int,
     or_pool,
-    resolve_event_backend,
     resolve_event_block,
 )
 from repro.runtime.lanes import lane_bounds, lane_count, run_lanes
@@ -83,8 +81,7 @@ def stack_encoder_frames(encoder, images: np.ndarray, timesteps: int, record: bo
     Time-invariant encodings (direct coding) are encoded once and
     broadcast -- zero copies for the T-fold repetition. When ``record``
     is set the base frame is copied first: recorded trains are handed
-    back to the caller and must not alias the caller's image buffer
-    (the legacy loops copied every recorded frame).
+    back to the caller and must not alias the caller's image buffer.
 
     The first-layer memoisation this enables keys on the declared
     *stream* property (``time_invariant``, shared by every encoder with
@@ -99,7 +96,6 @@ def stack_encoder_frames(encoder, images: np.ndarray, timesteps: int, record: bo
 
     Returns ``(stacked, time_invariant)``.
     """
-    encoder.reset()
     time_invariant = bool(getattr(encoder, "time_invariant", False))
     if time_invariant:
         base = encoder.encode(images, 0).data
@@ -231,7 +227,7 @@ class InferenceEngine:
         dense fallback on the unblocked fold), ``0`` (unblocked event
         path exact) or a block size.
 
-        A pure function of (shape, ``event_kblock``, backend) -- never of
+        A pure function of (shape, ``event_kblock``) -- never of
         the routing knobs -- so forcing a path or moving the dispatch
         threshold can never change which fold a layer computes with. This
         is deliberate even for dense-only configurations
@@ -245,12 +241,7 @@ class InferenceEngine:
         cached = self._block_by_layer.get(layer.name, _UNRESOLVED)
         if cached is not _UNRESOLVED:
             return cached
-        config = self._config()
-        block = resolve_event_block(
-            layer,
-            resolve_event_backend(config.event_backend),
-            config.event_kblock,
-        )
+        block = resolve_event_block(layer, self._config().event_kblock)
         self._block_by_layer[layer.name] = block
         return block
 
@@ -286,12 +277,9 @@ class InferenceEngine:
             and layer.kind == "conv"
             and layer.has_int_lowering
         ):
-            backend = resolve_event_backend(config.event_backend)
             if not layer.int_overflow_ok:
                 reason = "overflow"
-            elif config.int_kernels == "on" or calibrate_int_exact(
-                layer, backend, block
-            ):
+            elif config.int_kernels == "on" or calibrate_int_exact(layer, block):
                 use_int = True
             else:
                 reason = "exactness"
@@ -341,7 +329,7 @@ class InferenceEngine:
         for layer in plan.layers:
             if trains is not None:
                 trains[layer.name] = x
-            # Per-timestep activity: reused for the legacy-ordered input
+            # Per-timestep activity: reused for the time-major input
             # totals, the density dispatch, and the binary check. A spike
             # train's count is both its sum and its nnz (binary values,
             # exact below 2^24 per timestep), and a binary encoder's byte
@@ -516,7 +504,7 @@ class InferenceEngine:
         route.whole_batch = not conv or (
             "dense" in route.paths
             and not route.int_dense
-            and not self._fold_calibrated(config, layer, block, analog)
+            and not self._fold_calibrated(layer, block, analog)
         )
         if block:
             layer.block_tables(block)
@@ -527,19 +515,14 @@ class InferenceEngine:
         return route
 
     def _fold_calibrated(
-        self,
-        config: RuntimeConfig,
-        layer: LayerPlan,
-        block: Optional[int],
-        analog: bool,
+        self, layer: LayerPlan, block: Optional[int], analog: bool
     ) -> bool:
         """Whether the layer's float dense fold is calibrated identical to
         the event kernel's -- a sequential ascending-k fold per output,
         which OpenBLAS computes alike at every thread count. Analog
         input runs the unblocked fold whatever the layer's block."""
         if analog:
-            backend = resolve_event_backend(config.event_backend)
-            return calibrate_event_exact(layer, backend)
+            return calibrate_event_exact(layer)
         return block is not None
 
     def _route_frame(
@@ -699,7 +682,7 @@ class InferenceEngine:
             if path == "dense":
                 self._kernel_dense(config, layer, batch, route, pool, out)
             else:
-                updates += self._kernel_event(config, layer, batch, route, out)
+                updates += self._kernel_event(layer, batch, route, out)
         if route.broadcast:
             current = np.broadcast_to(current, (x.shape[0],) + current.shape[1:])
         return current, updates
@@ -729,22 +712,18 @@ class InferenceEngine:
 
     def _kernel_event(
         self,
-        config: RuntimeConfig,
         layer: LayerPlan,
         batch: np.ndarray,
         route: "_Route",
         out: np.ndarray,
     ) -> int:
-        backend = resolve_event_backend(config.event_backend)
         if route.int_event:
             # No blocked variant: the integer fold is exact in any order.
-            _, updates = event_conv_int(layer, batch, backend, out=out)
+            _, updates = event_conv_int(layer, batch, out=out)
         elif route.block:
-            _, updates = event_conv_blocked(
-                layer, batch, backend, route.block, out=out
-            )
+            _, updates = event_conv_blocked(layer, batch, route.block, out=out)
         else:
-            _, updates = event_conv(layer, batch, backend, out=out)
+            _, updates = event_conv(layer, batch, out=out)
         return updates
 
 

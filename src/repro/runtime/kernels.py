@@ -14,9 +14,8 @@ Bit-exactness of the event path rests on the accumulation order: when
 BLAS folds each output element over ``k`` in ascending order with a
 single accumulator, skipping the zero terms of a binary input cannot
 change a float32 partial sum (beyond the sign of an exact zero), and the
-scatter backends preserve that order -- CSR rows store ascending column
-indices, and the ``np.add.at`` fallback is applied to ``(row, k)``-sorted
-contributions. Which fold a GEMM uses, however, depends on the BLAS
+CSR scatter preserves that order: its rows store ascending column
+indices. Which fold a GEMM uses, however, depends on the BLAS
 kernel selected for the layer's shape (large-``k`` and FC-shaped GEMMs
 may split ``k`` over several accumulator lanes). The runtime therefore
 *calibrates* each conv layer shape once per process --
@@ -60,25 +59,21 @@ import math
 from typing import Dict, Optional, Tuple
 
 import numpy as np
+from scipy import sparse
 
-from repro.errors import ConfigError
 from repro.runtime.config import MAX_FUSED_ELEMENTS
 from repro.runtime.plan import BlockTables, LayerPlan
 from repro.utils.rng import new_rng
 
-try:  # scipy ships with the image; gate anyway so the runtime degrades cleanly
-    from scipy import sparse as _sparse
-except Exception:  # pragma: no cover - exercised only without scipy
-    _sparse = None
-
 
 def resolve_event_backend(name: str) -> str:
-    """Map an ``event_backend`` config value to a concrete backend."""
-    if name == "auto":
-        return "scipy" if _sparse is not None else "numpy"
-    if name == "scipy" and _sparse is None:
-        raise ConfigError("event_backend='scipy' requested but scipy is missing")
-    return name
+    """Always ``"scipy"``: CSR scatter is the only event backend.
+
+    Kept only because the benchmark harness records
+    ``resolve_event_backend(runtime_config().event_backend)`` in every
+    run's environment (``perfbench/envinfo.py``).
+    """
+    return "scipy"
 
 
 class BufferPool:
@@ -282,20 +277,14 @@ def _scatter_columns(
     cols: np.ndarray,
     weight_rows: np.ndarray,
     n_rows: int,
-    backend: str,
 ) -> np.ndarray:
-    """Sum ``weight_rows[cols]`` into ``out[rows]`` in ascending-k order."""
-    if backend == "scipy":
-        matrix = _sparse.csr_matrix(
-            (np.ones(rows.size, dtype=np.float32), (rows, cols)),
-            shape=(n_rows, weight_rows.shape[0]),
-        )
-        return matrix @ weight_rows
-    out = np.zeros((n_rows, weight_rows.shape[1]), dtype=np.float32)
-    if rows.size:
-        order = np.lexsort((cols, rows))
-        np.add.at(out, rows[order], weight_rows[cols[order]])
-    return out
+    """Sum ``weight_rows[cols]`` into ``out[rows]`` in ascending-k order:
+    a CSR matrix's rows hold their column indices sorted."""
+    matrix = sparse.csr_matrix(
+        (np.ones(rows.size, dtype=np.float32), (rows, cols)),
+        shape=(n_rows, weight_rows.shape[0]),
+    )
+    return matrix @ weight_rows
 
 
 def _event_contributions(
@@ -345,7 +334,6 @@ def _event_current(
 def event_conv(
     layer: LayerPlan,
     x: np.ndarray,
-    backend: str,
     out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, int]:
     """Event-driven convolution over a (B, Cin, H, W) binary batch.
@@ -356,14 +344,13 @@ def event_conv(
     """
     batch = x.shape[0]
     rows, ks = _event_contributions(layer, x)
-    out2d = _scatter_columns(rows, ks, layer.wT, batch * layer.geometry.p, backend)
+    out2d = _scatter_columns(rows, ks, layer.wT, batch * layer.geometry.p)
     return _event_current(out2d, layer, batch, out), int(ks.size)
 
 
 def event_conv_blocked(
     layer: LayerPlan,
     x: np.ndarray,
-    backend: str,
     kblock: int,
     out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, int]:
@@ -405,7 +392,6 @@ def event_conv_blocked(
                 k_sorted[lo:hi] - edges[i],
                 tables.wT_blocks[i],
                 n_rows,
-                backend,
             )
             if out2d is None:
                 out2d = partial
@@ -436,7 +422,6 @@ def _dequantize(acc: np.ndarray, layer: LayerPlan) -> None:
 def event_conv_int(
     layer: LayerPlan,
     x: np.ndarray,
-    backend: str,
     out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, int]:
     """Event-driven convolution on the integer datapath.
@@ -453,9 +438,7 @@ def event_conv_int(
     """
     batch = x.shape[0]
     rows, ks = _event_contributions(layer, x)
-    acc2d = _scatter_columns(
-        rows, ks, layer.wqT_f32(), batch * layer.geometry.p, backend
-    )
+    acc2d = _scatter_columns(rows, ks, layer.wqT_f32(), batch * layer.geometry.p)
     _dequantize(acc2d, layer)
     return _event_current(acc2d, layer, batch, out), int(ks.size)
 
@@ -486,9 +469,7 @@ def dense_conv_int(
     return acc
 
 
-def calibrate_int_exact(
-    layer: LayerPlan, backend: str, block: Optional[int] = None
-) -> bool:
+def calibrate_int_exact(layer: LayerPlan, block: Optional[int] = None) -> bool:
     """True when the integer path reproduces the float path bit-for-bit.
 
     The reference is what the engine would otherwise compute for these
@@ -497,8 +478,8 @@ def calibrate_int_exact(
     Both integer flavours are probed -- they share one exact accumulator,
     so a mismatch between them would indicate a kernel bug rather than a
     fold-order effect. The verdict depends on the weight values (through
-    the scales), so it is cached per layer -- keyed by (backend, block)
-    -- not in the per-shape calibration cache; sidecars persist it via
+    the scales), so it is cached per layer -- keyed by block -- not in
+    the per-shape calibration cache; sidecars persist it via
     :func:`seed_int_exact` with the same live-wins semantics.
 
     Power-of-two scales (``QuantScheme.pow2_scale``) pass by
@@ -511,7 +492,7 @@ def calibrate_int_exact(
         return False
     if not layer.int_overflow_ok:
         return False
-    key = (backend, int(block or 0))
+    key = int(block or 0)
     cached = layer._int_exact.get(key)
     if cached is not None:
         return cached
@@ -523,7 +504,7 @@ def calibrate_int_exact(
             rng.random((2, g.cin, g.height, g.width)) < density
         ).astype(np.float32)
         want = dense_conv(layer, probe, kblock=block if block else None)
-        got_event, _ = event_conv_int(layer, probe, backend)
+        got_event, _ = event_conv_int(layer, probe)
         if not np.array_equal(got_event, want):
             exact = False
             break
@@ -534,13 +515,11 @@ def calibrate_int_exact(
     return exact
 
 
-def seed_int_exact(
-    layer: LayerPlan, backend: str, block: Optional[int], exact: bool
-) -> None:
+def seed_int_exact(layer: LayerPlan, block: Optional[int], exact: bool) -> None:
     """Pre-populate a layer's integer-exactness verdict (sidecar fast
     path). Live-wins: a verdict probed in this process is never
     overwritten by a loaded one."""
-    layer._int_exact.setdefault((backend, int(block or 0)), bool(exact))
+    layer._int_exact.setdefault(int(block or 0), bool(exact))
 
 
 _CALIBRATION_CACHE: Dict[Tuple, bool] = {}  # repro: lint-ok[P102] per-process memo of a pure predicate; same key gives same value in every process
@@ -560,13 +539,10 @@ _BLOCK_CHOICE_CACHE: Dict[Tuple, Optional[int]] = {}  # repro: lint-ok[P102] per
 _UNRESOLVED = object()  # distinguishes "never probed" from "probed: None"
 
 
-def calibration_key(layer: LayerPlan, backend: str) -> Tuple:
+def calibration_key(layer: LayerPlan) -> Tuple:
     """Process-wide calibration-cache key for a conv layer shape."""
     g = layer.geometry
-    return (
-        g.cin, g.height, g.width, g.kernel, g.padding,
-        layer.out_channels, backend,
-    )
+    return (g.cin, g.height, g.width, g.kernel, g.padding, layer.out_channels)
 
 
 def seed_calibration(key: Tuple, exact: bool) -> None:
@@ -579,7 +555,7 @@ def seed_calibration(key: Tuple, exact: bool) -> None:
     _CALIBRATION_CACHE.setdefault(tuple(key), bool(exact))
 
 
-def calibrate_event_exact(layer: LayerPlan, backend: str) -> bool:
+def calibrate_event_exact(layer: LayerPlan) -> bool:
     """True when the event path is bit-identical to the dense path for
     this layer's GEMM shape in the current environment.
 
@@ -589,7 +565,7 @@ def calibrate_event_exact(layer: LayerPlan, backend: str) -> bool:
     two regimes decisively. The verdict depends only on the layer shape
     (not the weight values) and is cached process-wide.
     """
-    key = calibration_key(layer, backend)
+    key = calibration_key(layer)
     g = layer.geometry
     cached = _CALIBRATION_CACHE.get(key)
     if cached is not None:
@@ -601,7 +577,7 @@ def calibrate_event_exact(layer: LayerPlan, backend: str) -> bool:
             rng.random((2, g.cin, g.height, g.width)) < density
         ).astype(np.float32)
         want = dense_conv(layer, probe)
-        got, _ = event_conv(layer, probe, backend)
+        got, _ = event_conv(layer, probe)
         if not np.array_equal(got, want):
             exact = False
             break
@@ -609,7 +585,7 @@ def calibrate_event_exact(layer: LayerPlan, backend: str) -> bool:
     return exact
 
 
-def calibrate_block_exact(layer: LayerPlan, backend: str, kblock: int) -> bool:
+def calibrate_block_exact(layer: LayerPlan, kblock: int) -> bool:
     """True when the blocked event and blocked dense kernels are
     bit-identical for this layer's shape at block size ``kblock``.
 
@@ -621,7 +597,7 @@ def calibrate_block_exact(layer: LayerPlan, backend: str, kblock: int) -> bool:
     fails on essentially every random probe, exactly like the unblocked
     probe at deep shapes, so wrong fold orders are rejected decisively.
     """
-    key = (calibration_key(layer, backend), int(kblock))
+    key = (calibration_key(layer), int(kblock))
     cached = _BLOCK_EXACT_CACHE.get(key)
     if cached is not None:
         return cached
@@ -633,7 +609,7 @@ def calibrate_block_exact(layer: LayerPlan, backend: str, kblock: int) -> bool:
             rng.random((2, g.cin, g.height, g.width)) < density
         ).astype(np.float32)
         want = dense_conv(layer, probe, kblock=kblock)
-        got, _ = event_conv_blocked(layer, probe, backend, kblock)
+        got, _ = event_conv_blocked(layer, probe, kblock)
         if not np.array_equal(got, want):
             exact = False
             break
@@ -642,7 +618,7 @@ def calibrate_block_exact(layer: LayerPlan, backend: str, kblock: int) -> bool:
 
 
 def resolve_event_block(
-    layer: LayerPlan, backend: str, kblock: Optional[int] = None
+    layer: LayerPlan, kblock: Optional[int] = None
 ) -> Optional[int]:
     """The layer's calibrated event-path configuration.
 
@@ -664,22 +640,22 @@ def resolve_event_block(
     k = int(layer.geometry.k)
     if kblock is not None and kblock > 0:
         if kblock >= k:  # one block spanning all of k == unblocked
-            return 0 if calibrate_event_exact(layer, backend) else None
-        return kblock if calibrate_block_exact(layer, backend, kblock) else None
+            return 0 if calibrate_event_exact(layer) else None
+        return kblock if calibrate_block_exact(layer, kblock) else None
     if kblock == 0:
-        return 0 if calibrate_event_exact(layer, backend) else None
-    key = calibration_key(layer, backend)
+        return 0 if calibrate_event_exact(layer) else None
+    key = calibration_key(layer)
     choice = _BLOCK_CHOICE_CACHE.get(key, _UNRESOLVED)
     if choice is not _UNRESOLVED:
         return choice
-    if calibrate_event_exact(layer, backend):
+    if calibrate_event_exact(layer):
         choice = 0
     else:
         choice = None
         for candidate in KBLOCK_CANDIDATES:
             if candidate >= k:
                 continue
-            if calibrate_block_exact(layer, backend, candidate):
+            if calibrate_block_exact(layer, candidate):
                 choice = candidate
                 break
     _BLOCK_CHOICE_CACHE[key] = choice

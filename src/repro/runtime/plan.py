@@ -165,10 +165,9 @@ class LayerPlan:
     # Cached worst-case |integer accumulator| for binary inputs.
     _int_bound: Optional[int] = field(default=None, repr=False, compare=False)
     # Bit-exactness verdicts of the integer path vs the float reference,
-    # keyed by (scatter backend, resolved k-block; 0 = unblocked).
-    # Weight-dependent, so cached per layer (not per shape); seedable
-    # from plan sidecars.
-    _int_exact: Dict[Tuple[str, int], bool] = field(
+    # keyed by resolved k-block (0 = unblocked). Weight-dependent, so
+    # cached per layer (not per shape); seedable from plan sidecars.
+    _int_exact: Dict[int, bool] = field(
         default_factory=dict, repr=False, compare=False
     )
 
@@ -338,9 +337,8 @@ def attach_int_lowering(
 def plan_deployable(network) -> NetworkPlan:
     """Lower a :class:`~repro.quant.convert.DeployableNetwork`.
 
-    Dequantization happens once here -- the per-call
-    ``effective_weight()`` materialisation of the legacy loop is hoisted
-    into the plan. Quantized conv layers additionally carry their integer
+    Dequantization happens once here, not per call through
+    ``effective_weight()``. Quantized conv layers additionally carry their integer
     weights + scales (see :func:`attach_int_lowering`) so the engine can
     run them with exact integer accumulation instead of dequantized
     floats.

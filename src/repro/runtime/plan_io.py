@@ -26,14 +26,15 @@ configuration at all and stay on the dense fallback. Passing a run's
 dispatch counters additionally explains every dense *decision* taken at
 runtime (density vs calibration vs forced).
 
-The sidecar format is ``network-plan-v5``: weights, BN constants and
+The sidecar format is ``network-plan-v6``: weights, BN constants and
 calibration verdicts (with each conv shape's resolved k-block), and each
 quantized conv layer's integer lowering -- the int8/int16 weight matrix,
 its dequantization scale(s), the integer bit-exactness verdict and
-overflow bound. Verdicts are trusted under the same environment
-fingerprint. A sidecar is a regenerable cache, so any other format --
-and any sidecar whose metadata does not parse -- is rejected with a
-typed error, and :func:`try_load_plan` callers simply rebuild it.
+overflow bound. Calibration keys are conv shapes alone. Verdicts are
+trusted under the same environment fingerprint. A sidecar is a
+regenerable cache, so any other format -- and any sidecar whose
+metadata does not parse -- is rejected with a typed error, and
+:func:`try_load_plan` callers simply rebuild it.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from repro.runtime.kernels import (
     calibrate_event_exact,
     calibrate_int_exact,
     calibration_key,
-    resolve_event_backend,
     resolve_event_block,
     seed_block_resolution,
     seed_calibration,
@@ -65,7 +65,7 @@ from repro.utils.serialization import load_npz, save_npz
 PLAN_SIDECAR_SUFFIX = ".plan.npz"
 
 #: The one sidecar format written and accepted.
-_PLAN_FORMAT = "network-plan-v5"
+_PLAN_FORMAT = "network-plan-v6"
 
 _BN_FIELDS = ("bn_mu", "bn_inv_std", "bn_gamma", "bn_beta")
 
@@ -125,10 +125,7 @@ def plan_sidecar_path(model_path: str) -> str:
 
 
 def save_plan(
-    plan: NetworkPlan,
-    path: str,
-    backend: Optional[str] = None,
-    model_digest: Optional[str] = None,
+    plan: NetworkPlan, path: str, model_digest: Optional[str] = None
 ) -> None:
     """Serialize ``plan`` (weights, BN, calibration verdicts) to ``path``.
 
@@ -137,7 +134,6 @@ def save_plan(
     :meth:`DeployableNetwork.weights_digest`); loaders passing the same
     digest will reject a stale sidecar left behind by a retrain.
     """
-    backend = resolve_event_backend(backend or runtime_config().event_backend)
     arrays: Dict[str, np.ndarray] = {}
     meta: Dict[str, object] = {
         "format": _PLAN_FORMAT,
@@ -148,7 +144,6 @@ def save_plan(
         "population_group": plan.population_group,
         "spike_rule": plan.spike_rule,
         "source": plan.source,
-        "backend": backend,
         "fingerprint": environment_fingerprint(),
         "layers": [],
         "calibration": [],
@@ -180,10 +175,10 @@ def save_plan(
             }
         )
         if layer.kind == "conv":
-            block = resolve_event_block(layer, backend)
+            block = resolve_event_block(layer)
             entry: Dict[str, object] = {
-                "key": list(calibration_key(layer, backend)),
-                "exact": calibrate_event_exact(layer, backend),
+                "key": list(calibration_key(layer)),
+                "exact": calibrate_event_exact(layer),
                 # Auto resolution (None = dense fallback, 0 =
                 # unblocked, >0 = blocked): probed here once so cold
                 # loaders skip every block-candidate GEMM.
@@ -193,7 +188,7 @@ def save_plan(
                 # Integer datapath verdicts: the per-layer bit-exactness
                 # probe and overflow bound.
                 entry["int"] = {
-                    "exact": bool(calibrate_int_exact(layer, backend, block)),
+                    "exact": bool(calibrate_int_exact(layer, block)),
                     "bound": int(layer.int_bound),
                 }
             meta["calibration"].append(entry)
@@ -331,9 +326,7 @@ def _seed_layers(plan: NetworkPlan, meta: Dict) -> List[Tuple]:
         conv = conv_layers[index]
         int_entry = entry.get("int")
         if int_entry is not None and conv.has_int_lowering:
-            seed_int_exact(
-                conv, meta["backend"], block, bool(int_entry["exact"])
-            )
+            seed_int_exact(conv, block, bool(int_entry["exact"]))
     return seeds
 
 
@@ -370,9 +363,7 @@ def try_load_plan(
 
 
 def plan_report(
-    plan: NetworkPlan,
-    backend: Optional[str] = None,
-    counters: Optional[Dict] = None,
+    plan: NetworkPlan, counters: Optional[Dict] = None
 ) -> List[Dict]:
     """Per-layer lowering outcome: kernel shape and dispatch eligibility.
 
@@ -387,7 +378,6 @@ def plan_report(
     ``dispatch`` column explaining every dense decision of that run --
     density above threshold vs calibration fallback vs forced.
     """
-    backend = resolve_event_backend(backend or runtime_config().event_backend)
     kblock = runtime_config().event_kblock
     rows: List[Dict] = []
     for layer in plan.layers:
@@ -401,8 +391,8 @@ def plan_report(
                 "path": "dense (fc layers never dispatch)",
             }
         else:
-            exact = calibrate_event_exact(layer, backend)
-            block = resolve_event_block(layer, backend, kblock)
+            exact = calibrate_event_exact(layer)
+            block = resolve_event_block(layer, kblock)
             if block is None:
                 path = "dense-fallback (calibration: no bit-exact fold at this shape)"
             elif block == 0:

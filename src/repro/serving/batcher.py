@@ -87,7 +87,6 @@ class GatherStreamEncoder(Encoder):
             )
         self.analog_input = base.analog_input
         self.time_invariant = base.time_invariant
-        self.deterministic = base.deterministic
         self.byte_frames = base.byte_frames
         self.name = f"gather[{base.name}]"
 
@@ -124,9 +123,6 @@ class GatherStreamEncoder(Encoder):
     def encode_into(self, images: np.ndarray, t: int, out: np.ndarray) -> None:
         for encoder, lo, hi in self._runs(images.shape[0]):
             encoder.encode_into(images[lo:hi], t, out[lo:hi])
-
-    def reset(self) -> None:
-        self.base.reset()
 
     def for_samples(self, offset: int) -> "GatherStreamEncoder":
         # Sharding a gathered batch slices the index list: shard sample

@@ -31,7 +31,13 @@ from repro.utils.rng import SeedLike, canonical_stream_seed, counter_uniforms
 
 
 class Encoder:
-    """Produces the network input for timestep ``t`` from an image batch."""
+    """Produces the network input for timestep ``t`` from an image batch.
+
+    An encoder's output is a pure function of (images, global sample
+    index, t): it holds no draw state, so repeated passes, batch splits
+    and shard geometries all see the same trains once offsets are
+    threaded via :meth:`for_samples`.
+    """
 
     #: True when the first layer receives analog (non-binary) values.
     analog_input = False
@@ -40,15 +46,6 @@ class Encoder:
     #: property of the encoding *stream* -- every encoder with the same
     #: stream signature shares it -- never of a particular instance.
     time_invariant = False
-    #: True when the encoding is a pure function of (images, global
-    #: sample index, t) -- no draw-order-dependent state. Deterministic
-    #: encoders produce identical trains regardless of how a batch is
-    #: split (given :meth:`for_samples` offset threading), which lets
-    #: the sharded evaluation path (repro.parallel) split work freely.
-    #: Deliberately False by default: a stateful subclass that forgets
-    #: to set it must degrade to the sequential path, never silently
-    #: shard.
-    deterministic = False
     #: True when the encoding emits binary spikes and implements
     #: :meth:`encode_into`, so the runtime stacks its frames as bytes.
     byte_frames = False
@@ -68,15 +65,6 @@ class Encoder:
         ``images``' shape) as bytes in {0, 1}, without a float frame.
         Only encoders that set :attr:`byte_frames` implement it."""
         raise NotImplementedError
-
-    def reset(self) -> None:
-        """Called once per forward pass, before timestep 0.
-
-        Must restore the encoding stream to its initial state, so that
-        replaying the same batch produces the same train. Counter-based
-        encoders satisfy this by construction (they hold no draw
-        state); sequential stochastic encoders must rewind here.
-        """
 
     def for_samples(self, offset: int) -> "Encoder":
         """An encoder whose sample 0 is this encoder's sample ``offset``.
@@ -104,7 +92,6 @@ class DirectEncoder(Encoder):
 
     analog_input = True
     time_invariant = True
-    deterministic = True
     name = "direct"
 
     def encode(self, images: np.ndarray, t: int) -> Tensor:
@@ -128,7 +115,6 @@ class RateEncoder(Encoder):
     """
 
     analog_input = False
-    deterministic = True
     byte_frames = True
     name = "rate"
 
@@ -164,12 +150,6 @@ class RateEncoder(Encoder):
         ).reshape(images.shape)
         np.less(draws, probabilities, out=out.view(np.bool_))
 
-    def reset(self) -> None:
-        """A no-op by construction: every (sample, timestep) block is
-        re-keyed from the counter stream on each :meth:`encode`, so the
-        'initial state' is always in effect -- back-to-back passes in
-        one process are identical to a fresh process."""
-
     def for_samples(self, offset: int) -> "RateEncoder":
         if offset == 0:
             return self
@@ -197,7 +177,6 @@ class TtfsEncoder(Encoder):
     """
 
     analog_input = False
-    deterministic = True
     byte_frames = True
     name = "ttfs"
 

@@ -284,7 +284,6 @@ class SpikingNetwork(Module):
             output = self._forward_runtime(images, timesteps, encoder, record)
             if output is not None:
                 return output
-        encoder.reset()
 
         stats = SpikeStats(samples=images.shape[0], timesteps=timesteps)
         input_totals: Dict[str, float] = {}
@@ -331,17 +330,13 @@ class SpikingNetwork(Module):
     def _runtime_eligible(self) -> bool:
         """Route through the fused runtime only for pure inference.
 
-        Training-mode BN and autograd recording need the legacy Tensor
-        loop; :meth:`predict` (eval + no_grad) takes the runtime path.
+        Training-mode BN and autograd recording need the Tensor loop
+        (the training path); :meth:`predict` (eval + no_grad) takes the
+        runtime path.
         """
-        from repro.runtime import runtime_config
         from repro.tensor.tensor import grad_enabled
 
-        return (
-            runtime_config().enabled
-            and not self.training
-            and not grad_enabled()
-        )
+        return not self.training and not grad_enabled()
 
     def _forward_runtime(
         self,

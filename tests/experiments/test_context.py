@@ -80,6 +80,15 @@ class TestContext:
         assert "conv2_1" in result.input_events_per_image
         assert result.samples == 40
 
+    def test_evaluate_empty_set(self, ctx):
+        """An empty evaluation set has no shard to run: it reports zero
+        samples at zero accuracy instead of failing."""
+        result = ctx.evaluate("cifar10", "fp32", max_samples=0)
+        assert result.samples == 0
+        assert result.accuracy == 0.0
+        assert result.per_layer_spikes == {}
+        assert result.input_events_per_image == {}
+
     def test_evaluate_memoised(self, ctx):
         a = ctx.evaluate("cifar10", "fp32", max_samples=40)
         b = ctx.evaluate("cifar10", "fp32", max_samples=40)

@@ -8,6 +8,7 @@ tables and analytic sweep reports must not differ by a single bit.
 
 import numpy as np
 import pytest
+from legacy_oracle import forward_legacy
 
 from repro.hw.config import AcceleratorConfig
 from repro.hw.simulator import HybridSimulator
@@ -61,15 +62,19 @@ class TestShardedVsUnsharded:
 
     @pytest.mark.parametrize("timesteps", [2, 4])
     @pytest.mark.parametrize("shards", [1, 2, 4])
-    @pytest.mark.parametrize("runtime_enabled", [True, False])
+    @pytest.mark.parametrize("reference", ["runtime", "oracle"])
     def test_stats_and_logits_match_plain_forward(
-        self, deployable, images, timesteps, shards, runtime_enabled
+        self, deployable, images, timesteps, shards, reference
     ):
-        with runtime_overrides(enabled=runtime_enabled):
+        """Against the unsharded runtime forward and against the
+        per-timestep oracle loop on the whole batch."""
+        if reference == "runtime":
             plain = deployable.forward(images, timesteps)
-            merged = sharded_forward(
-                deployable, images, timesteps, shards=shards, workers=1
-            )
+        else:
+            plain = forward_legacy(deployable, images, timesteps)
+        merged = sharded_forward(
+            deployable, images, timesteps, shards=shards, workers=1
+        )
         assert np.array_equal(merged.logits, plain.logits)
         assert_stats_equal(merged.stats, plain.stats)
 
@@ -107,22 +112,26 @@ class TestPooledVsSerial:
 
     @pytest.mark.parametrize("timesteps", [2, 4])
     @pytest.mark.parametrize("shards", [2, 4])
-    @pytest.mark.parametrize("runtime_enabled", [True, False])
+    @pytest.mark.parametrize("reference", ["serial", "oracle"])
     def test_pooled_bit_identical_to_serial_fallback(
-        self, deployable, images, timesteps, shards, runtime_enabled
+        self, deployable, images, timesteps, shards, reference
     ):
-        with runtime_overrides(enabled=runtime_enabled):
+        """Against the serial fallback (counters included) and against
+        the per-timestep oracle loop on the whole batch, whose analog
+        input total is a float sum in another association order."""
+        pooled = sharded_forward(
+            deployable, images, timesteps, shards=shards, workers=2,
+            record=True,
+        )
+        if reference == "serial":
             serial = sharded_forward(
                 deployable, images, timesteps, shards=shards, workers=1,
                 record=True,
             )
-            pooled = sharded_forward(
-                deployable, images, timesteps, shards=shards, workers=2,
-                record=True,
-            )
-        assert_outputs_equal(
-            pooled, serial, trains=True, counters=runtime_enabled
-        )
+            assert_outputs_equal(pooled, serial, trains=True, counters=True)
+        else:
+            oracle = forward_legacy(deployable, images, timesteps, record=True)
+            assert_outputs_equal(pooled, oracle, trains=True, totals=False)
 
     def test_workers_resolved_from_override(self, deployable, images):
         serial = sharded_forward(deployable, images, 2, shards=2, workers=1)

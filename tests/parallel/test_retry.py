@@ -88,6 +88,17 @@ class TestPolicyValidation:
         with pytest.raises(ConfigError):
             RetryPolicy(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field",
+        ["backoff_ms", "backoff_max_ms", "backoff_factor", "task_timeout_s"],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_explicit_values_rejected(self, field, value):
+        """A ``nan`` backoff made every delay ``nan``; an ``inf`` round
+        timeout or factor is no bound at all."""
+        with pytest.raises(ConfigError, match=field):
+            RetryPolicy(**{field: value})
+
     def test_env_resolution(self, monkeypatch):
         monkeypatch.setenv(RETRY_MAX_ATTEMPTS_ENV, "5")
         monkeypatch.setenv(RETRY_BACKOFF_MS_ENV, "10")

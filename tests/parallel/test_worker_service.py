@@ -355,6 +355,16 @@ class TestCircuitBreaker:
         with pytest.raises(ConfigError):
             CircuitBreaker(threshold=0)
 
+    @pytest.mark.parametrize("field", ["window_s", "cooldown_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_window_and_cooldown_validated(self, field, value):
+        """A ``nan`` cooldown held the breaker open forever after one
+        abort; negative and infinite spans mean nothing either."""
+        from repro.parallel import CircuitBreaker
+
+        with pytest.raises(ConfigError, match=field):
+            CircuitBreaker(threshold=1, **{field: value})
+
     def test_env_configures_the_shared_breaker(self, monkeypatch):
         monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "7")
         monkeypatch.setenv("REPRO_BREAKER_WINDOW_MS", "5000")

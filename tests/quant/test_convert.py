@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+from legacy_oracle import forward_legacy
 
 from repro.errors import ShapeError
 from repro.quant import (
@@ -12,10 +13,16 @@ from repro.quant import (
     INT4,
     convert,
 )
-from repro.runtime import runtime_overrides
 from repro.snn import build_network
 from repro.snn.encoding import RateEncoder
 from repro.tensor import no_grad
+
+
+def _forward(network, oracle):
+    """``network.forward``, or the per-timestep oracle loop over it."""
+    if oracle:
+        return lambda *args: forward_legacy(network, *args)
+    return network.forward
 
 
 class TestConvertStructure:
@@ -92,21 +99,21 @@ class TestFunctionalEquivalence:
             )
 
     @pytest.mark.parametrize("timesteps", [0, -1])
-    @pytest.mark.parametrize("runtime", [True, False])
+    @pytest.mark.parametrize("oracle", [False, True])
     def test_rejects_no_timesteps(
-        self, tiny_deployable, tiny_dataset, timesteps, runtime
+        self, tiny_deployable, tiny_dataset, timesteps, oracle
     ):
         _, test = tiny_dataset
-        with runtime_overrides(enabled=runtime):
-            with pytest.raises(ShapeError, match="timesteps"):
-                tiny_deployable.forward(test.images[:4], timesteps)
+        forward = _forward(tiny_deployable, oracle)
+        with pytest.raises(ShapeError, match="timesteps"):
+            forward(test.images[:4], timesteps)
 
-    @pytest.mark.parametrize("runtime", [True, False])
-    def test_rejects_empty_batch(self, tiny_deployable, runtime):
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_rejects_empty_batch(self, tiny_deployable, oracle):
         empty = np.zeros((0, 3, 8, 8), dtype=np.float32)
-        with runtime_overrides(enabled=runtime):
-            with pytest.raises(ShapeError, match="empty"):
-                tiny_deployable.forward(empty, 2, RateEncoder(seed=0))
+        forward = _forward(tiny_deployable, oracle)
+        with pytest.raises(ShapeError, match="empty"):
+            forward(empty, 2, RateEncoder(seed=0))
 
     def test_zero_weight_fraction_nonneg(self, tiny_deployable_int4):
         for layer in tiny_deployable_int4.layers:

@@ -13,8 +13,8 @@ where no rounding is involved at all (empty input: both reduce to the
 bias broadcast).
 
 Covers block sizes {32, 128, 512} x densities {0.0, 0.02, 0.3} on a
-deep-VGG9 shape with K >= 500 plus a shallow control, both scatter
-backends, the BufferPool path, and fused-batch chunking.
+deep-VGG9 shape with K >= 500 plus a shallow control, the BufferPool
+path, and fused-batch chunking.
 """
 
 import numpy as np
@@ -26,10 +26,9 @@ from repro.runtime.kernels import (
     dense_conv,
     event_conv,
     event_conv_blocked,
-    resolve_event_backend,
     resolve_event_block,
 )
-from repro.runtime.kernels import BufferPool, _sparse
+from repro.runtime.kernels import BufferPool
 from repro.runtime.refshapes import (
     DEEP_VGG9_SHAPES,
     make_conv_layer_plan as make_layer,
@@ -43,8 +42,6 @@ DENSITIES = (0.0, 0.02, 0.3)
 #: and a shallow control (K=144) whose unblocked fold is already exact.
 SHAPES = [DEEP_VGG9_SHAPES[0], (16, 16, 16, 32)]
 
-BACKENDS = ["scipy", "numpy"] if _sparse is not None else ["numpy"]
-
 
 def binary_batch(shape, density, seed=7, batch=3):
     rng = np.random.default_rng(seed)
@@ -55,9 +52,8 @@ class TestBlockedKernelBitIdentity:
     @pytest.mark.parametrize("cin,height,width,cout", SHAPES)
     @pytest.mark.parametrize("block", BLOCK_SIZES)
     @pytest.mark.parametrize("density", DENSITIES)
-    @pytest.mark.parametrize("backend", BACKENDS)
     def test_blocked_dense_vs_blocked_event(
-        self, cin, height, width, cout, block, density, backend
+        self, cin, height, width, cout, block, density
     ):
         """Calibration-accepted blocks: bit-identity. Rejected blocks:
         a real mismatch (the probe discriminates, it does not rubber-
@@ -65,8 +61,8 @@ class TestBlockedKernelBitIdentity:
         layer = make_layer(cin, height, width, cout)
         x = binary_batch((cin, height, width), density)
         want = dense_conv(layer, x, kblock=block)
-        got, updates = event_conv_blocked(layer, x, backend, block)
-        accepted = calibrate_block_exact(layer, backend, block)
+        got, updates = event_conv_blocked(layer, x, block)
+        accepted = calibrate_block_exact(layer, block)
         if accepted or density == 0.0:
             # Zero density: every fold of an empty input is the exact
             # bias broadcast, accepted or not.
@@ -84,8 +80,7 @@ class TestBlockedKernelBitIdentity:
         If this environment ever changes, calibration must follow it --
         this test documents the current verdict set explicitly."""
         layer = make_layer(64, 16, 16, 128)
-        backend = resolve_event_backend("auto")
-        assert calibrate_block_exact(layer, backend, block) is (block < 512)
+        assert calibrate_block_exact(layer, block) is (block < 512)
 
     @pytest.mark.parametrize("cin,height,width,cout", SHAPES)
     @pytest.mark.parametrize("block", BLOCK_SIZES)
@@ -110,11 +105,10 @@ class TestBlockedKernelBitIdentity:
         """A block covering all of k degenerates to the unblocked
         scatter -- same contributions, same order, same bits."""
         layer = make_layer(16, 16, 16, 32)
-        backend = resolve_event_backend("auto")
         x = binary_batch((16, 16, 16), 0.3)
-        whole, n_whole = event_conv(layer, x, backend)
+        whole, n_whole = event_conv(layer, x)
         one_block, n_block = event_conv_blocked(
-            layer, x, backend, layer.geometry.k
+            layer, x, layer.geometry.k
         )
         assert n_whole == n_block
         assert np.array_equal(whole, one_block)
@@ -133,16 +127,34 @@ class TestBlockedKernelBitIdentity:
         assert np.array_equal(pooled, want)
         assert np.array_equal(chunked, want)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_backends_agree_on_blocked_path(self, backend):
-        """Both scatter backends implement the same ascending-k fold, so
-        any calibrated backend must reproduce the blocked dense result."""
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    @pytest.mark.parametrize("density", DENSITIES)
+    def test_byte_train_matches_float_train(self, block, density):
+        """The runtime feeds spike trains as bytes: both blocked kernels
+        give a uint8 train the bits and update count of its float32
+        twin."""
+        cin, height, width, cout = SHAPES[1]
+        layer = make_layer(cin, height, width, cout)
+        x = binary_batch((cin, height, width), density)
+        spikes = x.astype(np.uint8)
+        want, want_updates = event_conv_blocked(layer, x, block)
+        got, updates = event_conv_blocked(layer, spikes, block)
+        assert updates == want_updates
+        assert np.array_equal(got, want)
+        assert np.array_equal(
+            dense_conv(layer, spikes, kblock=block),
+            dense_conv(layer, x, kblock=block),
+        )
+
+    def test_resolved_block_reproduces_blocked_dense(self):
+        """The auto-resolved block's scatter reproduces the blocked dense
+        result: CSR rows fold in ascending k within each block."""
         layer = make_layer(64, 16, 16, 128)
-        block = resolve_event_block(layer, backend)
+        block = resolve_event_block(layer)
         assert block is not None and block > 0
         x = binary_batch((64, 16, 16), 0.02)
         want = dense_conv(layer, x, kblock=block)
-        got, _ = event_conv_blocked(layer, x, backend, block)
+        got, _ = event_conv_blocked(layer, x, block)
         assert np.array_equal(got, want)
 
 

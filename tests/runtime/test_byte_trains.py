@@ -13,6 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from legacy_oracle import forward_legacy
 
 from repro.parallel import sharded_forward
 from repro.quant import FP32, INT4, convert
@@ -48,7 +49,7 @@ class TestDtypeContract:
     )
     def test_binary_trains_are_bytes(self, deployable, images, encoder):
         out = deployable.forward(images, 3, encoder, record=True)
-        legacy = deployable.forward_legacy(images, 3, encoder, record=True)
+        legacy = forward_legacy(deployable, images, 3, encoder, record=True)
         for name, stacked in out.spike_trains_stacked.items():
             assert_byte_train(stacked)
             for t, frame in enumerate(legacy.spike_trains[name]):

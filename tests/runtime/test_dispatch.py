@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from legacy_oracle import forward_legacy
 
 from repro.errors import ConfigError
 from repro.quant import FP32, convert
@@ -37,7 +38,7 @@ class _HalfEncoder(Encoder):
 class TestDensityEdges:
     def test_density_zero_takes_event_path(self, deployable):
         zeros = np.zeros((4, 3, 8, 8), dtype=np.float32)
-        legacy = deployable.forward_legacy(zeros, 2, RateEncoder(seed=0))
+        legacy = forward_legacy(deployable, zeros, 2, RateEncoder(seed=0))
         out = deployable.forward(zeros, 2, RateEncoder(seed=0))
         assert np.array_equal(legacy.logits, out.logits)
         counters = out.runtime_counters
@@ -47,7 +48,7 @@ class TestDensityEdges:
 
     def test_density_one_takes_dense_path(self, deployable):
         ones = np.ones((4, 3, 8, 8), dtype=np.float32)
-        legacy = deployable.forward_legacy(ones, 2, RateEncoder(seed=0))
+        legacy = forward_legacy(deployable, ones, 2, RateEncoder(seed=0))
         out = deployable.forward(ones, 2, RateEncoder(seed=0))
         assert np.array_equal(legacy.logits, out.logits)
         # Rate coding of all-ones frames fires every pixel: density 1.
@@ -56,7 +57,7 @@ class TestDensityEdges:
 
     def test_density_one_forced_event_still_exact(self, deployable):
         ones = np.ones((4, 3, 8, 8), dtype=np.float32)
-        legacy = deployable.forward_legacy(ones, 2, RateEncoder(seed=0))
+        legacy = forward_legacy(deployable, ones, 2, RateEncoder(seed=0))
         with runtime_overrides(force_path="event"):
             out = deployable.forward(ones, 2, RateEncoder(seed=0))
         assert np.array_equal(legacy.logits, out.logits)
@@ -92,7 +93,7 @@ class TestDensityEdges:
         """With blocking disabled, a deep shape whose full-K GEMM fold
         fails the unblocked probe must stay dense -- the pre-blocked-fold
         fallback contract, now opt-in via event_kblock=0."""
-        from repro.runtime import calibrate_event_exact, resolve_event_backend
+        from repro.runtime import calibrate_event_exact
         from repro.runtime.plan import plan_deployable
 
         net = build_network(
@@ -101,11 +102,9 @@ class TestDensityEdges:
         net.eval()
         deployable = convert(net, FP32)
         plan = plan_deployable(deployable)
-        verdict = calibrate_event_exact(
-            plan.layers[0], resolve_event_backend("auto")
-        )
+        verdict = calibrate_event_exact(plan.layers[0])
         images = np.random.default_rng(1).random((3, 64, 8, 8)).astype(np.float32)
-        legacy = deployable.forward_legacy(images, 2, RateEncoder(seed=2))
+        legacy = forward_legacy(deployable, images, 2, RateEncoder(seed=2))
         with runtime_overrides(force_path="event", event_kblock=0):
             out = deployable.forward(images, 2, RateEncoder(seed=2))
         # Bit-exact either way; unblocked event dispatch only if the
@@ -122,7 +121,7 @@ class TestDensityEdges:
         """The same deep shape with blocking on (default) takes the
         event path, bit-identically to its own forced-dense run: both
         kernels share the canonical blocked k-fold."""
-        from repro.runtime import resolve_event_backend, resolve_event_block
+        from repro.runtime import resolve_event_block
         from repro.runtime.plan import plan_deployable
 
         net = build_network(
@@ -131,9 +130,7 @@ class TestDensityEdges:
         net.eval()
         deployable = convert(net, FP32)
         plan = plan_deployable(deployable)
-        block = resolve_event_block(
-            plan.layers[0], resolve_event_backend("auto")
-        )
+        block = resolve_event_block(plan.layers[0])
         assert block is not None and block > 0
         images = np.random.default_rng(1).random((3, 64, 8, 8)).astype(np.float32)
         with runtime_overrides(force_path="event"):
@@ -146,7 +143,7 @@ class TestDensityEdges:
 
     def test_non_binary_input_detected_and_kept_dense(self, deployable):
         images = np.zeros((4, 3, 8, 8), dtype=np.float32)
-        legacy = deployable.forward_legacy(images, 2, _HalfEncoder())
+        legacy = forward_legacy(deployable, images, 2, _HalfEncoder())
         with runtime_overrides(force_path="event"):
             out = deployable.forward(images, 2, _HalfEncoder())
         assert np.array_equal(legacy.logits, out.logits)
@@ -163,9 +160,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match="force_path"):
             RuntimeConfig(force_path="magic")
 
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ConfigError, match="event_backend"):
-            RuntimeConfig(event_backend="torch")
+    def test_event_backend_is_a_fixed_constant(self):
+        """CSR scatter is the only event backend: a class constant that
+        no constructor, override or assignment can change."""
+        from repro.runtime import resolve_event_backend
+
+        config = runtime_config()
+        assert config.event_backend == "scipy"
+        assert resolve_event_backend(config.event_backend) == "scipy"
+        with pytest.raises(TypeError):
+            RuntimeConfig(event_backend="numpy")
+        with pytest.raises(TypeError):
+            with runtime_overrides(event_backend="numpy"):
+                pass
+        with pytest.raises(AttributeError):
+            config.event_backend = "numpy"
 
     def test_invalid_fuse_cap_rejected(self):
         with pytest.raises(ConfigError, match="max_fused_elements"):

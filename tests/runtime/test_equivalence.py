@@ -1,12 +1,18 @@
-"""Bit-exactness of the fused runtime against the legacy loops.
+"""Bit-exactness of the fused runtime against reference loops.
 
-Every test asserts *exact* array equality: the runtime is a pure
-performance layer and must not perturb a single bit of logits, spike
-trains, statistics or simulator cycle counts.
+The deployable reference is the per-timestep oracle
+(``tests/legacy_oracle.py``); the ``SpikingNetwork`` reference is its
+Tensor loop -- the training path -- reached by an eval-mode forward with
+gradients enabled. Every test asserts *exact* array equality: the
+runtime is a pure performance layer and must not perturb a single bit of
+logits, spike trains, statistics or simulator cycle counts.
 """
+
+import functools
 
 import numpy as np
 import pytest
+from legacy_oracle import forward_legacy
 
 from repro.hw.config import AcceleratorConfig
 from repro.hw.simulator import HybridSimulator
@@ -55,12 +61,12 @@ def assert_outputs_equal(legacy, runtime):
 
 class TestDeployableEquivalence:
     def test_dense_dispatch_bitexact(self, seeded_deployable, images):
-        legacy = seeded_deployable.forward_legacy(images, 2, record=True)
+        legacy = forward_legacy(seeded_deployable, images, 2, record=True)
         runtime = seeded_deployable.forward(images, 2, record=True)
         assert_outputs_equal(legacy, runtime)
 
     def test_forced_event_path_bitexact(self, seeded_deployable, images):
-        legacy = seeded_deployable.forward_legacy(images, 2, record=True)
+        legacy = forward_legacy(seeded_deployable, images, 2, record=True)
         with runtime_overrides(force_path="event"):
             runtime = seeded_deployable.forward(images, 2, record=True)
         assert_outputs_equal(legacy, runtime)
@@ -73,20 +79,14 @@ class TestDeployableEquivalence:
         assert counters["fc1"].event_steps == 0
 
     def test_forced_dense_path_bitexact(self, seeded_deployable, images):
-        legacy = seeded_deployable.forward_legacy(images, 2)
+        legacy = forward_legacy(seeded_deployable, images, 2)
         with runtime_overrides(force_path="dense"):
             runtime = seeded_deployable.forward(images, 2)
         assert np.array_equal(legacy.logits, runtime.logits)
 
-    def test_numpy_event_backend_bitexact(self, seeded_deployable, images):
-        legacy = seeded_deployable.forward_legacy(images, 2)
-        with runtime_overrides(force_path="event", event_backend="numpy"):
-            runtime = seeded_deployable.forward(images, 2)
-        assert np.array_equal(legacy.logits, runtime.logits)
-
     def test_rate_coding_without_dense_input_core(self, seeded_deployable, images):
-        legacy = seeded_deployable.forward_legacy(
-            images, 4, RateEncoder(seed=5), record=True
+        legacy = forward_legacy(
+            seeded_deployable, images, 4, RateEncoder(seed=5), record=True
         )
         with runtime_overrides(force_path="event"):
             runtime = seeded_deployable.forward(
@@ -99,7 +99,7 @@ class TestDeployableEquivalence:
     def test_quantized_network_bitexact(self, seeded_network, images):
         for scheme in (INT4, INT8):
             deployable = convert(seeded_network, scheme)
-            legacy = deployable.forward_legacy(images, 2)
+            legacy = forward_legacy(deployable, images, 2)
             runtime = deployable.forward(images, 2)
             assert np.array_equal(legacy.logits, runtime.logits)
             with runtime_overrides(force_path="event"):
@@ -107,7 +107,7 @@ class TestDeployableEquivalence:
             assert np.array_equal(legacy.logits, event.logits)
 
     def test_time_chunking_bitexact(self, seeded_deployable, images):
-        legacy = seeded_deployable.forward_legacy(images, 4, RateEncoder(seed=1))
+        legacy = forward_legacy(seeded_deployable, images, 4, RateEncoder(seed=1))
         with runtime_overrides(max_fused_elements=1024):
             chunked = seeded_deployable.forward(images, 4, RateEncoder(seed=1))
         assert np.array_equal(legacy.logits, chunked.logits)
@@ -122,7 +122,7 @@ class TestDeployableEquivalence:
 
     def test_recorded_trains_do_not_alias_input(self, seeded_deployable, images):
         """Recorded trains must be safe against callers mutating images
-        in place afterwards (the legacy loop copied every frame)."""
+        in place afterwards (the oracle loop copies every frame)."""
         out = seeded_deployable.forward(images, 2, record=True)
         assert not np.shares_memory(out.spike_trains_stacked["conv1_1"], images)
         before = out.spike_trains_stacked["conv1_1"].copy()
@@ -131,19 +131,13 @@ class TestDeployableEquivalence:
         corrupted += 1.0  # caller reuses its batch buffer
         assert np.array_equal(out2.spike_trains_stacked["conv1_1"], before)
 
-    def test_runtime_disabled_falls_back(self, seeded_deployable, images):
-        with runtime_overrides(enabled=False):
-            out = seeded_deployable.forward(images, 2, record=True)
-        assert out.spike_trains_stacked is None  # legacy path marker
-        assert out.spike_trains is not None
-
 
 class TestSpikingNetworkEquivalence:
     def test_eval_forward_bitexact(self, seeded_network, images):
         with no_grad():
             runtime = seeded_network.forward(images, 2, record=True)
-            with runtime_overrides(enabled=False):
-                legacy = seeded_network.forward(images, 2, record=True)
+        legacy = seeded_network.forward(images, 2, record=True)  # Tensor loop
+        assert legacy.logits.requires_grad
         assert np.array_equal(legacy.logits.data, runtime.logits.data)
         assert np.array_equal(
             legacy.output_spike_counts, runtime.output_spike_counts
@@ -167,11 +161,11 @@ class TestSpikingNetworkEquivalence:
         out = seeded_network.forward(images[:4], 2)
         assert out.logits.requires_grad
 
-    def test_predict_matches_legacy_predict(self, seeded_network, images):
+    def test_predict_matches_tensor_loop(self, seeded_network, images):
         runtime_pred = seeded_network.predict(images, 2)
-        with runtime_overrides(enabled=False):
-            legacy_pred = seeded_network.predict(images, 2)
-        assert np.array_equal(runtime_pred, legacy_pred)
+        legacy = seeded_network.forward(images, 2)  # Tensor loop
+        assert legacy.logits.requires_grad
+        assert np.array_equal(runtime_pred, legacy.logits.data.argmax(axis=1))
 
     def test_plan_cache_invalidated_by_weight_updates(self, images):
         """A train()/eval() cycle that mutates weights must not leave the
@@ -189,8 +183,7 @@ class TestSpikingNetworkEquivalence:
         net.eval()
         with no_grad():
             runtime = net.forward(images, 2)
-            with runtime_overrides(enabled=False):
-                legacy = net.forward(images, 2)
+        legacy = net.forward(images, 2)  # Tensor loop
         assert np.array_equal(runtime.logits.data, legacy.logits.data)
         assert not np.array_equal(runtime.logits.data, first.logits.data)
 
@@ -204,8 +197,7 @@ class TestSpikingNetworkEquivalence:
         net.eval()
         with no_grad():
             runtime = net.forward(images, 2)
-            with runtime_overrides(enabled=False):
-                legacy = net.forward(images, 2)
+        legacy = net.forward(images, 2)  # Tensor loop
         assert np.array_equal(legacy.logits.data, runtime.logits.data)
 
 
@@ -217,10 +209,26 @@ class TestSimulatorEquivalence:
         )
         return HybridSimulator(seeded_deployable, config)
 
-    def test_cycle_counts_bitexact(self, simulator, images):
+    @pytest.fixture
+    def oracle_run(self, simulator, monkeypatch):
+        """``simulator.run`` replaying the oracle's recorded trains."""
+
+        def run(images, timesteps):
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    simulator.network,
+                    "forward",
+                    functools.partial(forward_legacy, simulator.network),
+                )
+                return simulator.run(images, timesteps)
+
+        return run
+
+    def test_cycle_counts_bitexact(self, simulator, oracle_run, images):
         runtime = simulator.run(images, 2)
-        with runtime_overrides(enabled=False):
-            legacy = simulator.run(images, 2)
+        legacy = oracle_run(images, 2)
+        # The oracle ran: it has no dispatch counters to report.
+        assert not any("runtime dispatch" in note for note in legacy.notes)
         for got, want in zip(runtime.layers, legacy.layers):
             assert got.cycles == want.cycles
             assert got.compression_cycles == want.compression_cycles
@@ -232,9 +240,8 @@ class TestSimulatorEquivalence:
         assert runtime.energy_mj == legacy.energy_mj
         assert np.array_equal(runtime.logits, legacy.logits)
 
-    def test_cycle_counts_bitexact_event_path(self, simulator, images):
-        with runtime_overrides(enabled=False):
-            legacy = simulator.run(images, 2)
+    def test_cycle_counts_bitexact_event_path(self, simulator, oracle_run, images):
+        legacy = oracle_run(images, 2)
         with runtime_overrides(force_path="event"):
             event = simulator.run(images, 2)
         for got, want in zip(event.layers, legacy.layers):

@@ -24,7 +24,6 @@ from repro.runtime.kernels import (
     dense_conv,
     event_conv,
     event_conv_blocked,
-    resolve_event_backend,
     resolve_event_block,
 )
 from repro.runtime.plan import LayerPlan
@@ -41,25 +40,23 @@ class TestDeepShapesCalibrateBlocked:
         whose blocked kernels are bit-identical."""
         layer = make_conv_plan(cin, height, width, cout)
         assert layer.geometry.k >= 500
-        backend = resolve_event_backend("auto")
-        block = resolve_event_block(layer, backend)
+        block = resolve_event_block(layer)
         assert block is not None and block > 0
         assert block in KBLOCK_CANDIDATES
-        assert calibrate_block_exact(layer, backend, block) is True
+        assert calibrate_block_exact(layer, block) is True
 
     @pytest.mark.parametrize("cin,height,width,cout", DEEP_VGG9_SHAPES)
     def test_resolved_block_kernels_bit_identical(
         self, cin, height, width, cout
     ):
         layer = make_conv_plan(cin, height, width, cout)
-        backend = resolve_event_backend("auto")
-        block = resolve_event_block(layer, backend)
+        block = resolve_event_block(layer)
         rng = np.random.default_rng(29)
         probe = (
             rng.random((2, cin, height, width)) < 0.05
         ).astype(np.float32)
         want = dense_conv(layer, probe, kblock=block)
-        got, updates = event_conv_blocked(layer, probe, backend, block)
+        got, updates = event_conv_blocked(layer, probe, block)
         assert updates > 0
         assert np.array_equal(got, want)
 
@@ -68,9 +65,8 @@ class TestDeepShapesCalibrateBlocked:
         # the blocked machinery cannot have regressed the common case.
         layer = make_conv_plan(16, 16, 16, 32)
         assert layer.geometry.k < 500
-        backend = resolve_event_backend("auto")
-        assert calibrate_event_exact(layer, backend) is True
-        assert resolve_event_block(layer, backend) == 0
+        assert calibrate_event_exact(layer) is True
+        assert resolve_event_block(layer) == 0
 
 
 class TestWrongFoldOrdersRejected:
@@ -85,23 +81,20 @@ class TestWrongFoldOrdersRejected:
         K >= 500 here -- if this starts passing, the dense/blocked split
         no longer reflects the environment and every verdict is suspect."""
         layer = make_conv_plan(cin, height, width, cout)
-        backend = resolve_event_backend("auto")
-        assert calibrate_event_exact(layer, backend) is False
+        assert calibrate_event_exact(layer) is False
 
     def test_oversized_block_rejected(self):
         """A block too large for a single-lane within-block GEMM must
         fail its probe (512 folds multi-lane in this environment)."""
         layer = make_conv_plan(64, 16, 16, 128)
-        backend = resolve_event_backend("auto")
-        assert calibrate_block_exact(layer, backend, 512) is False
+        assert calibrate_block_exact(layer, 512) is False
 
     def test_wrong_block_fold_order_mismatches(self):
         """Folding the per-block partials in descending instead of the
         canonical ascending order changes the result -- the probe's
         sensitivity is real, not vacuous."""
         layer = make_conv_plan(64, 16, 16, 128)
-        backend = resolve_event_backend("auto")
-        block = resolve_event_block(layer, backend)
+        block = resolve_event_block(layer)
         tables = layer.block_tables(block)
         rng = np.random.default_rng(31)
         probe = (rng.random((2, 64, 16, 16)) < 0.3).astype(np.float32)
@@ -124,7 +117,7 @@ class TestWrongFoldOrdersRejected:
                 output_shape=layer.output_shape,
                 geometry=layer.geometry,
             )
-            partial, _ = event_conv_blocked(lone, probe, backend, block)
+            partial, _ = event_conv_blocked(lone, probe, block)
             partials.append(partial)
         wrong = partials[-1]
         for partial in reversed(partials[:-1]):
@@ -139,11 +132,10 @@ class TestWrongFoldOrdersRejected:
         bit-identical (different fold) at deep shapes -- exactly what
         calibration detects."""
         layer = make_conv_plan(64, 8, 8, 64, seed=4)
-        backend = resolve_event_backend("auto")
         rng = np.random.default_rng(11)
         probe = (rng.random((2, 64, 8, 8)) < 0.1).astype(np.float32)
         want = dense_conv(layer, probe)
-        got, _ = event_conv(layer, probe, backend)
+        got, _ = event_conv(layer, probe)
         assert not np.array_equal(got, want)
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 

@@ -9,6 +9,7 @@ reference bit for bit, for any input hypothesis can find.
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from legacy_oracle import forward_legacy
 
 from repro.quant import FP32, convert
 from repro.runtime import runtime_overrides
@@ -261,7 +262,7 @@ class TestCountFedStatistics:
         def encoder():
             return DirectEncoder() if coding == "direct" else RateEncoder(seed=seed)
 
-        legacy = network.forward_legacy(images, timesteps, encoder())
+        legacy = forward_legacy(network, images, timesteps, encoder())
         with runtime_overrides(force_path=force_path):
             runtime = network.forward(images, timesteps, encoder())
         assert runtime.stats.per_layer == legacy.stats.per_layer

@@ -24,7 +24,6 @@ from repro.runtime import (
     calibrate_int_exact,
     dense_conv_int,
     event_conv_int,
-    resolve_event_backend,
     runtime_config,
     runtime_overrides,
 )
@@ -56,56 +55,51 @@ def make_int_layer(cin, h, w, cout, seed=0, pow2=True):
     return layer
 
 
-@pytest.fixture(scope="module")
-def backend():
-    return resolve_event_backend(runtime_config().event_backend)
-
-
 class TestIntKernels:
     @pytest.mark.parametrize("density", [0.0, 0.02, 0.3])
-    def test_int_dense_equals_int_event_always(self, backend, density):
+    def test_int_dense_equals_int_event_always(self, density):
         """Integer addition is associative: the two int flavours agree
         bit-for-bit at every density, pow2 scales or not."""
         for pow2 in (True, False):
             layer = make_int_layer(8, 6, 6, 12, seed=3, pow2=pow2)
             x = binary_batch((8, 6, 6), density, seed=5)
             dense = dense_conv_int(layer, x)
-            event, updates = event_conv_int(layer, x, backend)
+            event, updates = event_conv_int(layer, x)
             assert np.array_equal(dense, event)
             assert updates >= 0
 
-    def test_pow2_layer_matches_float_bit_exactly(self, backend):
+    def test_pow2_layer_matches_float_bit_exactly(self):
         layer = make_int_layer(8, 6, 6, 12, seed=4, pow2=True)
         x = binary_batch((8, 6, 6), 0.1, seed=6)
         want = dense_conv(layer, x)
         assert np.array_equal(dense_conv_int(layer, x), want)
-        got, _ = event_conv_int(layer, x, backend)
+        got, _ = event_conv_int(layer, x)
         assert np.array_equal(got, want)
 
-    def test_pow2_layer_probes_exact(self, backend):
+    def test_pow2_layer_probes_exact(self):
         layer = make_int_layer(8, 6, 6, 12, seed=7, pow2=True)
-        assert calibrate_int_exact(layer, backend) is True
+        assert calibrate_int_exact(layer) is True
 
-    def test_arbitrary_scales_fail_the_probe(self, backend):
+    def test_arbitrary_scales_fail_the_probe(self):
         """max|w|/qmax scales produce inexact dequantized weights; the
         probe must catch the drift so 'auto' never serves different
         numbers than float."""
         layer = make_int_layer(8, 6, 6, 12, seed=8, pow2=False)
-        assert calibrate_int_exact(layer, backend) is False
+        assert calibrate_int_exact(layer) is False
 
-    def test_no_lowering_means_no_verdict(self, backend):
+    def test_no_lowering_means_no_verdict(self):
         layer = make_conv_layer_plan(8, 6, 6, 12, seed=9)
         assert not layer.has_int_lowering
-        assert calibrate_int_exact(layer, backend) is False
+        assert calibrate_int_exact(layer) is False
 
-    def test_deep_shape_probes_exact_at_k2304(self, backend):
+    def test_deep_shape_probes_exact_at_k2304(self):
         """The deepest VGG9 geometry (K = 256*3*3 = 2304): worst-case
         |acc| = 127 * 2304 < 2^24, so the pow2 integer path stays exact
         at full paper depth."""
         layer = make_int_layer(256, 4, 4, 16, seed=10, pow2=True)
         assert layer.int_bound <= 127 * 2304
         assert layer.int_overflow_ok
-        assert calibrate_int_exact(layer, backend) is True
+        assert calibrate_int_exact(layer) is True
 
 
 class TestExactAtAccumulationBound:
@@ -154,19 +148,17 @@ class TestExactAtAccumulationBound:
         assert 0 <= INT_ACCUMULATION_LIMIT - layer.int_bound < 32767
         assert layer.int_overflow_ok
 
-    @pytest.mark.parametrize("event_backend", ["numpy", "scipy"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.uint8])
     @pytest.mark.parametrize("fill", ["ones", "random"])
-    def test_int_kernels_equal_int64_reference(self, event_backend, fill):
-        from repro.runtime import kernels
-
-        if event_backend == "scipy" and kernels._sparse is None:
-            pytest.skip("scipy unavailable")
+    def test_int_kernels_equal_int64_reference(self, fill, dtype):
+        """At the bound, on a float32 train and on a byte train alike."""
         layer = self._layer()
         shape = (5, self.CIN, self.H, self.W)
         if fill == "ones":
-            x = np.ones(shape, dtype=np.float32)
+            x = np.ones(shape, dtype=dtype)
         else:
             x = binary_batch(shape[1:], 0.5, seed=22, batch=shape[0])
+            x = x.astype(dtype)
         want = self._reference(layer, x)
         if fill == "ones":  # the bound is reached, both signs
             g = layer.geometry
@@ -175,7 +167,7 @@ class TestExactAtAccumulationBound:
         # Two samples per im2col chunk: the dense fold runs in 3 chunks.
         per_sample = layer.geometry.k * layer.geometry.p
         dense = dense_conv_int(layer, x, max_elements=2 * per_sample)
-        event, _ = event_conv_int(layer, x, event_backend)
+        event, _ = event_conv_int(layer, x)
         assert np.array_equal(dense, want)
         assert np.array_equal(event, want)
 
@@ -214,8 +206,8 @@ class TestOverflowGate:
             with pytest.raises(QuantizationError):
                 attach_int_lowering(layer, q, np.float32(2.0**-20))
 
-    def test_probe_refuses_overflowing_layer(self, backend):
-        assert calibrate_int_exact(self._overflowing_layer(), backend) is False
+    def test_probe_refuses_overflowing_layer(self):
+        assert calibrate_int_exact(self._overflowing_layer()) is False
 
     def test_engine_attributes_overflow_fallback(self):
         """Even under forced integer mode the engine must keep an

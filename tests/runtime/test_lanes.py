@@ -34,7 +34,6 @@ from repro.runtime.kernels import (
     calibrate_block_exact,
     calibrate_event_exact,
     dense_conv,
-    resolve_event_backend,
     resolve_event_block,
 )
 from repro.runtime.lanes import lane_bounds, lane_count
@@ -235,17 +234,16 @@ class TestFoldIndependentOfBlasThreads:
     def test_calibrated_folds_identical_at_one_thread(self, shape):
         if (blas.threads() or 1) < 2:
             pytest.skip("the library default is already one thread")
-        backend = resolve_event_backend("auto")
         layer = make_conv_layer_plan(*shape, seed=sum(shape))
         k = layer.geometry.k
         folds = [
             block
             for block in KBLOCK_CANDIDATES
-            if block < k and calibrate_block_exact(layer, backend, block)
+            if block < k and calibrate_block_exact(layer, block)
         ]
-        if calibrate_event_exact(layer, backend):
+        if calibrate_event_exact(layer):
             folds.append(None)
-        block = resolve_event_block(layer, backend)
+        block = resolve_event_block(layer)
         assert block is not None
         assert (block or None) in folds
         rng = np.random.default_rng(sum(shape))

@@ -17,7 +17,6 @@ from repro.runtime import (
 from repro.runtime.kernels import (
     _CALIBRATION_CACHE,
     calibration_key,
-    resolve_event_backend,
 )
 from repro.runtime.plan_io import environment_fingerprint
 from repro.snn import build_network
@@ -199,12 +198,11 @@ class TestCalibrationSeeding:
         self, deployable, tmp_path, monkeypatch
     ):
         live = plan_deployable(deployable)
-        backend = resolve_event_backend("auto")
         path = str(tmp_path / "cal.plan.npz")
         save_plan(live, path)
         saved_verdicts = {
-            calibration_key(layer, backend): _CALIBRATION_CACHE[
-                calibration_key(layer, backend)
+            calibration_key(layer): _CALIBRATION_CACHE[
+                calibration_key(layer)
             ]
             for layer in live.layers
             if layer.kind == "conv"
@@ -218,7 +216,7 @@ class TestCalibrationSeeding:
         for layer in loaded.layers:
             if layer.kind != "conv":
                 continue
-            key = calibration_key(layer, backend)
+            key = calibration_key(layer)
             assert kernels._CALIBRATION_CACHE[key] == saved_verdicts[key]
         # A seeded cache means calibrate_event_exact never probes: break
         # the probe kernels and confirm the verdict still returns.
@@ -228,22 +226,21 @@ class TestCalibrationSeeding:
         )
         for layer in loaded.layers:
             if layer.kind == "conv":
-                assert kernels.calibrate_event_exact(layer, backend) == (
-                    saved_verdicts[calibration_key(layer, backend)]
+                assert kernels.calibrate_event_exact(layer) == (
+                    saved_verdicts[calibration_key(layer)]
                 )
 
     def test_live_probe_wins_over_seeded_verdict(self, deployable, tmp_path):
         from repro.runtime.kernels import seed_calibration
 
         live = plan_deployable(deployable)
-        backend = resolve_event_backend("auto")
         conv = next(l for l in live.layers if l.kind == "conv")
-        key = calibration_key(conv, backend)
+        key = calibration_key(conv)
         probed = _CALIBRATION_CACHE.get(key)
         if probed is None:
             from repro.runtime.kernels import calibrate_event_exact
 
-            probed = calibrate_event_exact(conv, backend)
+            probed = calibrate_event_exact(conv)
         seed_calibration(key, not probed)  # lying sidecar
         assert _CALIBRATION_CACHE[key] == probed  # probe verdict kept
 
@@ -437,17 +434,20 @@ class TestAttachPlan:
 
 
 class TestSchemaCompat:
-    """Sidecars are regenerable caches: only ``network-plan-v5`` loads;
+    """Sidecars are regenerable caches: only ``network-plan-v6`` loads;
     older formats are refused (and rebuilt by their consumers)."""
 
     def _downgrade(self, path, version):
-        """Rewrite a v5 sidecar the way an older writer laid it out: v4
-        adds each event-eligible entry's dispatch cost rates, v3 also
-        lacks the integer lowering, v2 also the cost rates, v1 also the
-        per-entry k-block."""
+        """Rewrite a v6 sidecar the way an older writer laid it out: v5
+        names the scatter backend in the metadata and in every
+        calibration key, v4 also adds each event-eligible entry's
+        dispatch cost rates, v3 also lacks the integer lowering, v2 also
+        the cost rates, v1 also the per-entry k-block."""
         arrays, meta = load_npz(path)
         meta["format"] = f"network-plan-v{version}"
+        meta["backend"] = "scipy"
         for entry in meta["calibration"]:
+            entry["key"] = entry["key"] + ["scipy"]
             if version in (3, 4) and entry["block"] is not None:
                 entry["cost"] = {
                     "dense_ms_per_sample": 0.5,
@@ -463,7 +463,7 @@ class TestSchemaCompat:
             arrays = {k: v for k, v in arrays.items() if ".wq" not in k}
         save_npz(path, arrays, meta)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_older_format_is_refused(
         self, network, tmp_path, monkeypatch, version
     ):
@@ -483,16 +483,12 @@ class TestSchemaCompat:
         self, deployable, tmp_path, monkeypatch
     ):
         from repro.runtime import kernels
-        from repro.runtime.kernels import resolve_event_backend
 
         live = plan_deployable(deployable)
-        backend = resolve_event_backend("auto")
         path = str(tmp_path / "current.plan.npz")
         save_plan(live, path)
         expected = {
-            calibration_key(layer, backend): kernels.resolve_event_block(
-                layer, backend
-            )
+            calibration_key(layer): kernels.resolve_event_block(layer)
             for layer in live.layers
             if layer.kind == "conv"
         }
@@ -502,7 +498,7 @@ class TestSchemaCompat:
         load_plan(path)
         assert kernels._BLOCK_CHOICE_CACHE == expected
 
-    def test_v4_persists_integer_lowering(
+    def test_sidecar_persists_integer_lowering(
         self, network, images, tmp_path, monkeypatch
     ):
         """A quantized plan's int8 weights, scales and exactness
@@ -535,10 +531,9 @@ class TestSchemaCompat:
             assert got.int_bound == want.int_bound
             # Verdict seeded (the broken probes above would fail loudly
             # if calibrate_int_exact had to re-probe).
-            for (b, block), verdict in want._int_exact.items():
+            for block, verdict in want._int_exact.items():
                 assert (
-                    kernels.calibrate_int_exact(got, b, block or None)
-                    == verdict
+                    kernels.calibrate_int_exact(got, block or None) == verdict
                 )
         assert seen_int  # the quantized plan did carry a lowering
 
@@ -547,7 +542,7 @@ class TestSchemaCompat:
     ):
         """A downgraded sidecar is refused, and the experiment context
         rebuilds it -- integer lowering included -- and re-saves it as
-        v5."""
+        v6."""
         from repro.experiments.context import ExperimentContext
         from repro.runtime import try_load_plan
 
@@ -559,12 +554,12 @@ class TestSchemaCompat:
         self._downgrade(sidecar, 3)
         assert try_load_plan(sidecar) is None
         fresh = ExperimentContext(scale="tiny", workspace=workspace, seed=0)
-        model = fresh.trained("svhn", "int8")  # rebuilds + re-saves as v5
+        model = fresh.trained("svhn", "int8")  # rebuilds + re-saves as v6
         assert any(
             layer.has_int_lowering for layer in model._runtime_plan.layers
         )
         _, meta = load_npz(sidecar)
-        assert meta["format"] == "network-plan-v5"
+        assert meta["format"] == "network-plan-v6"
         reloaded = try_load_plan(sidecar)
         assert any(layer.has_int_lowering for layer in reloaded.layers)
 
@@ -634,7 +629,7 @@ def _mutate_scale_shape(arrays, meta):
 
 
 class TestMalformedMetadata:
-    """A well-formed v5 npz whose metadata does not parse is a corrupt
+    """A well-formed v6 npz whose metadata does not parse is a corrupt
     sidecar like any other: a typed error from ``load_plan``, ``None``
     from ``try_load_plan``, and nothing seeded process-wide."""
 

@@ -17,7 +17,6 @@ from repro.runtime.kernels import (
     dense_fc,
     event_conv,
     or_pool,
-    resolve_event_backend,
 )
 from repro.snn import build_network
 from repro.snn.neuron import LIFConfig, LIFNeuron, lif_scan
@@ -80,17 +79,35 @@ class TestKernels:
         got = dense_conv(conv_plan, x)
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("backend", ["scipy", "numpy"])
-    def test_event_conv_matches_dense_conv(self, conv_plan, rng, backend):
-        if backend == "scipy":
-            backend = resolve_event_backend("auto")
+    @pytest.mark.parametrize("dtype", [np.float32, np.uint8])
+    def test_event_conv_matches_dense_conv(self, conv_plan, rng, dtype):
+        """A float32 train and a byte train (scanned through its bool
+        view) scatter the same events into the same current."""
         for density in (0.0, 0.02, 0.3, 1.0):
-            x = (rng.random((4, 3, 8, 8)) < density).astype(np.float32)
-            want = dense_conv(conv_plan, x)
-            got, updates = event_conv(conv_plan, x, backend)
+            spikes = rng.random((4, 3, 8, 8)) < density
+            want = dense_conv(conv_plan, spikes.astype(np.float32))
+            got, updates = event_conv(conv_plan, spikes.astype(dtype))
             assert np.array_equal(got, want), f"density {density}"
+            _, float_updates = event_conv(conv_plan, spikes.astype(np.float32))
+            assert updates == float_updates
             if density == 0.0:
                 assert updates == 0
+
+    def test_negative_zero_is_no_event(self, conv_plan, rng):
+        """``-0.0`` in a float batch scatters nothing: the current equals
+        the one of the same batch with ``+0.0`` in its place."""
+        spikes = rng.random((4, 3, 8, 8)) < 0.2
+        signed = np.where(spikes, np.float32(1.0), np.float32(-0.0))
+        assert np.signbit(signed[~spikes]).all()
+        want, want_updates = event_conv(conv_plan, spikes.astype(np.float32))
+        got, updates = event_conv(conv_plan, signed)
+        assert updates == want_updates
+        assert np.array_equal(got, want)
+        empty, none = event_conv(conv_plan, np.full((2, 3, 8, 8), -0.0, np.float32))
+        assert none == 0
+        assert np.array_equal(
+            empty, dense_conv(conv_plan, np.zeros((2, 3, 8, 8), np.float32))
+        )
 
     def test_dense_fc_matches_legacy_matmul(self, network, fc_plan, rng):
         x = (rng.random((6, fc_plan.wmat.shape[1])) < 0.2).astype(np.float32)
@@ -99,12 +116,11 @@ class TestKernels:
         assert np.array_equal(dense_fc(fc_plan, x), want)
 
     def test_calibration_gates_event_dispatch(self, conv_plan):
-        backend = resolve_event_backend("auto")
         # The tiny conv shape must calibrate exact in-environment (the
         # per-shape verdict is what the dispatcher relies on).
-        assert calibrate_event_exact(conv_plan, backend) is True
+        assert calibrate_event_exact(conv_plan) is True
         # Cached verdict: second call hits the process-wide cache.
-        assert calibrate_event_exact(conv_plan, backend) is True
+        assert calibrate_event_exact(conv_plan) is True
 
     def test_dense_conv_chunking_bitexact(self, conv_plan, rng):
         x = (rng.random((7, 3, 8, 8)) < 0.5).astype(np.float32)

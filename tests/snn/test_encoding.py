@@ -71,11 +71,6 @@ class TestRateEncoder:
         b = RateEncoder(seed=5).encode(images, 0).data
         np.testing.assert_array_equal(a, b)
 
-    def test_is_deterministic_counter_stream(self):
-        """Counter streams are pure functions of (seed, sample, t):
-        the encoder declares itself shardable."""
-        assert RateEncoder(seed=0).deterministic
-
     def test_batch_split_invariant(self, rng):
         images = rng.random((6, 3, 4, 4)).astype(np.float32)
         encoder = RateEncoder(seed=8)

@@ -3,6 +3,7 @@ simulate pipeline, and golden-model agreements between subsystems."""
 
 import numpy as np
 import pytest
+from legacy_oracle import layer_current
 
 from repro.hw.config import AcceleratorConfig
 from repro.hw.event_sim import EventDrivenLayerSim
@@ -60,7 +61,7 @@ class TestEventSimAgainstDeployable:
         train = out.spike_trains[layer.name][0][0]  # sample 0, t=0
         sim = EventDrivenLayerSim(nc_count=1, chunk_bits=32)
         result = sim.run_conv(train, layer.effective_weight(), padding=1)
-        expected = tiny_deployable._layer_current(layer, train[None])[0]
+        expected = layer_current(layer, train[None])[0]
         bias = layer.effective_bias().reshape(-1, 1, 1)
         np.testing.assert_allclose(
             result.membrane + bias, expected, atol=1e-3
