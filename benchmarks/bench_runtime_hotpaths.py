@@ -422,16 +422,11 @@ def bench_fault_recovery(deployable, images, params) -> Dict:
     every retried shard a pure function of (seed, sample index,
     timestep). The delta between the two wall times is the price of
     recovery: pool restart, timeout detection, and the retried shards.
-    The breaker is pinned high for the measurement (induced aborts must
-    reach the retry engine, not degrade to inline execution where
-    injection is off by design).
     """
     from repro.faults import FAULT_PLAN_ENV
     from repro.parallel import (
-        CircuitBreaker,
         RetryPolicy,
         retry_stats,
-        shared_service,
         shutdown_worker_service,
     )
     from repro.parallel.retry import reset_retry_stats
@@ -450,34 +445,27 @@ def bench_fault_recovery(deployable, images, params) -> Dict:
             shards=4, workers=2, retry=policy,
         )
 
-    service = shared_service()
-    saved_breaker = service.breaker
-    service.breaker = CircuitBreaker(threshold=10000)
-    try:
-        shutdown_worker_service()
-        start = time.perf_counter()
-        clean = run()
-        clean_ms = (time.perf_counter() - start) * 1e3
+    shutdown_worker_service()
+    start = time.perf_counter()
+    clean = run()
+    clean_ms = (time.perf_counter() - start) * 1e3
 
-        shutdown_worker_service()  # the plan is read at worker spawn
-        reset_retry_stats()
-        os.environ[FAULT_PLAN_ENV] = plan
-        try:
-            start = time.perf_counter()
-            healed = run()
-            faulted_ms = (time.perf_counter() - start) * 1e3
-        finally:
-            del os.environ[FAULT_PLAN_ENV]
-            shutdown_worker_service()
-        stats = retry_stats()
-        byte_identical = (
-            healed.logits.tobytes() == clean.logits.tobytes()
-            and healed.stats.per_layer == clean.stats.per_layer
-            and healed.input_spike_totals == clean.input_spike_totals
-        )
-        trips = service.breaker.trips
+    shutdown_worker_service()  # the plan is read at worker spawn
+    reset_retry_stats()
+    os.environ[FAULT_PLAN_ENV] = plan
+    try:
+        start = time.perf_counter()
+        healed = run()
+        faulted_ms = (time.perf_counter() - start) * 1e3
     finally:
-        service.breaker = saved_breaker
+        del os.environ[FAULT_PLAN_ENV]
+        shutdown_worker_service()
+    stats = retry_stats()
+    byte_identical = (
+        healed.logits.tobytes() == clean.logits.tobytes()
+        and healed.stats.per_layer == clean.stats.per_layer
+        and healed.input_spike_totals == clean.input_spike_totals
+    )
     return {
         "plan": plan,
         "shards": 4,
@@ -488,7 +476,6 @@ def bench_fault_recovery(deployable, images, params) -> Dict:
         "retries": stats.retries,
         "recovered_calls": stats.recovered_calls,
         "quarantined": stats.quarantined,
-        "breaker_trips": trips,
         "byte_identical": byte_identical,
     }
 

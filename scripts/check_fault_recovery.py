@@ -17,10 +17,6 @@ parallel determinism gate:
   after ``max_attempts`` strikes and surface as a typed
   :class:`PoisonTaskError` carrying the surviving shards' results.
 
-The circuit breaker is pinned high for the gate (the plan *induces*
-aborts; a breaker that opened would degrade to inline execution where
-injection is off by design, and the gate would vacuously pass).
-
 Wired into ``scripts/perf_smoke.sh``; run standalone with:
 
     PYTHONPATH=src python scripts/check_fault_recovery.py
@@ -35,9 +31,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if not any(os.path.isdir(os.path.join(p, "repro")) for p in sys.path if p):
     sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
-# Pin recovery knobs before any pool exists: the breaker is configured
-# at WorkerService construction, and backoff sleeps only slow the gate.
-os.environ["REPRO_BREAKER_THRESHOLD"] = "100"
+# Restart waits only slow the gate.
 os.environ["REPRO_RETRY_BACKOFF_MS"] = "0"
 os.environ["REPRO_RETRY_BACKOFF_MAX_MS"] = "0"
 

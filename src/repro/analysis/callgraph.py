@@ -4,15 +4,13 @@ Rule P102 (mutable module state in worker-executed code) needs to know
 which modules a pool worker can run. That set is derived statically, in
 two steps:
 
-1. **Roots.** Every call to ``run_tasks(...)`` or
-   ``run_tasks_resilient(...)`` ships its first argument (and its
-   ``initializer=`` keyword, when present) to worker processes. Each
-   such callable is resolved through the calling module's imports and
-   local definitions to the module that *defines* it -- those defining
-   modules are the worker entry modules. The executor modules
-   themselves (wherever ``run_tasks``/``run_tasks_resilient`` is
-   *defined*) are also roots: their bootstrap/injection code runs in
-   every worker.
+1. **Roots.** Every call to ``run_tasks(...)`` ships its first
+   argument (and its ``initializer=`` keyword, when present) to worker
+   processes. Each such callable is resolved through the calling
+   module's imports and local definitions to the module that *defines*
+   it -- those defining modules are the worker entry modules. The
+   executor module itself (wherever ``run_tasks`` is *defined*) is also
+   a root: its bootstrap/injection code runs in every worker.
 
 2. **Closure.** Anything a worker entry module imports -- at module
    level or lazily inside a function, since workers resolve both -- is
@@ -30,7 +28,7 @@ import ast
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 #: Callables whose arguments are shipped to worker processes.
-EXECUTOR_NAMES = ("run_tasks", "run_tasks_resilient")
+EXECUTOR_NAMES = ("run_tasks",)
 
 #: Keyword arguments of those executors that also carry worker-executed
 #: callables.
@@ -137,7 +135,7 @@ def worker_reachable_modules(
     """
     roots: Set[str] = set()
     for name, index in indexed.items():
-        if EXECUTOR_NAMES[0] in index.defined or EXECUTOR_NAMES[1] in index.defined:
+        if any(executor in index.defined for executor in EXECUTOR_NAMES):
             roots.add(name)
         for expr in index.shipped_callables:
             target = _resolve_callable_module(expr, name, index)

@@ -68,18 +68,12 @@ _ENV_VARS: Tuple[EnvVar, ...] = (
            "poison-shard handling: raise (default) or skip"),
     EnvVar("REPRO_START_METHOD", "repro/parallel/config.py",
            "multiprocessing start method override for service pools"),
-    EnvVar("REPRO_BREAKER_THRESHOLD", "repro/parallel/config.py",
-           "pool aborts in the rolling window that open the breaker"),
-    EnvVar("REPRO_BREAKER_WINDOW_MS", "repro/parallel/config.py",
-           "rolling abort-count window of the circuit breaker"),
-    EnvVar("REPRO_BREAKER_COOLDOWN_MS", "repro/parallel/config.py",
-           "serial-degradation cooldown while the breaker is open"),
     EnvVar("REPRO_RETRY_MAX_ATTEMPTS", "repro/parallel/config.py",
            "per-task attempt budget of the self-healing executor"),
     EnvVar("REPRO_RETRY_BACKOFF_MS", "repro/parallel/config.py",
-           "base backoff before a shard re-execution"),
+           "base wait before a pool restart after an abort"),
     EnvVar("REPRO_RETRY_BACKOFF_MAX_MS", "repro/parallel/config.py",
-           "backoff growth cap of the retry policy"),
+           "cap of the doubling restart wait"),
     EnvVar("REPRO_RETRY_TASK_TIMEOUT_MS", "repro/parallel/config.py",
            "per-attempt wall budget that kills wedged workers"),
     # -- faults layer (src/repro/faults/config.py) --------------------
@@ -109,7 +103,6 @@ _ENV_VARS: Tuple[EnvVar, ...] = (
 #: Registered family prefixes: prose shorthand for a group of variables
 #: ("REPRO_RETRY_*"). Each must prefix at least one registered variable.
 FAMILY_PREFIXES: Tuple[str, ...] = (
-    "REPRO_BREAKER_",
     "REPRO_RETRY_",
     "REPRO_SERVE_",
 )

@@ -342,7 +342,7 @@ def _make_context(args):
     if getattr(args, "retries", None) is not None:
         # Process-scoped like --workers: sharded_forward resolves its
         # default RetryPolicy from REPRO_RETRY_MAX_ATTEMPTS.
-        from repro.parallel.retry import RETRY_MAX_ATTEMPTS_ENV
+        from repro.parallel.config import RETRY_MAX_ATTEMPTS_ENV
 
         os.environ[RETRY_MAX_ATTEMPTS_ENV] = str(args.retries)
     if getattr(args, "on_shard_failure", None) is not None:

@@ -5,10 +5,12 @@ hand -- effective, but ad-hoc: every failure mode needed bespoke test
 plumbing, and none of it could be replayed outside a test process. This
 module turns those faults into *data*: a fault plan is a small spec
 string (usually shipped through ``REPRO_FAULT_PLAN``) describing which
-``(task index, attempt)`` coordinates misbehave and how. The retry layer
-(:mod:`repro.parallel.retry`) tags every pooled task with its index and
-attempt, and the worker-side cell wrapper consults the plan *inside the
-worker process* before and after running the real cell. Because the plan
+``(task index, attempt)`` coordinates misbehave and how. The pooled
+path (:meth:`repro.parallel.service.WorkerService.run`) tags every task
+with its index and attempt, and the worker-side cell consults the plan
+*inside the worker process* before and after running the real cell, so
+the plan reaches every pooled call (sharded evaluation, the sharded
+simulator, sweeps). Because the plan
 keys on coordinates rather than wall-clock or pids, a CI run replays the
 exact same faults every time -- chaos testing without the chaos.
 
@@ -45,10 +47,9 @@ same plan fires the same faults at any worker count, shard geometry or
 execution order.
 
 Faults are only ever applied inside real worker processes
-(:func:`mark_worker_process` is called by the pool bootstraps); the
-serial fallback and the circuit breaker's inline degraded mode execute
-cells in the parent, where a ``crash`` fault would kill the caller
-itself, so injection is skipped there by design.
+(:func:`mark_worker_process` is called by the pool bootstrap); the
+serial fallback executes cells in the parent, where a ``crash`` fault
+would kill the caller itself, so injection is skipped there by design.
 """
 
 from __future__ import annotations
@@ -83,8 +84,8 @@ def mark_worker_process() -> None:
     """Record that this process is a pool worker (called by bootstraps).
 
     Only marked processes apply fault plans: a ``crash`` fault executed
-    in the parent (serial fallback, breaker degraded mode) would kill
-    the caller rather than simulate a worker death.
+    in the parent (the serial fallback) would kill the caller rather
+    than simulate a worker death.
     """
     global _IN_WORKER
     _IN_WORKER = True

@@ -22,9 +22,13 @@ result:
   passes, and an order-fixed merge of logits, ``SpikeStats``,
   ``LayerCounters``, input totals and recorded trains.
 * :mod:`repro.parallel.service` -- :class:`WorkerService`, the
-  persistent pool behind ``run_tasks``: lazily started, reused across
-  calls, per-call state shipped as versioned *generations*, shut down
+  persistent, self-healing pool behind ``run_tasks``: lazily started,
+  reused across calls, per-call state shipped as versioned
+  *generations*, lost tasks re-executed on a restarted pool, shut down
   via context manager / ``shutdown_worker_service`` / ``atexit``.
+* :mod:`repro.parallel.retry` -- :class:`RetryPolicy` (attempt budget,
+  restart backoff, per-round timeout, resolved from ``REPRO_RETRY_*``)
+  and the self-healing counters.
 
 Worker lifecycle
 ----------------
@@ -69,7 +73,6 @@ from repro.parallel.retry import (
     retry_stats,
 )
 from repro.parallel.service import (
-    CircuitBreaker,
     WorkerService,
     persistent_pool_enabled,
     service_stats,
@@ -88,7 +91,6 @@ __all__ = [
     "DEFAULT_SHARD_SIZE",
     "START_METHOD_ENV",
     "WORKERS_ENV",
-    "CircuitBreaker",
     "RetryPolicy",
     "WorkerService",
     "effective_workers",

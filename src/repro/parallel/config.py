@@ -32,12 +32,6 @@ ON_SHARD_FAILURE_ENV = "REPRO_ON_SHARD_FAILURE"
 
 START_METHOD_ENV = "REPRO_START_METHOD"
 
-BREAKER_THRESHOLD_ENV = "REPRO_BREAKER_THRESHOLD"
-
-BREAKER_WINDOW_MS_ENV = "REPRO_BREAKER_WINDOW_MS"
-
-BREAKER_COOLDOWN_MS_ENV = "REPRO_BREAKER_COOLDOWN_MS"
-
 RETRY_MAX_ATTEMPTS_ENV = "REPRO_RETRY_MAX_ATTEMPTS"
 
 RETRY_BACKOFF_MS_ENV = "REPRO_RETRY_BACKOFF_MS"
@@ -56,7 +50,7 @@ def env_number(name: str, default: float, cast=float) -> float:
     """A finite numeric env var, or ``default`` when unset/blank.
 
     ``nan`` and ``inf`` parse as floats but are rejected: a ``nan``
-    cooldown would hold the circuit breaker open forever.
+    backoff would make every pool restart wait ``nan`` seconds.
     """
     raw = os.environ.get(name)
     if raw is None or not raw.strip():
@@ -67,14 +61,6 @@ def env_number(name: str, default: float, cast=float) -> float:
         raise ConfigError(f"{name} must be a number, got {raw!r}")
     if not math.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {raw!r}")
-    return value
-
-
-def env_positive(name: str, default: float, cast=float) -> float:
-    """Like :func:`env_number`, additionally requiring the value > 0."""
-    value = env_number(name, default, cast)
-    if value <= 0:
-        raise ConfigError(f"{name} must be > 0, got {value}")
     return value
 
 

@@ -38,25 +38,29 @@ dies abruptly (OOM kill, segfault, ``SIGKILL``) takes its in-flight
 tasks with it, the pool silently respawns a replacement, and
 ``Pool.map`` waits forever for results that will never arrive. Every
 pooled wait in this package therefore goes through
-:func:`guarded_map_wait`, which polls worker liveness alongside the
-result: an abnormal worker exit raises a typed
-:class:`~repro.errors.WorkerCrashError` instead of hanging, and an
-optional wall-clock ``timeout`` raises
-:class:`~repro.errors.WorkerTimeoutError` -- the guarantees the online
-serving layer (and any other long-lived caller) builds on.
+:func:`gather_indexed`, which submits tasks as individual jobs and polls
+worker liveness while it waits: an abnormal worker exit ends the wait
+with a typed :class:`~repro.errors.WorkerCrashError` instead of a hang,
+and an optional wall-clock budget (per call, and per task from when it
+reaches a worker) ends it with :class:`~repro.errors.WorkerTimeoutError`. Completed results survive
+either way, which is what lets the service's retry loop re-execute only
+the lost tasks (see :meth:`repro.parallel.service.WorkerService.run`).
 """
 
 from __future__ import annotations
 
+import threading
 import time
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from collections import deque
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import WorkerCrashError, WorkerTimeoutError
 from repro.parallel.config import resolve_workers
 
-#: How often the guarded wait re-checks worker liveness. Coarse enough
-#: to cost nothing against multi-millisecond cells, fine enough that a
-#: crashed worker surfaces as a typed error within ~a poll interval.
+#: How often the gather re-checks worker liveness. Coarse enough to cost
+#: nothing against multi-millisecond cells, fine enough that a crashed
+#: worker surfaces as a typed error within ~a poll interval. Completions
+#: and budgets never wait for it.
 _LIVENESS_POLL_S = 0.05
 
 
@@ -67,123 +71,143 @@ def _pool_members(pool) -> List:
     return list(getattr(pool, "_pool", None) or [])
 
 
-def guarded_map_wait(
+def gather_indexed(
     pool,
-    async_result,
+    cell: Callable,
+    tasks: Dict[int, object],
+    workers: int,
+    window: Optional[int] = None,
     timeout: Optional[float] = None,
-) -> List:
-    """Wait on a ``map_async`` result without trusting worker liveness.
+    task_timeout: Optional[float] = None,
+) -> Tuple[dict, set, Optional[BaseException]]:
+    """Run ``cell(tasks[index])`` for every index on ``pool``, guarded.
 
-    Polls the result at :data:`_LIVENESS_POLL_S` granularity and checks
-    the pool's worker processes in between:
+    Tasks are submitted individually in ``tasks`` order, at most
+    ``window`` in flight at once (``None``: all at once, for a pool
+    exactly ``workers`` wide; an explicit worker count on a wider pool
+    passes ``window=workers`` so it stays a concurrency cap). The pool
+    runs them first-in first-out on ``workers`` workers. Completions
+    land through the ``apply_async`` callbacks and wake the caller only
+    when it has something to do -- refill a freed slot, finish, or
+    handle a raising cell -- so neither a refill nor the end of the
+    gather waits for a poll. At most every :data:`_LIVENESS_POLL_S` the
+    gather checks the pool's workers and its budgets:
 
     * a worker with a nonzero exit code, or a worker *replaced* by the
       pool's maintenance thread (the pid set changed -- the dead
-      process may already have been reaped), means in-flight tasks may
-      be lost and ``Pool.map`` would wait forever; raise
-      :class:`WorkerCrashError` instead.
-    * a caller-supplied ``timeout`` (seconds, wall clock for the whole
-      mapped call) raises :class:`WorkerTimeoutError` when exceeded.
+      process may already have been reaped), means in-flight tasks are
+      lost and would never complete: the wait ends with a
+      :class:`~repro.errors.WorkerCrashError`;
+    * ``timeout`` (seconds, wall clock for the whole gather) and
+      ``task_timeout`` (seconds per task, counted from when the task
+      reached a worker) end it with a
+      :class:`~repro.errors.WorkerTimeoutError`.
 
-    A cell that merely *raises* still propagates its own exception from
-    ``async_result.get()``, exactly like ``Pool.map``. Callers own the
-    pool teardown after a crash/timeout (terminate, not close/join --
-    joining a pool with lost tasks can itself hang).
-    """
-    initial_pids = {p.pid for p in _pool_members(pool)}
-    deadline = None if timeout is None else time.monotonic() + timeout
-    while True:
-        async_result.wait(_LIVENESS_POLL_S)
-        if async_result.ready():
-            return async_result.get()
-        members = _pool_members(pool)
-        crashed = any(
-            p.exitcode is not None and p.exitcode != 0 for p in members
-        )
-        replaced = (
-            initial_pids and {p.pid for p in members} != initial_pids
-        )
-        if crashed or replaced:
-            raise WorkerCrashError(
-                "a pool worker process died with tasks in flight "
-                "(abnormal exit; its tasks are lost). The pool is torn "
-                "down; retry the call to run on a fresh pool."
-            )
-        if deadline is not None and time.monotonic() > deadline:
-            raise WorkerTimeoutError(
-                f"pooled call exceeded its {timeout:.3f}s budget; "
-                "the pool is torn down"
-            )
-
-
-def gather_indexed(
-    pool,
-    submit: Callable,
-    indices: Sequence[int],
-    window: int,
-    timeout: Optional[float] = None,
-) -> Tuple[dict, set, Optional[BaseException]]:
-    """Guarded per-task gather: the partial-harvest twin of
-    :func:`guarded_map_wait`.
-
-    Submits ``submit(index)`` (which must return an ``AsyncResult``) for
-    each index, at most ``window`` in flight at once -- the same
-    concurrency cap chunked ``map_async`` submission provides -- and
-    polls completions at :data:`_LIVENESS_POLL_S` granularity with the
-    same worker-liveness and deadline checks as the mapped wait.
-
-    Unlike the mapped wait, a crash or timeout does **not** discard what
-    already finished: the return value is ``(done, dispatched, error)``
-    where ``done`` maps index -> result for every task that completed,
-    ``dispatched`` is the set of indices that were actually handed to
-    the pool (tasks still queued behind the window were provably *not*
-    involved in the failure), and ``error`` is ``None`` on full success
-    or the typed :class:`~repro.errors.WorkerCrashError` /
-    :class:`~repro.errors.WorkerTimeoutError` otherwise. This is the
-    primitive the retry layer's "re-execute only the lost shards"
-    guarantee is built on. A cell that merely *raises* still propagates
-    its own exception, exactly like ``Pool.map``; callers own pool
-    teardown after a crash/timeout.
+    Returns ``(done, started, error)``: ``done`` maps index -> result
+    for every task that completed (a crash or timeout does not discard
+    them), ``started`` is the set of indices that reached a worker
+    (tasks still queued behind busy workers were not involved in the
+    failure), and ``error`` is ``None`` on full success or the typed
+    error otherwise. A cell that *raises* stops further submission;
+    once the tasks already in flight have drained, its exception
+    propagates, exactly like ``Pool.map`` -- so no orphaned sibling
+    delays the pool's next caller. (If the drain itself ends in a crash
+    or timeout, that typed error is returned instead and the raising
+    task counts as lost.) Callers own pool teardown after a crash or
+    timeout (terminate, not close/join -- joining a pool with lost
+    tasks can itself hang).
     """
     done: dict = {}
-    dispatched: set = set()
-    queue = list(indices)
-    inflight: dict = {}
+    raised: dict = {}
+    submitted: List[int] = []
+    waiting = deque(tasks)
+    limit = len(tasks) if window is None else window
+    wake = threading.Event()
+    # Tasks presumed on a worker -> when their clock started, in
+    # submission order (so the first entry is the oldest), and the
+    # submitted tasks still queued behind them.
+    running: Dict[int, float] = {}
+    queued: deque = deque()
+    started: set = set()
     initial_pids = {p.pid for p in _pool_members(pool)}
     deadline = None if timeout is None else time.monotonic() + timeout
-    while queue or inflight:
-        while queue and len(inflight) < window:
-            index = queue.pop(0)
-            inflight[index] = submit(index)
-            dispatched.add(index)
-        next(iter(inflight.values())).wait(_LIVENESS_POLL_S)
-        for index in list(inflight):
-            if inflight[index].ready():
-                done[index] = inflight[index].get()
-                del inflight[index]
-        if not inflight and not queue:
-            break
-        members = _pool_members(pool)
-        crashed = any(
-            p.exitcode is not None and p.exitcode != 0 for p in members
-        )
-        replaced = (
-            initial_pids and {p.pid for p in members} != initial_pids
-        )
-        if crashed or replaced:
-            return done, dispatched, WorkerCrashError(
-                "a pool worker process died with tasks in flight "
-                "(abnormal exit; its tasks are lost). The pool is torn "
-                "down; completed tasks kept their results and only the "
-                "lost ones need re-execution."
+    next_liveness_check = time.monotonic() + _LIVENESS_POLL_S
+
+    def landed(index, ok, value) -> None:
+        # Runs on the pool's result thread; dict stores are atomic.
+        (done if ok else raised)[index] = value
+        if waiting or not ok or len(done) + len(raised) >= len(submitted):
+            wake.set()
+
+    while True:
+        wake.clear()
+        while waiting and len(submitted) - len(done) - len(raised) < limit:
+            index = waiting.popleft()
+            pool.apply_async(
+                cell,
+                (tasks[index],),
+                callback=lambda value, i=index: landed(i, True, value),
+                error_callback=lambda exc, i=index: landed(i, False, exc),
             )
-        if deadline is not None and time.monotonic() > deadline:
-            return done, dispatched, WorkerTimeoutError(
+            submitted.append(index)
+            queued.append(index)
+        now = time.monotonic()
+        for index in [i for i in running if i in done or i in raised]:
+            del running[index]
+        while queued and len(running) < workers:
+            index = queued.popleft()
+            started.add(index)
+            if index not in done and index not in raised:
+                running[index] = now
+        if raised:
+            waiting.clear()  # drain what is in flight, submit nothing more
+        if not waiting and len(done) + len(raised) == len(submitted):
+            if raised:
+                raise raised[min(raised)]
+            return done, started, None
+        error: Optional[BaseException] = None
+        if now >= next_liveness_check:
+            next_liveness_check = now + _LIVENESS_POLL_S
+            members = _pool_members(pool)
+            crashed = any(
+                p.exitcode is not None and p.exitcode != 0 for p in members
+            )
+            replaced = (
+                initial_pids and {p.pid for p in members} != initial_pids
+            )
+            if crashed or replaced:
+                error = WorkerCrashError(
+                    "a pool worker process died with tasks in flight "
+                    "(abnormal exit; its tasks are lost). The pool is torn "
+                    "down; completed tasks kept their results and only the "
+                    "lost ones need re-execution."
+                )
+        if error is None and deadline is not None and now > deadline:
+            error = WorkerTimeoutError(
                 f"pooled call exceeded its {timeout:.3f}s budget; "
                 "the pool is torn down. Completed tasks kept their "
                 "results."
             )
-    return done, dispatched, None
+        if (
+            error is None
+            and task_timeout is not None
+            and running
+            and now - next(iter(running.values())) > task_timeout
+        ):
+            error = WorkerTimeoutError(
+                f"a pooled task exceeded its {task_timeout:.3f}s "
+                "per-attempt budget and is presumed wedged; the pool is "
+                "torn down. Completed tasks kept their results."
+            )
+        if error is not None:
+            # A copy: late callbacks may still land before the teardown.
+            return dict(done), started, error
+        wake_at = next_liveness_check
+        if deadline is not None:
+            wake_at = min(wake_at, deadline)
+        if task_timeout is not None and running:
+            wake_at = min(wake_at, next(iter(running.values())) + task_timeout)
+        wake.wait(max(0.0, wake_at - time.monotonic()))
 
 
 def run_tasks(
@@ -211,25 +235,20 @@ def run_tasks(
     path themselves, as :func:`repro.parallel.shard.sharded_forward`
     does.
 
-    ``timeout`` bounds the pooled call in wall-clock seconds
-    (:class:`~repro.errors.WorkerTimeoutError` on expiry); a worker that
-    dies mid-call raises :class:`~repro.errors.WorkerCrashError` instead
-    of hanging (see :func:`guarded_map_wait`). The serial fallback runs
-    inline and therefore ignores ``timeout`` -- there is no separate
-    process to abandon.
-
-    ``retry`` (a :class:`~repro.parallel.retry.RetryPolicy`, or ``None``
-    for the historical fail-the-call behaviour) routes the pooled call
-    through the self-healing executor instead: a crashed or timed-out
-    shard is re-executed on a recovered pool (with deterministic
-    backoff) rather than failing the whole call, a task that kills its
-    worker on every allowed attempt is quarantined behind a typed
+    Every pooled call is self-healing (see
+    :meth:`repro.parallel.service.WorkerService.run`): a crashed or
+    timed-out task is re-executed on a recovered pool rather than
+    failing the call, a task that kills its worker on every allowed
+    attempt is quarantined behind a typed
     :class:`~repro.errors.PoisonTaskError` carrying the surviving
     results, and ``REPRO_FAULT_PLAN`` faults are injected at the task
-    seam (see :mod:`repro.parallel.retry` and :mod:`repro.faults`).
-    ``timeout`` then bounds the *whole* call, retries and backoff
-    included. The serial fallback is unchanged: inline, no retries, no
-    injection.
+    seam (see :mod:`repro.faults`). ``retry`` is the
+    :class:`~repro.parallel.retry.RetryPolicy`; ``None`` resolves one
+    from ``REPRO_RETRY_*``. ``timeout`` bounds the *whole* pooled call
+    in wall-clock seconds, retries and restart waits included
+    (:class:`~repro.errors.WorkerTimeoutError` on expiry). The serial
+    fallback runs inline: no retries, no injection, and no ``timeout``
+    -- there is no separate process to abandon.
     """
     payloads = list(payloads)
     count = min(resolve_workers(workers), max(1, len(payloads)))
@@ -237,18 +256,6 @@ def run_tasks(
         if initializer is not None:
             initializer(*initargs)
         return [fn(payload) for payload in payloads]
-    if retry is not None:
-        from repro.parallel.retry import run_tasks_resilient
-
-        return run_tasks_resilient(
-            fn,
-            payloads,
-            count,
-            initializer=initializer,
-            initargs=initargs,
-            timeout=timeout,
-            policy=retry,
-        )
     from repro.parallel.service import shared_service
 
     return shared_service().run(
@@ -258,6 +265,7 @@ def run_tasks(
         initializer=initializer,
         initargs=initargs,
         timeout=timeout,
+        policy=retry,
     )
 
 

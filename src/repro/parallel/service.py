@@ -60,33 +60,62 @@ instead of from whatever state the parent has accumulated, at the cost
 of one extra process. None of this affects results -- the service never
 relies on inherited memory, so every start method computes the same
 bytes (locked down by ``tests/parallel/``).
+
+Self-healing
+------------
+
+:meth:`WorkerService.run` is the one pooled path, and its body is the
+retry loop. Every cell in this package is a pure function of its
+coordinates (the counter-stream invariant), so re-executing a lost task
+on a fresh pool is byte-identical -- the only thing standing between one
+transient worker death and a completed call is bookkeeping:
+
+* tasks are submitted individually (:func:`repro.parallel.pool.gather_indexed`),
+  so a crash or timeout keeps every completed result and re-executes
+  **only** the lost tasks;
+* every task is tagged with its ``(index, attempt)`` coordinate, the
+  injection seam of the deterministic fault plans of
+  :mod:`repro.faults` (``REPRO_FAULT_PLAN``);
+* after the first failure, suspect tasks (those in flight when the pool
+  died) are re-executed in *isolation*, one per round and always in a
+  worker process, so crash attribution is exact: an innocent task that
+  shared a pool with a poison one completes on its solo attempt;
+* a task that takes down its worker on
+  :attr:`~repro.parallel.retry.RetryPolicy.max_attempts` attempts is
+  quarantined: the call raises a typed
+  :class:`~repro.errors.PoisonTaskError` carrying the surviving results
+  and the poison payload's fingerprint instead of retrying forever;
+* a failed round always aborts the pool, and the one backoff is paid
+  when the pool restarts: ``backoff_ms * 2**(consecutive aborts - 1)``,
+  capped at ``backoff_max_ms`` (both from the call's
+  :class:`~repro.parallel.retry.RetryPolicy`) and counted from the
+  abort. The first successful round resets it. The wait is charged to
+  the call's ``timeout`` like everything else, so a crash loop is damped
+  without ever overrunning a caller's budget.
 """
 
 from __future__ import annotations
 
 import atexit
 import hashlib
-import math
 import multiprocessing as mp
 import os
 import pickle
 import tempfile
 import time
-from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.errors import ConfigError, WorkerCrashError, WorkerTimeoutError
+from repro.errors import PoisonTaskError, WorkerTimeoutError
+from repro.faults.plan import active_fault_spec, cached_plan, in_worker_process
 from repro.parallel.config import (
-    BREAKER_COOLDOWN_MS_ENV,
-    BREAKER_THRESHOLD_ENV,
-    BREAKER_WINDOW_MS_ENV,
     WORKERS_ENV,
     _reset_override_for_worker,
-    env_positive as _env_positive,
     resolve_workers,
     service_start_method,
 )
+from repro.parallel.pool import gather_indexed
+from repro.parallel.retry import RetryPolicy, resolve_retry_policy, retry_stats
 from repro.runtime.config import RuntimeConfig, runtime_config, set_runtime_config
 
 
@@ -95,116 +124,17 @@ class ServiceStats:
     """Lifetime counters of one service (bench/observability surface)."""
 
     pool_starts: int = 0  # pools created (lazy start + grow restarts)
-    runs: int = 0  # run() calls served by a pool
-    warm_runs: int = 0  # runs served by an already-running pool
+    runs: int = 0  # pooled rounds served (one per call unless it retried)
+    warm_runs: int = 0  # rounds served by an already-running pool
     cells: int = 0  # tasks executed through the pool
     generations: int = 0  # distinct per-call state broadcasts
-    generation_reuses: int = 0  # runs whose state matched the previous one
+    generation_reuses: int = 0  # rounds whose state matched the previous one
     blob_spills: int = 0  # generations whose state went via a temp file
     aborts: int = 0  # pools torn down after a worker crash / call timeout
     restarts: int = 0  # pool starts that recovered from an abort (backoff-gated)
-    breaker_trips: int = 0  # times the circuit breaker opened
-    breaker_serial_runs: int = 0  # runs degraded to inline serial (breaker open)
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "pool_starts": self.pool_starts,
-            "runs": self.runs,
-            "warm_runs": self.warm_runs,
-            "cells": self.cells,
-            "generations": self.generations,
-            "generation_reuses": self.generation_reuses,
-            "blob_spills": self.blob_spills,
-            "aborts": self.aborts,
-            "restarts": self.restarts,
-            "breaker_trips": self.breaker_trips,
-            "breaker_serial_runs": self.breaker_serial_runs,
-        }
-
-
-class CircuitBreaker:
-    """Abort-rate circuit breaker over a service's pool.
-
-    Tracks pool aborts in a rolling window. While the abort count stays
-    under ``threshold`` the breaker is *closed* and pooled execution
-    proceeds normally. Hitting the threshold *opens* it: for
-    ``cooldown_s`` the service stops restarting pools and degrades to
-    inline serial execution -- ending a terminate/respawn storm from a
-    persistently hostile workload. Once the cooldown elapses the breaker
-    goes *half-open*: the next run probes the pool; success closes the
-    breaker (and clears the abort history), another abort re-opens it
-    for a fresh cooldown.
-    """
-
-    def __init__(
-        self,
-        threshold: int = 5,
-        window_s: float = 30.0,
-        cooldown_s: float = 1.0,
-    ) -> None:
-        if threshold < 1:
-            raise ConfigError(
-                f"breaker threshold must be >= 1, got {threshold}"
-            )
-        # A nan cooldown would hold the breaker open forever.
-        for name, value in (("window_s", window_s), ("cooldown_s", cooldown_s)):
-            if not 0 <= value < math.inf:
-                raise ConfigError(
-                    f"breaker {name} must be finite and >= 0, got {value}"
-                )
-        self.threshold = threshold
-        self.window_s = window_s
-        self.cooldown_s = cooldown_s
-        self.trips = 0
-        self._abort_times: deque = deque()
-        self._open_until: Optional[float] = None
-        self._probing = False
-
-    def _prune(self, now: float) -> None:
-        while self._abort_times and now - self._abort_times[0] > self.window_s:
-            self._abort_times.popleft()
-
-    @property
-    def state(self) -> str:
-        """``closed`` | ``open`` | ``half-open`` (cooldown elapsed)."""
-        if self._open_until is None:
-            return "closed"
-        if self._probing or time.monotonic() >= self._open_until:
-            return "half-open"
-        return "open"
-
-    def record_abort(self) -> bool:
-        """Note one pool abort; ``True`` if this trip opened the breaker."""
-        now = time.monotonic()
-        self._abort_times.append(now)
-        self._prune(now)
-        if self._probing:
-            # The half-open probe failed: straight back to open.
-            self._probing = False
-            self._open_until = now + self.cooldown_s
-            self.trips += 1
-            return True
-        if self._open_until is None and len(self._abort_times) >= self.threshold:
-            self._open_until = now + self.cooldown_s
-            self.trips += 1
-            return True
-        return False
-
-    def record_success(self) -> None:
-        """A pooled run completed: close after a successful probe."""
-        if self._open_until is not None:
-            self._open_until = None
-            self._probing = False
-            self._abort_times.clear()
-
-    def allow_pool(self) -> bool:
-        """Whether the next run may use the pool (half-open = probe)."""
-        if self._open_until is None:
-            return True
-        if time.monotonic() >= self._open_until:
-            self._probing = True
-            return True
-        return False
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -234,18 +164,22 @@ def _service_bootstrap() -> None:  # pragma: no cover - runs in workers
     mark_worker_process()
 
 
-def _service_cell(task: Tuple[int, Tuple[str, object], Callable, object]):
+def _service_cell(task):
     """One task: sync to the task's generation, then run the cell.
 
-    The generation blob -- inline bytes, or a temp-file path for large
-    state -- re-applies the parent's runtime config and runs the
-    caller's initializer exactly once per worker per generation. An
-    initializer that raises leaves the worker's
-    generation unchanged, so the next task retries it rather than
-    running the cell against half-applied state.
+    ``task`` is ``(generation, blob_ref, fault_spec, index, attempt, fn,
+    payload)``. The generation blob -- inline bytes, or a temp-file path
+    for large state -- re-applies the parent's runtime config and runs
+    the caller's initializer exactly once per worker per generation. An
+    initializer that raises leaves the worker's generation unchanged, so
+    the next task retries it rather than running the cell against
+    half-applied state. The fault plan (if any) then fires at the task's
+    ``(index, attempt)`` coordinate, before and after the real cell --
+    only in a marked worker process, where a ``crash`` kills the worker
+    rather than the caller.
     """
     global _WORKER_GENERATION
-    generation, (blob_kind, blob_value), fn, payload = task
+    generation, (blob_kind, blob_value), spec, index, attempt, fn, payload = task
     if _WORKER_GENERATION != generation:
         if blob_kind == "file":
             with open(blob_value, "rb") as handle:
@@ -257,7 +191,19 @@ def _service_cell(task: Tuple[int, Tuple[str, object], Callable, object]):
         if initializer is not None:
             initializer(*initargs)
         _WORKER_GENERATION = generation
-    return fn(payload)
+    plan = None
+    if spec is not None and in_worker_process():
+        plan = cached_plan(spec)
+        plan.apply_before(index, attempt)
+    result = fn(payload)
+    if plan is not None:
+        result = plan.apply_after(index, attempt, result)
+    return result
+
+
+def _payload_fingerprint(payload) -> str:
+    blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    return hashlib.sha256(blob).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -266,25 +212,23 @@ def _service_cell(task: Tuple[int, Tuple[str, object], Callable, object]):
 
 
 class WorkerService:
-    """A lazily started, persistent, grow-only process pool.
+    """A lazily started, persistent, grow-only, self-healing process pool.
 
     Usable standalone (``with WorkerService(workers=4) as svc: svc.run(...)``)
     or -- the common path -- as the process-wide shared instance every
     :func:`repro.parallel.pool.run_tasks` call reuses. The pool starts
     on the first pooled ``run`` and survives until :meth:`shutdown`,
     context-manager exit, a call needing *more* workers (grow restart),
-    or interpreter exit (the shared instance registers an ``atexit``
-    hook); calls needing fewer workers reuse the wider pool with their
-    concurrency capped by chunked submission.
+    an abort after a worker crash or timeout (restarted by the next
+    round), or interpreter exit (the shared instance registers an
+    ``atexit`` hook); calls needing fewer workers reuse the wider pool
+    with their concurrency capped by the submission window.
     """
 
     def __init__(
         self,
         workers: Optional[int] = None,
         start_method: Optional[str] = None,
-        restart_backoff_ms: float = 50.0,
-        restart_backoff_max_ms: float = 2000.0,
-        breaker: Optional[CircuitBreaker] = None,
     ) -> None:
         self._default_workers = workers
         self._start_method = start_method
@@ -296,28 +240,28 @@ class WorkerService:
         # workers skip re-initialization (and keep e.g. a loaded model).
         self._generation_cache: Optional[Tuple[bytes, int, Tuple]] = None
         self.stats = ServiceStats()
-        # Post-abort restart damping: a flapping worker must not spin a
-        # terminate/respawn loop at pool-start speed. Doubled per
-        # consecutive abort, reset by the first successful pooled run.
-        self._restart_backoff_ms = restart_backoff_ms
-        self._restart_backoff_max_ms = restart_backoff_max_ms
+        # Post-abort restart damping (see the module docstring): doubled
+        # per consecutive abort, reset by the first successful round.
         self._consecutive_aborts = 0
         self._last_abort: Optional[float] = None
-        self.breaker = breaker if breaker is not None else CircuitBreaker(
-            threshold=int(_env_positive(BREAKER_THRESHOLD_ENV, 5, int)),
-            window_s=_env_positive(BREAKER_WINDOW_MS_ENV, 30000.0) / 1000.0,
-            cooldown_s=_env_positive(BREAKER_COOLDOWN_MS_ENV, 1000.0) / 1000.0,
-        )
 
     # -- lifecycle ------------------------------------------------------
-    def _ensure_pool(self, count: int):
+    def _ensure_pool(
+        self,
+        count: int,
+        policy: RetryPolicy,
+        deadline: Optional[float],
+    ):
         """A pool of at least ``count`` workers (grow-only resizing).
 
-        A wider pool than requested is reused as-is -- :meth:`run`
-        chunks submissions so at most ``count`` of its workers are busy
-        -- because restarting would re-pay pool startup *and* discard
-        every worker's warm per-process caches (plan geometry, BLAS-fold
+        A wider pool than requested is reused as-is -- the submission
+        window keeps at most ``count`` of its workers busy -- because
+        restarting would re-pay pool startup *and* discard every
+        worker's warm per-process caches (plan geometry, BLAS-fold
         calibration), the exact costs the service exists to amortize.
+
+        A start that follows an abort first waits out the restart
+        backoff, counted from the abort and clamped to ``deadline``.
         """
         inherited = self._pool is not None and self._owner_pid != os.getpid()
         too_small = self._pool is not None and self._pool_workers < count
@@ -325,15 +269,13 @@ class WorkerService:
             self.shutdown()
         if self._pool is None:
             if self._last_abort is not None:
-                # Restart backoff: damp terminate/respawn storms after a
-                # crash. Exponential in the consecutive-abort count,
-                # capped, and charged only for the remaining fraction.
-                backoff_s = min(
-                    self._restart_backoff_ms
-                    * (2.0 ** max(0, self._consecutive_aborts - 1)),
-                    self._restart_backoff_max_ms,
-                ) / 1000.0
-                wait = self._last_abort + backoff_s - time.monotonic()
+                wait = (
+                    self._last_abort
+                    + policy.restart_wait_s(self._consecutive_aborts)
+                    - time.monotonic()
+                )
+                if deadline is not None:
+                    wait = min(wait, deadline - time.monotonic())
                 if wait > 0:
                     time.sleep(wait)
                 self.stats.restarts += 1
@@ -388,8 +330,8 @@ class WorkerService:
 
         ``terminate`` rather than ``close``+``join``: joining a pool
         whose in-flight tasks died with their worker can itself hang on
-        the unaccounted results. The next pooled run restarts lazily --
-        that restart *is* the recovery path.
+        the unaccounted results. The next round restarts lazily, after
+        the restart backoff -- that restart *is* the recovery path.
         """
         self._drop_generation_cache()
         pool, self._pool = self._pool, None
@@ -400,36 +342,6 @@ class WorkerService:
         self.stats.aborts += 1
         self._consecutive_aborts += 1
         self._last_abort = time.monotonic()
-        if self.breaker.record_abort():
-            self.stats.breaker_trips += 1
-
-    def _note_success(self) -> None:
-        """A pooled run completed: reset abort damping, close the breaker."""
-        self._consecutive_aborts = 0
-        self._last_abort = None
-        self.breaker.record_success()
-
-    def _run_inline(
-        self,
-        fn: Callable,
-        payloads: List,
-        initializer: Optional[Callable],
-        initargs: Tuple,
-    ) -> List:
-        """Degraded serial execution while the breaker is open.
-
-        Semantics match the single-worker serial fallback: the
-        initializer (then the cells) run in the calling process, so
-        progress continues at serial speed instead of feeding a restart
-        storm. Fault-plan injection is skipped by design -- these cells
-        do not run in a worker process (see :mod:`repro.faults`).
-        """
-        self.stats.breaker_serial_runs += 1
-        self.stats.runs += 1
-        self.stats.cells += len(payloads)
-        if initializer is not None:
-            initializer(*initargs)
-        return [fn(payload) for payload in payloads]
 
     def __enter__(self) -> "WorkerService":
         return self
@@ -446,16 +358,17 @@ class WorkerService:
         initializer: Optional[Callable] = None,
         initargs: Tuple = (),
         timeout: Optional[float] = None,
+        policy: Optional[RetryPolicy] = None,
     ) -> List:
-        """``[fn(p) for p in payloads]`` on the persistent pool.
+        """``[fn(p) for p in payloads]`` on the persistent pool, self-healing.
 
         Same contract as :func:`repro.parallel.pool.run_tasks` (results
         in payload order, module-level picklable callables, serial
         fallback at one resolved worker -- initializer then runs in the
         calling process), plus warm reuse: consecutive calls share the
         pool, and only the generation blob -- runtime config,
-        initializer, initargs, pickled once per call and spilled to a
-        temp file when large -- travels alongside the tasks; a call
+        initializer, initargs, pickled once per round and spilled to a
+        temp file when large -- travels alongside the tasks; a round
         whose state is byte-identical to the previous one reuses its
         generation outright, so warm workers skip re-initialization.
         (The warm path still pays one pickle of the state to compute the
@@ -463,16 +376,20 @@ class WorkerService:
         cover exactly what workers would apply. Ship big state by
         artifact path, as ``sharded_forward(model_path=...)`` does with
         a content digest alongside, to keep that O(KB).) ``workers`` is
-        a concurrency cap even when the running pool is wider:
-        submissions are chunked so at most that many workers are busy.
+        a concurrency cap even when the running pool is wider.
 
-        Fault containment: a worker that dies mid-call raises
-        :class:`~repro.errors.WorkerCrashError`, an exceeded ``timeout``
-        (seconds) raises :class:`~repro.errors.WorkerTimeoutError`;
-        either way the pool is torn down (``terminate``) and the next
-        run restarts it lazily -- the service recovers, the caller gets
-        a typed error, and nothing ever hangs on results a dead worker
-        cannot deliver (see :func:`repro.parallel.pool.guarded_map_wait`).
+        Recovery follows ``policy`` (``None`` resolves
+        :func:`~repro.parallel.retry.resolve_retry_policy`; see the
+        module docstring): crashed or timed-out tasks are re-executed,
+        and a task that fails ``max_attempts`` times raises
+        :class:`~repro.errors.PoisonTaskError` with the survivors.
+        ``timeout`` (seconds) bounds the whole call, rounds and restart
+        waits included; on expiry the typed error of the last failed
+        round (:class:`~repro.errors.WorkerCrashError` or
+        :class:`~repro.errors.WorkerTimeoutError`) propagates, or a
+        :class:`~repro.errors.WorkerTimeoutError` when the budget ran
+        out before a round could start. A cell that raises its own
+        exception propagates it unchanged.
         """
         payloads = list(payloads)
         count = min(
@@ -485,44 +402,143 @@ class WorkerService:
             if initializer is not None:
                 initializer(*initargs)
             return [fn(payload) for payload in payloads]
-        if not self.breaker.allow_pool():
-            return self._run_inline(fn, payloads, initializer, initargs)
-        generation, blob_ref = self._broadcast_generation(
-            initializer, initargs, count=count
-        )
-        pool = self._pool
-        self.stats.cells += len(payloads)
-        tasks = [(generation, blob_ref, fn, payload) for payload in payloads]
-        # chunksize 1 keeps assignment balanced; on a pool wider than the
-        # requested cap, chunk so at most `count` chunks exist -- i.e. at
-        # most `count` workers ever hold work from this call.
-        if self._pool_workers <= count:
-            chunksize = 1
-        else:
-            chunksize = -(-len(tasks) // count)
-        from repro.parallel.pool import guarded_map_wait
+        policy = policy if policy is not None else resolve_retry_policy()
+        spec = active_fault_spec()
+        if spec is not None:
+            cached_plan(spec)  # fail fast on an unparsable plan, in the parent
+        deadline = None if timeout is None else time.monotonic() + timeout
+        stats = retry_stats()
+        stats.calls += 1
+        n = len(payloads)
+        results: Dict[int, object] = {}
+        attempts = [0] * n
+        pending = list(range(n))
+        quarantined: List[int] = []
+        had_failure = False
+        while True:
+            exhausted = [
+                index for index in pending
+                if attempts[index] >= policy.max_attempts
+            ]
+            quarantined += exhausted
+            stats.quarantined += len(exhausted)
+            pending = [index for index in pending if index not in exhausted]
+            if not pending:
+                break
+            suspects = [index for index in pending if attempts[index] > 0]
+            if suspects:
+                # Isolation: re-execute one suspect per round so a crash
+                # is attributed to exactly the task that caused it.
+                batch = suspects[:1]
+                stats.retries += 1
+            else:
+                batch = pending
+            tasks = {
+                index: (spec, index, attempts[index], fn, payloads[index])
+                for index in batch
+            }
+            done, started, error = self._run_round(
+                tasks, count, initializer, initargs, policy, deadline
+            )
+            results.update(done)
+            pending = [index for index in pending if index not in results]
+            if error is None:
+                continue
+            had_failure = True
+            # Only tasks that actually reached a worker are suspects;
+            # tasks still queued behind busy workers keep their attempt.
+            for index in batch:
+                if index in started and index not in results:
+                    attempts[index] += 1
+            if deadline is not None and time.monotonic() >= deadline:
+                raise error
+        if quarantined:
+            raise PoisonTaskError(
+                f"{len(quarantined)} of {n} task(s) killed their worker on "
+                f"{policy.max_attempts} consecutive attempt(s) and were "
+                f"quarantined (indices {sorted(quarantined)}); "
+                f"{n - len(quarantined)} surviving result(s) attached",
+                results=[results.get(index) for index in range(n)],
+                quarantined=quarantined,
+                fingerprints={
+                    index: _payload_fingerprint(payloads[index])
+                    for index in quarantined
+                },
+                attempts={index: attempts[index] for index in quarantined},
+            )
+        if had_failure:
+            stats.recovered_calls += 1
+        return [results[index] for index in range(n)]
 
-        result = pool.map_async(_service_cell, tasks, chunksize=chunksize)
-        try:
-            results = guarded_map_wait(pool, result, timeout=timeout)
-        except (WorkerCrashError, WorkerTimeoutError):
+    def _run_round(
+        self,
+        tasks: Dict[int, Tuple],
+        count: int,
+        initializer: Optional[Callable],
+        initargs: Tuple,
+        policy: RetryPolicy,
+        deadline: Optional[float],
+    ) -> Tuple[Dict[int, object], set, Optional[BaseException]]:
+        """One pooled round of :meth:`run`: indexed, partial-harvest.
+
+        ``tasks`` maps index -> ``(fault spec, index, attempt, fn,
+        payload)``. Returns ``(done, started, error)`` from
+        :func:`repro.parallel.pool.gather_indexed`; a crash or timeout
+        aborts the pool, a clean round resets the restart backoff.
+        There is **no** serial fallback here, even for a single task: a
+        suspect task must run in a worker process so that killing its
+        worker cannot kill the caller. The round's budget is the rest of
+        the call's (after any restart wait), and each task is further
+        capped by ``policy.task_timeout_s`` from when it reaches a
+        worker, so one wedged task cannot consume the whole call. On a
+        pool exactly ``count`` wide every task is submitted at once; on
+        a wider pool at most ``count`` are in flight.
+        """
+        generation, blob_ref = self._broadcast_generation(
+            initializer, initargs, count, policy, deadline
+        )
+        remaining = None
+        if deadline is not None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise WorkerTimeoutError(
+                    f"pooled call exhausted its budget with {len(tasks)} "
+                    "task(s) still to run"
+                )
+        self.stats.cells += len(tasks)
+        done, started, error = gather_indexed(
+            self._pool,
+            _service_cell,
+            {
+                index: (generation, blob_ref) + task
+                for index, task in tasks.items()
+            },
+            workers=count,
+            window=None if self._pool_workers == count else count,
+            timeout=remaining,
+            task_timeout=policy.task_timeout_s,
+        )
+        if error is not None:
             self._abort_pool()
-            raise
-        self._note_success()
-        return results
+        else:
+            self._consecutive_aborts = 0
+            self._last_abort = None
+        return done, started, error
 
     def _broadcast_generation(
         self,
         initializer: Optional[Callable],
         initargs: Tuple,
         count: int,
+        policy: RetryPolicy,
+        deadline: Optional[float],
     ) -> Tuple[int, Tuple]:
-        """Ensure a pool and mint (or reuse) the call's generation blob.
+        """Ensure a pool and mint (or reuse) the round's generation blob.
 
-        Shared by :meth:`run` and :meth:`run_indexed` so both paths
-        carry byte-identical state broadcasts -- a retry round reuses
-        the warm generation a mapped call established, and vice versa.
-        Updates run/warm-run/generation stats; callers account cells.
+        Consecutive rounds (and calls) with byte-identical state share
+        one generation, so a retry round reuses the warm generation the
+        first round established. Updates run/warm-run/generation stats;
+        the caller accounts cells.
         """
         blob = pickle.dumps(
             (asdict(runtime_config()), initializer, initargs),
@@ -530,7 +546,7 @@ class WorkerService:
         )
         digest = hashlib.sha256(blob).digest()
         starts_before = self.stats.pool_starts
-        self._ensure_pool(count)  # a grow restart clears the cache
+        self._ensure_pool(count, policy, deadline)  # a grow restart clears the cache
         self.stats.runs += 1
         if self.stats.pool_starts == starts_before:
             self.stats.warm_runs += 1
@@ -558,70 +574,6 @@ class WorkerService:
             self._generation_cache = (digest, generation, blob_ref)
             self.stats.generations += 1
         return generation, blob_ref
-
-    def run_indexed(
-        self,
-        fn: Callable,
-        tasks: List[Tuple[int, object]],
-        workers: Optional[int] = None,
-        initializer: Optional[Callable] = None,
-        initargs: Tuple = (),
-        timeout: Optional[float] = None,
-    ) -> Tuple[Dict[int, object], set, Optional[BaseException]]:
-        """One recovery round for the retry layer: indexed, partial-harvest.
-
-        Same generation semantics as :meth:`run`, but each ``(index,
-        payload)`` task is submitted individually and a crash or timeout
-        returns ``(done, dispatched, error)`` instead of raising -- the
-        completed results survive, and only the lost tasks need
-        re-execution (see :func:`repro.parallel.pool.gather_indexed`).
-        There is **no** serial fallback here even for a single task: a
-        suspect task must run in a worker process so that killing its
-        worker cannot kill the caller. The one exception is an *open*
-        circuit breaker, which degrades to inline execution -- by then
-        the workload has already proven it kills pools, and the retry
-        layer quarantines true poison tasks before the breaker opens.
-        A cell that raises its own exception still propagates.
-        """
-        count = min(
-            resolve_workers(
-                workers if workers is not None else self._default_workers
-            ),
-            max(1, len(tasks)),
-        )
-        if not self.breaker.allow_pool():
-            payloads = [payload for _, payload in tasks]
-            results = self._run_inline(fn, payloads, initializer, initargs)
-            done = {
-                index: result
-                for (index, _), result in zip(tasks, results)
-            }
-            return done, set(), None
-        generation, blob_ref = self._broadcast_generation(
-            initializer, initargs, count=count
-        )
-        pool = self._pool
-        self.stats.cells += len(tasks)
-        payload_by = {
-            index: (generation, blob_ref, fn, payload)
-            for index, payload in tasks
-        }
-        from repro.parallel.pool import gather_indexed
-
-        done, dispatched, error = gather_indexed(
-            pool,
-            lambda index: pool.apply_async(
-                _service_cell, (payload_by[index],)
-            ),
-            [index for index, _ in tasks],
-            window=count,
-            timeout=timeout,
-        )
-        if error is not None:
-            self._abort_pool()
-        else:
-            self._note_success()
-        return done, dispatched, error
 
 
 # ---------------------------------------------------------------------------

@@ -333,11 +333,11 @@ def sharded_forward(
             (see :func:`repro.parallel.pool.run_tasks`; the serial
             fallback runs inline and ignores it). This is how the
             serving layer propagates request deadlines into the
-            execution path. With retries enabled the budget covers the
-            whole call, recovery rounds included.
+            execution path. The budget covers the whole call, recovery
+            rounds and restart waits included.
         retry: a :class:`~repro.parallel.retry.RetryPolicy`; ``None``
             (the default) resolves one from ``REPRO_RETRY_*`` -- pooled
-            shard evaluation is therefore *self-healing by default*: a
+            shard evaluation, like every pooled call, is *self-healing*: a
             crashed or wedged shard is re-executed on a recovered pool,
             byte-identically (shards are pure functions of their
             coordinates), and only a task that kills its worker on
@@ -374,10 +374,6 @@ def sharded_forward(
         (image_payload, piece.start, timesteps, record)
         for image_payload, piece in zip(image_payloads, slices)
     ]
-    if retry is None:
-        from repro.parallel.retry import resolve_retry_policy
-
-        retry = resolve_retry_policy()
     try:
         parts = run_tasks(
             _run_shard,

@@ -11,9 +11,10 @@ offline evaluation of that sample, for any arrival pattern.
 Abuse resolves to typed errors, never hangs: bounded-queue admission
 (:class:`~repro.errors.QueueFullError`), per-request deadlines
 propagated from queue to pool to client wait
-(:class:`~repro.errors.RequestTimeoutError`), worker death surfaced by
-the parallel layer's liveness guard
-(:class:`~repro.errors.WorkerCrashError`), and graceful drain/shutdown
+(:class:`~repro.errors.RequestTimeoutError`), worker death healed by
+the pooled path's retry loop or, when a shard dies on every attempt,
+quarantined (:class:`~repro.errors.PoisonTaskError`), and graceful
+drain/shutdown
 (:class:`~repro.errors.ServerClosedError`). The synthetic load
 generator (:mod:`repro.serving.loadgen`) and the fault-injection suite
 in ``tests/serving/`` exist to prove exactly that.

@@ -64,9 +64,9 @@ class ModelEndpoint:
         self.workers = workers
         self.shard_size = shard_size
         #: RetryPolicy for pooled batches; None inherits the environment
-        #: default (self-healing on, REPRO_RETRY_* tunable), exactly like
-        #: offline evaluation. The serving layer also inherits the pool
-        #: circuit breaker through the shared WorkerService.
+        #: default (REPRO_RETRY_* tunable), exactly like offline
+        #: evaluation: every pooled batch is self-healing through the
+        #: shared WorkerService, within the batch's deadline budget.
         self.retry = retry
         self.sample_shape = tuple(model.input_shape)
 

@@ -119,19 +119,13 @@ class TestDegradedEvaluation:
 
     @pytest.fixture(autouse=True)
     def _fast_recovery(self, monkeypatch):
-        """No-sleep retries, damped restarts, breaker pinned shut-proof:
-        these tests SIGKILL workers repeatedly and must neither crawl
-        through backoff sleeps nor flip to inline execution (where
-        injection is off and nothing under test would fire)."""
-        from repro.parallel import CircuitBreaker, shared_service
+        """No restart waits: these tests SIGKILL workers repeatedly and
+        must not crawl through backoff sleeps."""
         from repro.parallel import shutdown_worker_service
 
         monkeypatch.setenv("REPRO_RETRY_BACKOFF_MS", "0")
         monkeypatch.setenv("REPRO_RETRY_BACKOFF_MAX_MS", "0")
         monkeypatch.setenv("REPRO_WORKERS", "2")
-        service = shared_service()
-        monkeypatch.setattr(service, "breaker", CircuitBreaker(threshold=10000))
-        monkeypatch.setattr(service, "_restart_backoff_ms", 1.0)
         shutdown_worker_service()
         yield
         shutdown_worker_service()

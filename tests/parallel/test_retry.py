@@ -1,12 +1,15 @@
-"""The self-healing executor: retry, backoff, quarantine, fault plans."""
+"""The self-healing pooled path: retry, backoff, quarantine, fault plans."""
 
+import dataclasses
+import hashlib
 import os
+import pickle
 import time
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, PoisonTaskError
+from repro.errors import ConfigError, PoisonTaskError, WorkerTimeoutError
 from repro.faults import FAULT_PLAN_ENV
 from repro.parallel import (
     RetryPolicy,
@@ -16,12 +19,13 @@ from repro.parallel import (
     sharded_forward,
     shutdown_worker_service,
 )
-from repro.parallel.retry import (
+from repro.parallel.config import (
+    RETRY_BACKOFF_MAX_MS_ENV,
     RETRY_BACKOFF_MS_ENV,
     RETRY_MAX_ATTEMPTS_ENV,
     RETRY_TASK_TIMEOUT_MS_ENV,
-    reset_retry_stats,
 )
+from repro.parallel.retry import reset_retry_stats
 from repro.quant import FP32, convert
 from repro.snn import build_network
 from repro.snn.encoding import RateEncoder
@@ -52,17 +56,8 @@ def images():
 @pytest.fixture(autouse=True)
 def _fresh_pool_and_no_ambient_plan(monkeypatch):
     """Each test starts with no fault plan and ends with no warm pool
-    (fault plans must never leak into other test modules' pools). The
-    shared service's circuit breaker is pinned out of the way: this
-    module's repeated induced crashes would otherwise open it, and an
-    open breaker degrades to inline execution -- where injection is off
-    by design and nothing under test would run."""
-    from repro.parallel import CircuitBreaker, shared_service
-
+    (fault plans must never leak into other test modules' pools)."""
     monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
-    monkeypatch.setattr(
-        shared_service(), "breaker", CircuitBreaker(threshold=10000)
-    )
     shutdown_worker_service()
     yield
     shutdown_worker_service()
@@ -79,9 +74,10 @@ class TestPolicyValidation:
             {"max_attempts": 0},
             {"backoff_ms": -1.0},
             {"backoff_max_ms": -1.0},
-            {"backoff_factor": 0.5},
-            {"jitter": 1.5},
             {"task_timeout_s": 0.0},
+            {"task_timeout_s": -1.0},
+            {"max_attempts": 2.5},
+            {"max_attempts": True},
         ],
     )
     def test_nonsense_rejected_typed(self, kwargs):
@@ -90,22 +86,37 @@ class TestPolicyValidation:
 
     @pytest.mark.parametrize(
         "field",
-        ["backoff_ms", "backoff_max_ms", "backoff_factor", "task_timeout_s"],
+        ["backoff_ms", "backoff_max_ms", "task_timeout_s"],
     )
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_explicit_values_rejected(self, field, value):
         """A ``nan`` backoff made every delay ``nan``; an ``inf`` round
-        timeout or factor is no bound at all."""
+        timeout is no bound at all."""
         with pytest.raises(ConfigError, match=field):
             RetryPolicy(**{field: value})
+
+    def test_numpy_integer_attempts_accepted(self):
+        assert RetryPolicy(max_attempts=np.int64(2)).max_attempts == 2
+
+    def test_exactly_four_knobs(self):
+        """One backoff is left: the jitter, its seed and the growth
+        factor are gone, and passing them is an error, not a no-op."""
+        assert [field.name for field in dataclasses.fields(RetryPolicy)] == [
+            "max_attempts", "backoff_ms", "backoff_max_ms", "task_timeout_s",
+        ]
+        for removed in ("backoff_factor", "jitter", "seed"):
+            with pytest.raises(TypeError):
+                RetryPolicy(**{removed: 1.0})
 
     def test_env_resolution(self, monkeypatch):
         monkeypatch.setenv(RETRY_MAX_ATTEMPTS_ENV, "5")
         monkeypatch.setenv(RETRY_BACKOFF_MS_ENV, "10")
+        monkeypatch.setenv(RETRY_BACKOFF_MAX_MS_ENV, "300")
         monkeypatch.setenv(RETRY_TASK_TIMEOUT_MS_ENV, "1500")
         policy = resolve_retry_policy()
         assert policy.max_attempts == 5
         assert policy.backoff_ms == 10.0
+        assert policy.backoff_max_ms == 300.0
         assert policy.task_timeout_s == 1.5
 
     def test_explicit_arguments_beat_env(self, monkeypatch):
@@ -122,6 +133,7 @@ class TestPolicyValidation:
         [
             (RETRY_BACKOFF_MS_ENV, "nan"),
             (RETRY_BACKOFF_MS_ENV, "inf"),
+            (RETRY_BACKOFF_MAX_MS_ENV, "nan"),
             (RETRY_TASK_TIMEOUT_MS_ENV, "inf"),
         ],
     )
@@ -132,29 +144,32 @@ class TestPolicyValidation:
 
 
 class TestBackoffDeterminism:
-    def test_same_coordinate_same_delay(self):
-        policy = RetryPolicy(seed=3)
-        assert policy.backoff_delay_s(4, 2) == policy.backoff_delay_s(4, 2)
+    """The one restart wait: a pure function of the policy and the
+    number of consecutive pool aborts."""
 
-    def test_jitter_stays_in_band_and_grows_with_attempt(self):
-        policy = RetryPolicy(
-            backoff_ms=100.0, backoff_factor=2.0, backoff_max_ms=10000.0,
-            jitter=0.5,
-        )
-        for attempt, base in [(1, 0.1), (2, 0.2), (3, 0.4)]:
-            delay = policy.backoff_delay_s(0, attempt)
-            assert base * 0.5 <= delay <= base * 1.5
+    def test_no_wait_before_the_first_abort(self):
+        assert RetryPolicy().restart_wait_s(0) == 0.0
+
+    def test_doubles_per_consecutive_abort(self):
+        policy = RetryPolicy(backoff_ms=100.0, backoff_max_ms=10000.0)
+        waits = [policy.restart_wait_s(aborts) for aborts in (1, 2, 3, 4)]
+        assert waits == pytest.approx([0.1, 0.2, 0.4, 0.8])
 
     def test_cap_applies(self):
-        policy = RetryPolicy(
-            backoff_ms=100.0, backoff_max_ms=150.0, jitter=0.0
-        )
-        assert policy.backoff_delay_s(0, 5) == pytest.approx(0.15)
+        policy = RetryPolicy(backoff_ms=100.0, backoff_max_ms=150.0)
+        assert policy.restart_wait_s(5) == pytest.approx(0.15)
 
-    def test_tasks_decorrelated(self):
-        policy = RetryPolicy(jitter=0.5)
-        delays = {policy.backoff_delay_s(task, 1) for task in range(8)}
-        assert len(delays) > 1
+    def test_zero_backoff_never_waits(self):
+        policy = RetryPolicy(**FAST)
+        assert {policy.restart_wait_s(aborts) for aborts in range(6)} == {0.0}
+
+    def test_long_abort_streak_stays_at_the_cap(self):
+        """``2.0 ** 1024`` overflows; a crash-looping service reaching
+        that many consecutive aborts must still wait the cap, not
+        raise ``OverflowError``."""
+        policy = RetryPolicy(backoff_ms=100.0, backoff_max_ms=2000.0)
+        assert policy.restart_wait_s(5000) == pytest.approx(2.0)
+        assert RetryPolicy(**FAST).restart_wait_s(5000) == 0.0
 
 
 class TestCrashRecovery:
@@ -212,15 +227,31 @@ class TestCrashRecovery:
             del os.environ[FAULT_PLAN_ENV]
         assert values == [1, 5, 9]  # task 1: 4 + 1
 
-    def test_no_retry_keeps_legacy_semantics(self):
-        """``retry=None`` stays the historical fail-the-call path: no
-        task tagging, no fault-plan seam, no quarantine."""
-        os.environ[FAULT_PLAN_ENV] = "corrupt@1"
-        try:
-            values = run_tasks(_square, [1, 2, 3], workers=2)
-        finally:
-            del os.environ[FAULT_PLAN_ENV]
-        assert values == [1, 4, 9]
+    def test_default_policy_heals_and_injects(self, monkeypatch):
+        """``retry=None`` resolves the ``REPRO_RETRY_*`` policy: a plain
+        pooled call (the sweeps', fig1's and the simulator's path) is
+        tagged for the fault plan and heals a crashed task."""
+        monkeypatch.setenv(RETRY_BACKOFF_MS_ENV, "0")
+        monkeypatch.setenv(FAULT_PLAN_ENV, "corrupt@1")
+        assert run_tasks(_square, [1, 2, 3], workers=2) == [1, 5, 9]
+        reset_retry_stats()
+        monkeypatch.setenv(FAULT_PLAN_ENV, "crash@1:0")
+        assert run_tasks(_square, list(range(6)), workers=2) == [
+            x * x for x in range(6)
+        ]
+        assert retry_stats().recovered_calls == 1
+
+    def test_env_max_attempts_reaches_default_pooled_calls(self, monkeypatch):
+        """With ``retry=None`` the attempt budget comes from
+        ``REPRO_RETRY_MAX_ATTEMPTS``: at 1, a task whose worker dies on
+        its first attempt is quarantined instead of healed."""
+        monkeypatch.setenv(RETRY_BACKOFF_MS_ENV, "0")
+        monkeypatch.setenv(RETRY_MAX_ATTEMPTS_ENV, "1")
+        monkeypatch.setenv(FAULT_PLAN_ENV, "crash@1:0")
+        with pytest.raises(PoisonTaskError) as excinfo:
+            run_tasks(_square, [5, 6], workers=2)
+        assert excinfo.value.quarantined == [1]
+        assert excinfo.value.attempts == {1: 1}
 
 
 class TestWedgeRecovery:
@@ -234,6 +265,18 @@ class TestWedgeRecovery:
             )
         finally:
             del os.environ[FAULT_PLAN_ENV]
+        assert values == [x * x for x in range(4)]
+        assert time.monotonic() - started < 15.0
+
+    def test_env_task_timeout_reaches_default_pooled_calls(self, monkeypatch):
+        """With ``retry=None`` the round bound comes from
+        ``REPRO_RETRY_TASK_TIMEOUT_MS``, so a plain pooled call heals a
+        wedged task instead of waiting it out."""
+        monkeypatch.setenv(RETRY_BACKOFF_MS_ENV, "0")
+        monkeypatch.setenv(RETRY_TASK_TIMEOUT_MS_ENV, "1000")
+        monkeypatch.setenv(FAULT_PLAN_ENV, "wedge@1:0~30")
+        started = time.monotonic()
+        values = run_tasks(_square, list(range(4)), workers=2)
         assert values == [x * x for x in range(4)]
         assert time.monotonic() - started < 15.0
 
@@ -299,6 +342,32 @@ class TestPoisonQuarantine:
         assert survivors == [x * x for x in range(8) if x != 3]
 
 
+    def test_each_poison_task_quarantined_with_its_fingerprint(self):
+        """Two poison tasks are quarantined independently, each with
+        its attempt count and the sha256 of its pickled payload."""
+        payloads = [10, 11, 12, 13, 14]
+        os.environ[FAULT_PLAN_ENV] = "crash@1:0,crash@1:1,crash@4:0,crash@4:1"
+        try:
+            with pytest.raises(PoisonTaskError) as excinfo:
+                run_tasks(
+                    _square,
+                    payloads,
+                    workers=2,
+                    retry=RetryPolicy(max_attempts=2, **FAST),
+                )
+        finally:
+            del os.environ[FAULT_PLAN_ENV]
+        err = excinfo.value
+        assert sorted(err.quarantined) == [1, 4]
+        assert err.attempts == {1: 2, 4: 2}
+        assert err.results == [100, None, 144, 169, None]
+        for index in (1, 4):
+            blob = pickle.dumps(
+                payloads[index], protocol=pickle.HIGHEST_PROTOCOL
+            )
+            assert err.fingerprints[index] == hashlib.sha256(blob).hexdigest()
+
+
 class TestSerialFallbackSafety:
     def test_serial_fallback_never_injects(self, monkeypatch):
         """workers=1 executes inline in the parent, where a crash fault
@@ -317,3 +386,66 @@ class TestSerialFallbackSafety:
             run_tasks(
                 _square, [1, 2, 3], workers=2, retry=RetryPolicy(**FAST)
             )
+
+
+class TestRestartWaitBudget:
+    def test_restart_wait_is_charged_to_the_call_budget(self, monkeypatch):
+        """After four consecutive aborts the next pool restart waits
+        100 ms * 2**3 = 800 ms under the call's policy. A call with a
+        0.15 s budget must still return or raise within that budget plus
+        one liveness poll: the wait is clamped to what is left of the
+        budget, never added on top of it."""
+        from repro.parallel import pool
+
+        single_shot = RetryPolicy(max_attempts=1, **FAST)
+        monkeypatch.setenv(FAULT_PLAN_ENV, "crash@0:0")
+        for _ in range(4):
+            with pytest.raises(PoisonTaskError):
+                run_tasks(_square, [1, 2], workers=2, retry=single_shot)
+        monkeypatch.delenv(FAULT_PLAN_ENV)
+        policy = RetryPolicy(backoff_ms=100.0, backoff_max_ms=2000.0)
+        budget = 0.15
+        started = time.monotonic()
+        try:
+            run_tasks(_square, [1, 2], workers=2, retry=policy, timeout=budget)
+        except WorkerTimeoutError:
+            pass
+        elapsed = time.monotonic() - started
+        assert elapsed < budget + pool._LIVENESS_POLL_S + 0.1
+        # The pool came back: the next call needs no budget to succeed.
+        assert run_tasks(_square, [3, 4], workers=2, retry=policy) == [9, 16]
+
+    def test_budget_spent_waiting_raises_typed_timeout(self, monkeypatch):
+        """A restart wait longer than the whole budget ends the call
+        with a typed ``WorkerTimeoutError`` at the budget: it neither
+        sleeps the full wait nor starts a round with no time left."""
+        from repro.parallel import pool
+
+        monkeypatch.setenv(FAULT_PLAN_ENV, "crash@0:0")
+        with pytest.raises(PoisonTaskError):
+            run_tasks(
+                _square, [1, 2], workers=2,
+                retry=RetryPolicy(max_attempts=1, **FAST),
+            )
+        monkeypatch.delenv(FAULT_PLAN_ENV)
+        policy = RetryPolicy(backoff_ms=5000.0, backoff_max_ms=5000.0)
+        budget = 0.2
+        started = time.monotonic()
+        with pytest.raises(WorkerTimeoutError):
+            run_tasks(_square, [1, 2], workers=2, retry=policy, timeout=budget)
+        elapsed = time.monotonic() - started
+        assert budget <= elapsed < budget + pool._LIVENESS_POLL_S + 0.1
+
+    def test_restart_wait_counted_from_the_abort(self, monkeypatch):
+        """The wait runs from the abort, not from the next call: a call
+        arriving after the wait has elapsed restarts the pool at once."""
+        monkeypatch.setenv(FAULT_PLAN_ENV, "crash@0:0")
+        policy = RetryPolicy(max_attempts=1, backoff_ms=1000.0,
+                             backoff_max_ms=1000.0)
+        with pytest.raises(PoisonTaskError):
+            run_tasks(_square, [1, 2], workers=2, retry=policy)
+        monkeypatch.delenv(FAULT_PLAN_ENV)
+        time.sleep(1.05)
+        started = time.monotonic()
+        assert run_tasks(_square, [3, 4], workers=2, retry=policy) == [9, 16]
+        assert time.monotonic() - started < 0.6

@@ -138,6 +138,60 @@ class TestShardedSimulatorStats:
             assert np.array_equal(merged[key], np.round(merged[key]))
         assert float(merged["samples"]) == 13.0
 
+    def test_pooled_run_heals_a_crashed_shard(
+        self, simulator, images, monkeypatch
+    ):
+        """The sharded simulator reaches the pool through plain
+        ``run_tasks``, so a worker SIGKILLed on its first attempt at
+        shard 1 is healed and the report equals the clean run's."""
+        from repro.faults import FAULT_PLAN_ENV
+        from repro.parallel import retry_stats, shutdown_worker_service
+        from repro.parallel.retry import reset_retry_stats
+
+        monkeypatch.setenv("REPRO_RETRY_BACKOFF_MS", "0")
+        clean = simulator.run(images, 2, shards=4, workers=2)
+        shutdown_worker_service()
+        reset_retry_stats()
+        monkeypatch.setenv(FAULT_PLAN_ENV, "seed=0,crash@1:0")
+        try:
+            healed = simulator.run(images, 2, shards=4, workers=2)
+        finally:
+            monkeypatch.delenv(FAULT_PLAN_ENV)
+            shutdown_worker_service()
+        assert retry_stats().recovered_calls == 1
+        assert healed.latency_ms == clean.latency_ms
+        assert healed.energy_mj == clean.energy_mj
+        assert healed.total_spikes_per_image == clean.total_spikes_per_image
+        assert healed.layers == clean.layers
+        assert healed.logits.tobytes() == clean.logits.tobytes()
+
+    def test_pooled_run_quarantines_a_shard_that_always_crashes(
+        self, simulator, images, monkeypatch
+    ):
+        """A shard whose worker dies on every allowed attempt ends the
+        sharded run with a typed ``PoisonTaskError`` naming that shard
+        and carrying the other shards' results."""
+        from repro.errors import PoisonTaskError
+        from repro.faults import FAULT_PLAN_ENV
+        from repro.parallel import shutdown_worker_service
+
+        monkeypatch.setenv("REPRO_RETRY_BACKOFF_MS", "0")
+        monkeypatch.setenv(
+            FAULT_PLAN_ENV, "seed=0,crash@1:0,crash@1:1,crash@1:2"
+        )
+        try:
+            with pytest.raises(PoisonTaskError) as excinfo:
+                simulator.run(images, 2, shards=4, workers=2)
+        finally:
+            monkeypatch.delenv(FAULT_PLAN_ENV)
+            shutdown_worker_service()
+        err = excinfo.value
+        assert err.quarantined == [1]
+        assert err.attempts == {1: 3}
+        assert len(err.results) == 4
+        assert err.results[1] is None
+        assert all(err.results[index] is not None for index in (0, 2, 3))
+
     def test_dispatch_note_present_in_sharded_report(self, simulator, images):
         report = simulator.run(images, 2, shards=3, workers=2)
         assert any("runtime dispatch" in note for note in report.notes)

@@ -17,11 +17,9 @@ import pytest
 from repro.errors import WorkerTimeoutError
 from repro.faults import FAULT_PLAN_ENV
 from repro.parallel import (
-    CircuitBreaker,
     RetryPolicy,
     service_stats,
     sharded_forward,
-    shared_service,
     shutdown_worker_service,
 )
 from repro.quant import FP32, convert
@@ -52,15 +50,12 @@ def images():
 @pytest.fixture
 def tmpdir_service(tmp_path, monkeypatch):
     """Temp files land in ``tmp_path``; the shared service starts fresh
-    there with its breaker pinned out of the way of induced faults."""
+    there."""
     import repro.parallel.shard as shard
 
     monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
     shutdown_worker_service()
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    monkeypatch.setattr(
-        shared_service(), "breaker", CircuitBreaker(threshold=10000)
-    )
     written = []
     original = shard._write_shard_file
 

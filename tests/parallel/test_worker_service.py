@@ -5,9 +5,10 @@ import os
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, WorkerCrashError, WorkerTimeoutError
+from repro.errors import ConfigError, PoisonTaskError, WorkerTimeoutError
 from repro.parallel import (
     WORKERS_ENV,
+    RetryPolicy,
     WorkerService,
     persistent_pool_enabled,
     run_tasks,
@@ -20,6 +21,13 @@ from repro.parallel.service import service_start_method
 from repro.quant import FP32, convert
 from repro.runtime import runtime_config, runtime_overrides
 from repro.snn import build_network
+
+
+#: Retries without restart waits.
+FAST = RetryPolicy(backoff_ms=0.0, backoff_max_ms=0.0)
+
+#: One attempt per task: a crash quarantines whatever was in flight.
+SINGLE = RetryPolicy(max_attempts=1, backoff_ms=1.0, backoff_max_ms=1.0)
 
 
 def _square(x):
@@ -37,6 +45,14 @@ def _slow_pid(_):
 
     time.sleep(0.05)
     return os.getpid()
+
+
+def _busy_span(_):
+    import time
+
+    started = time.monotonic()
+    time.sleep(0.05)
+    return started, time.monotonic()
 
 
 def _worker_env(_):
@@ -113,12 +129,17 @@ class TestSharedServiceReuse:
 
     def test_narrow_cap_on_wide_pool_limits_concurrency(self):
         """workers= stays a concurrency cap when reusing a wider pool:
-        submissions are chunked so at most that many workers serve the
-        call."""
+        the submission window keeps at most that many cells running at
+        any instant."""
         shutdown_worker_service()
         run_tasks(_square, list(range(6)), workers=3)  # pool of 3
-        pids = set(run_tasks(_slow_pid, list(range(6)), workers=2))
-        assert len(pids) <= 2
+        spans = run_tasks(_busy_span, list(range(6)), workers=2)
+        assert shared_service().pool_workers == 3
+        overlap = max(
+            sum(1 for start, stop in spans if start <= at < stop)
+            for at, _ in spans
+        )
+        assert overlap <= 2
 
     def test_large_generation_state_spilled_to_disk(self):
         """Initializer state past the inline limit ships via a temp file
@@ -241,6 +262,16 @@ def _kill_or_linger(payload):
     return payload
 
 
+def _sleep_or_boom(seconds):
+    """Sleep ``seconds``; a negative value raises at once instead."""
+    import time
+
+    if seconds < 0:
+        raise ValueError("cell exploded")
+    time.sleep(seconds)
+    return seconds
+
+
 def _sleep_cell(seconds):
     import time
 
@@ -252,17 +283,44 @@ class TestFaultContainment:
     """A dead or wedged worker must surface as a typed error -- never a
     silent hang -- and the next call must run on a fresh pool."""
 
-    def test_worker_death_raises_typed_error_persistent(self):
+    def test_worker_death_quarantined_with_survivors_persistent(self):
         shutdown_worker_service()
         before = service_stats()
-        with pytest.raises(WorkerCrashError):
-            run_tasks(_kill_or_linger, ["die", "a", "b", "c"], workers=2)
-        # The crashed pool was aborted; the service restarts lazily and
-        # keeps serving.
+        with pytest.raises(PoisonTaskError) as excinfo:
+            run_tasks(
+                _kill_or_linger, ["die", "a", "b", "c"], workers=2,
+                retry=FAST,
+            )
+        err = excinfo.value
+        assert err.quarantined == [0]
+        assert err.results == [None, "a", "b", "c"]
+        # Each crashed attempt aborted the pool; the service restarts
+        # lazily and keeps serving.
         assert run_tasks(_square, [1, 2, 3, 4], workers=2) == [1, 4, 9, 16]
         after = service_stats()
-        assert after["aborts"] - before["aborts"] == 1
-        assert after["pool_starts"] - before["pool_starts"] == 2
+        assert after["aborts"] - before["aborts"] == 3
+        assert after["pool_starts"] - before["pool_starts"] == 4
+
+    def test_worker_death_raises_typed_error_persistent(self):
+        """A worker death whose retry cannot fit in the call's budget
+        (the restart wait alone is 5 s) surfaces as a typed error at the
+        budget -- never a hang -- and the service keeps serving."""
+        import time
+
+        from repro.parallel import pool
+
+        shutdown_worker_service()
+        slow_restart = RetryPolicy(backoff_ms=5000.0, backoff_max_ms=5000.0)
+        started = time.monotonic()
+        with pytest.raises(WorkerTimeoutError):
+            run_tasks(
+                _kill_or_linger, ["die", "a", "b", "c"], workers=2,
+                timeout=1.0, retry=slow_restart,
+            )
+        assert time.monotonic() - started < 1.0 + pool._LIVENESS_POLL_S + 0.3
+        assert run_tasks(_square, [1, 2, 3, 4], workers=2, retry=FAST) == [
+            1, 4, 9, 16
+        ]
 
     def test_timeout_raises_typed_error_and_pool_recovers(self):
         shutdown_worker_service()
@@ -290,190 +348,218 @@ class TestFaultContainment:
             run_tasks(_boom, [0, 1, 2], workers=2, timeout=30.0)
         assert run_tasks(_square, [2, 3], workers=2) == [4, 9]
 
-    def test_standalone_service_aborts_and_restarts_after_crash(self):
+    def test_standalone_service_quarantines_and_keeps_serving(self):
+        """A payload that kills its worker on every attempt aborts the
+        pool once per attempt; the service restarts it each time, runs
+        the innocent payloads, and keeps serving afterwards."""
         with WorkerService(workers=2) as service:
-            with pytest.raises(WorkerCrashError):
-                service.run(_kill_or_linger, ["die", "a", "b", "c"])
-            assert not service.running  # crashed pool torn down
+            with pytest.raises(PoisonTaskError) as excinfo:
+                service.run(
+                    _kill_or_linger, ["die", "a", "b", "c"], policy=FAST
+                )
+            assert excinfo.value.results == [None, "a", "b", "c"]
+            assert service.stats.aborts == 3  # one per allowed attempt
+            assert service.stats.restarts == 3
+            assert service.stats.pool_starts == 4
             assert service.run(_square, [7, 8]) == [49, 64]
+
+
+    def test_standalone_service_aborts_and_restarts_after_crash(
+        self, monkeypatch
+    ):
+        """A worker SIGKILLed on a task's first attempt aborts the pool
+        once; the restarted pool re-runs only the lost tasks and the
+        call returns the clean results."""
+        from repro.faults import FAULT_PLAN_ENV
+
+        monkeypatch.setenv(FAULT_PLAN_ENV, "crash@2:0")
+        with WorkerService(workers=2) as service:
+            assert service.run(_square, list(range(6)), policy=FAST) == [
+                x * x for x in range(6)
+            ]
             assert service.stats.aborts == 1
+            assert service.stats.restarts == 1
+            assert service.stats.pool_starts == 2
+            assert service.running
+            monkeypatch.delenv(FAULT_PLAN_ENV)
+            assert service.run(_square, [7, 8], policy=FAST) == [49, 64]
             assert service.stats.pool_starts == 2
 
-
-class TestCircuitBreaker:
-    """The abort-rate breaker: open, degrade inline, probe, close."""
-
-    def test_full_cycle_closed_open_halfopen_closed(self):
-        from repro.parallel import CircuitBreaker
-
-        breaker = CircuitBreaker(threshold=2, window_s=30.0, cooldown_s=0.05)
-        assert breaker.state == "closed"
-        assert not breaker.record_abort()
-        assert breaker.state == "closed"
-        assert breaker.record_abort()  # second abort in window: trip
-        assert breaker.state == "open"
-        assert breaker.trips == 1
-        assert not breaker.allow_pool()
+    @pytest.mark.parametrize("pool_width", [2, 3])
+    def test_freed_slot_refilled_on_any_completion(
+        self, monkeypatch, pool_width
+    ):
+        """A slot freed by a later task is refilled at once, not at the
+        next liveness poll: with the poll stretched to 5 s, a 1 s task
+        beside four 0.2 s tasks finishes in about 1 s on two workers
+        (waiting on the oldest in-flight task first takes ~1.4 s) --
+        whether the pool is exactly two wide (all tasks submitted at
+        once) or wider (two in flight, refilled on each completion)."""
         import time
 
-        time.sleep(0.06)
-        assert breaker.state == "half-open"
-        assert breaker.allow_pool()  # the probe
-        breaker.record_success()
-        assert breaker.state == "closed"
-        # History cleared: one fresh abort no longer trips.
-        assert not breaker.record_abort()
+        from repro.parallel import pool
 
-    def test_failed_probe_reopens(self):
-        from repro.parallel import CircuitBreaker
+        shutdown_worker_service()
+        run_tasks(_square, list(range(pool_width)), workers=pool_width)
+        starts = service_stats()["pool_starts"]
+        monkeypatch.setattr(pool, "_LIVENESS_POLL_S", 5.0)
+        started = time.monotonic()
+        values = run_tasks(
+            _sleep_cell, [1.0] + [0.2] * 4, workers=2, retry=FAST
+        )
+        elapsed = time.monotonic() - started
+        assert values == [1.0] + [0.2] * 4
+        assert elapsed < 1.25
+        assert service_stats()["pool_starts"] == starts  # reused the pool
 
-        breaker = CircuitBreaker(threshold=1, cooldown_s=0.05)
-        assert breaker.record_abort()
+    def test_cell_error_drains_siblings_before_propagating(self, monkeypatch):
+        """A raising cell propagates once its in-flight siblings have
+        finished, like ``Pool.map`` -- so none of them is left running
+        on the shared pool to eat the budget of the next call. The drain
+        ends on the last completion, not on a liveness poll (stretched
+        to 5 s here)."""
         import time
 
-        time.sleep(0.06)
-        assert breaker.allow_pool()  # half-open probe
-        assert breaker.record_abort()  # probe failed
-        assert breaker.state == "open"
-        assert breaker.trips == 2
-        assert not breaker.allow_pool()
+        from repro.parallel import pool
 
-    def test_window_prunes_old_aborts(self):
-        from repro.parallel import CircuitBreaker
+        shutdown_worker_service()
+        run_tasks(_square, [1, 2], workers=2, retry=FAST)  # warm the pool
+        monkeypatch.setattr(pool, "_LIVENESS_POLL_S", 5.0)
+        started = time.monotonic()
+        with pytest.raises(ValueError, match="cell exploded"):
+            run_tasks(_sleep_or_boom, [-1.0, 0.6], workers=2, retry=FAST)
+        assert 0.55 < time.monotonic() - started < 1.5
+        monkeypatch.undo()
+        aborts = service_stats()["aborts"]
+        assert run_tasks(
+            _sleep_cell, [0.05, 0.05], workers=2, timeout=0.4, retry=FAST
+        ) == [0.05, 0.05]
+        assert service_stats()["aborts"] == aborts
 
-        breaker = CircuitBreaker(threshold=2, window_s=0.05)
-        assert not breaker.record_abort()
-        import time
+    def test_task_timeout_is_per_attempt_not_per_call(self):
+        """``task_timeout_s`` bounds each task from when it reaches a
+        worker: eight 0.15 s cells on two workers take ~0.6 s, four
+        times the 0.3 s per-task budget, and still complete without an
+        abort."""
+        shutdown_worker_service()
+        run_tasks(_square, [1, 2], workers=2, retry=FAST)  # warm the pool
+        aborts = service_stats()["aborts"]
+        policy = RetryPolicy(
+            max_attempts=1, backoff_ms=0.0, backoff_max_ms=0.0,
+            task_timeout_s=0.3,
+        )
+        assert run_tasks(
+            _sleep_cell, [0.15] * 8, workers=2, retry=policy
+        ) == [0.15] * 8
+        assert service_stats()["aborts"] == aborts
 
-        time.sleep(0.08)  # first abort ages out of the window
-        assert not breaker.record_abort()
-        assert breaker.state == "closed"
-
-    def test_threshold_validated(self):
-        from repro.parallel import CircuitBreaker
-
-        with pytest.raises(ConfigError):
-            CircuitBreaker(threshold=0)
-
-    @pytest.mark.parametrize("field", ["window_s", "cooldown_s"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
-    def test_window_and_cooldown_validated(self, field, value):
-        """A ``nan`` cooldown held the breaker open forever after one
-        abort; negative and infinite spans mean nothing either."""
-        from repro.parallel import CircuitBreaker
-
-        with pytest.raises(ConfigError, match=field):
-            CircuitBreaker(threshold=1, **{field: value})
-
-    def test_env_configures_the_shared_breaker(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "7")
-        monkeypatch.setenv("REPRO_BREAKER_WINDOW_MS", "5000")
-        monkeypatch.setenv("REPRO_BREAKER_COOLDOWN_MS", "250")
-        service = WorkerService(workers=2)
-        assert service.breaker.threshold == 7
-        assert service.breaker.window_s == 5.0
-        assert service.breaker.cooldown_s == 0.25
-
-    @pytest.mark.parametrize(
-        "env", ["REPRO_BREAKER_COOLDOWN_MS", "REPRO_BREAKER_WINDOW_MS"]
-    )
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_breaker_env_rejected(self, monkeypatch, env, value):
-        """A ``nan`` cooldown would hold the breaker open forever, and
-        every pooled call would silently run serially."""
-        monkeypatch.setenv(env, value)
-        with pytest.raises(ConfigError, match="finite"):
-            WorkerService(workers=2)
-
-    def test_open_breaker_degrades_run_to_inline(self):
-        """With the breaker open, runs complete serially in the parent
-        (correct results, breaker_serial_runs counted) and the pool is
-        left alone until the cooldown's half-open probe."""
-        from repro.parallel import CircuitBreaker
-
-        with WorkerService(
-            workers=2, breaker=CircuitBreaker(threshold=1, cooldown_s=60.0)
-        ) as service:
-            service.breaker.record_abort()
-            assert service.breaker.state == "open"
-            assert service.run(_square, [1, 2, 3]) == [1, 4, 9]
-            assert not service.running  # no pool was started
-            assert service.stats.breaker_serial_runs == 1
-            assert service.stats.pool_starts == 0
-
-    def test_crash_storm_trips_then_probe_recovers(self):
-        """End to end: repeated worker deaths open the breaker (inline
-        execution keeps completing), then the post-cooldown probe closes
-        it and pooled execution resumes."""
-        from repro.parallel import CircuitBreaker
-
-        with WorkerService(
-            workers=2,
-            restart_backoff_ms=1.0,
-            breaker=CircuitBreaker(threshold=2, cooldown_s=0.1),
-        ) as service:
-            for _ in range(2):
-                with pytest.raises(WorkerCrashError):
-                    service.run(_kill_or_linger, ["die", "a", "b", "c"])
-            assert service.breaker.state == "open"
-            assert service.stats.breaker_trips == 1
-            # Degraded but alive (two payloads: a single payload takes
-            # the ordinary serial fallback before the breaker check).
-            assert service.run(_square, [5, 8]) == [25, 64]
-            assert service.stats.breaker_serial_runs == 1
-            import time
-
-            time.sleep(0.12)
-            # Half-open: this run probes the pool, succeeds, closes.
-            assert service.run(_square, [6, 7]) == [36, 49]
-            assert service.breaker.state == "closed"
-            assert service.running
+    def test_every_completion_harvested_under_contention(self):
+        """Completions arrive on the pool's result thread while the
+        caller refills slots: with more workers than cores and many
+        tiny tasks, none may be lost (a lost completion would run the
+        call into its timeout) and results keep payload order."""
+        shutdown_worker_service()
+        payloads = list(range(300))
+        values = run_tasks(
+            _square, payloads, workers=3, timeout=60.0, retry=FAST
+        )
+        assert values == [x * x for x in payloads]
 
 
 class TestRestartBackoff:
-    """Post-abort pool restarts are damped, and counted apart from starts."""
+    """The one backoff: a post-abort restart waits
+    ``backoff_ms * 2**(consecutive aborts - 1)``, capped, from the call's
+    policy."""
 
     def test_restarts_counted_separately_from_pool_starts(self):
-        with WorkerService(workers=2, restart_backoff_ms=1.0) as service:
+        with WorkerService(workers=2) as service:
             assert service.run(_square, [1, 2]) == [1, 4]
             assert service.stats.pool_starts == 1
             assert service.stats.restarts == 0  # first start: not a restart
-            with pytest.raises(WorkerCrashError):
-                service.run(_kill_or_linger, ["die", "a", "b", "c"])
-            assert service.run(_square, [3, 5]) == [9, 25]
+            with pytest.raises(PoisonTaskError):
+                service.run(
+                    _kill_or_linger, ["die", "a", "b", "c"], policy=SINGLE
+                )
             assert service.stats.aborts == 1
+            assert service.stats.restarts == 1  # b and c ran after it
             assert service.stats.pool_starts == 2
-            assert service.stats.restarts == 1  # post-abort start
+            assert service.run(_square, [3, 5]) == [9, 25]
+            assert service.stats.pool_starts == 2
 
     def test_backoff_grows_with_consecutive_aborts(self):
         import time
 
-        with WorkerService(
-            workers=2,
-            restart_backoff_ms=120.0,
-            restart_backoff_max_ms=400.0,
-        ) as service:
-            with pytest.raises(WorkerCrashError):
-                service.run(_kill_or_linger, ["die", "a", "b", "c"])
-            with pytest.raises(WorkerCrashError):
-                service.run(_kill_or_linger, ["die", "a", "b", "c"])
+        policy = RetryPolicy(max_attempts=1, backoff_ms=120.0,
+                             backoff_max_ms=400.0)
+        with WorkerService(workers=2) as service:
+            for _ in range(2):
+                with pytest.raises(PoisonTaskError):
+                    service.run(_kill_or_linger, ["die", "die"], policy=policy)
             assert service._consecutive_aborts == 2
             # Third start pays ~2x the base backoff (damping doubled).
             started = time.monotonic()
-            assert service.run(_square, [4, 5]) == [16, 25]
+            assert service.run(_square, [4, 5], policy=policy) == [16, 25]
             assert time.monotonic() - started >= 0.2
             # Success resets the damping: the next abort starts over.
             assert service._consecutive_aborts == 0
+            assert service._last_abort is None
             assert service.stats.restarts == 2
 
+    def test_backoff_capped_at_backoff_max_ms(self):
+        """Four consecutive aborts would double 100 ms to 800 ms; the
+        cap holds the restart wait at 100 ms."""
+        import time
+
+        policy = RetryPolicy(max_attempts=1, backoff_ms=100.0,
+                             backoff_max_ms=100.0)
+        with WorkerService(workers=2) as service:
+            for _ in range(4):
+                with pytest.raises(PoisonTaskError):
+                    service.run(_kill_or_linger, ["die", "die"], policy=policy)
+            started = time.monotonic()
+            assert service.run(_square, [6, 7], policy=policy) == [36, 49]
+            elapsed = time.monotonic() - started
+            assert 0.1 <= elapsed < 0.5
+
+
     def test_success_resets_backoff_damping(self):
-        with WorkerService(workers=2, restart_backoff_ms=1.0) as service:
-            with pytest.raises(WorkerCrashError):
-                service.run(_kill_or_linger, ["die", "a", "b", "c"])
+        with WorkerService(workers=2) as service:
+            with pytest.raises(PoisonTaskError):
+                service.run(
+                    _kill_or_linger, ["die", "die"], policy=SINGLE
+                )
             assert service._consecutive_aborts == 1
-            assert service.run(_square, [2, 3]) == [4, 9]
+            assert service._last_abort is not None
+            assert service.run(_square, [2, 3], policy=SINGLE) == [4, 9]
             assert service._consecutive_aborts == 0
             assert service._last_abort is None
+
+    def test_long_abort_streak_restarts_at_the_cap(self):
+        """``2.0 ** 1024`` overflows: a service that has counted that
+        many consecutive aborts still restarts after the capped wait
+        instead of raising ``OverflowError``."""
+        import time
+
+        policy = RetryPolicy(backoff_ms=10.0, backoff_max_ms=50.0)
+        with WorkerService(workers=2) as service:
+            service._consecutive_aborts = 5000
+            service._last_abort = time.monotonic()
+            started = time.monotonic()
+            assert service.run(_square, [2, 3], policy=policy) == [4, 9]
+            assert time.monotonic() - started < 0.5
+            assert service._consecutive_aborts == 0
+
+    def test_restart_wait_comes_from_the_call_policy_only(self):
+        """The service has no backoff knobs of its own: the one restart
+        wait is the call's ``RetryPolicy``."""
+        import inspect
+
+        params = list(inspect.signature(WorkerService).parameters)
+        assert params == ["workers", "start_method"]
+        for removed in ("restart_backoff_ms", "restart_backoff_max_ms",
+                        "breaker"):
+            with pytest.raises(TypeError):
+                WorkerService(workers=2, **{removed: None})
 
 
 class TestWarmColdBitIdentity:

@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 
 from repro.errors import (
+    PoisonTaskError,
+    ReproError,
     RequestTimeoutError,
     ServerClosedError,
     WorkerCrashError,
@@ -87,14 +89,20 @@ class TestWorkerDeath:
             assert stats["completed"] == 1
 
     def test_real_killed_worker_resolves_served_request(self):
-        """End to end: a served batch whose pooled execution loses a
-        worker to SIGKILL resolves with the parallel layer's typed
-        crash error -- request, batcher and pool all stay unwedged."""
-        from repro.parallel import run_tasks, shutdown_worker_service
+        """End to end: a served batch whose pooled execution has a task
+        SIGKILL its worker on every attempt resolves with the parallel
+        layer's typed quarantine error -- request, batcher and pool all
+        stay unwedged."""
+        from repro.parallel import (
+            RetryPolicy,
+            run_tasks,
+            shutdown_worker_service,
+        )
 
         def killing_executor(images, indices, timeout_s):
             run_tasks(
-                _kill_pool_worker, ["die", "a", "b", "c"], workers=2
+                _kill_pool_worker, ["die", "a", "b", "c"], workers=2,
+                retry=RetryPolicy(backoff_ms=0.0, backoff_max_ms=0.0),
             )
             return _ok_executor(images, indices, timeout_s)
 
@@ -102,7 +110,7 @@ class TestWorkerDeath:
         try:
             with _server(killing_executor, max_batch=1) as server:
                 pending = server.submit("m", IMG)
-                with pytest.raises(WorkerCrashError):
+                with pytest.raises(PoisonTaskError):
                     pending.result()
         finally:
             shutdown_worker_service()
@@ -173,7 +181,7 @@ class TestQueueOverflowRecovery:
 
 
 class TestSelfHealingServing:
-    """The serving layer inherits shard retry and the pool breaker."""
+    """The serving layer inherits shard retry from the pooled path."""
 
     def test_crash_then_retry_completes_byte_identical(
         self, tiny_deployable, monkeypatch
@@ -214,15 +222,6 @@ class TestSelfHealingServing:
             finally:
                 server.shutdown()
 
-        # Keep the breaker out of the picture: one injected crash must
-        # exercise the *retry* path, not the inline degraded path. The
-        # shared service instance outlives shutdown_worker_service(), so
-        # pin its breaker directly rather than through the environment.
-        from repro.parallel import CircuitBreaker, shared_service
-
-        monkeypatch.setattr(
-            shared_service(), "breaker", CircuitBreaker(threshold=1000)
-        )
         shutdown_worker_service()
         try:
             clean = serve_all()
@@ -237,36 +236,27 @@ class TestSelfHealingServing:
             shutdown_worker_service()
         assert faulted == clean
 
-    def test_drain_during_open_breaker_neither_hangs_nor_drops(
+    def test_drain_under_crash_plan_neither_hangs_nor_drops(
         self, tiny_deployable, monkeypatch
     ):
-        """With the pool breaker forced open, queued requests complete
-        through the inline degraded path: ``drain()`` returns promptly
-        and the accounting shows every request completed, none lost."""
-        from repro.parallel import (
-            CircuitBreaker,
-            shared_service,
-            shutdown_worker_service,
-        )
+        """Queued requests drained while a probabilistic crash plan
+        SIGKILLs pooled shard workers: every handle resolves -- to
+        logits or to a typed ``ReproError`` -- the accounting covers
+        every request, and ``drain()`` returns within its budget."""
+        from repro.parallel import retry_stats, shutdown_worker_service
+        from repro.parallel.retry import reset_retry_stats
         from repro.snn.encoding import RateEncoder
 
+        monkeypatch.setenv("REPRO_RETRY_BACKOFF_MS", "0")
+        monkeypatch.setenv("REPRO_RETRY_BACKOFF_MAX_MS", "0")
+        # Seed 1 crashes shard 0 on attempts 0 and 1, and shards 2 and
+        # 3 on one attempt each (see FaultPlan.faults_for).
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "seed=1,crash%0.3")
         shutdown_worker_service()
+        reset_retry_stats()
         try:
-            service = shared_service()
-            # The shared instance persists across tests; install a fresh
-            # breaker (restored by monkeypatch) with a long cooldown so
-            # it stays open for the whole drain.
-            monkeypatch.setattr(
-                service,
-                "breaker",
-                CircuitBreaker(threshold=1, cooldown_s=60.0),
-            )
-            serial_before = service.stats.breaker_serial_runs
-            assert service.breaker.record_abort(), "threshold-1 must trip"
-            assert service.breaker.state == "open"
-
             rng = np.random.default_rng(18)
-            images = rng.random((4, 3, 8, 8)).astype(np.float32)
+            images = rng.random((8, 3, 8, 8)).astype(np.float32)
             server = InferenceServer(
                 resolve_serve_config(
                     max_batch=4,
@@ -277,9 +267,8 @@ class TestSelfHealingServing:
             )
             try:
                 # shard_size=1: every multi-sample batch produces several
-                # shards, so execution must go through the pooled path
-                # (where the open breaker degrades it to inline) rather
-                # than the single-shard serial fallback.
+                # shards, so execution goes through the pooled path
+                # rather than the single-shard serial fallback.
                 server.register(
                     "m",
                     tiny_deployable,
@@ -292,18 +281,20 @@ class TestSelfHealingServing:
                     server.submit("m", images[i], stream_index=i)
                     for i in range(len(images))
                 ]
+                budget = 30.0
                 started = time.monotonic()
-                assert server.drain(timeout_s=30.0)
-                assert time.monotonic() - started < 20.0
+                assert server.drain(timeout_s=budget)
+                assert time.monotonic() - started < budget
                 for pending in pendings:
-                    assert pending.result().logits is not None
+                    try:
+                        assert pending.result().logits is not None
+                    except ReproError:
+                        pass
                 stats = server.stats()["m"]
-                assert stats["completed"] == len(images)
-                assert stats["failed"] == 0
+                assert stats["completed"] + stats["failed"] == len(images)
             finally:
                 server.shutdown()
-            assert service.stats.breaker_serial_runs > serial_before
-            assert service.breaker.state == "open"  # never half-opened
+            assert retry_stats().retries >= 1, "the crash plan never fired"
         finally:
             shutdown_worker_service()
 
