@@ -18,7 +18,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.datasets import Dataset, make_dataset, train_test_split
-from repro.errors import ExperimentError, PoisonTaskError, ReproError
+from repro.errors import ExperimentError, PoisonTaskError
 from repro.experiments.evalcache import (
     EvaluationResult,
     eval_cache_enabled,
@@ -32,13 +32,7 @@ from repro.parallel import merge_outputs, shard_slices, sharded_forward
 from repro.parallel.config import resolve_on_shard_failure
 from repro.quant import DeployableNetwork, convert, prepare_qat
 from repro.quant.schemes import QuantScheme, scheme_by_name
-from repro.runtime import (
-    plan_deployable,
-    plan_sidecar_path,
-    runtime_config,
-    save_plan,
-    try_load_plan,
-)
+from repro.runtime import runtime_config
 from repro.snn import (
     Trainer,
     TrainingConfig,
@@ -152,31 +146,8 @@ class ExperimentContext:
         else:
             model = self._train(dataset, scheme_by_name(scheme), coding)
             model.save(path)
-        self._ensure_plan_sidecar(model, path)
         self._models[key] = model
         return model
-
-    def _ensure_plan_sidecar(self, model: DeployableNetwork, path: str) -> None:
-        """Attach (and persist) the lowered runtime plan next to ``path``.
-
-        Cold-started worker processes load the ``.plan.npz`` sidecar and
-        skip lowering + BLAS-fold calibration; a stale or mismatched
-        sidecar (digest of the stored parameters differs -- e.g. a
-        retrain under an old sidecar), or one in an older format, is
-        silently rebuilt from the model and re-saved.
-        """
-        sidecar = plan_sidecar_path(path)
-        digest = model.weights_digest()
-        loaded = try_load_plan(sidecar, model_digest=digest)
-        if loaded is not None:
-            try:
-                model.attach_plan(loaded)
-                return
-            except ReproError:
-                pass  # stale artifact from an older model: rebuild below
-        plan = plan_deployable(model)
-        model.attach_plan(plan)
-        save_plan(plan, sidecar, model_digest=digest)
 
     def _train(
         self, dataset: str, scheme: QuantScheme, coding: str
@@ -350,7 +321,7 @@ class ExperimentContext:
             # granularity a serial batch loop uses (the merge is
             # bit-identical to it) and let REPRO_WORKERS decide how many
             # processes serve the shards. Workers cold-start from the
-            # cached .npz + .plan.npz sidecar.
+            # cached .npz.
             model_path = self.model_path(self.model_key(dataset, scheme, coding))
             try:
                 out = sharded_forward(

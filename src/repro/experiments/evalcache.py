@@ -5,12 +5,11 @@ process, so pooled ``run_all`` workers used to re-run test-set
 evaluations that fig1's cells had already computed in a sibling worker.
 This module persists each :class:`EvaluationResult` as a small JSON
 sidecar next to the model artifacts -- ``<workspace>/models/
-<cache_key>.eval.json``, sibling to the ``.npz`` weights and the
-``.plan.npz`` plan sidecars from :mod:`repro.runtime.plan_io` -- keyed
-by the exact in-memory cache key ``ExperimentContext.evaluate`` already
+<cache_key>.eval.json``, sibling to the ``.npz`` weights -- keyed by
+the exact in-memory cache key ``ExperimentContext.evaluate`` already
 uses, so any process that shares the workspace shares the work.
 
-Staleness and corruption guards mirror the plan sidecar's:
+Staleness and corruption guards:
 
 * every entry records the ``weights_digest`` of the model it was
   evaluated against; a retrain changes the digest and the entry is

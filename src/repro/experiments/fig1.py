@@ -41,9 +41,9 @@ def _evaluate_cell(spec: Dict) -> Dict[str, float]:
     """One (dataset, scheme) design-space cell, worker-process entry.
 
     Builds a fresh context against the shared workspace -- trained
-    models and plan sidecars are disk artifacts, so a cold worker either
-    loads them or (first run) trains them deterministically from the
-    same seed the parent would use.
+    models are disk artifacts, so a cold worker either loads them or
+    (first run) trains them deterministically from the same seed the
+    parent would use.
     """
     ctx = ExperimentContext(
         scale=spec["scale"],

@@ -23,9 +23,8 @@ def _experiment_cell(spec: Dict) -> ExperimentResult:
 
     Each worker builds its own context against the shared workspace;
     whatever models fig1 already trained are picked up from the disk
-    cache (with their plan sidecars), anything extra an experiment needs
-    (e.g. table2's rate-coded arm) is trained deterministically in the
-    worker.
+    cache, anything extra an experiment needs (e.g. table2's rate-coded
+    arm) is trained deterministically in the worker.
     """
     ctx = ExperimentContext(
         scale=spec["scale"],

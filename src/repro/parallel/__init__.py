@@ -41,12 +41,10 @@ startup is paid once, not per call. Workers are bootstrapped once
 parent's runtime config plus the caller's initializer -- travels with
 the tasks as a *generation* and is applied once per worker per call.
 Long-lived state that should out-live one call still belongs on disk --
-which is exactly what the ``.plan.npz`` sidecar
-(:mod:`repro.runtime.plan_io`) and the ``.eval.json`` evaluation cache
-(:mod:`repro.experiments.evalcache`) provide: cold-started workers load
-the deployable ``.npz`` plus its serialized plan and skip lowering,
-calibration probes and -- with a warm evaluation cache -- whole test-set
-evaluations.
+the deployable ``.npz`` and the ``.eval.json`` evaluation cache
+(:mod:`repro.experiments.evalcache`): cold-started workers load the
+``.npz``, lower and calibrate it once per process, and -- with a warm
+evaluation cache -- skip whole test-set evaluations.
 
 Merge semantics and determinism
 -------------------------------
@@ -81,7 +79,6 @@ from repro.parallel.service import (
 )
 from repro.parallel.shard import (
     DEFAULT_SHARD_SIZE,
-    load_deployable_with_plan,
     merge_outputs,
     shard_slices,
     sharded_forward,
@@ -94,7 +91,6 @@ __all__ = [
     "RetryPolicy",
     "WorkerService",
     "effective_workers",
-    "load_deployable_with_plan",
     "merge_outputs",
     "persistent_pool_enabled",
     "resolve_retry_policy",

@@ -38,9 +38,9 @@ pickled model -- is spilled to a temporary file once per call and tasks
 carry only its path: each worker reads the file at most once, so a large
 model crosses the parent's pipe zero times and the disk once, instead of
 once per task. Callers should still prefer artifact paths for long-lived
-state (``sharded_forward(model_path=...)`` ships the ``.npz`` +
-``.plan.npz`` location, and :func:`repro.parallel.shard.sharded_forward`
-ships image row slices of a memory-mapped temp file).
+state (``sharded_forward(model_path=...)`` ships the ``.npz``
+location, and :func:`repro.parallel.shard.sharded_forward` ships image
+row slices of a memory-mapped temp file).
 
 Pool sizing is grow-only: a call needing fewer workers than the running
 pool reuses it (submissions are chunked so at most the requested count

@@ -39,11 +39,10 @@ Determinism guarantees, in decreasing strength:
    the batch was split.
 
 Workers receive the model once per call, through the worker
-initializer: either the live object (pickled, for in-memory models) or
--- preferably -- the cached ``.npz`` path, in which case each worker
-loads the deployable artifact plus its ``.plan.npz`` sidecar and skips
-lowering and BLAS-fold calibration outright (see
-:mod:`repro.runtime.plan_io`).
+initializer: either the live object (pickled without its lowered plan
+and scratch buffers, for in-memory models) or -- preferably -- the
+cached ``.npz`` path, which each worker loads. Either way a worker lowers
+the model and calibrates its conv shapes itself, once per process.
 
 Image payloads (:func:`plan_task_images` / :func:`resolve_task_images`,
 shared with the sharded simulator): the array is written once to a temp
@@ -231,31 +230,6 @@ def resolve_task_images(payload: object) -> np.ndarray:
 _WORKER_STATE: Optional[Dict] = None  # repro: lint-ok[P102] per-worker broadcast state; repopulated by the initializer in each process
 
 
-def load_deployable_with_plan(path: str):
-    """A :class:`DeployableNetwork` from ``path`` with its plan sidecar.
-
-    When ``<stem>.plan.npz`` exists next to the artifact, the lowered
-    plan is attached and the calibration cache seeded -- the cold-start
-    path the sharded workers take. A sidecar that is stale (model digest
-    mismatch after a retrain), corrupt or otherwise unusable is ignored;
-    the model then lowers itself live on first forward.
-    """
-    from repro.errors import ReproError
-    from repro.quant.convert import DeployableNetwork
-    from repro.runtime.plan_io import plan_sidecar_path, try_load_plan
-
-    model = DeployableNetwork.load(path)
-    plan = try_load_plan(
-        plan_sidecar_path(path), model_digest=model.weights_digest()
-    )
-    if plan is not None:
-        try:
-            model.attach_plan(plan)
-        except ReproError:
-            pass  # mismatched sidecar: fall back to live lowering
-    return model
-
-
 def _materialize_model(payload: Tuple[str, object, Optional[str]]):
     # The digest member exists for the parent side: it makes the pickled
     # payload -- and therefore the persistent service's generation
@@ -265,7 +239,9 @@ def _materialize_model(payload: Tuple[str, object, Optional[str]]):
     kind, value, _digest = payload
     if kind == "object":
         return value
-    return load_deployable_with_plan(value)
+    from repro.quant.convert import DeployableNetwork
+
+    return DeployableNetwork.load(value)
 
 
 def _init_shard_worker(
@@ -326,8 +302,8 @@ def sharded_forward(
         shards / shard_size: shard geometry, see :func:`shard_slices`.
         workers: worker count; ``None`` resolves via ``REPRO_WORKERS``.
         model_path: optional cached ``.npz`` artifact path; when given,
-            workers load the model (and its plan sidecar) from disk
-            instead of receiving a pickled copy.
+            workers load the model from disk instead of receiving a
+            pickled copy.
         timeout: optional wall-clock budget (seconds) for the pooled
             call -- :class:`~repro.errors.WorkerTimeoutError` on expiry
             (see :func:`repro.parallel.pool.run_tasks`; the serial
@@ -362,8 +338,8 @@ def sharded_forward(
                 )
             )
         return merge_outputs(parts)
-    # The disk artifact + sidecar spares every worker the whole pickled
-    # model; the digest ties the generation to the weights behind it.
+    # The disk artifact spares every worker the whole pickled model;
+    # the digest ties the generation to the weights behind it.
     payload = (
         ("path", model_path, model.weights_digest())
         if model_path is not None

@@ -11,6 +11,7 @@ makes each independently testable.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -221,64 +222,37 @@ class DeployableNetwork:
     def weights_digest(self) -> str:
         """Content digest of the stored (quantized) parameters.
 
-        Cheap (no dequantization) and stable across save/load; used to
-        tie a ``.plan.npz`` sidecar to the exact model it was lowered
-        from, so a retrain can never be served by a stale plan.
+        Cheap (no dequantization) and stable across save/load; it ties an
+        ``.eval.json`` entry and a sharded call's worker generation to
+        the exact weights behind them, so a retrain can never be served
+        a stale result.
         """
-        from repro.runtime import arrays_digest
-
-        arrays = []
+        digest = hashlib.sha256()
         for layer in self.layers:
-            arrays.append(layer.weight_q)
-            arrays.append(layer.bias_q)
-            if layer.weight_scale is not None:
-                arrays.append(layer.weight_scale)
-            if layer.bias_scale is not None:
-                arrays.append(layer.bias_scale)
-        return arrays_digest(arrays)
-
-    def attach_plan(self, plan) -> None:
-        """Adopt a pre-lowered runtime plan (e.g. a ``.plan.npz`` sidecar).
-
-        The plan must describe this network; origin (a deployable
-        lowering, not a SpikingNetwork one), LIF constants and layer
-        names/shapes are checked, a mismatched plan raises
-        ``QuantizationError`` (weights are deliberately not compared --
-        the sidecar *is* the lowered weight store; staleness is guarded
-        by the ``model_digest`` check in :func:`repro.runtime.load_plan`).
-        """
-        if plan.source != "deployable" or plan.spike_rule != "threshold":
-            raise QuantizationError(
-                f"plan was lowered from {plan.source!r} (spike rule "
-                f"{plan.spike_rule!r}); deployable networks require a "
-                "deployable lowering"
-            )
-        if (
-            plan.num_classes != self.num_classes
-            or plan.population_group != self.population_group
-            or plan.beta != self.lif.beta
-            or plan.threshold != self.lif.threshold
-        ):
-            raise QuantizationError(
-                "plan head/LIF constants do not match this network"
-            )
-        if len(plan.layers) != len(self.layers):
-            raise QuantizationError(
-                f"plan has {len(plan.layers)} layers; network has "
-                f"{len(self.layers)}"
-            )
-        for plan_layer, layer in zip(plan.layers, self.layers):
-            if (
-                plan_layer.name != layer.name
-                or plan_layer.kind != layer.kind
-                or plan_layer.input_shape != tuple(layer.input_shape)
-                or plan_layer.output_shape != tuple(layer.output_shape)
+            for array in (
+                layer.weight_q, layer.bias_q, layer.weight_scale, layer.bias_scale
             ):
-                raise QuantizationError(
-                    f"plan layer {plan_layer.name!r} does not match network "
-                    f"layer {layer.name!r}"
-                )
-        self._runtime_plan = plan
+                if array is None:
+                    continue
+                array = np.ascontiguousarray(array)
+                digest.update(str(array.dtype).encode("utf-8"))
+                digest.update(str(array.shape).encode("utf-8"))
+                digest.update(array.tobytes())
+        return digest.hexdigest()
+
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickle the model, not what it derives from it: the lowered
+        plan and the scratch buffers are rebuilt by the receiving
+        process, so the bytes stay small and do not change with the
+        forwards run before pickling."""
+        state = dict(self.__dict__)
+        del state["_runtime_plan"], state["_runtime_buffers"]
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._runtime_plan = None
+        self._runtime_buffers = BufferPool()
 
     def predict(
         self,

@@ -36,7 +36,7 @@ conv layer shape is *calibrated* once against the environment's actual
 BLAS kernel (:func:`~repro.runtime.kernels.calibrate_event_exact`).
 Shapes whose full-``K`` GEMM folds multi-lane (deep conv layers,
 ``K >= ~500`` here) switch both kernels to the canonical **blocked
-k-fold** (:func:`~repro.runtime.kernels.calibrate_event_block` picks the
+k-fold** (:func:`~repro.runtime.kernels.resolve_event_block` picks the
 largest block size whose within-block fold proves single-lane), so the
 event path stays open at any depth; only shapes with no bit-exact
 configuration at all remain on the dense fallback. Dispatch therefore
@@ -46,7 +46,7 @@ at most the dispatch threshold and its layer has a calibrated fold, so
 every dispatch count repeats exactly across runs and processes. Dispatch
 decisions -- with the reason for every dense one -- are tallied per
 layer in :class:`~repro.runtime.config.LayerCounters` and surfaced in
-simulation reports and :func:`~repro.runtime.plan_io.plan_report`.
+simulation reports and :func:`~repro.runtime.kernels.plan_report`.
 """
 
 from repro.runtime.config import (
@@ -71,11 +71,9 @@ from repro.runtime.kernels import (
     calibration_key,
     dense_conv_int,
     event_conv_int,
+    plan_report,
     resolve_event_backend,
     resolve_event_block,
-    seed_block_resolution,
-    seed_calibration,
-    seed_int_exact,
 )
 from repro.runtime.plan import (
     ConvGeometry,
@@ -85,14 +83,6 @@ from repro.runtime.plan import (
     conv_geometry,
     plan_deployable,
     plan_spiking,
-)
-from repro.runtime.plan_io import (
-    arrays_digest,
-    load_plan,
-    plan_report,
-    plan_sidecar_path,
-    save_plan,
-    try_load_plan,
 )
 
 __all__ = [
@@ -105,7 +95,6 @@ __all__ = [
     "NetworkPlan",
     "RuntimeConfig",
     "RuntimeResult",
-    "arrays_digest",
     "attach_int_lowering",
     "calibrate_block_exact",
     "calibrate_event_exact",
@@ -115,20 +104,13 @@ __all__ = [
     "conv_geometry",
     "dense_conv_int",
     "event_conv_int",
-    "load_plan",
     "plan_deployable",
     "plan_report",
-    "plan_sidecar_path",
     "plan_spiking",
     "resolve_event_backend",
     "resolve_event_block",
     "runtime_config",
     "runtime_overrides",
-    "save_plan",
-    "seed_block_resolution",
-    "seed_calibration",
-    "seed_int_exact",
     "set_runtime_config",
     "stack_encoder_frames",
-    "try_load_plan",
 ]

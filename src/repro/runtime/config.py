@@ -42,9 +42,8 @@ class RuntimeConfig:
         event_kblock: canonical blocked k-fold control. ``None`` (auto)
             calibrates per shape and picks the largest bit-exact block
             for shapes whose unblocked fold fails; ``0`` disables
-            blocking (deep shapes return to the dense fallback); ``B >
-            0`` forces that block size for every blockable conv shape
-            (still probe-guarded). Env default: ``REPRO_EVENT_KBLOCK``.
+            blocking (deep shapes return to the dense fallback). No
+            other value is accepted.
         int_kernels: integer datapath for quantized deployables.
             ``'auto'`` (default) runs the integer kernels on the binary
             conv steps of int-lowered layers whenever the per-layer
@@ -83,10 +82,10 @@ class RuntimeConfig:
             raise ConfigError(
                 f"force_path must be None, 'dense' or 'event', got {self.force_path!r}"
             )
-        if self.event_kblock is not None and self.event_kblock < 0:
+        if self.event_kblock not in (None, 0):
             raise ConfigError(
-                f"event_kblock must be None (auto) or >= 0, "
-                f"got {self.event_kblock}"
+                f"event_kblock must be None (auto) or 0, "
+                f"got {self.event_kblock!r}"
             )
         if self.int_kernels not in ("off", "auto", "on"):
             raise ConfigError(
@@ -99,19 +98,6 @@ class RuntimeConfig:
             )
 
 
-def _env_event_kblock() -> Optional[int]:
-    """``REPRO_EVENT_KBLOCK``: ``auto`` (default) -> None, else an int >= 0.
-
-    Unparseable and negative values fall back to auto (a typo must not
-    break every import, nor silently disable blocking)."""
-    raw = os.environ.get("REPRO_EVENT_KBLOCK", "auto").strip().lower()
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return value if value >= 0 else None
-
-
 def _env_int_kernels() -> str:
     """``REPRO_INT_KERNELS``: ``auto`` (default), ``on`` or ``off``.
 
@@ -121,10 +107,7 @@ def _env_int_kernels() -> str:
     return raw if raw in ("off", "auto", "on") else "auto"
 
 
-_CONFIG = RuntimeConfig(  # repro: lint-ok[P102] per-process config snapshot; workers re-resolve it from env at bootstrap
-    event_kblock=_env_event_kblock(),
-    int_kernels=_env_int_kernels(),
-)
+_CONFIG = RuntimeConfig(int_kernels=_env_int_kernels())  # repro: lint-ok[P102] per-process config snapshot; workers re-resolve it from env at bootstrap
 
 
 def runtime_config() -> RuntimeConfig:

@@ -32,7 +32,7 @@ its own (a small block GEMM on the dense side, a per-block scatter on
 the event side), and the per-block partial sums are folded in the same
 ascending block order by both kernels. Bit-exactness then only requires
 the *within-block* GEMM to fold single-lane, which holds for small
-enough blocks; :func:`calibrate_event_block` probes candidate block
+enough blocks; :func:`resolve_event_block` probes candidate block
 sizes largest-first and picks the biggest one that proves exact, so the
 event path stays open at any depth -- the software twin of the blocked
 event-accumulation pipelines in sparse-SNN accelerators (Sommer et al.,
@@ -56,13 +56,13 @@ and their sums are exact, e.g. power-of-two scales).
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
 
-from repro.runtime.config import MAX_FUSED_ELEMENTS
-from repro.runtime.plan import BlockTables, LayerPlan
+from repro.runtime.config import MAX_FUSED_ELEMENTS, runtime_config
+from repro.runtime.plan import BlockTables, LayerPlan, NetworkPlan
 from repro.utils.rng import new_rng
 
 
@@ -479,8 +479,7 @@ def calibrate_int_exact(layer: LayerPlan, block: Optional[int] = None) -> bool:
     so a mismatch between them would indicate a kernel bug rather than a
     fold-order effect. The verdict depends on the weight values (through
     the scales), so it is cached per layer -- keyed by block -- not in
-    the per-shape calibration cache; sidecars persist it via
-    :func:`seed_int_exact` with the same live-wins semantics.
+    the per-shape calibration cache.
 
     Power-of-two scales (``QuantScheme.pow2_scale``) pass by
     construction: the dequantized weights and every float32 partial sum
@@ -515,13 +514,6 @@ def calibrate_int_exact(layer: LayerPlan, block: Optional[int] = None) -> bool:
     return exact
 
 
-def seed_int_exact(layer: LayerPlan, block: Optional[int], exact: bool) -> None:
-    """Pre-populate a layer's integer-exactness verdict (sidecar fast
-    path). Live-wins: a verdict probed in this process is never
-    overwritten by a loaded one."""
-    layer._int_exact.setdefault(int(block or 0), bool(exact))
-
-
 _CALIBRATION_CACHE: Dict[Tuple, bool] = {}  # repro: lint-ok[P102] per-process memo of a pure predicate; same key gives same value in every process
 
 #: Candidate k-block sizes probed largest-first by the auto resolution.
@@ -543,16 +535,6 @@ def calibration_key(layer: LayerPlan) -> Tuple:
     """Process-wide calibration-cache key for a conv layer shape."""
     g = layer.geometry
     return (g.cin, g.height, g.width, g.kernel, g.padding, layer.out_channels)
-
-
-def seed_calibration(key: Tuple, exact: bool) -> None:
-    """Pre-populate the calibration cache (plan persistence fast path).
-
-    A verdict already probed live in this process wins over a seeded one,
-    so loading a stale sidecar can never *upgrade* a shape to the event
-    path that the current environment has disproven.
-    """
-    _CALIBRATION_CACHE.setdefault(tuple(key), bool(exact))
 
 
 def calibrate_event_exact(layer: LayerPlan) -> bool:
@@ -630,18 +612,10 @@ def resolve_event_block(
     * ``None`` (auto) -- prefer the unblocked path, else the largest
       exact :data:`KBLOCK_CANDIDATES` entry;
     * ``0`` -- blocking disabled: unblocked-or-dense (pre-blocking
-      behaviour);
-    * ``B > 0`` -- force block size ``B`` (still subject to the
-      exactness probe; an inexact forced block falls back like auto
-      would at that single candidate).
+      behaviour).
     """
     if layer.kind != "conv" or layer.geometry is None:
         return None
-    k = int(layer.geometry.k)
-    if kblock is not None and kblock > 0:
-        if kblock >= k:  # one block spanning all of k == unblocked
-            return 0 if calibrate_event_exact(layer) else None
-        return kblock if calibrate_block_exact(layer, kblock) else None
     if kblock == 0:
         return 0 if calibrate_event_exact(layer) else None
     key = calibration_key(layer)
@@ -652,6 +626,7 @@ def resolve_event_block(
         choice = 0
     else:
         choice = None
+        k = int(layer.geometry.k)
         for candidate in KBLOCK_CANDIDATES:
             if candidate >= k:
                 continue
@@ -662,19 +637,55 @@ def resolve_event_block(
     return choice
 
 
-def seed_block_resolution(key: Tuple, block: Optional[int]) -> None:
-    """Pre-populate the auto block choice (plan persistence fast path).
+def plan_report(
+    plan: NetworkPlan, counters: Optional[Dict] = None
+) -> List[Dict]:
+    """Per-layer lowering outcome: kernel shape and dispatch eligibility.
 
-    Same live-wins semantics as :func:`seed_calibration`: a resolution
-    probed in this process is never overwritten by a sidecar. A seeded
-    positive block also seeds its (shape, block) exactness verdict, so a
-    cold worker runs zero probe GEMMs for shapes its sidecar settled.
+    Each row carries ``event_exact`` (``None`` for FC layers, which never
+    take the event path), the resolved ``k_block`` (``None`` = no exact
+    event configuration, ``0`` = unblocked, ``B > 0`` = canonical
+    blocked fold at that size) and a human-readable ``path`` that
+    distinguishes the *calibration* dense fallback (no bit-exact fold at
+    this shape) from shapes that are event-eligible and merely routed
+    dense at runtime. Passing a run's dispatch counters (a mapping of
+    layer name to :class:`~repro.runtime.config.LayerCounters`) adds a
+    ``dispatch`` column explaining every dense decision of that run --
+    density above threshold vs calibration fallback vs forced.
     """
-    key = tuple(key)
-    if key not in _BLOCK_CHOICE_CACHE:
-        _BLOCK_CHOICE_CACHE[key] = None if block is None else int(block)
-        if block:
-            _BLOCK_EXACT_CACHE.setdefault((key, int(block)), True)
+    kblock = runtime_config().event_kblock
+    rows: List[Dict] = []
+    for layer in plan.layers:
+        if layer.kind != "conv":
+            row = {
+                "name": layer.name,
+                "kind": layer.kind,
+                "k": int(layer.wmat.shape[1]),
+                "event_exact": None,
+                "k_block": None,
+                "path": "dense (fc layers never dispatch)",
+            }
+        else:
+            exact = calibrate_event_exact(layer)
+            block = resolve_event_block(layer, kblock)
+            if block is None:
+                path = "dense-fallback (calibration: no bit-exact fold at this shape)"
+            elif block == 0:
+                path = "event-eligible"
+            else:
+                path = f"event-eligible (blocked fold, k_block={block})"
+            row = {
+                "name": layer.name,
+                "kind": layer.kind,
+                "k": int(layer.geometry.k),
+                "event_exact": exact,
+                "k_block": block,
+                "path": path,
+            }
+        if counters is not None and layer.name in counters:
+            row["dispatch"] = counters[layer.name].as_dict()
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -166,7 +166,7 @@ class LayerPlan:
     _int_bound: Optional[int] = field(default=None, repr=False, compare=False)
     # Bit-exactness verdicts of the integer path vs the float reference,
     # keyed by resolved k-block (0 = unblocked). Weight-dependent, so
-    # cached per layer (not per shape); seedable from plan sidecars.
+    # cached per layer (not per shape).
     _int_exact: Dict[int, bool] = field(
         default_factory=dict, repr=False, compare=False
     )

@@ -72,6 +72,42 @@ class TestContext:
         model = fresh.trained("cifar10", "fp32")
         assert model.layers[0].name == "conv1_1"
 
+    @pytest.mark.parametrize("leftover", ["garbage", "stale", "empty", "torn"])
+    def test_leftover_plan_file_ignored(self, ctx, leftover):
+        """A ``<model>.plan.npz`` left in a workspace by older versions is
+        never read or rewritten: the model lowers itself and computes
+        the same logits, byte for byte, whatever that file holds."""
+        model = ctx.trained("cifar10", "int4")
+        path = ctx.model_path(ctx.model_key("cifar10", "int4", "direct"))
+        if leftover == "garbage":
+            payload = b"\x00\x01not-a-zip-archive\xff" * 64
+        elif leftover == "empty":
+            payload = b""
+        else:  # another model's archive, whole or cut short
+            ctx.trained("cifar10", "fp32")
+            fp32_path = ctx.model_path(ctx.model_key("cifar10", "fp32", "direct"))
+            with open(fp32_path, "rb") as handle:
+                payload = handle.read()
+            if leftover == "torn":
+                payload = payload[: len(payload) // 2]
+        leftover_path = path[: -len(".npz")] + ".plan.npz"
+        with open(leftover_path, "wb") as handle:
+            handle.write(payload)
+        try:
+            fresh = ExperimentContext(
+                scale="tiny", workspace=ctx.workspace, seed=0
+            )
+            reloaded = fresh.trained("cifar10", "int4")
+            _, test = ctx.dataset("cifar10")
+            steps = ctx.timesteps_for("direct")
+            want = model.forward(test.images[:8], steps).logits
+            got = reloaded.forward(test.images[:8], steps).logits
+            assert got.tobytes() == want.tobytes()
+            with open(leftover_path, "rb") as handle:
+                assert handle.read() == payload
+        finally:
+            os.unlink(leftover_path)
+
     def test_evaluate_returns_metrics(self, ctx):
         result = ctx.evaluate("cifar10", "fp32", max_samples=40)
         assert 0.0 <= result.accuracy <= 1.0

@@ -1,9 +1,8 @@
 """Disk-backed evaluation cache: round trips, staleness, fallbacks.
 
-Mirrors ``tests/runtime/test_plan_io.py``'s sidecar guarantees for the
-``.eval.json`` entries: corrupt, truncated, foreign-format or
-stale-digest entries must silently fall back to recompute, and a warm
-entry must be bit-identical to the evaluation that produced it.
+Corrupt, truncated, foreign-format or stale-digest ``.eval.json``
+entries must silently fall back to recompute, and a warm entry must be
+bit-identical to the evaluation that produced it.
 """
 
 import json

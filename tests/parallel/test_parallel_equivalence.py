@@ -191,23 +191,20 @@ class TestPooledVsSerial:
     def test_model_path_workers_match_in_memory_model(
         self, deployable, images, tmp_path, spawn_service
     ):
-        """Spawn workers cold-starting from the .npz + .plan.npz sidecar
-        must produce exactly what the in-memory model produces serially."""
-        from repro.runtime import plan_deployable, plan_sidecar_path, save_plan
+        """Spawn workers cold-starting from the .npz alone -- each one
+        lowers and calibrates the model itself -- must produce exactly
+        what the in-memory model produces serially."""
+        import os
 
         model_path = str(tmp_path / "model.npz")
         deployable.save(model_path)
-        save_plan(
-            plan_deployable(deployable),
-            plan_sidecar_path(model_path),
-            model_digest=deployable.weights_digest(),
-        )
         serial = sharded_forward(deployable, images, 2, shards=2, workers=1)
         cold_start = sharded_forward(
             deployable, images, 2, shards=2, workers=2, model_path=model_path
         )
         assert spawn_service() == "spawn"
         assert_outputs_equal(cold_start, serial, counters=True)
+        assert os.listdir(tmp_path) == ["model.npz"]  # nothing written
 
 
 @pytest.fixture

@@ -33,12 +33,14 @@ class TestFig1Pooled:
         assert first.render() == second.render()
 
     def test_model_and_plan_artifacts_cached(self, serial_result, workspace):
+        """Each model is cached as its ``.npz``; no lowered plan is ever
+        written next to it."""
+        import glob
         import os
-
-        from repro.runtime import plan_sidecar_path
 
         ctx = ExperimentContext(scale="tiny", workspace=workspace, seed=0)
         for scheme in ("fp32", "int4"):
             path = ctx.model_path(ctx.model_key("svhn", scheme, "direct"))
             assert os.path.exists(path)
-            assert os.path.exists(plan_sidecar_path(path))
+        assert glob.glob(os.path.join(workspace, "**", "*.plan.npz"),
+                         recursive=True) == []

@@ -1,6 +1,7 @@
 """The persistent WorkerService: warm reuse, generations, bit-identity."""
 
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -195,6 +196,42 @@ class TestSharedServiceReuse:
         """Benchmark environment records read it; the service is the
         only pooled executor."""
         assert persistent_pool_enabled() is True
+
+
+class TestPickledModelGeneration:
+    """A pickled deployable carries its weights, not the plan it lowers
+    from them or its scratch buffers: its bytes, and with them the
+    generation of a sharded call that ships it, do not change with the
+    forwards run before pickling."""
+
+    def test_pickle_unchanged_by_forwards(self, deployable, images):
+        rng = np.random.default_rng(8)
+        before = pickle.dumps(deployable)
+        for batch in (3, 16):
+            deployable.forward(
+                rng.random((batch,) + images.shape[1:], dtype=np.float32), 2
+            )
+            assert pickle.dumps(deployable) == before
+        clone = pickle.loads(before)
+        assert clone._runtime_plan is None
+        assert np.array_equal(
+            clone.forward(images, 2).logits, deployable.forward(images, 2).logits
+        )
+
+    def test_sharded_calls_reuse_one_generation(self, deployable, images):
+        shutdown_worker_service()
+        rng = np.random.default_rng(9)
+        want = deployable.forward(images, 2).logits
+        before = service_stats()
+        for _ in range(4):
+            deployable.forward(
+                rng.random(images.shape, dtype=np.float32), 2
+            )  # inline parent forward on fresh inputs
+            merged = sharded_forward(deployable, images, 2, shards=2, workers=2)
+            assert np.array_equal(merged.logits, want)
+        after = service_stats()
+        assert after["generations"] - before["generations"] == 1
+        assert after["generation_reuses"] - before["generation_reuses"] == 3
 
 
 class TestStandaloneService:

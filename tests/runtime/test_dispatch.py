@@ -1,9 +1,14 @@
 """Density dispatcher behaviour and configuration edge cases."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from legacy_oracle import forward_legacy
 
+import repro
 from repro.errors import ConfigError
 from repro.quant import FP32, convert
 from repro.runtime import (
@@ -14,6 +19,8 @@ from repro.runtime import (
 from repro.snn import build_network
 from repro.snn.encoding import Encoder, RateEncoder
 from repro.tensor import Tensor
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 @pytest.fixture(scope="module")
@@ -187,23 +194,32 @@ class TestConfig:
             assert runtime_config() is active
         assert runtime_config() is before
 
-    @pytest.mark.parametrize(
-        "raw, want",
-        [
-            ("auto", None),
-            ("", None),
-            ("typo", None),
-            ("-3", None),
-            ("-1", None),
-            ("0", 0),
-            ("64", 64),
-        ],
-    )
-    def test_env_event_kblock(self, monkeypatch, raw, want):
-        """Invalid values -- negative ones included -- fall back to
-        auto; a negative value must not silently disable blocking."""
-        from repro.runtime.config import _env_event_kblock
+    @pytest.mark.parametrize("value", ["0", "64", "-3", "typo"])
+    def test_env_event_kblock_ignored(self, value):
+        """``REPRO_EVENT_KBLOCK`` is no longer read: a process started
+        with it set, to any value, resolves ``event_kblock`` to auto."""
+        env = dict(os.environ)
+        env["REPRO_EVENT_KBLOCK"] = value
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [
+                sys.executable, "-c",
+                "from repro.runtime import runtime_config; "
+                "print(repr(runtime_config().event_kblock))",
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "None"
 
-        monkeypatch.setenv("REPRO_EVENT_KBLOCK", raw)
-        assert _env_event_kblock() == want
-        RuntimeConfig(event_kblock=want)  # every resolved value is legal
+    @pytest.mark.parametrize("kblock", [-1, 1, 64])
+    def test_event_kblock_is_auto_or_off(self, kblock):
+        """``event_kblock`` is ``None`` (auto) or ``0`` (no blocking);
+        a forced block size is refused."""
+        RuntimeConfig(event_kblock=None)
+        RuntimeConfig(event_kblock=0)
+        with pytest.raises(ConfigError, match="event_kblock"):
+            RuntimeConfig(event_kblock=kblock)

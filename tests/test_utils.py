@@ -77,6 +77,36 @@ class TestSerialization:
         assert meta["v"] == 2
         np.testing.assert_array_equal(arrays["a"], np.ones(1))
 
+    def test_crash_mid_write_preserves_previous_file(
+        self, tmp_path, monkeypatch
+    ):
+        """Dying inside the serialization leaves the old artifact
+        byte-identical and no temp-file litter."""
+        path = os.path.join(tmp_path, "model.npz")
+        save_npz(path, {"a": np.zeros(3)}, {"v": 1})
+        with open(path, "rb") as handle:
+            before = handle.read()
+
+        def torn_write(handle, **payload):
+            handle.write(b"partial bytes then the process dies")
+            raise KeyboardInterrupt("simulated crash mid-write")
+
+        monkeypatch.setattr(np, "savez", torn_write)
+        with pytest.raises(KeyboardInterrupt):
+            save_npz(path, {"a": np.ones(3)}, {"v": 2})
+        with open(path, "rb") as handle:
+            assert handle.read() == before
+        assert os.listdir(tmp_path) == ["model.npz"]
+
+    def test_crash_on_first_write_leaves_nothing(self, tmp_path, monkeypatch):
+        def torn_write(handle, **payload):
+            raise KeyboardInterrupt("simulated crash mid-write")
+
+        monkeypatch.setattr(np, "savez", torn_write)
+        with pytest.raises(KeyboardInterrupt):
+            save_npz(os.path.join(tmp_path, "fresh.npz"), {"a": np.zeros(1)})
+        assert os.listdir(tmp_path) == []
+
 
 class TestStopwatch:
     def test_accumulates(self):
