@@ -25,6 +25,11 @@ byte-compared:
   (with and without ``record=True``), rate coding with ``record=True``
   at batch 32 (recorded trains included), and the
   ``HybridSimulator.run`` report of an int4 rate-coded batch of 32.
+  The recorded rate-coded forward and the simulator run at batch 33
+  are repeated in lanes at a one-sample block budget
+  (``max_fused_elements=1``: every lane computes each conv current one
+  sample at a time) and byte-compared against the same one-lane run at
+  the default budget.
   The recorded runs also check the trains' dtype contract: every
   binary train is uint8 and direct coding's analog input float32, so
   a silent fallback to float32 spike trains (four times the memory)
@@ -55,7 +60,7 @@ import numpy as np
 
 from repro.parallel import sharded_forward, workers_override
 from repro.quant import FP32, INT4, convert
-from repro.runtime import blas
+from repro.runtime import blas, runtime_overrides
 from repro.runtime.lanes import lane_count
 from repro.snn import build_vgg9
 from repro.snn.encoding import RateEncoder
@@ -74,6 +79,14 @@ LANE_DIRECT_BATCH = 64
 LANE_RATE_BATCH = 32
 #: Two lanes of 16 and 17 samples: cycle sums from unequal lane slices.
 LANE_ODD_BATCH = 33
+#: A block budget (``max_fused_elements``) below one sample's current:
+#: every lane computes its conv currents one sample at a time.
+ONE_SAMPLE_BUDGET = 1
+#: The lane runs repeated at the one-sample block budget.
+ONE_SAMPLE_BLOCK_RUNS = (
+    "rate forward, record=True, batch 32",
+    "HybridSimulator.run, int4 rate, batch 33",
+)
 
 FRESH_BATCHES = (1, 64)
 #: Makes the script print its counters record instead of gating.
@@ -259,9 +272,19 @@ def check_lanes(deployable, failures) -> str:
             if lane_count(LANE_RATE_BATCH) < 2:
                 failures.append(f"lanes: {name} would run in one lane")
             lanes = run()
+            if name in ONE_SAMPLE_BLOCK_RUNS:
+                with runtime_overrides(max_fused_elements=ONE_SAMPLE_BUDGET):
+                    if run() != one_lane:
+                        failures.append(
+                            f"lanes: {name} at one-sample blocks differs "
+                            "from the one-lane forward"
+                        )
         if lanes != one_lane:
             failures.append(f"lanes: {name} differs from the one-lane forward")
-    return f"lanes: {len(runs)} runs x {LANE_WORKERS} lanes vs one lane"
+    return (
+        f"lanes: {len(runs)} runs x {LANE_WORKERS} lanes vs one lane, "
+        f"{len(ONE_SAMPLE_BLOCK_RUNS)} also at one-sample blocks"
+    )
 
 
 def counters_record() -> bytes:

@@ -39,7 +39,11 @@
 # coding with record=True at batch 32 (recorded trains included) and the
 # HybridSimulator.run report of an int4 rate-coded batch, at batch 32 and
 # at batch 33, whose lanes of 16 and 17 samples reduce unequal slices of
-# every train to cycle sums. The recorded runs also fail the gate when a
+# every train to cycle sums. The recorded rate-coded forward and the
+# batch-33 simulator run are repeated in lanes at a one-sample block
+# budget (max_fused_elements=1: every lane computes each conv current one
+# sample at a time) and byte-compared against the same one-lane run at
+# the default budget. The recorded runs also fail the gate when a
 # binary layer's train is not uint8 or direct coding's analog input not
 # float32. Last, it starts two fresh interpreters that each print the
 # gate model's dispatch counters (LayerCounters.as_dict() per layer) for

@@ -11,6 +11,7 @@ scatter is always scipy's CSR matmul. Tests pin behaviour with
 
 from __future__ import annotations
 
+import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -55,8 +56,11 @@ class RuntimeConfig:
             split, but may differ from the float reference when the
             probe failed). ``'off'`` disables the integer path
             entirely. Env default: ``REPRO_INT_KERNELS``.
-        max_fused_elements: cap on the im2col buffer (elements) per fused
-            dense call; larger batches are chunked (bit-exact either way).
+        max_fused_elements: cap, in elements, on the im2col buffer of a
+            fused dense call and on the float32 current of an engine
+            lane's sample block; larger batches are chunked and larger
+            lanes run block by block (bit-exact either way, and a block
+            holds one sample at least). An integer >= 1, not a bool.
             The default, :data:`MAX_FUSED_ELEMENTS`, is sized to the
             cache rather than to memory: small chunks keep the columns
             cache-resident between the unfold and the GEMM.
@@ -92,9 +96,16 @@ class RuntimeConfig:
                 f"int_kernels must be 'off', 'auto' or 'on', "
                 f"got {self.int_kernels!r}"
             )
-        if self.max_fused_elements < 1:
+        # bool is an int subclass; 2.5e6 or nan elements would reach
+        # range() or quietly mean blocks of one sample.
+        fused = self.max_fused_elements
+        if (
+            isinstance(fused, bool)
+            or not isinstance(fused, numbers.Integral)
+            or fused < 1
+        ):
             raise ConfigError(
-                f"max_fused_elements must be >= 1, got {self.max_fused_elements}"
+                f"max_fused_elements must be an integer >= 1, got {fused!r}"
             )
 
 

@@ -1,11 +1,12 @@
 """The fused, event-driven inference engine.
 
 Executes a :class:`~repro.runtime.plan.NetworkPlan` layer-major: for each
-layer the full ``(T, N, ...)`` input train is turned into currents in one
-or two kernel calls (time folded into the batch axis), the LIF state scan
-runs sequentially over ``T`` on the fused tensor, and the spike train
-feeds the next layer. Because the network is feed-forward and LIF state
-is purely per-layer, this reordering of a time-major loop is exact.
+layer the ``(T, N, ...)`` input train is turned into currents one block
+of samples at a time, each block in one or two kernel calls (time
+folded into the batch axis), the LIF state scan runs sequentially over
+``T`` on the block's fused current, and the spike train feeds the next
+layer. Because the network is feed-forward and LIF state is purely
+per-layer and per-sample, this reordering of a time-major loop is exact.
 
 Per layer and timestep the dispatcher measures input activity and routes
 the step to the dense gather-matmul kernel or the event-driven scatter
@@ -24,25 +25,29 @@ counters. The engine also memoises the first-layer current under
 time-invariant encodings (direct coding presents the same frame every
 timestep), which removes ``(T-1)/T`` of the dense-core work outright.
 
-**Sample lanes.** A batch of at least ``2 * MIN_LANE_SAMPLES`` runs in
-several lanes of contiguous samples, one per worker
+**Sample lanes and blocks.** A batch of at least ``2 * MIN_LANE_SAMPLES``
+runs in several lanes of contiguous samples, one per worker
 (:mod:`repro.runtime.lanes`). Per layer the calling thread routes on
 whole-batch numbers -- input totals, the per-timestep classification,
 integer verdicts, block resolution -- then every lane executes those
-decisions on its samples -- kernels, then one pass per LIF block of
-samples for BN, LIF scan, spike counts and OR-pool (:func:`spike_pass`)
--- writing its slice of one whole-batch uint8 train, so a recorded
-train is never copied and a pooling layer's unpooled train only
-exists block by block. The calling thread sums the lanes'
-exact integer counts into ``SpikeStats``, the next layer's activity and
-the counters. Lanes are byte-identical to one lane because no kernel's
-per-sample output depends on the other samples of its call: conv GEMMs
-run per sample (``np.matmul`` over stacked im2col matrices), CSR rows
-fold per output row in ascending k, LIF, BN and OR-pool are
-elementwise, and OpenBLAS splits a GEMM over M and N, never K, so
-running the lanes' GEMMs on one BLAS thread changes no fold. FC GEMMs
-are the exception -- OpenBLAS picks a row's fold by the batch height --
-so FC currents are computed on the whole batch before the split.
+decisions on its samples, one block of samples at a time: the block's
+current (whose float32 array holds at most ``max_fused_elements``
+elements, one sample at least), then one pass per LIF block of samples
+for BN, LIF scan, spike counts and OR-pool (:func:`spike_pass`) --
+writing its slice of one whole-batch uint8 train, so a recorded train
+is never copied, no conv layer's whole current ever exists, and a
+pooling layer's unpooled train only exists block by block. The calling
+thread sums the lanes' exact integer counts into ``SpikeStats``, the
+next layer's activity and the counters. Lanes and blocks are
+byte-identical to one whole-batch call because no kernel's per-sample
+output depends on the other samples of its call: conv GEMMs run per
+sample (``np.matmul`` over stacked im2col matrices), CSR rows fold per
+output row in ascending k, LIF, BN and OR-pool are elementwise, and
+OpenBLAS splits a GEMM over M and N, never K, so running the lanes'
+GEMMs on one BLAS thread changes no fold. FC GEMMs are the exception --
+OpenBLAS picks a row's fold by the batch height -- so FC currents, and
+the currents of uncalibrated float dense folds, are computed on the
+whole batch before the split.
 """
 
 from __future__ import annotations
@@ -141,15 +146,16 @@ def spike_pass(
     per-timestep spike counts, the OR-pool over ``window`` and the
     pooled train's counts.
 
-    ``current`` is ``(T, n, ...)`` and ``out`` the ``(T, n, ...)``
-    uint8 train the pass writes: the LIF output itself when ``window``
-    is 1, else its pooled train, while the unpooled block lives in a
-    block-sized byte scratch from ``pool``. Every stage is elementwise
-    per sample, so the blocks change no value; the result equals
-    ``lif_scan`` + ``or_pool`` + per-timestep ``count_nonzero`` on the
-    whole train. Returns ``(counts, out_counts)``: exact per-timestep
-    counts of the LIF output and of ``out`` (one list when ``window``
-    is 1).
+    ``current`` is the ``(T, n, ...)`` current of one sample block of a
+    lane (see :meth:`InferenceEngine._lane`) and ``out`` the
+    ``(T, n, ...)`` uint8 train the pass writes: the LIF output itself
+    when ``window`` is 1, else its pooled train, while the unpooled
+    block lives in a block-sized byte scratch from ``pool``. Every stage
+    is elementwise per sample, so the blocks change no value; the
+    result equals ``lif_scan`` + ``or_pool`` + per-timestep
+    ``count_nonzero`` on the whole train. Returns ``(counts,
+    out_counts)``: exact per-timestep counts of the LIF output and of
+    ``out`` (one list when ``window`` is 1).
     """
     timesteps, samples = current.shape[0], current.shape[1]
     rows = max(1, min(samples, lif_block_rows(current.shape[2:])))
@@ -180,7 +186,12 @@ def spike_pass(
 
 def _add_counts(totals: List[int], train: np.ndarray) -> None:
     """Add a (T, ...) byte train's per-timestep counts to ``totals``."""
-    for t, count in enumerate(_spike_counts(train)):
+    _add_lists(totals, _spike_counts(train))
+
+
+def _add_lists(totals: List[int], counts: List[int]) -> None:
+    """Add per-timestep ``counts`` to ``totals`` in place."""
+    for t, count in enumerate(counts):
         totals[t] += count
 
 
@@ -425,22 +436,35 @@ class InferenceEngine:
         bounds: Tuple[int, int],
         pool: BufferPool,
     ) -> "_LaneResult":
-        """One lane's share of a layer: the current of samples
-        ``[lo, hi)`` and its :func:`spike_pass` into that slice of the
-        whole-batch output ``train``."""
+        """One lane's share of a layer, samples ``[lo, hi)``, one block
+        of samples at a time: the block's current (its slice of a
+        whole-batch ``route.current``, when there is one), its
+        :func:`spike_pass` into that slice of the whole-batch output
+        ``train``, and its exact counts and scatter updates added to the
+        lane's."""
         lo, hi = bounds
-        if route.current is not None:
-            current, updates = route.current[:, lo:hi], 0
-        else:
-            current, updates = self._current(
-                config, layer, route, x[:, lo:hi], pool
-            )
+        timesteps = x.shape[0]
+        rows = _block_samples(config, layer, route, timesteps)
+        counts = [0] * timesteps
+        train_counts = [0] * timesteps
+        updates = 0
         plan = self.plan
-        counts, train_counts = spike_pass(
-            current, plan.beta, plan.threshold, plan.spike_rule,
-            layer.pool_after, train[:, lo:hi], pool,
-            bn=layer if layer.has_bn else None,
-        )
+        for start in range(lo, hi, rows):
+            stop = min(hi, start + rows)
+            if route.current is not None:
+                current = route.current[:, start:stop]
+            else:
+                current, block_updates = self._current(
+                    config, layer, route, x[:, start:stop], pool, block=True
+                )
+                updates += block_updates
+            block_counts, block_train_counts = spike_pass(
+                current, plan.beta, plan.threshold, plan.spike_rule,
+                layer.pool_after, train[:, start:stop], pool,
+                bn=layer if layer.has_bn else None,
+            )
+            _add_lists(counts, block_counts)
+            _add_lists(train_counts, block_train_counts)
         return _LaneResult(counts, train_counts, updates)
 
     # ------------------------------------------------------------------
@@ -656,14 +680,17 @@ class InferenceEngine:
         route: "_Route",
         x: np.ndarray,
         pool: BufferPool,
+        block: bool = False,
     ) -> Tuple[np.ndarray, int]:
-        """The (T, n, ...) current of input ``x`` (one lane's samples, or
-        the whole batch) under ``route``, and the scatter updates made.
+        """The (T, n, ...) current of input ``x`` (one block of a lane's
+        samples, or the whole batch) under ``route``, and the scatter
+        updates made.
 
-        Consecutive timesteps on the same kernel share one fused call
-        when ``x`` is contiguous; a lane's slice of a multi-step train is
-        not, so its kernels run one timestep (a contiguous block) at a
-        time, copying no input.
+        Consecutive timesteps on the same kernel share one fused call.
+        A block of a multi-step train is not contiguous, so it is first
+        copied into the pool's byte scratch. A ``block`` current is the
+        pool's ``"block_current"`` scratch, valid until the pool's next
+        block; a whole-batch current is a fresh array.
         """
         frames = x[:1] if route.broadcast else x
         steps, samples = frames.shape[0], frames.shape[1]
@@ -671,9 +698,17 @@ class InferenceEngine:
         bias = layer.bias.reshape((-1,) + (1,) * (len(out_shape) - 1))
         if all(path == "empty" for path in route.paths):
             return np.broadcast_to(bias, (x.shape[0], samples) + out_shape), 0
-        current = np.empty((steps, samples) + out_shape, dtype=np.float32)
+        shape = (steps, samples) + out_shape
+        if block:
+            current = pool.scratch("block_current", shape)
+        else:
+            current = np.empty(shape, dtype=np.float32)
+        if not frames.flags.c_contiguous:
+            contiguous = pool.scratch("block_input", frames.shape, frames.dtype)
+            np.copyto(contiguous, frames)
+            frames = contiguous
         updates = 0
-        for path, first, stop in _runs(route.paths, frames.flags.c_contiguous):
+        for path, first, stop in _runs(route.paths):
             out = current[first:stop].reshape((-1,) + out_shape)
             if path == "empty":
                 out[...] = bias
@@ -766,12 +801,24 @@ def _out_shape(layer: LayerPlan) -> Tuple[int, ...]:
     return (layer.out_channels,)
 
 
-def _runs(paths: List[str], fuse: bool) -> List[Tuple[str, int, int]]:
+def _block_samples(
+    config: RuntimeConfig, layer: LayerPlan, route: "_Route", timesteps: int
+) -> int:
+    """Samples per block of a lane: as many as keep the block's float32
+    current within ``max_fused_elements`` elements, one at least. A
+    broadcast layer's current holds one frame per sample, any other
+    layer's ``timesteps``."""
+    frames = 1 if route.broadcast else timesteps
+    per_sample = frames * math.prod(_out_shape(layer))
+    return max(1, config.max_fused_elements // per_sample)
+
+
+def _runs(paths: List[str]) -> List[Tuple[str, int, int]]:
     """``(path, first, stop)`` timestep ranges covering ``paths``:
-    maximal runs of one path when ``fuse``, single timesteps otherwise."""
+    maximal runs of one path."""
     runs: List[Tuple[str, int, int]] = []
     for t, path in enumerate(paths):
-        if fuse and runs and runs[-1][0] == path:
+        if runs and runs[-1][0] == path:
             runs[-1] = (path, runs[-1][1], t + 1)
         else:
             runs.append((path, t, t + 1))

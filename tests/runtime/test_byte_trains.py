@@ -5,7 +5,7 @@ TTFS-coded first layer's -- are recorded as uint8 {0, 1}; direct
 coding's analog input stays float32. The per-timestep list and the
 stacked train share memory, sharding keeps the dtype, and a recorded
 rate-coded forward's traced peak stays within what byte trains and one
-float32 current take.
+block-sized float32 current per engine lane take.
 """
 
 import math
@@ -18,6 +18,7 @@ from legacy_oracle import forward_legacy
 from repro.parallel import sharded_forward
 from repro.quant import FP32, INT4, convert
 from repro.runtime.config import MAX_FUSED_ELEMENTS
+from repro.runtime.lanes import lane_count
 from repro.snn import build_network, build_vgg9
 from repro.snn.encoding import DirectEncoder, RateEncoder, TtfsEncoder
 from repro.snn.neuron import LIFConfig
@@ -101,7 +102,7 @@ class TestRecordedPeak:
     BATCH = 64
     TIMESTEPS = 12
 
-    def test_peak_within_byte_trains_and_one_current(self):
+    def test_peak_within_byte_trains_and_block_currents(self):
         network = build_vgg9(
             num_classes=10, population=500, input_shape=(3, 32, 32),
             channel_scale=0.25, lif=LIFConfig(threshold=1.0), seed=42,
@@ -128,13 +129,22 @@ class TestRecordedPeak:
             sum(math.prod(layer.input_shape) for layer in model.layers)
             + model.layers[-1].output_shape[0]
         )
-        # The float32 current of the widest layer, all lanes together.
-        current = 4 * steps * max(
-            math.prod(layer.output_shape) for layer in model.layers
+        # Per lane, one sample block at a time: its float32 current of at
+        # most MAX_FUSED_ELEMENTS elements and its contiguous byte input.
+        # A whole-batch current of the widest conv layer would not fit.
+        block_input = max(
+            self.TIMESTEPS * math.prod(layer.input_shape) * max(
+                1,
+                MAX_FUSED_ELEMENTS
+                // (self.TIMESTEPS * math.prod(layer.output_shape)),
+            )
+            for layer in model.layers
+            if len(layer.output_shape) == 3
         )
+        blocks = lane_count(self.BATCH) * (4 * MAX_FUSED_ELEMENTS + block_input)
         scratch = 16 * MAX_FUSED_ELEMENTS
-        assert peak <= trains + current + scratch, (
+        assert peak <= trains + blocks + scratch, (
             f"peak {peak / 1e6:.1f} MB > bound "
-            f"{(trains + current + scratch) / 1e6:.1f} MB"
+            f"{(trains + blocks + scratch) / 1e6:.1f} MB"
         )
         assert sum(t.nbytes for t in out.spike_trains_stacked.values()) < trains

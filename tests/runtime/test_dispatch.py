@@ -187,6 +187,25 @@ class TestConfig:
         with pytest.raises(ConfigError, match="max_fused_elements"):
             RuntimeConfig(max_fused_elements=0)
 
+    @pytest.mark.parametrize(
+        "value",
+        [2.5e6, 1024.0, float("nan"), float("inf"), True, False, "100", None],
+        ids=repr,
+    )
+    def test_non_integer_fuse_cap_rejected(self, value):
+        """The cap sizes im2col chunks and lane blocks: only an integer
+        >= 1 means anything. A float would reach ``range()``, and nan
+        or a bool would quietly mean chunks of one sample."""
+        with pytest.raises(ConfigError, match="max_fused_elements"):
+            RuntimeConfig(max_fused_elements=value)
+        with pytest.raises(ConfigError, match="max_fused_elements"):
+            with runtime_overrides(max_fused_elements=value):
+                pass
+
+    @pytest.mark.parametrize("value", [1, 4096, np.int64(4096), np.uint32(7)])
+    def test_integer_fuse_cap_accepted(self, value):
+        assert RuntimeConfig(max_fused_elements=value).max_fused_elements == value
+
     def test_overrides_restore_previous_config(self):
         before = runtime_config()
         with runtime_overrides(dispatch_threshold=0.5) as active:

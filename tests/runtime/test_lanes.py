@@ -299,3 +299,110 @@ class TestFoldIndependentOfBlasThreads:
                     np.concatenate([scan[2] for scan in conv_scans], axis=1)
                 )
         assert currents[1].tobytes() == currents[0].tobytes()
+
+
+#: Small enough that every layer of ARCH runs one sample per block.
+ONE_SAMPLE_BUDGET = 1
+
+
+@pytest.fixture
+def dense_batches(monkeypatch):
+    """The batch height of every ``dense_conv`` call the engine makes."""
+    from repro.runtime import engine
+
+    batches = []
+    original = engine.dense_conv
+
+    def recording(layer, x, *args, **kwargs):
+        batches.append(x.shape[0])
+        return original(layer, x, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "dense_conv", recording)
+    return batches
+
+
+class TestBlocksEqualWholeLanes:
+    """A lane computes a conv layer's current one sample block at a
+    time, each block's float32 current within ``max_fused_elements``
+    elements. Blocks are a pure memory change: at one sample per block,
+    or at budgets whose blocks split the lanes unevenly, every output is
+    byte-identical to the default budget's one-lane forward."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        samples=st.sampled_from([5, 16, 17, 33]),
+        timesteps=st.sampled_from([1, 2, 5]),
+        coding=st.sampled_from(["direct", "rate"]),
+        scheme=st.sampled_from(["fp32", "int8p2"]),
+        route=st.sampled_from(sorted(ROUTES)),
+        # 1: one sample per block; 3000 and 7000: blocks of several
+        # samples that leave a shorter last block in the lane.
+        budget=st.sampled_from([ONE_SAMPLE_BUDGET, 3000, 7000]),
+        workers=st.sampled_from([1, 2, 3]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_byte_identical(
+        self, models, samples, timesteps, coding, scheme, route, budget,
+        workers, seed,
+    ):
+        model = models[scheme]
+        images = np.random.default_rng(seed).random(
+            (samples, 3, 8, 8), dtype=np.float32
+        )
+        with runtime_overrides(**ROUTES[route]):
+            want = _forward(model, images, timesteps, coding, workers=1)
+            with runtime_overrides(max_fused_elements=budget):
+                got = _forward(model, images, timesteps, coding, workers)
+        assert_identical(got, want)
+
+    def test_blocks_split_lanes(self, models, dense_batches):
+        """At the one-sample budget every dense conv call of a lane sees
+        one sample's frames: no lane's whole current exists."""
+        samples, timesteps = 17, 3
+        images = np.random.default_rng(2).random(
+            (samples, 3, 8, 8), dtype=np.float32
+        )
+        with runtime_overrides(force_path="dense"):
+            want = _forward(models["fp32"], images, timesteps, "rate", 1)
+            dense_batches.clear()
+            with runtime_overrides(max_fused_elements=ONE_SAMPLE_BUDGET):
+                got = _forward(models["fp32"], images, timesteps, "rate", 2)
+        assert_identical(got, want)
+        conv_layers = sum(
+            1 for layer in models["fp32"]._runtime_plan.layers
+            if layer.kind == "conv"
+        )
+        # A block's input is copied contiguous, so its timesteps fuse
+        # into one call of ``timesteps`` frames.
+        assert dense_batches == [timesteps] * (conv_layers * samples)
+
+    def test_uncalibrated_fold_stays_whole_batch(self, dense_batches):
+        """With blocking disabled the K=1008 shape has no calibrated fold:
+        its float dense current is computed in one whole-batch call
+        whatever the block budget, and the lanes only slice it."""
+        plan = make_conv_network_plan(*THREAD_DEPENDENT_SHAPE, seed=2)
+        conv = plan.layers[0]
+        assert conv.geometry.k == 1008
+        cin, height, width, _ = THREAD_DEPENDENT_SHAPE
+        rng = np.random.default_rng(7)
+        spikes = (rng.random((2, 16, cin, height, width)) < 0.04).astype(
+            np.uint8
+        )
+        with runtime_overrides(event_kblock=0):
+            with workers_override(1):
+                want = InferenceEngine(plan).run(spikes, record=True)
+            dense_batches.clear()
+            with runtime_overrides(max_fused_elements=ONE_SAMPLE_BUDGET):
+                with workers_override(2):
+                    got = InferenceEngine(plan).run(spikes, record=True)
+        assert dense_batches == [2 * 16]
+        counters = got.counters[conv.name]
+        assert counters.dense_calibration_steps == 2
+        assert got.accumulated.tobytes() == want.accumulated.tobytes()
+        assert got.stats.per_layer_timestep == want.stats.per_layer_timestep
+        assert got.input_totals == want.input_totals
+        for name, train in want.trains.items():
+            assert got.trains[name].tobytes() == train.tobytes()
+        assert {k: c.as_dict() for k, c in got.counters.items()} == {
+            k: c.as_dict() for k, c in want.counters.items()
+        }
