@@ -59,6 +59,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.runtime.config import LayerCounters, RuntimeConfig, runtime_config
+from repro.runtime.heap import retain_freed_memory
 from repro.runtime.kernels import (
     BufferPool,
     calibrate_event_exact,
@@ -227,6 +228,9 @@ class InferenceEngine:
         self.plan = plan
         self.config = config
         self.buffers = buffers if buffers is not None else BufferPool()
+        # Block temporaries are freed and reallocated block after block;
+        # keep the heap from returning them to the kernel in between.
+        retain_freed_memory()
         self._block_by_layer: Dict[str, Optional[int]] = {}
         self._int_by_layer: Dict[str, Tuple[bool, Optional[str]]] = {}
 
