@@ -5,17 +5,36 @@ binary spike inputs, so the density dispatcher can switch freely:
 
 * the **dense** kernel gathers im2col columns with the plan's cached
   index vector and issues one BLAS matmul for the whole fused batch;
-* the **event** kernel extracts active spike coordinates, expands them
-  into (im2col-row, output-position) contributions through the plan's
-  inverse tap tables, and scatter-accumulates the corresponding weight
-  columns -- the software twin of the ECU + accumulation pipeline.
+* the **event** kernel finds the active spikes with one flat scan,
+  expands each into its (output row, im2col row ``k``) taps through the
+  plan's per-pixel tap tables, and scatter-accumulates the selected
+  weight rows -- the software twin of the ECU + accumulation pipeline.
+
+The scatter is one lean pass through two compiled scipy routines (see
+:mod:`repro.runtime.csr`), with no sparse matrix object: a stable
+counting sort of the taps by output row builds the CSR arrays, and one
+``csr_matvecs`` call accumulates every row into a zeroed (rows, Cout)
+buffer against the full transposed weights, indexed by global ``k``.
+A tap that falls outside the output points at its sample's spill row
+(output position ``P``, rows strided ``P + 1``), which is accumulated
+and never read, so no mask or compress pass is needed; the scatter
+updates come from a per-pixel count of in-bounds taps.
 
 Bit-exactness of the event path rests on the accumulation order: when
 BLAS folds each output element over ``k`` in ascending order with a
 single accumulator, skipping the zero terms of a binary input cannot
 change a float32 partial sum (beyond the sign of an exact zero), and the
-CSR scatter preserves that order: its rows store ascending column
-indices. Which fold a GEMM uses, however, depends on the BLAS
+scatter preserves that order without sorting by ``k``. The scan yields
+events in raster order (sample, c, h, w). The taps that reach output
+position ``(y, x)`` therefore come in ascending ``c`` and, within one
+channel, in ascending event position ``(h, w) = (y + dy - pad,
+x + dx - pad)``, that is in ascending tap ``(dy, dx)``: along the row
+``k = c * K * K + dy * K + dx`` strictly increases, with no duplicate.
+A stable counting sort by row keeps that order, so every CSR row
+already lists ascending ``k`` -- the order scipy's canonical-format
+sort would have produced -- and ``csr_matvecs`` folds each output in it
+(``tests/runtime/test_csr.py`` checks the rows against a sorted scipy
+matrix). Which fold a GEMM uses, however, depends on the BLAS
 kernel selected for the layer's shape (large-``k`` and FC-shaped GEMMs
 may split ``k`` over several accumulator lanes). The runtime therefore
 *calibrates* each conv layer shape once per process --
@@ -28,13 +47,15 @@ Deep conv shapes (``K >= ~500`` in this environment) fail that unblocked
 probe: their full-``K`` GEMM folds multi-lane. For them the runtime
 switches both kernels to a **canonical blocked k-fold**: the im2col
 reduction is split into fixed-size k-blocks, each block is reduced on
-its own (a small block GEMM on the dense side, a per-block scatter on
-the event side), and the per-block partial sums are folded in the same
-ascending block order by both kernels. Bit-exactness then only requires
-the *within-block* GEMM to fold single-lane, which holds for small
-enough blocks; :func:`resolve_event_block` probes candidate block
-sizes largest-first and picks the biggest one that proves exact, so the
-event path stays open at any depth -- the software twin of the blocked
+its own (a small block GEMM on the dense side; on the event side, one
+accumulation over the block's slice of a CSR matrix sorted by block,
+then row, in the same counting sort), and the per-block partial sums
+are folded in the same ascending block order by both kernels.
+Bit-exactness then only requires the *within-block* GEMM to fold
+single-lane, which holds for small enough blocks;
+:func:`resolve_event_block` probes candidate block sizes largest-first
+and picks the biggest one that proves exact, so the event path stays
+open at any depth -- the software twin of the blocked
 event-accumulation pipelines in sparse-SNN accelerators (Sommer et al.,
 ExSpike). FC layers always take the dense path: their single small GEMM
 is negligible host cost and their BLAS shape is the multi-lane one.
@@ -59,15 +80,16 @@ import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from repro.runtime.config import MAX_FUSED_ELEMENTS, runtime_config
-from repro.runtime.plan import BlockTables, LayerPlan, NetworkPlan
+from repro.runtime.csr import csr_accumulate, csr_by_row, index_dtype
+from repro.runtime.plan import BlockTables, ConvGeometry, LayerPlan, NetworkPlan
 from repro.utils.rng import new_rng
 
 
 def resolve_event_backend(name: str) -> str:
-    """Always ``"scipy"``: CSR scatter is the only event backend.
+    """Always ``"scipy"``: the CSR scatter through scipy's compiled
+    routines is the only event backend.
 
     Kept only because the benchmark harness records
     ``resolve_event_backend(runtime_config().event_backend)`` in every
@@ -272,43 +294,62 @@ def dense_fc(layer: LayerPlan, x2d: np.ndarray) -> np.ndarray:
 # Event-driven path
 # ---------------------------------------------------------------------------
 
-def _scatter_columns(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    weight_rows: np.ndarray,
-    n_rows: int,
-) -> np.ndarray:
-    """Sum ``weight_rows[cols]`` into ``out[rows]`` in ascending-k order:
-    a CSR matrix's rows hold their column indices sorted."""
-    matrix = sparse.csr_matrix(
-        (np.ones(rows.size, dtype=np.float32), (rows, cols)),
-        shape=(n_rows, weight_rows.shape[0]),
-    )
-    return matrix @ weight_rows
+def _event_csr(
+    g: ConvGeometry, x: np.ndarray, kblock: int = 0
+) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], int]:
+    """The scatter matrix of a (B, Cin, H, W) batch as CSR arrays
+    ``(indptr, indices, data)``, and its number of updates.
 
-
-def _event_contributions(
-    layer: LayerPlan, x: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(rows, ks)`` of every scatter contribution of a (B, Cin, H, W)
-    batch: the output row (sample x output position) and im2col row of
-    each in-bounds tap of each event, events in row-major order.
+    Each tap of each event is one entry: its column is the tap's im2col
+    row ``k`` (global, whatever the block), its row the output row.
+    Output rows are strided ``P + 1`` per sample: a tap that falls
+    outside the output lands in the sample's spill row ``P``, which no
+    reader reads, so no tap is masked out or compressed away. The
+    updates come from the per-pixel count of in-bounds taps, so they
+    count exactly the contributions the current receives. With
+    ``kblock`` the matrix holds one row range per k-block, block after
+    block: the row of a tap is ``block(k) * B * (P + 1) + row``.
 
     Events are found with one flat scan plus a ``divmod``, several
     times cheaper than a 2-D ``np.nonzero``. A byte train is scanned
     through its bool view (4x faster than scanning the bytes); a float
     batch is compared by value (not bit pattern), which keeps ``-0.0``
-    a non-event, exactly as ``np.nonzero`` treats it.
+    a non-event and makes NaN an event, exactly as ``np.nonzero``
+    treats them. Events come out in raster order, so each output row
+    lists its ``k`` strictly ascending (see module docs).
     """
-    g = layer.geometry
+    n_rows = x.shape[0] * (g.p + 1)
+    nblocks = -(-g.k // kblock) if kblock else 1
     events = x.view(np.bool_) if x.dtype == np.uint8 else x != 0
-    sample, pix = np.divmod(
-        np.flatnonzero(events), max(1, math.prod(x.shape[1:]))
-    )
-    valid = g.contrib_valid[pix]
-    ks = g.contrib_k[pix][valid]
-    rows = (sample[:, None] * g.p + g.contrib_p[pix])[valid]
-    return rows, ks
+    flat = np.flatnonzero(events)
+    sample, pix = np.divmod(flat, max(1, math.prod(x.shape[1:])))
+    dtype = index_dtype(nblocks * n_rows, flat.size * g.tap_k.shape[1], g.k)
+    # ``take`` gathers whole table rows several times faster than
+    # fancy indexing does.
+    ks = g.tap_k.take(pix, axis=0).astype(dtype, copy=False).reshape(-1)
+    rows = g.tap_p.take(pix, axis=0).astype(dtype, copy=False)
+    rows += (sample * (g.p + 1)).astype(dtype)[:, None]
+    rows = rows.reshape(-1)
+    updates = int(g.tap_count.take(pix).sum())
+    del events, flat, sample, pix
+    if kblock:
+        key = ks // kblock
+        key *= n_rows
+        rows += key
+        del key
+    return csr_by_row(rows, ks, nblocks * n_rows, g.k), updates
+
+
+def _scatter(
+    layer: LayerPlan, x: np.ndarray, weights: np.ndarray
+) -> Tuple[np.ndarray, int]:
+    """The (B*(P+1), Cout) scatter sum of a batch's event taps over the
+    (K, Cout) ``weights`` rows in one accumulation pass, and the
+    updates."""
+    csr, updates = _event_csr(layer.geometry, x)
+    out2d = np.zeros((csr[0].size - 1, weights.shape[1]), dtype=np.float32)
+    csr_accumulate(*csr, weights, out2d)
+    return out2d, updates
 
 
 def _event_current(
@@ -317,14 +358,15 @@ def _event_current(
     batch: int,
     current: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """The (B, Cout, OH, OW) current of a (B*P, Cout) scatter result:
-    transposed and bias-added in one pass, into ``current`` when given."""
+    """The (B, Cout, OH, OW) current of a (B*(P+1), Cout) scatter result
+    (spill rows dropped): transposed and bias-added in one pass, into
+    ``current`` when given."""
     g = layer.geometry
     cout = layer.out_channels
     if current is None:
         current = np.empty((batch, cout, g.oh, g.ow), dtype=np.float32)
     np.add(
-        out2d.reshape(batch, g.p, cout).transpose(0, 2, 1),
+        out2d.reshape(batch, g.p + 1, cout)[:, :g.p].transpose(0, 2, 1),
         layer.bias.reshape(1, -1, 1),
         out=current.reshape((batch, cout, g.p), copy=False),
     )
@@ -342,10 +384,8 @@ def event_conv(
     :func:`dense_conv`) and the number of scatter contributions (events
     x in-bounds taps) actually accumulated.
     """
-    batch = x.shape[0]
-    rows, ks = _event_contributions(layer, x)
-    out2d = _scatter_columns(rows, ks, layer.wT, batch * layer.geometry.p)
-    return _event_current(out2d, layer, batch, out), int(ks.size)
+    out2d, updates = _scatter(layer, x, layer.wT)
+    return _event_current(out2d, layer, x.shape[0], out), updates
 
 
 def event_conv_blocked(
@@ -356,14 +396,14 @@ def event_conv_blocked(
 ) -> Tuple[np.ndarray, int]:
     """Blocked event-driven convolution over a (B, Cin, H, W) binary batch.
 
-    The event coordinates are extracted once, sorted by im2col row ``k``
-    (stable, so the within-row order is untouched), and partitioned into
-    ``kblock``-sized k-ranges with one ``searchsorted`` against the
-    plan's precomputed block edges. Each block's contributions are
-    scatter-accumulated against that block's contiguous weight slice --
-    ascending ``k`` within the block, exactly as :func:`event_conv` does
-    for the whole row range -- and the per-block partial sums are folded
-    in ascending block order, mirroring the blocked dense fold term for
+    The event taps are found once and sorted by one stable counting sort
+    on the key ``block(k) * n_rows + row``: the CSR matrix holds every
+    block's rows one after another, each row in ascending ``k`` (module
+    docs). Each block's partial sum is one accumulation over its slice
+    of the row pointers, against the full weight rows by global ``k``
+    -- ascending ``k`` within the block, exactly as :func:`event_conv`
+    does for the whole row range -- and the partials are folded in
+    ascending block order, mirroring the blocked dense fold term for
     term. Blocks that received no events are skipped: their dense-side
     partial is exactly zero, so the fold is unchanged (calibration
     probes sparse inputs and would catch any environment where it is
@@ -372,34 +412,26 @@ def event_conv_blocked(
     Returns the layer current and the number of scatter contributions,
     exactly like :func:`event_conv`.
     """
-    batch = x.shape[0]
-    tables = layer.block_tables(kblock)
-    n_rows = batch * layer.geometry.p
-    rows, ks = _event_contributions(layer, x)
-    out2d: Optional[np.ndarray] = None
-    if ks.size:
-        order = np.argsort(ks, kind="stable")
-        k_sorted = ks[order]
-        q_sorted = rows[order]
-        edges = tables.edges
-        splits = np.searchsorted(k_sorted, edges)
-        for i in range(tables.nblocks):
-            lo, hi = int(splits[i]), int(splits[i + 1])
-            if lo == hi:
-                continue
-            partial = _scatter_columns(
-                q_sorted[lo:hi],
-                k_sorted[lo:hi] - edges[i],
-                tables.wT_blocks[i],
-                n_rows,
-            )
-            if out2d is None:
-                out2d = partial
-            else:
-                np.add(out2d, partial, out=out2d)
-    if out2d is None:
-        out2d = np.zeros((n_rows, layer.out_channels), dtype=np.float32)
-    return _event_current(out2d, layer, batch, out), int(ks.size)
+    (indptr, indices, data), updates = _event_csr(layer.geometry, x, kblock)
+    n_rows = x.shape[0] * (layer.geometry.p + 1)
+    out2d = np.zeros((n_rows, layer.out_channels), dtype=np.float32)
+    partial: Optional[np.ndarray] = None
+    first = True
+    for i in range((indptr.size - 1) // n_rows):
+        block_ptr = indptr[i * n_rows:(i + 1) * n_rows + 1]
+        if block_ptr[0] == block_ptr[-1]:
+            continue
+        if first:
+            csr_accumulate(block_ptr, indices, data, layer.wT, out2d)
+            first = False
+            continue
+        if partial is None:
+            partial = np.zeros_like(out2d)
+        else:
+            partial.fill(0.0)
+        csr_accumulate(block_ptr, indices, data, layer.wT, partial)
+        np.add(out2d, partial, out=out2d)
+    return _event_current(out2d, layer, x.shape[0], out), updates
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +468,9 @@ def event_conv_int(
     ``layer.int_overflow_ok`` holds every partial sum is an integer of
     magnitude at most 2^24, exact in float32 in any fold order.
     """
-    batch = x.shape[0]
-    rows, ks = _event_contributions(layer, x)
-    acc2d = _scatter_columns(rows, ks, layer.wqT_f32(), batch * layer.geometry.p)
+    acc2d, updates = _scatter(layer, x, layer.wqT_f32())
     _dequantize(acc2d, layer)
-    return _event_current(acc2d, layer, batch, out), int(ks.size)
+    return _event_current(acc2d, layer, x.shape[0], out), updates
 
 
 def dense_conv_int(

@@ -6,8 +6,9 @@ A :class:`NetworkPlan` is the runtime's view of a network: one
 * the pre-reshaped weight matrix ``(Cout, Cin*K*K)`` (and its transposed
   contiguous twin for the event-driven scatter path),
 * the layer's :class:`ConvGeometry` -- the im2col shape math plus the
-  precomputed per-pixel index tables (im2col row / output position per
-  tap) that the event path scatters with, and
+  precomputed per-pixel tap tables (im2col row / output position per
+  tap, and the count of in-bounds taps) that the event path scatters
+  with, and
 * for :class:`~repro.snn.network.SpikingNetwork` plans, the eval-mode
   batch-norm constants applied exactly as the legacy Tensor path does.
 
@@ -47,9 +48,11 @@ class ConvGeometry:
     k: int  # Cin * K * K (im2col rows)
     p: int  # OH * OW (im2col columns)
     padded_hw: Tuple[int, int]
-    contrib_k: np.ndarray  # (Cin*H*W, K*K) int32 -- im2col row per pixel/tap
-    contrib_p: np.ndarray  # (Cin*H*W, K*K) int32 -- output position per pixel/tap
-    contrib_valid: np.ndarray  # (Cin*H*W, K*K) bool -- in-bounds taps
+    tap_k: np.ndarray  # (Cin*H*W, K*K) int32 -- im2col row per pixel/tap
+    # (Cin*H*W, K*K) int32 -- output position per pixel/tap; an
+    # out-of-bounds tap points at the spill position P
+    tap_p: np.ndarray
+    tap_count: np.ndarray  # (Cin*H*W,) int32 -- in-bounds taps per pixel
 
 
 def conv_geometry(
@@ -71,6 +74,8 @@ def conv_geometry(
         )
     # Inverse im2col tables: input pixel (c, h, w) lands in im2col cell
     # (k=(c, i, j), p=(y, x)) with y = h - i + padding, x = w - j + padding.
+    # A tap that falls outside the output points at position P, one
+    # spill row past the sample's last output row, which no reader reads.
     c_g, h_g, w_g = np.meshgrid(
         np.arange(cin), np.arange(height), np.arange(width), indexing="ij"
     )
@@ -82,8 +87,8 @@ def conv_geometry(
     y = h_f - i_f + padding
     x = w_f - j_f + padding
     valid = (y >= 0) & (y < oh) & (x >= 0) & (x < ow)
-    contrib_k = (c_f * (kh * kw) + i_f * kw + j_f).astype(np.int32)
-    contrib_p = (np.clip(y, 0, oh - 1) * ow + np.clip(x, 0, ow - 1)).astype(np.int32)
+    tap_k = (c_f * (kh * kw) + i_f * kw + j_f).astype(np.int32)
+    tap_p = np.where(valid, y * ow + x, oh * ow).astype(np.int32)
     geometry = ConvGeometry(
         cin=cin,
         height=height,
@@ -95,9 +100,9 @@ def conv_geometry(
         k=cin * kh * kw,
         p=oh * ow,
         padded_hw=(hp, wp),
-        contrib_k=np.ascontiguousarray(contrib_k),
-        contrib_p=np.ascontiguousarray(contrib_p),
-        contrib_valid=np.ascontiguousarray(valid),
+        tap_k=np.ascontiguousarray(tap_k),
+        tap_p=np.ascontiguousarray(tap_p),
+        tap_count=valid.sum(axis=1, dtype=np.int32),
     )
     if len(_GEOMETRY_CACHE) >= _GEOMETRY_CACHE_MAX:
         _GEOMETRY_CACHE.pop(next(iter(_GEOMETRY_CACHE)))
@@ -110,9 +115,10 @@ class BlockTables:
     """Per-k-block weight slices for the canonical blocked fold.
 
     ``edges`` are the k boundaries ``[0, B, 2B, ..., K]`` (last block
-    ragged); ``wmat_blocks[i]`` / ``wT_blocks[i]`` are contiguous copies
-    of the weight columns/rows of block ``i``, so neither kernel slices
-    (or re-copies) weights in the hot loop. Both kernels fold the
+    ragged); ``wmat_blocks[i]`` is a contiguous copy of the weight
+    columns of block ``i``, so the dense kernel neither slices nor
+    re-copies weights in the hot loop (the event kernel reads whole
+    rows of ``LayerPlan.wT`` by global ``k``). Both kernels fold the
     per-block partial sums in ascending ``edges`` order -- that shared
     sequential block fold is what makes the blocked dense and blocked
     event kernels bit-identical by construction (see
@@ -122,7 +128,6 @@ class BlockTables:
     block: int
     edges: np.ndarray  # (nblocks + 1,) int64 k boundaries
     wmat_blocks: List[np.ndarray]  # each (Cout, bk) contiguous float32
-    wT_blocks: List[np.ndarray]  # each (bk, Cout) contiguous float32
 
     @property
     def nblocks(self) -> int:
@@ -233,15 +238,8 @@ class LayerPlan:
                 np.ascontiguousarray(self.wmat[:, e0:e1])
                 for e0, e1 in zip(edges[:-1], edges[1:])
             ]
-            wT_blocks = [
-                np.ascontiguousarray(self.wT[e0:e1])
-                for e0, e1 in zip(edges[:-1], edges[1:])
-            ]
             tables = BlockTables(
-                block=block,
-                edges=edges,
-                wmat_blocks=wmat_blocks,
-                wT_blocks=wT_blocks,
+                block=block, edges=edges, wmat_blocks=wmat_blocks
             )
             self._block_tables[block] = tables
         return tables

@@ -279,6 +279,8 @@ class SpikingNetwork(Module):
             raise ShapeError(
                 f"expected images of shape (N, {self.input_shape}), got {images.shape}"
             )
+        if images.shape[0] == 0:
+            raise ShapeError("expected at least one image, got an empty batch")
         encoder = encoder or DirectEncoder()
         if self._runtime_eligible():
             output = self._forward_runtime(images, timesteps, encoder, record)

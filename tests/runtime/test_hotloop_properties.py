@@ -14,8 +14,7 @@ from legacy_oracle import forward_legacy
 from repro.quant import FP32, convert
 from repro.runtime import runtime_overrides
 from repro.runtime.engine import spike_pass
-from repro.runtime.kernels import BufferPool, _event_contributions, or_pool
-from repro.runtime.refshapes import make_conv_layer_plan
+from repro.runtime.kernels import BufferPool, or_pool
 from repro.snn import build_network
 from repro.snn.encoding import DirectEncoder, RateEncoder
 from repro.snn import neuron
@@ -191,37 +190,6 @@ class TestOrPoolProperties:
         got = or_pool(x, window)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-
-
-class TestEventContributionsProperties:
-    @given(
-        st.integers(1, 4),
-        st.integers(1, 3),
-        st.integers(1, 6),
-        st.integers(1, 6),
-        st.integers(0, 2**31 - 1),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_flat_scan_matches_two_dimensional_nonzero(
-        self, batch, cin, height, width, seed
-    ):
-        """The flat float scan finds the events ``np.nonzero`` finds, in
-        the same order: ``-0.0`` is no event, NaN and any nonzero are."""
-        layer = make_conv_layer_plan(cin, height, width, 2)
-        g = layer.geometry
-        rng = np.random.default_rng(seed)
-        choices = np.array([0.0, -0.0, 1.0, 0.5, np.nan], dtype=np.float32)
-        x = rng.choice(
-            choices, size=(batch, cin, height, width),
-            p=[0.4, 0.3, 0.2, 0.05, 0.05],
-        )
-        sample, pix = np.nonzero(x.reshape(batch, -1))
-        valid = g.contrib_valid[pix]
-        want_ks = g.contrib_k[pix][valid]
-        want_rows = (sample[:, None] * g.p + g.contrib_p[pix])[valid]
-        rows, ks = _event_contributions(layer, x)
-        assert np.array_equal(rows, want_rows)
-        assert np.array_equal(ks, want_ks)
 
 
 _NETWORKS = {}

@@ -44,18 +44,21 @@ class TestGeometry:
         b = conv_geometry(4, 6, 6, 3, 1)
         assert a is b
 
-    def test_contrib_tables_invert_im2col(self, rng):
+    def test_tap_tables_invert_im2col(self, rng):
+        """Every in-bounds tap of every active pixel lands on its im2col
+        cell; the others land on the spill position P, and the per-pixel
+        count is the number of in-bounds taps."""
         cin, h, w, k, pad = 3, 6, 5, 3, 1
         g = conv_geometry(cin, h, w, k, pad)
         x = (rng.random((cin, h, w)) < 0.4).astype(np.float32)
         cols = im2col(x[None], (k, k), 1, pad)[0]  # (K, P)
-        rebuilt = np.zeros((g.k, g.p), dtype=np.float32)
+        rebuilt = np.zeros((g.k, g.p + 1), dtype=np.float32)
         pix = np.flatnonzero(x.reshape(-1))
-        kk = g.contrib_k[pix]
-        pp = g.contrib_p[pix]
-        vv = g.contrib_valid[pix]
-        rebuilt[kk[vv], pp[vv]] = 1.0
-        assert np.array_equal(rebuilt, cols)
+        rebuilt[g.tap_k[pix], g.tap_p[pix]] = 1.0
+        assert np.array_equal(rebuilt[:, :g.p], cols)
+        in_bounds = g.tap_p < g.p
+        assert np.array_equal(g.tap_count, in_bounds.sum(axis=1))
+        assert int(g.tap_count[pix].sum()) == int(cols.sum())
 
 
 class TestKernels:

@@ -68,6 +68,14 @@ class TestForward:
         with pytest.raises(ShapeError):
             net.forward(rng.random((4, 3, 9, 9)).astype(np.float32), 2)
 
+    @pytest.mark.parametrize("training", [False, True])
+    def test_rejects_empty_batch(self, net, training):
+        """An empty batch is refused as a shape fault in either mode,
+        as ``DeployableNetwork.forward`` refuses it."""
+        net.train(training)
+        with no_grad(), pytest.raises(ShapeError, match="empty batch"):
+            net.forward(np.zeros((0, 3, 8, 8), np.float32), timesteps=2)
+
     def test_spike_stats_populated(self, net, images):
         out = net.forward(images, timesteps=2)
         assert set(out.stats.per_layer) == {"conv1_1", "conv2_1", "fc1"}
