@@ -530,22 +530,23 @@ def bench_quantized_kernels(params) -> Dict:
     Micro: the deep BLOCKED_SHAPE quantized with power-of-two scales,
     timing float event (blocked, as the engine runs it) vs int event and
     float dense vs int dense per density -- after asserting the int
-    kernels reproduce the float fold bit for bit (pow2 scales make the
-    probe pass by construction). The int kernels are the float kernels'
-    GEMM and scatter over integer-valued float32 weights: their sums are
-    exact in any fold order, so the int event kernel needs no k-block
-    (which is why it should not lose to the blocked float scatter) and
-    the int dense kernel should cost what the float dense kernel costs.
+    kernels reproduce the float fold bit for bit (pow2 scales make every
+    dequantized weight and sum exact). The int kernels are the float
+    kernels' GEMM and scatter over integer-valued float32 weights: their
+    sums are exact in any fold order, so the int event kernel needs no
+    k-block (which is why it should not lose to the blocked float
+    scatter) and the int dense kernel should cost what the float dense
+    kernel costs.
 
-    End-to-end: the tiny-scale VGG9 quantized at int8p2, forward with
-    ``int_kernels='off'`` vs ``'auto'`` (whose decision is the same
-    under either dispatch policy); logits must agree bit for bit, and
-    the dispatch counters record how many layer-timesteps actually ran
-    the integer kernels -- the proof the quantized deployable no longer
-    runs float inference in disguise.
+    End-to-end: the tiny-scale VGG9 quantized at int8p2, timed on the
+    default forward; its logits must equal the reference oracle's
+    (which follows the same integer rule), and the dispatch counters
+    record how many layer-timesteps actually ran the integer kernels --
+    the proof the quantized deployable no longer runs float inference
+    in disguise.
     """
     from repro.quant import INT8_P2, quantize_array
-    from repro.runtime import attach_int_lowering, calibrate_int_exact
+    from repro.runtime import attach_int_lowering
     from repro.runtime.kernels import dense_conv_int, event_conv_int
 
     cin, height, width, cout = BLOCKED_SHAPE
@@ -556,8 +557,6 @@ def bench_quantized_kernels(params) -> Dict:
     layer.wT = np.ascontiguousarray(wmat.T)
     attach_int_lowering(layer, q, scale)
     block = resolve_event_block(layer)
-    if not calibrate_int_exact(layer, block):
-        raise SystemExit("pow2 int lowering failed the exactness probe")
     rng = np.random.default_rng(23)
     batch = params["timesteps"] * params["batch"]
     rows = []
@@ -616,21 +615,17 @@ def bench_quantized_kernels(params) -> Dict:
         np.random.default_rng(7).random((tiny["batch"],) + tiny["input_shape"])
     ).astype(np.float32)
     timesteps = tiny["timesteps"]
-    with runtime_overrides(int_kernels="off"):
-        float_out = quantized.forward(images, timesteps)
-        float_ms = timeit(
-            lambda: quantized.forward(images, timesteps), params["repeats"]
-        )
-    with runtime_overrides(int_kernels="auto"):
-        int_out = quantized.forward(images, timesteps)
-        int_ms = timeit(
-            lambda: quantized.forward(images, timesteps), params["repeats"]
-        )
-    if not np.array_equal(float_out.logits, int_out.logits):
-        raise SystemExit("auto int e2e diverged from the float path")
+    out = quantized.forward(images, timesteps)
+    runtime_ms = timeit(
+        lambda: quantized.forward(images, timesteps), params["repeats"]
+    )
+    if not np.array_equal(
+        forward_legacy(quantized, images, timesteps).logits, out.logits
+    ):
+        raise SystemExit("int8p2 e2e forward diverged from the oracle")
     counters = {
         name: counter.as_dict()
-        for name, counter in int_out.runtime_counters.items()
+        for name, counter in out.runtime_counters.items()
     }
     int_steps = sum(
         c["int_dense_steps"] + c["int_event_steps"] for c in counters.values()
@@ -649,9 +644,7 @@ def bench_quantized_kernels(params) -> Dict:
         "end_to_end": {
             "scale": "tiny",
             "timesteps": timesteps,
-            "float_ms": float_ms,
-            "int_ms": int_ms,
-            "speedup": float_ms / int_ms if int_ms else float("inf"),
+            "runtime_ms": runtime_ms,
             "int_layer_timesteps": int(int_steps),
             "dispatch_counters": counters,
         },
@@ -803,9 +796,9 @@ def smoke_check(record: Dict) -> List[str]:
     # Integer-kernel gates: at the two sparsest benched densities the
     # int8 event kernel must be at least as fast as the float event
     # kernel, and the int8 dense kernel within 1.25x of the float dense
-    # kernel. Nothing arbitrates int vs float by speed: 'auto' runs the int
-    # kernels wherever they are exact, which is only free while they run
-    # at float speed -- these gates hold that premise.
+    # kernel. Nothing arbitrates int vs float by speed: the runtime runs
+    # the int kernels wherever the overflow bound holds, which is only
+    # free while they run at float speed -- these gates hold that premise.
     quantized = record["quantized_kernels"]
     sparsest = sorted(quantized["rows"], key=lambda row: row["density"])[:2]
     for row in sparsest:
@@ -979,9 +972,8 @@ def main(argv=None) -> int:
         )
     qe2e = quantized["end_to_end"]
     print(
-        f"  e2e tiny int8p2: float {qe2e['float_ms']:.2f} ms, int-auto "
-        f"{qe2e['int_ms']:.2f} ms ({qe2e['speedup']:.2f}x, "
-        f"{qe2e['int_layer_timesteps']} int layer-timesteps)"
+        f"  e2e tiny int8p2: {qe2e['runtime_ms']:.2f} ms "
+        f"({qe2e['int_layer_timesteps']} int layer-timesteps)"
     )
     serving = record["serving"]
     print(

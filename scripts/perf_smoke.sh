@@ -10,9 +10,11 @@
 # quantized_kernels densities, the int8 event kernel is slower than the
 # float event kernel or the int8 dense kernel takes more than 1.25x the
 # float dense kernel's time (nothing arbitrates int vs float by speed:
-# 'auto' runs the exact integer kernels wherever they apply, which is
-# only free while they run at float speed). Wire this into CI so
-# future PRs cannot silently regress the event-driven win. Results land in
+# quantized conv layers run the integer kernels wherever the overflow
+# bound holds, which is only free while they run at float speed), or if
+# the bench's int8p2 forward diverges from the reference oracle. Wire
+# this into CI so future PRs cannot silently regress the event-driven
+# win. Results land in
 # BENCH_runtime.<scale>.json at the repo root (plain BENCH_runtime.json
 # is reserved for the canonical small-scale record tracked across PRs).
 #

@@ -56,9 +56,6 @@ class CliFlag:
 
 
 _ENV_VARS: Tuple[EnvVar, ...] = (
-    # -- runtime layer (src/repro/runtime/config.py) ------------------
-    EnvVar("REPRO_INT_KERNELS", "repro/runtime/config.py",
-           "integer datapath: auto (default), on or off"),
     # -- parallel layer (src/repro/parallel/config.py) ----------------
     EnvVar("REPRO_WORKERS", "repro/parallel/config.py",
            "worker-process count; 1 is the serial fallback"),
@@ -117,7 +114,6 @@ _CLI_FLAGS: Tuple[CliFlag, ...] = (
     CliFlag("--workers", "common", "worker processes for sharded eval"),
     CliFlag("--eval-cache", "common", "enable the disk evaluation cache"),
     CliFlag("--no-eval-cache", "common", "disable the disk evaluation cache"),
-    CliFlag("--int-kernels", "common", "integer datapath: off | auto | on"),
     CliFlag("--retries", "common", "attempts per shard before quarantine"),
     CliFlag("--on-shard-failure", "common", "poison handling: raise | skip"),
     # -- per-subcommand -----------------------------------------------

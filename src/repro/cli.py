@@ -91,20 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="disable the disk-backed evaluation cache for this run",
         )
         p.add_argument(
-            "--int-kernels",
-            choices=["off", "auto", "on"],
-            default=None,
-            metavar="MODE",
-            help=(
-                "integer datapath for quantized models: off = always "
-                "float; auto (default) = exact integer kernels "
-                "wherever they proved bit-exact against float; on = "
-                "force the integer path on every int-lowered layer "
-                "(logits may differ from float). Default: "
-                "REPRO_INT_KERNELS env var, then auto"
-            ),
-        )
-        p.add_argument(
             "--retries",
             type=worker_count,
             default=None,
@@ -331,14 +317,6 @@ def _make_context(args):
         # Exported so worker processes (which resolve the env default
         # when a spec carries no explicit setting) agree with the flag.
         os.environ[EVAL_CACHE_ENV] = "1" if eval_cache else "0"
-    int_kernels = getattr(args, "int_kernels", None)
-    if int_kernels is not None:
-        # Exported (not just configured in-process) so sharded-eval
-        # worker processes resolve the same integer-kernel mode.
-        from repro.runtime import configure
-
-        os.environ["REPRO_INT_KERNELS"] = int_kernels
-        configure(int_kernels=int_kernels)
     if getattr(args, "retries", None) is not None:
         # Process-scoped like --workers: sharded_forward resolves its
         # default RetryPolicy from REPRO_RETRY_MAX_ATTEMPTS.

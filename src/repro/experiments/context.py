@@ -11,7 +11,6 @@ them.
 
 from __future__ import annotations
 
-import hashlib
 import os
 from typing import Dict, Optional, Tuple
 
@@ -32,7 +31,6 @@ from repro.parallel import merge_outputs, shard_slices, sharded_forward
 from repro.parallel.config import resolve_on_shard_failure
 from repro.quant import DeployableNetwork, convert, prepare_qat
 from repro.quant.schemes import QuantScheme, scheme_by_name
-from repro.runtime import runtime_config
 from repro.snn import (
     Trainer,
     TrainingConfig,
@@ -87,9 +85,7 @@ class ExperimentContext:
         )
         self._datasets: Dict[str, Tuple[Dataset, Dataset]] = {}
         self._models: Dict[str, DeployableNetwork] = {}
-        # Keyed (cache_key, numeric signature): forced-integer and float
-        # evaluations of the same model never alias in the memo.
-        self._evaluations: Dict[Tuple[str, str], EvaluationResult] = {}
+        self._evaluations: Dict[str, EvaluationResult] = {}
         # Cells that degraded under REPRO_ON_SHARD_FAILURE=skip: one
         # record per evaluation that lost quarantined shards (cache key,
         # shard indices, payload fingerprints, samples lost). A sweep
@@ -198,32 +194,6 @@ class ExperimentContext:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    @staticmethod
-    def numeric_signature(model: DeployableNetwork) -> str:
-        """Identity of the numeric path an evaluation of ``model`` runs on.
-
-        ``"float32"`` for float models and for ``int_kernels`` 'off' or
-        'auto' -- 'auto' only takes the integer path where it proved
-        bit-exact against float, so its numbers *are* float numbers.
-        Forced integer runs (``int_kernels='on'``) may legitimately
-        differ, so they are signed with the quantization scheme and a
-        fingerprint of the dequantization scales: cache entries from
-        either path are never served to the other.
-        """
-        if model.scheme.is_float or runtime_config().int_kernels != "on":
-            return "float32"
-        digest = hashlib.sha256()
-        for layer in model.layers:
-            if layer.weight_scale is not None:
-                scale = np.ascontiguousarray(
-                    np.asarray(layer.weight_scale, dtype=np.float32)
-                )
-                digest.update(scale.tobytes())
-        return (
-            f"int-forced/{model.scheme.name}/"
-            f"scales={digest.hexdigest()[:16]}"
-        )
-
     def timesteps_for(self, coding: str) -> int:
         return (
             self.preset.direct_timesteps
@@ -274,36 +244,20 @@ class ExperimentContext:
             f"{self.model_key(dataset, scheme, coding)}"
             f"{encoder_part}_n{max_samples}_t{timesteps}"
         )
-        # Forced-integer runs produce (legitimately) different numbers
-        # than the float/auto path, so they memoise and guard under
-        # their own numeric signature -- a float entry is never served
-        # to an integer run, and vice versa. The common float path skips
-        # materialising the model for pure memo hits.
-        forced_int = (
-            runtime_config().int_kernels == "on"
-            and not scheme_by_name(scheme).is_float
-        )
-        model = self.trained(dataset, scheme, coding) if forced_int else None
-        numeric = (
-            self.numeric_signature(model) if forced_int else "float32"
-        )
-        memo_key = (cache_key, numeric)
-        if memo_key in self._evaluations:
-            return self._evaluations[memo_key]
-        if model is None:
-            model = self.trained(dataset, scheme, coding)
+        if cache_key in self._evaluations:
+            return self._evaluations[cache_key]
+        model = self.trained(dataset, scheme, coding)
         encoder = self.evaluation_encoder(coding)
         if self.eval_cache:
             cached = try_load_evaluation(
                 self.eval_cache_file(cache_key),
                 model_digest=model.weights_digest(),
                 encoding=encoder.stream_signature(),
-                numeric=numeric,
             )
             if cached is not None:
                 if self.verbose:
                     print(f"[ctx] eval cache hit: {cache_key}")
-                self._evaluations[memo_key] = cached
+                self._evaluations[cache_key] = cached
                 return cached
         _train, test = self.dataset(dataset)
         images, labels = test.images, test.labels
@@ -393,10 +347,9 @@ class ExperimentContext:
                 result,
                 model_digest=model.weights_digest(),
                 encoding=encoder.stream_signature(),
-                numeric=numeric,
             )
         if degraded is None:
-            self._evaluations[memo_key] = result
+            self._evaluations[cache_key] = result
         return result
 
     def eval_cache_file(self, cache_key: str) -> str:

@@ -19,18 +19,13 @@ Staleness and corruption guards:
   + gain) the evaluation encoded its inputs with; a different stream
   -- another ``--encoder-seed``, a changed scheme -- misses instead of
   silently serving numbers drawn from the wrong spike trains;
-* every entry records the *numeric path* it was computed on:
-  ``"float32"`` for the (default, exactness-preserving) float datapath,
-  or a forced integer-kernel signature (scheme + scale fingerprint) for
-  ``int_kernels='on'`` runs, whose logits may legitimately differ from
-  float. Entries written before this guard (stored ``None``) are all
-  float results and match only an expected ``"float32"`` -- a forced
-  integer run never gets served float numbers, and vice versa;
-* the format tag is ``evaluation-result-v2``: v1 entries were written
-  under the snapshot-per-shard rate semantics (results depended on the
-  shard geometry) and are *auto-invalidated* -- the format check
-  rejects them, the caller recomputes under the counter-stream
-  semantics and overwrites;
+* the format tag is ``evaluation-result-v3``: older entries are
+  *auto-invalidated* -- the format check rejects them and the caller
+  recomputes and overwrites. v1 entries were written under the
+  snapshot-per-shard rate semantics (results depended on the shard
+  geometry); v2 entries of max-abs quantized models hold the numbers of
+  the dequantized float datapath, which quantized conv layers no longer
+  run on binary input;
 * a missing, truncated, corrupt, foreign-format or stale entry makes
   :func:`try_load_evaluation` return ``None`` -- the caller recomputes,
   which is always correct, just slower;
@@ -71,9 +66,11 @@ from repro.experiments.config import (  # noqa: F401
 EVAL_CACHE_SUFFIX = ".eval.json"
 
 #: v1 entries predate counter-stream rate coding: their rate-coded
-#: results were a function of the shard geometry that produced them, so
-#: the format bump deliberately invalidates every v1 entry on load.
-_FORMAT = "evaluation-result-v2"
+#: results were a function of the shard geometry that produced them. v2
+#: entries of max-abs quantized models were computed on the dequantized
+#: float datapath, before quantized conv layers ran the integer one. Each
+#: format bump deliberately invalidates every older entry on load.
+_FORMAT = "evaluation-result-v3"
 
 
 @dataclass
@@ -130,25 +127,20 @@ def save_evaluation(
     result: EvaluationResult,
     model_digest: Optional[str] = None,
     encoding: Optional[str] = None,
-    numeric: Optional[str] = None,
 ) -> None:
     """Atomically persist ``result`` (and its staleness guards) to ``path``.
 
     ``model_digest`` ties the entry to the exact stored parameters of the
     evaluated model (:meth:`DeployableNetwork.weights_digest`);
     ``encoding`` ties it to the exact encoding stream
-    (:meth:`Encoder.stream_signature`); ``numeric`` ties it to the
-    numeric path the evaluation ran on (``"float32"``, or a forced
-    integer-kernel signature carrying the quantization scheme and a
-    scale fingerprint -- see ``ExperimentContext``). Loaders passing the
-    same values will reject entries left behind by a retrain or produced
-    under a different stream or numeric path.
+    (:meth:`Encoder.stream_signature`). Loaders passing the same values
+    will reject entries left behind by a retrain or produced under a
+    different stream.
     """
     payload = {
         "format": _FORMAT,
         "model_digest": model_digest,
         "encoding": encoding,
-        "numeric": numeric,
         "result": {
             "accuracy": float(result.accuracy),
             "spikes_per_image": float(result.spikes_per_image),
@@ -182,19 +174,13 @@ def load_evaluation(
     path: str,
     model_digest: Optional[str] = None,
     encoding: Optional[str] = None,
-    numeric: Optional[str] = None,
 ) -> EvaluationResult:
     """Load an entry written by :func:`save_evaluation`, strictly.
 
-    Raises :class:`ExperimentError` on a foreign (or superseded v1)
+    Raises :class:`ExperimentError` on a foreign (or superseded v1/v2)
     format, a digest mismatch (the model was retrained under the
-    entry), an encoding-stream mismatch (the entry was evaluated under
-    a different encoder seed/scheme), or a numeric-path mismatch (the
-    entry's numbers came from a different datapath than the caller is
-    running). Entries written before the ``numeric`` guard existed
-    (stored ``None``) all came from the float path, so they match an
-    expected ``"float32"`` and *only* that -- a forced integer run never
-    gets served legacy float numbers. Malformed JSON or missing keys
+    entry) or an encoding-stream mismatch (the entry was evaluated under
+    a different encoder seed/scheme). Malformed JSON or missing keys
     raise their native exceptions. Most callers want
     :func:`try_load_evaluation` instead.
     """
@@ -203,8 +189,7 @@ def load_evaluation(
     if payload.get("format") != _FORMAT:
         raise ExperimentError(
             f"{path!r} is not a current serialized evaluation result "
-            "(foreign format, or a stale v1 entry written under "
-            "snapshot-per-shard encoding semantics)"
+            "(foreign format, or a stale entry of an older format)"
         )
     stored_digest = payload.get("model_digest")
     if (
@@ -226,14 +211,6 @@ def load_evaluation(
             f"evaluation cache entry {path!r} was evaluated under encoding "
             f"stream {stored_encoding!r}, not {encoding!r}"
         )
-    if numeric is not None:
-        # Pre-guard entries (stored None) were all float-path results.
-        stored_numeric = payload.get("numeric") or "float32"
-        if stored_numeric != numeric:
-            raise ExperimentError(
-                f"evaluation cache entry {path!r} was computed on numeric "
-                f"path {stored_numeric!r}, not {numeric!r}"
-            )
     result = payload["result"]
     return EvaluationResult(
         accuracy=float(result["accuracy"]),
@@ -254,13 +231,12 @@ def try_load_evaluation(
     path: str,
     model_digest: Optional[str] = None,
     encoding: Optional[str] = None,
-    numeric: Optional[str] = None,
 ) -> Optional[EvaluationResult]:
     """:func:`load_evaluation`, returning ``None`` instead of raising.
 
-    The one loader cache consumers should use: a missing, stale (digest,
-    encoding-stream or numeric-path mismatch), foreign-format (including
-    superseded v1), truncated or otherwise corrupt entry yields ``None``
+    The one loader cache consumers should use: a missing, stale (digest
+    or encoding-stream mismatch), foreign-format (including superseded
+    v1/v2), truncated or otherwise corrupt entry yields ``None``
     -- recompute and overwrite. Counts a hit or a miss in
     :func:`eval_cache_stats` either way.
 
@@ -280,7 +256,6 @@ def try_load_evaluation(
                 path,
                 model_digest=model_digest,
                 encoding=encoding,
-                numeric=numeric,
             )
         except ExperimentError:
             # Stale or foreign-format, but well-formed: the recompute

@@ -47,6 +47,17 @@ every dispatch count repeats exactly across runs and processes. Dispatch
 decisions -- with the reason for every dense one -- are tallied per
 layer in :class:`~repro.runtime.config.LayerCounters` and surfaced in
 simulation reports and :func:`~repro.runtime.kernels.plan_report`.
+
+Quantized conv layers carry their integer weights into the plan
+(:func:`~repro.runtime.plan.attach_int_lowering`), and their binary
+steps run the **integer datapath** -- the paper's sparse-core
+arithmetic: the dense and event kernels accumulate the integer weights
+exactly and dequantize once at the layer boundary
+(:func:`~repro.runtime.kernels.dense_conv_int`,
+:func:`~repro.runtime.kernels.event_conv_int`). There is one numeric
+path, not a mode: it runs wherever the layer's 2^24 accumulation bound
+holds, and only analog input, FC layers and layers over the bound keep
+the dequantized float fold.
 """
 
 from repro.runtime.config import (
@@ -67,7 +78,6 @@ from repro.runtime.kernels import (
     BufferPool,
     calibrate_block_exact,
     calibrate_event_exact,
-    calibrate_int_exact,
     calibration_key,
     dense_conv_int,
     event_conv_int,
@@ -98,7 +108,6 @@ __all__ = [
     "attach_int_lowering",
     "calibrate_block_exact",
     "calibrate_event_exact",
-    "calibrate_int_exact",
     "calibration_key",
     "configure",
     "conv_geometry",

@@ -2,17 +2,17 @@
 
 One process-wide :class:`RuntimeConfig` governs where the density
 dispatcher switches between the dense and the event-driven kernel, how
-deep conv shapes fold, whether quantized layers run the integer
-datapath and how large a fused dense call may grow. The fused runtime
-is the only inference path of a deployable network; the event path's
-scatter is always scipy's CSR matmul. Tests pin behaviour with
+deep conv shapes fold and how large a fused dense call may grow. The
+fused runtime is the only inference path of a deployable network; the
+event path's scatter is always scipy's CSR matmul. Quantized conv
+layers run the integer datapath wherever its overflow bound holds,
+which no setting changes. Tests pin behaviour with
 :func:`runtime_overrides`.
 """
 
 from __future__ import annotations
 
 import numbers
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import ClassVar, Dict, Iterator, Optional
@@ -45,17 +45,6 @@ class RuntimeConfig:
             for shapes whose unblocked fold fails; ``0`` disables
             blocking (deep shapes return to the dense fallback). No
             other value is accepted.
-        int_kernels: integer datapath for quantized deployables.
-            ``'auto'`` (default) runs the integer kernels on the binary
-            conv steps of int-lowered layers whenever the per-layer
-            exactness probe passed and the overflow bound holds --
-            results stay bit-identical to the float path by
-            construction. ``'on'`` forces the integer kernels on every
-            such step (dense and event alike; their integer fold is
-            exact, so results are still deterministic at any dispatch
-            split, but may differ from the float reference when the
-            probe failed). ``'off'`` disables the integer path
-            entirely. Env default: ``REPRO_INT_KERNELS``.
         max_fused_elements: cap, in elements, on the im2col buffer of a
             fused dense call and on the float32 current of an engine
             lane's sample block; larger batches are chunked and larger
@@ -74,7 +63,6 @@ class RuntimeConfig:
     dispatch_threshold: float = 0.05
     force_path: Optional[str] = None
     event_kblock: Optional[int] = None
-    int_kernels: str = "auto"
     max_fused_elements: int = MAX_FUSED_ELEMENTS
 
     def __post_init__(self) -> None:
@@ -91,11 +79,6 @@ class RuntimeConfig:
                 f"event_kblock must be None (auto) or 0, "
                 f"got {self.event_kblock!r}"
             )
-        if self.int_kernels not in ("off", "auto", "on"):
-            raise ConfigError(
-                f"int_kernels must be 'off', 'auto' or 'on', "
-                f"got {self.int_kernels!r}"
-            )
         # bool is an int subclass; 2.5e6 or nan elements would reach
         # range() or quietly mean blocks of one sample.
         fused = self.max_fused_elements
@@ -109,16 +92,7 @@ class RuntimeConfig:
             )
 
 
-def _env_int_kernels() -> str:
-    """``REPRO_INT_KERNELS``: ``auto`` (default), ``on`` or ``off``.
-
-    Unrecognised values fall back to auto, consistent with the other
-    lenient env knobs (a typo must not break every import)."""
-    raw = os.environ.get("REPRO_INT_KERNELS", "auto").strip().lower()
-    return raw if raw in ("off", "auto", "on") else "auto"
-
-
-_CONFIG = RuntimeConfig(int_kernels=_env_int_kernels())  # repro: lint-ok[P102] per-process config snapshot; workers re-resolve it from env at bootstrap
+_CONFIG = RuntimeConfig()  # repro: lint-ok[P102] per-process config; pool workers receive the parent's at bootstrap
 
 
 def runtime_config() -> RuntimeConfig:
@@ -166,10 +140,9 @@ class LayerCounters:
     ``int_dense_steps`` / ``int_event_steps`` are the sub-counts of
     ``dense_steps`` / ``event_steps`` that ran the integer kernels (so
     the float-step count is the difference), ``int_event_updates`` the
-    scatter contributions they accumulated, and the ``float_*_steps``
-    fields say why an int-lowered layer's step stayed float:
-    ``exactness`` (the bit-exactness probe failed) or ``overflow`` (the
-    2^24 accumulation bound failed).
+    scatter contributions they accumulated, and ``float_overflow_steps``
+    counts the binary conv steps of int-lowered layers that stayed float
+    because the 2^24 accumulation bound failed.
     """
 
     dense_steps: int = 0
@@ -181,7 +154,6 @@ class LayerCounters:
     int_dense_steps: int = 0
     int_event_steps: int = 0
     int_event_updates: int = 0
-    float_exactness_steps: int = 0
     float_overflow_steps: int = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -195,7 +167,6 @@ class LayerCounters:
             "int_dense_steps": self.int_dense_steps,
             "int_event_steps": self.int_event_steps,
             "int_event_updates": self.int_event_updates,
-            "float_exactness_steps": self.float_exactness_steps,
             "float_overflow_steps": self.float_overflow_steps,
         }
 
@@ -209,15 +180,6 @@ class LayerCounters:
         elif reason == "forced":
             self.dense_forced_steps += steps
 
-    def count_float_fallback(self, reason: str, steps: int = 1) -> None:
-        """Tally ``steps`` of an int-lowered layer that stayed float."""
-        if reason == "exactness":
-            self.float_exactness_steps += steps
-        elif reason == "overflow":
-            self.float_overflow_steps += steps
-        else:
-            raise ValueError(f"unknown float-fallback reason {reason!r}")
-
     def merge(self, other: "LayerCounters") -> None:
         self.dense_steps += other.dense_steps
         self.event_steps += other.event_steps
@@ -228,5 +190,4 @@ class LayerCounters:
         self.int_dense_steps += other.int_dense_steps
         self.int_event_steps += other.int_event_steps
         self.int_event_updates += other.int_event_updates
-        self.float_exactness_steps += other.float_exactness_steps
         self.float_overflow_steps += other.float_overflow_steps

@@ -29,7 +29,7 @@ timestep), which removes ``(T-1)/T`` of the dense-core work outright.
 runs in several lanes of contiguous samples, one per worker
 (:mod:`repro.runtime.lanes`). Per layer the calling thread routes on
 whole-batch numbers -- input totals, the per-timestep classification,
-integer verdicts, block resolution -- then every lane executes those
+the integer datapath, block resolution -- then every lane executes those
 decisions on its samples, one block of samples at a time: the block's
 current (whose float32 array holds at most ``max_fused_elements``
 elements, one sample at least), then one pass per LIF block of samples
@@ -63,7 +63,6 @@ from repro.runtime.heap import retain_freed_memory
 from repro.runtime.kernels import (
     BufferPool,
     calibrate_event_exact,
-    calibrate_int_exact,
     dense_conv,
     dense_conv_int,
     dense_fc,
@@ -232,7 +231,6 @@ class InferenceEngine:
         # keep the heap from returning them to the kernel in between.
         retain_freed_memory()
         self._block_by_layer: Dict[str, Optional[int]] = {}
-        self._int_by_layer: Dict[str, Tuple[bool, Optional[str]]] = {}
 
     def _config(self) -> RuntimeConfig:
         return self.config if self.config is not None else runtime_config()
@@ -259,48 +257,6 @@ class InferenceEngine:
         block = resolve_event_block(layer, self._config().event_kblock)
         self._block_by_layer[layer.name] = block
         return block
-
-    def _layer_int(
-        self, layer: LayerPlan, block: Optional[int]
-    ) -> Tuple[bool, Optional[str]]:
-        """The layer's integer-datapath decision: ``(use_int, reason)``.
-
-        ``use_int`` says whether the layer's binary conv steps -- dense
-        and event alike -- run the integer kernels; ``reason``
-        attributes steps that stayed float on an int-lowered layer
-        (``'overflow'``, ``'exactness'``, or ``None`` when nothing fell
-        back -- including layers that carry no lowering at all).
-
-        Resolution order (``int_kernels``): ``'off'`` never routes to
-        int. ``'on'`` forces the integer kernels whenever the overflow
-        bound holds -- their fold is exact, so any dense/event/batch
-        split still yields identical results, but they may differ from
-        the float reference when the exactness probe would have failed.
-        ``'auto'`` is exactness-preserving: the overflow bound and the
-        per-layer bit-exactness probe must pass. The integer kernels run
-        the float kernels' code at the float kernels' speed, so the
-        dense/event route is the same whichever datapath runs.
-        """
-        cached = self._int_by_layer.get(layer.name)
-        if cached is not None:
-            return cached
-        config = self._config()
-        use_int = False
-        reason: Optional[str] = None
-        if (
-            config.int_kernels != "off"
-            and layer.kind == "conv"
-            and layer.has_int_lowering
-        ):
-            if not layer.int_overflow_ok:
-                reason = "overflow"
-            elif config.int_kernels == "on" or calibrate_int_exact(layer, block):
-                use_int = True
-            else:
-                reason = "exactness"
-        result = (use_int, reason)
-        self._int_by_layer[layer.name] = result
-        return result
 
     # ------------------------------------------------------------------
     # Execution
@@ -495,15 +451,16 @@ class InferenceEngine:
         timesteps = x.shape[0]
         conv = layer.kind == "conv"
         block = self._layer_block(layer) if conv and not analog else None
+        # Binary conv steps of an int-lowered layer run the integer
+        # kernels wherever the 2^24 accumulation bound holds.
         int_eligible = conv and not analog and layer.has_int_lowering
-        use_int, int_reason = (
-            self._layer_int(layer, block) if int_eligible else (False, None)
-        )
+        use_int = int_eligible and layer.int_overflow_ok
+        overflow = int_eligible and not use_int
         if time_invariant:
             route = self._route_frame(
                 config, layer, x[0], t_sums[0],
                 t_nnz[0] if t_nnz is not None else None,
-                analog, block, use_int, int_reason, timesteps, counter,
+                analog, block, use_int, overflow, timesteps, counter,
             )
         elif t_nnz is None:  # dispatch disabled: everything is dense
             reason = "forced" if config.force_path == "dense" else "density"
@@ -517,13 +474,13 @@ class InferenceEngine:
                 int_dense = float(np.count_nonzero(x)) == sum(t_sums)
                 if int_dense:
                     counter.int_dense_steps += timesteps
-            elif int_reason is not None:
-                counter.count_float_fallback(int_reason, timesteps)
+            elif overflow:
+                counter.float_overflow_steps += timesteps
             route = _Route(["dense"] * timesteps, block, int_dense=int_dense)
         else:
             route = self._route_steps(
                 config, layer, t_sums, t_nnz, x[0].size, analog,
-                block, use_int, int_eligible, int_reason, counter,
+                block, use_int, overflow, counter,
             )
         # A GEMM's fold may depend on the BLAS thread count, which is
         # one in the lanes: only a fold calibrated equal to the scatter
@@ -555,7 +512,7 @@ class InferenceEngine:
 
     def _route_frame(
         self, config, layer, frame, f_sum, f_nnz, analog, block,
-        use_int, int_reason, timesteps, counter,
+        use_int, overflow, timesteps, counter,
     ) -> "_Route":
         """Route a time-invariant layer's one frame (memoised current,
         broadcast over every timestep)."""
@@ -579,15 +536,15 @@ class InferenceEngine:
             if path == "event":
                 if use_int:
                     counter.int_event_steps += timesteps
-                elif int_reason is not None:
-                    counter.count_float_fallback(int_reason, timesteps)
+                elif overflow:
+                    counter.float_overflow_steps += timesteps
         return _Route(
             [path], block, int_event=use_int and path == "event", broadcast=True
         )
 
     def _route_steps(
         self, config, layer, t_sums, t_nnz, slice_size, analog,
-        block, use_int, int_eligible, int_reason, counter,
+        block, use_int, overflow, counter,
     ) -> "_Route":
         """Route every timestep of a layer on its own activity."""
         # Timesteps with zero events short-circuit to a bias broadcast:
@@ -621,13 +578,13 @@ class InferenceEngine:
         if events:
             if use_int:
                 counter.int_event_steps += events
-            elif int_reason is not None:
-                counter.count_float_fallback(int_reason, events)
-        if denses and int_eligible and dense_binary:
+            elif overflow:
+                counter.float_overflow_steps += events
+        if denses and dense_binary:
             if int_dense:
                 counter.int_dense_steps += denses
-            elif int_reason is not None:
-                counter.count_float_fallback(int_reason, denses)
+            elif overflow:
+                counter.float_overflow_steps += denses
         return _Route(
             paths, block, int_dense=int_dense, int_event=use_int and events > 0
         )

@@ -68,10 +68,14 @@ While a layer's max channel L1 stays within 2^24
 (``LayerPlan.int_overflow_ok``), every partial sum over a binary input
 is an integer of magnitude at most 2^24 and therefore exact in float32
 -- in any fold order, lane split or k-block -- so the two int flavours
-agree by construction and need neither blocking nor calibration against
-each other. :func:`calibrate_int_exact` only decides whether they also
-reproduce the *float* path (they do whenever the dequantized weights
-and their sums are exact, e.g. power-of-two scales).
+agree by construction and need neither blocking nor calibration. The
+engine therefore runs them on every binary step of an int-lowered conv
+layer whose bound holds: the layer's current is ``(sum q*x) * scale +
+bias`` in float32, the rule :func:`_dequantize` documents. It equals
+the float path's current exactly when the dequantized weights and their
+sums are exact (power-of-two scales); under max-abs scales it differs
+at float-rounding level. Analog input, FC layers and layers over the
+bound keep the float fold.
 """
 
 from __future__ import annotations
@@ -497,51 +501,6 @@ def dense_conv_int(
     _dequantize(acc, layer)
     np.add(acc, layer.bias.reshape(1, -1, 1, 1), out=acc)
     return acc
-
-
-def calibrate_int_exact(layer: LayerPlan, block: Optional[int] = None) -> bool:
-    """True when the integer path reproduces the float path bit-for-bit.
-
-    The reference is what the engine would otherwise compute for these
-    steps: the float dense fold at the layer's calibrated ``block``
-    (which the float event kernel is already calibrated identical to).
-    Both integer flavours are probed -- they share one exact accumulator,
-    so a mismatch between them would indicate a kernel bug rather than a
-    fold-order effect. The verdict depends on the weight values (through
-    the scales), so it is cached per layer -- keyed by block -- not in
-    the per-shape calibration cache.
-
-    Power-of-two scales (``QuantScheme.pow2_scale``) pass by
-    construction: the dequantized weights and every float32 partial sum
-    are exactly representable, making all fold orders agree. Arbitrary
-    scales essentially always fail -- the probe is what keeps the 'auto'
-    integer path exactness-preserving rather than hopeful.
-    """
-    if not layer.has_int_lowering or layer.geometry is None:
-        return False
-    if not layer.int_overflow_ok:
-        return False
-    key = int(block or 0)
-    cached = layer._int_exact.get(key)
-    if cached is not None:
-        return cached
-    g = layer.geometry
-    rng = new_rng(0xC0FFEE)
-    exact = True
-    for density in (0.02, 0.1, 0.3):
-        probe = (
-            rng.random((2, g.cin, g.height, g.width)) < density
-        ).astype(np.float32)
-        want = dense_conv(layer, probe, kblock=block if block else None)
-        got_event, _ = event_conv_int(layer, probe)
-        if not np.array_equal(got_event, want):
-            exact = False
-            break
-        if not np.array_equal(dense_conv_int(layer, probe), want):
-            exact = False
-            break
-    layer._int_exact[key] = exact
-    return exact
 
 
 _CALIBRATION_CACHE: Dict[Tuple, bool] = {}  # repro: lint-ok[P102] per-process memo of a pure predicate; same key gives same value in every process

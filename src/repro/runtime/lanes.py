@@ -43,12 +43,14 @@ _POOL_SIZE = 0  # repro: lint-ok[P102] size of the per-process pool above; reset
 def lane_count(samples: int) -> int:
     """How many lanes a ``samples``-sized batch runs in:
     ``min(resolve_workers(), samples // MIN_LANE_SAMPLES)``, at least
-    one, and one when the BLAS thread count cannot be controlled."""
+    one, and one when the BLAS thread count cannot be controlled. A
+    batch too small for two lanes returns before the worker count is
+    resolved, so a small forward never asks for the host's cores."""
+    if samples < 2 * MIN_LANE_SAMPLES or not blas.available():
+        return 1
     # Imported here: repro.parallel imports the runtime.
     from repro.parallel.config import resolve_workers
 
-    if not blas.available():
-        return 1
     return max(1, min(resolve_workers(), samples // MIN_LANE_SAMPLES))
 
 

@@ -169,12 +169,6 @@ class LayerPlan:
     _wqT_f32: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     # Cached worst-case |integer accumulator| for binary inputs.
     _int_bound: Optional[int] = field(default=None, repr=False, compare=False)
-    # Bit-exactness verdicts of the integer path vs the float reference,
-    # keyed by resolved k-block (0 = unblocked). Weight-dependent, so
-    # cached per layer (not per shape).
-    _int_exact: Dict[int, bool] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     @property
     def out_channels(self) -> int:
@@ -307,9 +301,10 @@ def attach_int_lowering(
     Stores the (Cout, K) quantized matrix in the narrowest integer dtype
     that holds it (int8 up to |q| <= 127, int16 up to 32767) plus the
     float32 scale(s); the float32 compute copies and the overflow bound
-    are derived lazily. The exactness probe
-    (``runtime.kernels.calibrate_int_exact``) and the engine decide per
-    step whether this lowering actually runs.
+    are derived lazily. The engine runs the integer kernels on every
+    binary-input step of the layer while the overflow bound
+    (``int_overflow_ok``) holds; only a non-binary step or a failed
+    bound keeps the float fold.
 
     Raises:
         QuantizationError: some |q| exceeds the int16 range (storing it
@@ -329,7 +324,6 @@ def attach_int_lowering(
     plan._wq_f32 = None
     plan._wqT_f32 = None
     plan._int_bound = None
-    plan._int_exact = {}
 
 
 def plan_deployable(network) -> NetworkPlan:

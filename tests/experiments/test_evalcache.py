@@ -233,46 +233,6 @@ class TestEncodingStreamGuard:
         assert try_load_evaluation(entry) is None
 
 
-class TestNumericPathGuard:
-    """Entries are tied to the numeric path that computed them: float
-    results must never be served to a forced integer-kernel run, whose
-    logits may legitimately differ (and vice versa)."""
-
-    INT_SIG = "int-forced/int8/scales=0123456789abcdef"
-
-    def test_matching_numeric_loads(self, tmp_path, result):
-        path = eval_cache_path(str(tmp_path), "int-run")
-        save_evaluation(path, result, numeric=self.INT_SIG)
-        assert load_evaluation(path, numeric=self.INT_SIG) == result
-
-    def test_float_entry_never_served_to_int_run(self, tmp_path, result):
-        path = eval_cache_path(str(tmp_path), "float-run")
-        save_evaluation(path, result, numeric="float32")
-        with pytest.raises(ExperimentError):
-            load_evaluation(path, numeric=self.INT_SIG)
-        assert try_load_evaluation(path, numeric=self.INT_SIG) is None
-
-    def test_int_entry_never_served_to_float_run(self, tmp_path, result):
-        path = eval_cache_path(str(tmp_path), "int-run")
-        save_evaluation(path, result, numeric=self.INT_SIG)
-        with pytest.raises(ExperimentError):
-            load_evaluation(path, numeric="float32")
-        assert try_load_evaluation(path, numeric="float32") is None
-
-    def test_legacy_entry_counts_as_float(self, tmp_path, result):
-        """Pre-guard entries (no 'numeric' field) all came from the
-        float path: they match "float32" and only "float32"."""
-        path = eval_cache_path(str(tmp_path), "legacy")
-        save_evaluation(path, result)  # numeric=None, like old writers
-        assert try_load_evaluation(path, numeric="float32") == result
-        assert try_load_evaluation(path, numeric=self.INT_SIG) is None
-
-    def test_caller_without_expectation_loads_any(self, tmp_path, result):
-        path = eval_cache_path(str(tmp_path), "any")
-        save_evaluation(path, result, numeric=self.INT_SIG)
-        assert load_evaluation(path) == result
-
-
 def _entry_for(accuracy):
     """A fully-consistent entry whose every field derives from
     ``accuracy`` -- so a reader can tell a whole entry from a blend."""
@@ -302,7 +262,7 @@ def _hammer_corrupt(path, iterations):
     for _ in range(iterations):
         try:
             with open(path, "wb") as handle:
-                handle.write(b'{"format": "evaluation-result-v2", "resu')
+                handle.write(b'{"format": "evaluation-result-v3", "resu')
         except OSError:
             pass
 
@@ -485,8 +445,30 @@ class TestContextIntegration:
         # The recompute upgraded the entry on disk to the current format.
         with open(entry, "r", encoding="utf-8") as handle:
             repaired = json.load(handle)
-        assert repaired["format"] == "evaluation-result-v2"
+        assert repaired["format"] == "evaluation-result-v3"
         assert repaired["encoding"] == "direct"
+
+    def test_v2_entry_rejected_and_recomputed(self, workspace, warm_result):
+        """v2 entries of max-abs quantized models hold the numbers of the
+        dequantized float datapath: the v3 format check rejects every v2
+        entry, and the context recomputes and overwrites it."""
+        fresh = ExperimentContext(scale="tiny", workspace=workspace, seed=0)
+        entry = fresh.eval_cache_file("tiny_svhn_fp32_direct_s0_n24_tNone")
+        fresh.evaluate("svhn", "fp32", max_samples=24)  # ensure on disk
+        with open(entry, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+        payload["format"] = "evaluation-result-v2"
+        payload["numeric"] = "float32"
+        payload["result"]["accuracy"] = 0.0  # poisoned value must not leak
+        with open(entry, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        assert try_load_evaluation(entry) is None
+        another = ExperimentContext(scale="tiny", workspace=workspace, seed=0)
+        assert another.evaluate("svhn", "fp32", max_samples=24) == warm_result
+        with open(entry, "r", encoding="utf-8") as handle:
+            repaired = json.load(handle)
+        assert repaired["format"] == "evaluation-result-v3"
+        assert "numeric" not in repaired
 
     def test_explicit_encoder_seed_gets_own_entry(
         self, workspace, warm_result

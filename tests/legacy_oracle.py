@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.quant.convert import DeployableLayer, DeployableNetwork, DeployableOutput
+from repro.quant.quantizer import INT_ACCUMULATION_LIMIT, int_accumulation_bound
 from repro.snn.encoding import DirectEncoder, Encoder
 from repro.snn.metrics import SpikeStats
 from repro.tensor.ops import im2col
@@ -92,19 +93,38 @@ def forward_legacy(
 
 
 def layer_current(layer: DeployableLayer, x: np.ndarray) -> np.ndarray:
-    """One layer's float32 current for one timestep's (N, ...) input."""
-    weight = layer.effective_weight()
+    """One layer's float32 current for one timestep's (N, ...) input.
+
+    A quantized conv layer on binary input follows the integer datapath
+    rule: ``(sum q*x) * scale + bias`` in float32, with the integer sum
+    computed exactly (in float64, exact far beyond the 2^24 bound) and
+    dequantized by one float32 multiply. Every other step -- fp32
+    layers, FC layers, analog input, a layer whose accumulation bound
+    exceeds 2^24 -- uses the dequantized weights.
+    """
     bias = layer.effective_bias()
     if layer.kind == "conv":
         n = x.shape[0]
         cols = im2col(x, (layer.kernel, layer.kernel), 1, layer.padding)
-        wmat = weight.reshape(layer.out_channels, -1)
-        out = np.einsum("ok,nkp->nop", wmat, cols, optimize=True)
         oh, ow = layer.output_shape[1], layer.output_shape[2]
+        if _runs_int(layer, x):
+            q = layer.weight_q.reshape(layer.out_channels, -1)
+            acc = np.einsum(
+                "ok,nkp->nop", q.astype(np.float64), cols.astype(np.float64),
+                optimize=True,
+            ).astype(np.float32)
+            scale = np.asarray(layer.weight_scale, dtype=np.float32)
+            if scale.ndim:
+                scale = scale.reshape(1, -1, 1)
+            out = (acc * scale).reshape(n, layer.out_channels, oh, ow)
+            return out + bias.reshape(1, -1, 1, 1)
+        wmat = layer.effective_weight().reshape(layer.out_channels, -1)
+        out = np.einsum("ok,nkp->nop", wmat, cols, optimize=True)
         return (
             out.reshape(n, layer.out_channels, oh, ow)
             + bias.reshape(1, -1, 1, 1)
         ).astype(np.float32)
+    weight = layer.effective_weight()
     flat = x.reshape(x.shape[0], -1)
     if flat.shape[1] != weight.shape[1]:
         raise ShapeError(
@@ -112,6 +132,16 @@ def layer_current(layer: DeployableLayer, x: np.ndarray) -> np.ndarray:
             f"got {flat.shape[1]}"
         )
     return (flat @ weight.T + bias).astype(np.float32)
+
+
+def _runs_int(layer: DeployableLayer, x: np.ndarray) -> bool:
+    """Whether a conv layer's step takes the integer datapath: quantized
+    weights within the 2^24 accumulation bound, and binary input."""
+    return (
+        layer.weight_scale is not None
+        and int_accumulation_bound(layer.weight_q) <= INT_ACCUMULATION_LIMIT
+        and bool(((x == 0) | (x == 1)).all())
+    )
 
 
 def or_pool(x: np.ndarray, window: int) -> np.ndarray:

@@ -1,30 +1,31 @@
-"""Integer datapath: exact integer-accumulating kernels, probes and dispatch.
+"""Integer datapath: exact integer-accumulating kernels and dispatch.
 
 Quantized deployables historically dequantized to float32 and ran the
 float kernels -- the "int8" runtime was float inference in disguise.
 These tests pin the actual integer lowering: the int kernels' mutual
 exactness (every partial sum is an integer within 2^24, exact in
 float32 in any fold order, so dense and event int always agree, up to
-the accumulation bound itself), the bit-exactness probe that decides
-whether the integer
-path may replace float under ``int_kernels='auto'``, the overflow bound
-that gates every integer dispatch, and the per-layer counter
-attribution of every int/float decision.
+the accumulation bound itself), the dequantization rule they follow
+under any scales, the overflow bound that gates every integer dispatch,
+the default path running them on every binary step of a quantized
+conv layer, and the per-layer counter attribution of every int/float
+decision.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.quant import INT8_P2, convert, quantize_array
+from repro.quant import FP32, INT4, INT8_P2, convert, quantize_array
+from repro.quant.convert import DeployableNetwork
 from repro.quant.schemes import scheme_by_name
 from repro.runtime import (
     InferenceEngine,
     LayerCounters,
     attach_int_lowering,
-    calibrate_int_exact,
     dense_conv_int,
     event_conv_int,
-    runtime_config,
     runtime_overrides,
 )
 from repro.runtime.kernels import dense_conv
@@ -55,6 +56,13 @@ def make_int_layer(cin, h, w, cout, seed=0, pow2=True):
     return layer
 
 
+def int_steps(out):
+    return sum(
+        c.int_dense_steps + c.int_event_steps
+        for c in out.runtime_counters.values()
+    )
+
+
 class TestIntKernels:
     @pytest.mark.parametrize("density", [0.0, 0.02, 0.3])
     def test_int_dense_equals_int_event_always(self, density):
@@ -76,30 +84,17 @@ class TestIntKernels:
         got, _ = event_conv_int(layer, x)
         assert np.array_equal(got, want)
 
-    def test_pow2_layer_probes_exact(self):
-        layer = make_int_layer(8, 6, 6, 12, seed=7, pow2=True)
-        assert calibrate_int_exact(layer) is True
-
-    def test_arbitrary_scales_fail_the_probe(self):
-        """max|w|/qmax scales produce inexact dequantized weights; the
-        probe must catch the drift so 'auto' never serves different
-        numbers than float."""
-        layer = make_int_layer(8, 6, 6, 12, seed=8, pow2=False)
-        assert calibrate_int_exact(layer) is False
-
-    def test_no_lowering_means_no_verdict(self):
-        layer = make_conv_layer_plan(8, 6, 6, 12, seed=9)
-        assert not layer.has_int_lowering
-        assert calibrate_int_exact(layer) is False
-
-    def test_deep_shape_probes_exact_at_k2304(self):
+    def test_deep_shape_exact_at_k2304(self):
         """The deepest VGG9 geometry (K = 256*3*3 = 2304): worst-case
         |acc| = 127 * 2304 < 2^24, so the pow2 integer path stays exact
         at full paper depth."""
         layer = make_int_layer(256, 4, 4, 16, seed=10, pow2=True)
         assert layer.int_bound <= 127 * 2304
         assert layer.int_overflow_ok
-        assert calibrate_int_exact(layer) is True
+        x = binary_batch((256, 4, 4), 0.1, seed=10, batch=2)
+        want = dense_conv(layer, x)
+        assert np.array_equal(dense_conv_int(layer, x), want)
+        assert np.array_equal(event_conv_int(layer, x)[0], want)
 
 
 class TestExactAtAccumulationBound:
@@ -206,28 +201,36 @@ class TestOverflowGate:
             with pytest.raises(QuantizationError):
                 attach_int_lowering(layer, q, np.float32(2.0**-20))
 
-    def test_probe_refuses_overflowing_layer(self):
-        assert calibrate_int_exact(self._overflowing_layer()) is False
-
     def test_engine_attributes_overflow_fallback(self):
-        """Even under forced integer mode the engine must keep an
-        overflow-risky layer on float -- and say so in the counters."""
+        """The engine keeps an overflow-risky layer on float -- and says
+        so in the counters."""
         plan = make_conv_network_plan(64, 4, 4, 8, seed=11)
         conv = plan.layers[0]
         q = np.full((8, conv.geometry.k), 32767, dtype=np.int32)
         attach_int_lowering(conv, q, np.float32(2.0**-20))
         spikes = binary_batch((64, 4, 4), 0.02, seed=12, batch=2)
-        with runtime_overrides(int_kernels="on"):
-            out = InferenceEngine(plan).run(spikes)
+        out = InferenceEngine(plan).run(spikes)
         counters = out.counters[conv.name]
         assert counters.int_dense_steps == 0
         assert counters.int_event_steps == 0
         assert counters.float_overflow_steps > 0
 
 
+def float_twin(model):
+    """``model`` with its quantized weights replaced by their float32
+    dequantization: the same weights, run on the float datapath."""
+    layers = [
+        replace(layer, weight_q=layer.effective_weight(), weight_scale=None)
+        for layer in model.layers
+    ]
+    return DeployableNetwork(
+        layers, model.lif, model.num_classes, FP32, model.input_shape
+    )
+
+
 class TestEngineIntegration:
-    @pytest.fixture(scope="class")
-    def int_model(self):
+    @staticmethod
+    def _model(scheme):
         net = build_network(
             "8C3-MP2-16C3-MP2-40",
             input_shape=(3, 8, 8),
@@ -235,18 +238,15 @@ class TestEngineIntegration:
             seed=77,
         )
         net.eval()
-        return convert(net, INT8_P2)
+        return convert(net, scheme)
+
+    @pytest.fixture(scope="class")
+    def int_model(self):
+        return self._model(INT8_P2)
 
     @pytest.fixture(scope="class")
     def arb_model(self):
-        net = build_network(
-            "8C3-MP2-16C3-MP2-40",
-            input_shape=(3, 8, 8),
-            num_classes=10,
-            seed=77,
-        )
-        net.eval()
-        return convert(net, scheme_by_name("int8"))
+        return self._model(scheme_by_name("int8"))
 
     @pytest.fixture(scope="class")
     def images(self):
@@ -255,19 +255,14 @@ class TestEngineIntegration:
         # steps.
         return (rng.random((4, 3, 8, 8)) * 0.1).astype(np.float32)
 
-    def test_auto_int_path_is_bit_exact_and_attributed(
+    def test_pow2_int_path_is_bit_exact_and_attributed(
         self, int_model, images
     ):
-        """The headline fix: an int8(p2) deployable actually executes
-        integer event steps, and its logits still match the float path
-        bit for bit."""
+        """An int8(p2) deployable actually executes integer event steps,
+        and its logits still match the float datapath bit for bit."""
         encoder = RateEncoder(seed=0)
-        with runtime_overrides(int_kernels="off"):
-            want = int_model.forward(images, 6, encoder)
-        with runtime_overrides(
-            int_kernels="auto",
-            dispatch_threshold=0.25,
-        ):
+        want = float_twin(int_model).forward(images, 6, encoder)
+        with runtime_overrides(dispatch_threshold=0.25):
             got = int_model.forward(images, 6, encoder)
         assert np.array_equal(got.logits, want.logits)
         int_events = sum(
@@ -279,80 +274,41 @@ class TestEngineIntegration:
         assert int_events > 0
         assert int_updates > 0
 
-    def test_arbitrary_scales_fall_back_to_float_with_attribution(
-        self, arb_model, images
-    ):
-        """Auto mode on non-pow2 int8: the probe fails, every step runs
-        float, and the counters attribute the reason."""
-        encoder = RateEncoder(seed=0)
-        with runtime_overrides(int_kernels="off"):
-            want = arb_model.forward(images, 4, encoder)
-        with runtime_overrides(
-            int_kernels="auto",
-            dispatch_threshold=0.25,
-        ):
-            got = arb_model.forward(images, 4, encoder)
-        assert np.array_equal(got.logits, want.logits)
-        counters = got.runtime_counters
-        assert sum(c.int_event_steps for c in counters.values()) == 0
-        assert sum(c.int_dense_steps for c in counters.values()) == 0
-        assert sum(c.float_exactness_steps for c in counters.values()) > 0
+    def test_max_abs_int4_rate_forward_runs_int_kernels(self, images):
+        """The Table II rate arm's numeric path: a default-config max-abs
+        INT4 rate-coded forward adds integers in its conv layers."""
+        out = self._model(INT4).forward(images, 6, RateEncoder(seed=0))
+        assert int_steps(out) > 0
 
-    def test_off_mode_never_runs_int(self, int_model, images):
-        with runtime_overrides(int_kernels="off"):
-            out = int_model.forward(images, 4, RateEncoder(seed=0))
-        counters = out.runtime_counters
-        assert sum(c.int_event_steps for c in counters.values()) == 0
-        assert sum(c.int_dense_steps for c in counters.values()) == 0
-
-    def test_forced_int_is_deterministic_across_paths(
-        self, arb_model, images
-    ):
-        """int_kernels='on' forces the integer path even where it
-        differs from float -- but integer associativity makes the result
+    def test_int_is_deterministic_across_paths(self, arb_model, images):
+        """Max-abs scales: integer associativity makes the result
         identical at every dispatch split (dense vs event vs routed)."""
         encoder = RateEncoder(seed=0)
         outs = []
         for overrides in (
-            dict(int_kernels="on", force_path="dense"),
-            dict(int_kernels="on", force_path="event"),
-            dict(int_kernels="on"),
+            dict(force_path="dense"),
+            dict(force_path="event"),
+            dict(),
         ):
             with runtime_overrides(**overrides):
                 outs.append(arb_model.forward(images, 4, encoder))
         for other in outs[1:]:
             assert np.array_equal(outs[0].logits, other.logits)
+        assert int_steps(outs[0]) > 0
         forced = outs[1].runtime_counters
         assert sum(c.int_event_steps for c in forced.values()) > 0
 
-    def test_forced_int_batch_split_invariance(self, arb_model, images):
+    def test_int_batch_split_invariance(self, arb_model, images):
         """Shard-merge determinism survives on the integer path: half
         batches concatenate to the full-batch logits exactly."""
         encoder = RateEncoder(seed=0)
-        with runtime_overrides(int_kernels="on"):
-            whole = arb_model.forward(images, 4, encoder).logits
-            lo = arb_model.forward(images[:2], 4, encoder).logits
-            hi = arb_model.forward(
-                images[2:], 4, encoder.for_samples(2)
-            ).logits
+        whole = arb_model.forward(images, 4, encoder).logits
+        lo = arb_model.forward(images[:2], 4, encoder).logits
+        hi = arb_model.forward(images[2:], 4, encoder.for_samples(2)).logits
         assert np.array_equal(whole, np.concatenate([lo, hi]))
 
 
 class TestCounters:
-    def test_fallback_reasons_map_to_fields(self):
-        c = LayerCounters()
-        c.count_float_fallback("exactness", 2)
-        c.count_float_fallback("overflow")
-        assert c.float_exactness_steps == 2
-        assert c.float_overflow_steps == 1
-
-    def test_unknown_reason_rejected(self):
-        """Nothing vetoes the integer kernels on speed, so ``cost`` is
-        not a fallback reason either."""
-        for reason in ("vibes", "cost"):
-            with pytest.raises(ValueError):
-                LayerCounters().count_float_fallback(reason)
-
     def test_as_dict_and_merge_carry_int_fields(self):
         a = LayerCounters()
         a.int_dense_steps = 1
@@ -361,11 +317,10 @@ class TestCounters:
         a.float_overflow_steps = 1
         b = LayerCounters()
         b.int_event_steps = 3
-        b.float_exactness_steps = 4
+        b.float_overflow_steps = 4
         a.merge(b)
         d = a.as_dict()
         assert d["int_dense_steps"] == 1
         assert d["int_event_steps"] == 5
         assert d["int_event_updates"] == 30
-        assert d["float_overflow_steps"] == 1
-        assert d["float_exactness_steps"] == 4
+        assert d["float_overflow_steps"] == 5

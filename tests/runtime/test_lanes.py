@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.parallel import sharded_forward, workers_override
-from repro.quant import FP32, INT8_P2, convert
+from repro.quant import FP32, INT8, INT8_P2, convert
 from repro.runtime import (
     InferenceEngine,
     blas,
@@ -70,7 +70,11 @@ def _network(seed=5):
 @pytest.fixture(scope="module")
 def models():
     net = _network()
-    return {"fp32": convert(net, FP32), "int8p2": convert(net, INT8_P2)}
+    return {
+        "fp32": convert(net, FP32),
+        "int8p2": convert(net, INT8_P2),
+        "int8": convert(net, INT8),
+    }
 
 
 def _forward(model, images, timesteps, coding, workers, record=True):
@@ -107,6 +111,18 @@ class TestLaneSplit:
         with workers_override(4):
             assert lane_count(33) == 4
 
+    def test_small_batch_never_resolves_workers(self, monkeypatch):
+        """A batch under two lanes' worth runs in one lane without
+        asking the host for its core count."""
+
+        def no_cpu_count():
+            raise AssertionError("os.cpu_count called")
+
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", no_cpu_count)
+        assert lane_count(15) == 1
+        assert lane_count(1) == 1
+
 
 class TestLanesEqualOneLane:
     @settings(max_examples=30, deadline=None)
@@ -114,21 +130,20 @@ class TestLanesEqualOneLane:
         samples=st.sampled_from([16, 17, 33, 64]),
         timesteps=st.sampled_from([1, 2, 5]),
         coding=st.sampled_from(["direct", "rate"]),
-        scheme=st.sampled_from(["fp32", "int8p2"]),
-        int_kernels=st.sampled_from(["off", "auto", "on"]),
+        scheme=st.sampled_from(["fp32", "int8p2", "int8"]),
         route=st.sampled_from(sorted(ROUTES)),
         workers=st.sampled_from([2, 3, 4]),
         seed=st.integers(0, 2**16),
     )
     def test_byte_identical(
-        self, models, samples, timesteps, coding, scheme, int_kernels,
-        route, workers, seed,
+        self, models, samples, timesteps, coding, scheme, route, workers,
+        seed,
     ):
         model = models[scheme]
         images = np.random.default_rng(seed).random(
             (samples, 3, 8, 8), dtype=np.float32
         )
-        with runtime_overrides(int_kernels=int_kernels, **ROUTES[route]):
+        with runtime_overrides(**ROUTES[route]):
             want = _forward(model, images, timesteps, coding, workers=1)
             with workers_override(workers):
                 assert lane_count(samples) > 1
@@ -167,7 +182,7 @@ class TestLanesEqualOneLane:
         for workers in (1, 2):
             model = convert(_network(seed=77), INT8_P2)
             assert model._runtime_plan is None
-            with runtime_overrides(int_kernels="on", dispatch_threshold=0.2):
+            with runtime_overrides(dispatch_threshold=0.2):
                 outputs.append(_forward(model, images, 3, "rate", workers))
         assert_identical(outputs[1], outputs[0])
 

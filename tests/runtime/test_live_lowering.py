@@ -22,7 +22,6 @@ from repro.quant import FP32, INT4, INT4_P2, INT8, convert
 from repro.quant.convert import DeployableNetwork
 from repro.runtime import (
     calibrate_event_exact,
-    calibrate_int_exact,
     calibration_key,
     plan_deployable,
     plan_report,
@@ -292,18 +291,6 @@ class TestCalibrationIsAPerProcessMemo:
         assert len(kernels._CALIBRATION_CACHE) == len(
             {calibration_key(l) for l in layers}
         )
-
-    def test_int_verdicts_reproved_per_lowering(self, network):
-        """Integer exactness depends on the scales, so each lowering
-        proves it afresh on its own layers -- and proves it alike.
-        Power-of-two scales pass by construction."""
-        model = convert(network, INT4_P2)
-        first = _conv_layers(plan_deployable(model))
-        second = _conv_layers(plan_deployable(model))
-        assert all(layer._int_exact == {} for layer in second)
-        want = [calibrate_int_exact(layer) for layer in first]
-        assert [calibrate_int_exact(layer) for layer in second] == want
-        assert all(want)
 
 
 class TestPlanReportOnLiveLowering:

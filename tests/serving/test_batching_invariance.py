@@ -4,8 +4,8 @@ A sample submitted to the server under stream index ``i`` must yield
 logits byte-identical to an offline forward of that sample alone,
 positioned at ``i`` in the encoder stream -- no matter which batch the
 dynamic batcher packed it into, in what order requests arrived, or
-which numeric path (float or forced integer kernels) executed the
-batch. This is the property that makes online serving trustworthy as a
+whether the model's conv layers run the float or the integer datapath.
+This is the property that makes online serving trustworthy as a
 drop-in for offline evaluation.
 """
 
@@ -14,7 +14,6 @@ import pytest
 
 from repro.errors import ShapeError
 from repro.quant import INT8_P2, convert
-from repro.runtime import runtime_overrides
 from repro.serving import (
     GatherStreamEncoder,
     InferenceServer,
@@ -102,25 +101,21 @@ class TestBatchingInvariance:
                 )
 
     @pytest.mark.parametrize("coding", ["direct", "rate"])
-    @pytest.mark.parametrize("int_kernels", ["off", "on"])
     def test_quantized_serving_matches_lone_sample(
-        self, tiny_deployable_int8, images, coding, int_kernels
+        self, tiny_deployable_int8, images, coding
     ):
-        """The property holds on the quantized deployable under both
-        numeric paths -- forced integer kernels included."""
-        with runtime_overrides(int_kernels=int_kernels):
-            reference = _offline_logits(tiny_deployable_int8, images, coding)
-            served = _serve_all(
-                tiny_deployable_int8,
-                images,
-                coding,
-                order=[7, 2, 9, 0, 5, 3, 8, 1, 6, 4],
-                max_batch=3,
-            )
-            for index, response in served:
-                assert (
-                    response.logits.tobytes() == reference[index].tobytes()
-                )
+        """The property holds on the quantized deployable, whose conv
+        layers run the integer datapath."""
+        reference = _offline_logits(tiny_deployable_int8, images, coding)
+        served = _serve_all(
+            tiny_deployable_int8,
+            images,
+            coding,
+            order=[7, 2, 9, 0, 5, 3, 8, 1, 6, 4],
+            max_batch=3,
+        )
+        for index, response in served:
+            assert response.logits.tobytes() == reference[index].tobytes()
 
     def test_batch_of_strangers_matches_offline_batch(
         self, tiny_deployable, images
