@@ -83,6 +83,14 @@ class TestRoundTrip:
         assert load_evaluation(entry) is not None
         assert try_load_evaluation(entry) is not None
 
+    def test_entry_fields(self, entry):
+        """A v3 entry carries its format, its two staleness guards and
+        the result -- no numeric-path field."""
+        with open(entry, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+        assert payload["format"] == "evaluation-result-v3"
+        assert set(payload) == {"format", "model_digest", "encoding", "result"}
+
 
 class TestStalenessGuards:
     def test_digest_mismatch_raises_and_try_load_recovers(self, entry):
@@ -180,6 +188,23 @@ class TestCorruptQuarantine:
         assert os.path.exists(path)
         assert not os.path.exists(path + ".corrupt")
 
+    @pytest.mark.parametrize(
+        "old_format", ["evaluation-result-v1", "evaluation-result-v2"]
+    )
+    def test_superseded_format_left_in_place(self, entry, old_format):
+        """An older format is stale, not corrupt: the entry stays put for
+        the recompute to overwrite."""
+        with open(entry, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+        payload["format"] = old_format
+        with open(entry, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        before = eval_cache_stats().corrupt
+        assert try_load_evaluation(entry) is None
+        assert os.path.exists(entry)
+        assert not os.path.exists(entry + ".corrupt")
+        assert eval_cache_stats().corrupt == before
+
     def test_recompute_writes_fresh_entry_beside_quarantined(
         self, entry, result
     ):
@@ -230,6 +255,20 @@ class TestEncodingStreamGuard:
             json.dump(payload, handle)
         with pytest.raises(ExperimentError):
             load_evaluation(entry)
+        assert try_load_evaluation(entry) is None
+
+    def test_v2_float_path_entry_auto_invalidated(self, entry):
+        """v2 entries of max-abs quantized models hold the numbers of the
+        dequantized float datapath; the format bump rejects every v2
+        entry, whatever numeric path it declares."""
+        with open(entry, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+        payload["format"] = "evaluation-result-v2"
+        payload["numeric"] = "float32"
+        with open(entry, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        with pytest.raises(ExperimentError):
+            load_evaluation(entry, model_digest="digest-a", encoding="direct")
         assert try_load_evaluation(entry) is None
 
 

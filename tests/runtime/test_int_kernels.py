@@ -12,10 +12,12 @@ conv layer, and the per-layer counter attribution of every int/float
 decision.
 """
 
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from legacy_oracle import forward_legacy
 
 from repro.quant import FP32, INT4, INT8_P2, convert, quantize_array
 from repro.quant.convert import DeployableNetwork
@@ -83,6 +85,38 @@ class TestIntKernels:
         assert np.array_equal(dense_conv_int(layer, x), want)
         got, _ = event_conv_int(layer, x)
         assert np.array_equal(got, want)
+
+    def test_max_abs_layer_follows_dequantize_rule(self):
+        """Max-abs scales: both int kernels compute ``(sum q*x) * scale +
+        bias`` in float32 -- the documented rule -- not the dequantized
+        float weights' fold."""
+        layer = make_int_layer(8, 6, 6, 12, seed=8, pow2=False)
+        x = binary_batch((8, 6, 6), 0.3, seed=9)
+        g = layer.geometry
+        padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1))).astype(np.int64)
+        windows = np.lib.stride_tricks.sliding_window_view(
+            padded, (3, 3), axis=(2, 3)
+        )
+        cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(x.shape[0], g.k, g.p)
+        want = (layer.wq.astype(np.int64) @ cols).astype(np.float32)
+        want *= layer.wq_scale.reshape(1, -1, 1)
+        want += layer.bias.reshape(1, -1, 1)
+        want = want.reshape(x.shape[0], layer.out_channels, g.oh, g.ow)
+        assert np.array_equal(dense_conv_int(layer, x), want)
+        assert np.array_equal(event_conv_int(layer, x)[0], want)
+
+    def test_layer_without_lowering_never_runs_int(self):
+        """A float conv layer (no integer lowering) keeps the float
+        kernels on binary input, and no overflow fallback is counted."""
+        plan = make_conv_network_plan(8, 6, 6, 12, seed=9)
+        conv = plan.layers[0]
+        assert not conv.has_int_lowering
+        spikes = binary_batch((2, 8, 6, 6), 0.1, seed=9, batch=3)
+        counters = InferenceEngine(plan).run(spikes).counters[conv.name]
+        assert counters.dense_steps + counters.event_steps > 0
+        assert counters.int_dense_steps == 0
+        assert counters.int_event_steps == 0
+        assert counters.float_overflow_steps == 0
 
     def test_deep_shape_exact_at_k2304(self):
         """The deepest VGG9 geometry (K = 256*3*3 = 2304): worst-case
@@ -208,7 +242,7 @@ class TestOverflowGate:
         conv = plan.layers[0]
         q = np.full((8, conv.geometry.k), 32767, dtype=np.int32)
         attach_int_lowering(conv, q, np.float32(2.0**-20))
-        spikes = binary_batch((64, 4, 4), 0.02, seed=12, batch=2)
+        spikes = binary_batch((2, 64, 4, 4), 0.02, seed=12, batch=3)
         out = InferenceEngine(plan).run(spikes)
         counters = out.counters[conv.name]
         assert counters.int_dense_steps == 0
@@ -226,6 +260,22 @@ def float_twin(model):
     return DeployableNetwork(
         layers, model.lif, model.num_classes, FP32, model.input_shape
     )
+
+
+    def test_engine_runs_int_within_bound(self):
+        """The same network with a lowering inside the bound runs every
+        binary step of its conv layer on the integer kernels."""
+        plan = make_conv_network_plan(64, 4, 4, 8, seed=11)
+        conv = plan.layers[0]
+        q = np.full((8, conv.geometry.k), 127, dtype=np.int32)
+        attach_int_lowering(conv, q, np.float32(2.0**-20))
+        assert conv.int_overflow_ok
+        spikes = binary_batch((2, 64, 4, 4), 0.02, seed=12, batch=3)
+        counters = InferenceEngine(plan).run(spikes).counters[conv.name]
+        assert counters.int_dense_steps + counters.int_event_steps == (
+            counters.dense_steps + counters.event_steps
+        ) > 0
+        assert counters.float_overflow_steps == 0
 
 
 class TestEngineIntegration:
@@ -280,6 +330,50 @@ class TestEngineIntegration:
         out = self._model(INT4).forward(images, 6, RateEncoder(seed=0))
         assert int_steps(out) > 0
 
+    def test_max_abs_logits_match_int_rule_oracle(self, arb_model, images):
+        """Max-abs int8 logits equal the reference loop's, which computes
+        int-lowered conv layers on binary input by the integer rule."""
+        encoder = RateEncoder(seed=0)
+        want = forward_legacy(arb_model, images, 4, encoder)
+        got = arb_model.forward(images, 4, encoder)
+        assert np.array_equal(got.logits, want.logits)
+        assert int_steps(got) > 0
+
+    def test_rate_coded_conv_steps_all_run_int(self, images):
+        """Rate coding feeds every conv layer binary trains, so every
+        step of every int-lowered conv layer runs the integer kernels,
+        at INT4 and INT8 max-abs alike."""
+        for scheme in (INT4, scheme_by_name("int8")):
+            model = self._model(scheme)
+            out = model.forward(images, 4, RateEncoder(seed=0))
+            convs = [l.name for l in model.layers if l.kind == "conv"]
+            assert convs
+            for name in convs:
+                c = out.runtime_counters[name]
+                assert c.dense_steps + c.event_steps > 0
+                assert c.int_dense_steps + c.int_event_steps == (
+                    c.dense_steps + c.event_steps
+                ), (scheme.name, name)
+                assert c.float_overflow_steps == 0
+
+    def test_direct_coded_first_layer_stays_float(self, arb_model):
+        """Direct coding feeds the first conv layer analog pixels: that
+        layer runs the float fold, the deeper conv layers integers."""
+        bright = np.random.default_rng(13).random((4, 3, 8, 8))
+        out = arb_model.forward(bright.astype(np.float32), 4)
+        convs = [l.name for l in arb_model.layers if l.kind == "conv"]
+        first = out.runtime_counters[convs[0]]
+        assert first.int_dense_steps + first.int_event_steps == 0
+        assert first.dense_steps + first.event_steps > 0
+        deeper = [out.runtime_counters[name] for name in convs[1:]]
+        assert sum(c.int_dense_steps + c.int_event_steps for c in deeper) > 0
+
+    def test_fp32_model_never_runs_int(self, images):
+        out = self._model(FP32).forward(images, 4, RateEncoder(seed=0))
+        assert int_steps(out) == 0
+        counters = out.runtime_counters.values()
+        assert sum(c.float_overflow_steps for c in counters) == 0
+
     def test_int_is_deterministic_across_paths(self, arb_model, images):
         """Max-abs scales: integer associativity makes the result
         identical at every dispatch split (dense vs event vs routed)."""
@@ -324,3 +418,12 @@ class TestCounters:
         assert d["int_event_steps"] == 5
         assert d["int_event_updates"] == 30
         assert d["float_overflow_steps"] == 5
+
+    def test_as_dict_keys_are_the_counter_fields(self):
+        """One key per counter field; the float fallback has a single
+        reason left, the accumulation bound."""
+        d = LayerCounters().as_dict()
+        assert set(d) == {f.name for f in dataclasses.fields(LayerCounters)}
+        assert [k for k in d if k.startswith("float_")] == [
+            "float_overflow_steps"
+        ]

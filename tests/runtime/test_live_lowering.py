@@ -292,6 +292,22 @@ class TestCalibrationIsAPerProcessMemo:
             {calibration_key(l) for l in layers}
         )
 
+    @pytest.mark.parametrize("scheme", [INT4, INT4_P2], ids=lambda s: s.name)
+    def test_int_lowering_relowered_alike(self, network, scheme):
+        """The integer lowering is derived state: each lowering attaches
+        the same quantized weights, scales and overflow bound, and every
+        conv layer of a max-abs or pow2 model stays within the bound."""
+        model = convert(network, scheme)
+        first = _conv_layers(plan_deployable(model))
+        second = _conv_layers(plan_deployable(model))
+        for a, b in zip(first, second):
+            assert a.has_int_lowering and b.has_int_lowering
+            assert a.wq.dtype == b.wq.dtype
+            assert np.array_equal(a.wq, b.wq)
+            assert np.array_equal(a.wq_scale, b.wq_scale)
+            assert a.int_bound == b.int_bound
+            assert a.int_overflow_ok and b.int_overflow_ok
+
 
 class TestPlanReportOnLiveLowering:
     def test_one_row_per_layer(self, deployable):

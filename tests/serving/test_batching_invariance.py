@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.quant import INT8_P2, convert
+from repro.quant import INT8, INT8_P2, convert
 from repro.serving import (
     GatherStreamEncoder,
     InferenceServer,
@@ -39,6 +39,11 @@ def images():
 @pytest.fixture(scope="session")
 def tiny_deployable_int8(tiny_trained_network):
     return convert(tiny_trained_network, INT8_P2)
+
+
+@pytest.fixture(scope="session")
+def tiny_deployable_int8_max_abs(tiny_trained_network):
+    return convert(tiny_trained_network, INT8)
 
 
 def _offline_logits(model, images, coding):
@@ -113,6 +118,24 @@ class TestBatchingInvariance:
             coding,
             order=[7, 2, 9, 0, 5, 3, 8, 1, 6, 4],
             max_batch=3,
+        )
+        for index, response in served:
+            assert response.logits.tobytes() == reference[index].tobytes()
+
+    @pytest.mark.parametrize("coding", ["direct", "rate"])
+    def test_max_abs_serving_matches_lone_sample(
+        self, tiny_deployable_int8_max_abs, images, coding
+    ):
+        """The property holds with max-abs scales too, where the integer
+        datapath's currents differ from the dequantized float fold's."""
+        model = tiny_deployable_int8_max_abs
+        reference = _offline_logits(model, images, coding)
+        served = _serve_all(
+            model,
+            images,
+            coding,
+            order=[4, 9, 1, 6, 0, 8, 3, 7, 2, 5],
+            max_batch=4,
         )
         for index, response in served:
             assert response.logits.tobytes() == reference[index].tobytes()
