@@ -46,7 +46,7 @@ import platform
 import sys
 import time
 from statistics import median
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if not any(os.path.isdir(os.path.join(p, "repro")) for p in sys.path if p):
@@ -125,6 +125,24 @@ def timeit(fn: Callable[[], object], repeats: int) -> float:
         fn()
         samples.append((time.perf_counter() - start) * 1e3)
     return median(samples)
+
+
+def timeit_pair(
+    first: Callable[[], object], second: Callable[[], object], repeats: int
+) -> Tuple[float, float]:
+    """Median wall times of ``first`` and ``second`` in milliseconds
+    (1 warmup call each), timed in interleaved repeats whose order
+    alternates, so a change in host load or cache state moves both
+    medians alike instead of one."""
+    first()
+    second()
+    samples: Dict[Callable[[], object], List[float]] = {first: [], second: []}
+    for repeat in range(repeats):
+        for fn in (first, second) if repeat % 2 == 0 else (second, first):
+            start = time.perf_counter()
+            fn()
+            samples[fn].append((time.perf_counter() - start) * 1e3)
+    return median(samples[first]), median(samples[second])
 
 
 def build_workload(scale: str):
@@ -589,14 +607,22 @@ def bench_quantized_kernels(params) -> Dict:
             raise SystemExit(
                 f"int dense kernel diverged from float at density {density}"
             )
+        # Each int kernel is timed against its float twin in interleaved
+        # repeats: the gates compare the two medians.
+        float_dense_ms, int_dense_ms = timeit_pair(
+            run_float_dense, run_int_dense, params["repeats"]
+        )
+        float_event_ms, int_event_ms = timeit_pair(
+            run_float_event, run_int_event, params["repeats"]
+        )
         rows.append(
             {
                 "density": density,
                 "updates": int(updates),
-                "float_dense_ms": timeit(run_float_dense, params["repeats"]),
-                "int_dense_ms": timeit(run_int_dense, params["repeats"]),
-                "float_event_ms": timeit(run_float_event, params["repeats"]),
-                "int_event_ms": timeit(run_int_event, params["repeats"]),
+                "float_dense_ms": float_dense_ms,
+                "int_dense_ms": int_dense_ms,
+                "float_event_ms": float_event_ms,
+                "int_event_ms": int_event_ms,
             }
         )
 

@@ -6,23 +6,25 @@ configuration and produces, for a batch of images:
 * functional outputs (logits / accuracy) via the
   :class:`~repro.quant.convert.DeployableNetwork` golden model,
 * exact per-layer cycle counts -- the dense core serves the direct-coded
-  input layer, sparse cores replay every recorded spike train through the
+  input layer, sparse cores take every spike train through the
   compression + accumulation pipeline models,
 * resource, power, energy, latency and throughput reports.
 
 Two timing modes:
 
-* **exact** (:meth:`run`): replays recorded spike trains; used whenever
-  the network is small enough to execute functionally. Accepts a shard
-  geometry (``shards`` / ``shard_size`` / ``workers``): each shard then
-  executes its forward pass *and* reduces its trains to per-(layer,
-  timestep) cycle **sums** locally -- only ``(T,)`` float64 vectors (plus
-  the slim functional output) travel back, never the trains themselves.
-  The sums are integer-valued and therefore merge exactly; the single
-  mean-per-timestep division happens once, on the merged totals, in the
-  same order the unsharded path uses -- so sharded cycle statistics are
-  bit-identical to the unsharded run, for every encoder, at any shard
-  geometry and worker count.
+* **exact** (:meth:`run`): times the spike trains of a functional
+  forward; used whenever the network is small enough to execute. The
+  engine hands the simulator each sample block of every layer's input
+  train while it is live (the forward's ``reducer``), and the block is
+  reduced to per-(layer, timestep) cycle **sums** there, in its engine
+  lane -- no train is ever recorded. The sums are integer-valued and
+  therefore merge exactly, over blocks, lanes and shards alike; the
+  single mean-per-timestep division happens once, on the merged totals.
+  With a shard geometry (``shards`` / ``shard_size`` / ``workers``)
+  each shard runs its forward the same way and only ``(T,)`` float64
+  vectors (plus the functional output) travel back -- so sharded cycle
+  statistics are bit-identical to the unsharded run, for every encoder,
+  at any shard geometry and worker count.
 * **analytic** (:meth:`run_from_counts`): needs only per-layer event
   counts (e.g. the paper-scale workload profile); used by the Table I /
   Table III harnesses where only cycle/power structure matters.
@@ -48,7 +50,6 @@ from repro.hw.energy import EnergyReport, build_energy_report
 from repro.hw.power import PowerModel, PowerReport
 from repro.hw.resources import ResourceEstimate, ResourceEstimator
 from repro.quant.convert import DeployableNetwork
-from repro.runtime.lanes import lane_bounds, lane_count, run_lanes
 from repro.snn.encoding import DirectEncoder, Encoder
 
 
@@ -132,10 +133,11 @@ def sparse_layer_cycle_sums(
     accumulation / busy (their overlapped max, Sec. IV-B) and event
     values are then summed over the sample axis per timestep, in
     float64. Every summand is an exact integer, so the ``(T,)`` sums
-    are exact and shard-order independent -- adding the sums of two
-    shards equals the sum over their union bit-for-bit, which is what
-    lets :meth:`HybridSimulator.run` merge sharded (and laned) cycle
-    statistics without ever shipping trains.
+    are exact and order independent -- adding the sums of two sample
+    ranges equals the sum over their union bit-for-bit, which is what
+    lets :meth:`HybridSimulator.run` reduce a train block by block and
+    merge the blocks', lanes' and shards' cycle statistics without ever
+    recording a train.
     """
     owned = ceil(layer.out_channels / cores)
     timesteps, n = trains.shape[0], trains.shape[1]
@@ -184,40 +186,29 @@ def merge_cycle_sums(
 _SIM_WORKER_STATE: Optional[Dict] = None  # repro: lint-ok[P102] per-worker broadcast state; repopulated by the initializer in each process
 
 
-def _sim_shard_result(model, config: AcceleratorConfig, out) -> Tuple:
-    """Reduce one shard's forward output to what travels back: the slim
-    functional output (no trains) plus per-layer cycle sums."""
-    from repro.quant.convert import DeployableOutput
+def _sim_forward(
+    model, config: AcceleratorConfig, images, timesteps: int, encoder
+) -> Tuple:
+    """One forward whose engine lanes reduce each sparse layer's input
+    train to cycle sums, one sample block at a time, while it is live.
+    Returns what a shard sends back: the functional output (no trains)
+    and the merged per-layer cycle sums."""
+    chunk_bits = config.compression_chunk_bits
 
-    sparse = []
-    for index, layer in enumerate(model.layers):
+    def reduce(index: int, _plan, block: np.ndarray):
         if index == 0 and config.use_dense_core:
-            continue  # dense-core layer: activity-independent timing
-        sparse.append(
-            (layer, config.allocation[index], out.spike_trains_stacked[layer.name])
+            return None  # dense-core layer: activity-independent timing
+        layer = model.layers[index]
+        # Looked up at call time: tracers patch the module attribute.
+        sums = sparse_layer_cycle_sums(
+            layer, config.allocation[index], block, chunk_bits
         )
-    samples = out.logits.shape[0]
-    bounds = lane_bounds(samples, lane_count(samples))
+        return {layer.name: sums}
 
-    def lane(i: int) -> Dict[str, Dict[str, np.ndarray]]:
-        # A sample slice of a contiguous stack reshapes to a view, so
-        # no lane copies its train.
-        lo, hi = bounds[i]
-        return {
-            layer.name: sparse_layer_cycle_sums(
-                layer, cores, trains[:, lo:hi], config.compression_chunk_bits
-            )
-            for layer, cores, trains in sparse
-        }
-
-    sums = merge_cycle_sums(run_lanes(lane, len(bounds)))
-    slim = DeployableOutput(
-        logits=out.logits,
-        stats=out.stats,
-        input_spike_totals=out.input_spike_totals,
-        runtime_counters=out.runtime_counters,
-    )
-    return slim, sums
+    out = model.forward(images, timesteps, encoder, reducer=reduce)
+    parts = [part for blocks in out.reduced.values() for part in blocks if part]
+    out.reduced = None  # only the merged sums travel back
+    return out, merge_cycle_sums(parts)
 
 
 def _init_sim_worker(model_payload, config, encoder_blob) -> None:
@@ -240,10 +231,9 @@ def _run_sim_shard(task: Tuple[object, int, int]):
     # Position the encoder on the shard's global sample offset so
     # counter-stream encoders replay the unsharded stream exactly.
     encoder = pickle.loads(state["encoder_blob"]).for_samples(start)
-    out = state["model"].forward(
-        shard_images, timesteps, encoder, record=True
+    return _sim_forward(
+        state["model"], state["config"], shard_images, timesteps, encoder
     )
-    return _sim_shard_result(state["model"], state["config"], out)
 
 
 class HybridSimulator:
@@ -275,17 +265,19 @@ class HybridSimulator:
         shard_size: Optional[int] = None,
         workers: Optional[int] = None,
     ) -> SimulationReport:
-        """Functionally execute a batch and time every recorded train.
+        """Functionally execute a batch and time every spike train.
 
+        The engine lanes reduce each layer's input train to per-(layer,
+        timestep) cycle sums block by block, as the forward produces it.
         With a shard geometry (``shards`` / ``shard_size`` /
         ``workers``) the batch is split exactly like
         :func:`~repro.parallel.shard.sharded_forward` splits it, each
-        shard reduces its own trains to per-(layer, timestep) cycle sums
-        in place (in a worker process, or inline under the serial
-        fallback), and the merged statistics are bit-identical to the
-        unsharded run -- see the module docstring. Every task carries
-        its shard's global sample offset, so counter-stream rate coding
-        replays the unsharded stream exactly.
+        shard's forward reduces its own trains that way (in a worker
+        process, or inline under the serial fallback), and the merged
+        statistics are bit-identical to the unsharded run -- see the
+        module docstring. Every task carries its shard's global sample
+        offset, so counter-stream rate coding replays the unsharded
+        stream exactly.
         """
         encoder = encoder or DirectEncoder()
         self._check_encoder(encoder)
@@ -294,10 +286,11 @@ class HybridSimulator:
                 images, timesteps, encoder, labels,
                 shards=shards, shard_size=shard_size, workers=workers,
             )
-        out = self.network.forward(images, timesteps, encoder, record=True)
-        slim, sums = _sim_shard_result(self.network, self.config, out)
+        out, sums = _sim_forward(
+            self.network, self.config, images, timesteps, encoder
+        )
         return self._report_from_sums(
-            slim, sums, timesteps, len(images), encoder, labels
+            out, sums, timesteps, len(images), encoder, labels
         )
 
     def _run_sharded(
@@ -310,7 +303,7 @@ class HybridSimulator:
         shard_size: Optional[int],
         workers: Optional[int],
     ) -> SimulationReport:
-        """Exact mode over shards: ship (slim output, cycle sums) only."""
+        """Exact mode over shards: ship (output, cycle sums) only."""
         from repro.parallel.config import resolve_workers
         from repro.parallel.pool import run_tasks
         from repro.parallel.shard import (
@@ -329,11 +322,11 @@ class HybridSimulator:
                 shard_encoder = pickle.loads(encoder_blob).for_samples(
                     piece.start
                 )
-                out = self.network.forward(
-                    images[piece], timesteps, shard_encoder, record=True
-                )
                 parts.append(
-                    _sim_shard_result(self.network, self.config, out)
+                    _sim_forward(
+                        self.network, self.config, images[piece],
+                        timesteps, shard_encoder,
+                    )
                 )
         else:
             image_payloads, cleanup = plan_task_images(images, slices)
@@ -355,7 +348,7 @@ class HybridSimulator:
                 )
             finally:
                 cleanup()
-        merged_out = merge_outputs([slim for slim, _ in parts])
+        merged_out = merge_outputs([out for out, _ in parts])
         merged_sums = merge_cycle_sums([sums for _, sums in parts])
         return self._report_from_sums(
             merged_out, merged_sums, timesteps, len(images), encoder, labels
@@ -370,7 +363,7 @@ class HybridSimulator:
         encoder: Encoder,
         labels: Optional[np.ndarray],
     ) -> SimulationReport:
-        """Assemble the report from a (merged) slim output + cycle sums."""
+        """Assemble the report from a (merged) output + cycle sums."""
         layer_stats: List[LayerSimStats] = []
         for index, layer in enumerate(self.network.layers):
             cores = self.config.allocation[index]
@@ -541,21 +534,6 @@ class HybridSimulator:
             activation_cycles=0.0,
             input_events=float(np.prod(layer.input_shape)) * timesteps,
             output_spikes=0.0,
-        )
-
-    def _sparse_layer_stats(
-        self,
-        layer,
-        cores: int,
-        trains: np.ndarray,
-        samples: int,
-    ) -> LayerSimStats:
-        """Exact timing from the stacked (T, N, ...) recorded input train."""
-        sums = sparse_layer_cycle_sums(
-            layer, cores, trains, self.config.compression_chunk_bits
-        )
-        return self._sparse_layer_stats_from_sums(
-            layer, cores, sums, trains.shape[0]
         )
 
     def _sparse_layer_stats_from_sums(

@@ -28,6 +28,7 @@ from repro.runtime import (
     plan_deployable,
     stack_encoder_frames,
 )
+from repro.runtime.engine import Reducer
 from repro.snn.encoding import DirectEncoder, Encoder
 from repro.snn.metrics import SpikeStats
 from repro.snn.network import SpikingNetwork
@@ -96,7 +97,9 @@ class DeployableOutput:
     train as one ``(T, N, ...)`` array, which the hardware simulator
     consumes in a single batched pass, and ``spike_trains`` the same
     trains as per-timestep lists of zero-copy views.
-    ``runtime_counters`` holds the dispatcher's per-layer counts.
+    ``runtime_counters`` holds the dispatcher's per-layer counts and
+    ``reduced`` what a forward's ``reducer`` returned per layer (see
+    :meth:`DeployableNetwork.forward`).
 
     A binary train is uint8 with values in {0, 1} (every layer's input
     after the first, and a rate- or TTFS-coded first layer's); direct
@@ -111,6 +114,7 @@ class DeployableOutput:
     spike_trains: Optional[Dict[str, List[np.ndarray]]] = None
     spike_trains_stacked: Optional[Dict[str, np.ndarray]] = None
     runtime_counters: Optional[Dict[str, LayerCounters]] = None
+    reduced: Optional[Dict[str, List[object]]] = None
 
 
 class DeployableNetwork:
@@ -169,9 +173,16 @@ class DeployableNetwork:
         timesteps: int,
         encoder: Optional[Encoder] = None,
         record: bool = False,
+        reducer: Optional[Reducer] = None,
     ) -> DeployableOutput:
         """Run ``timesteps`` of inference on an image batch through the
         fused inference runtime (see :mod:`repro.runtime`).
+
+        A ``reducer`` is called on every sample block of every layer's
+        input train while it is live, and its results are returned in
+        ``DeployableOutput.reduced`` (see
+        :meth:`~repro.runtime.engine.InferenceEngine.run`): a train
+        read that way is never recorded.
 
         Results are bit-identical across every dispatch setting (forced
         dense == forced event == density-routed). Shapes on the
@@ -195,6 +206,7 @@ class DeployableNetwork:
             record=record,
             analog_first=encoder.analog_input,
             time_invariant=time_invariant,
+            reducer=reducer,
         )
         n = images.shape[0]
         logits = result.accumulated.reshape(
@@ -212,6 +224,7 @@ class DeployableNetwork:
             spike_trains=trains,
             spike_trains_stacked=result.trains,
             runtime_counters=result.counters,
+            reduced=result.reduced,
         )
 
     def invalidate_runtime_cache(self) -> None:

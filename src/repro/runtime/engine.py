@@ -36,7 +36,10 @@ elements, one sample at least), then one pass per LIF block of samples
 for BN, LIF scan, spike counts and OR-pool (:func:`spike_pass`) --
 writing its slice of one whole-batch uint8 train, so a recorded train
 is never copied, no conv layer's whole current ever exists, and a
-pooling layer's unpooled train only exists block by block. The calling
+pooling layer's unpooled train only exists block by block. A caller's
+``reducer`` sees each block of the layer's input train the same way,
+while the train is live (the simulator reduces it to cycle sums there),
+so no caller needs a recorded train to read one. The calling
 thread sums the lanes' exact integer counts into ``SpikeStats``, the
 next layer's activity and the counters. Lanes and blocks are
 byte-identical to one whole-batch call because no kernel's per-sample
@@ -54,10 +57,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.errors import ShapeError
 from repro.runtime.config import LayerCounters, RuntimeConfig, runtime_config
 from repro.runtime.heap import retain_freed_memory
 from repro.runtime.kernels import (
@@ -129,6 +134,10 @@ def _spike_counts(train: np.ndarray) -> List[int]:
     numpy has.
     """
     return [int(np.count_nonzero(step)) for step in train.view(np.bool_)]
+
+
+#: ``reducer(layer index, layer, block)``, see :meth:`InferenceEngine.run`.
+Reducer = Callable[[int, "LayerPlan", np.ndarray], object]
 
 
 def spike_pass(
@@ -205,7 +214,9 @@ class RuntimeResult:
     and a rate- or TTFS-coded first layer's -- is uint8 with values in
     {0, 1}; direct coding's analog input frame stays float32. Compare
     trains by value, not by dtype or bytes. ``counters`` records the
-    dispatcher's dense/event split.
+    dispatcher's dense/event split. ``reduced`` holds, per layer, what
+    the run's ``reducer`` returned for each block of its input train, in
+    lane order, then block order.
     """
 
     accumulated: np.ndarray  # (N, population) output spike counts
@@ -213,6 +224,7 @@ class RuntimeResult:
     input_totals: Dict[str, float]
     trains: Optional[Dict[str, np.ndarray]] = None
     counters: Dict[str, LayerCounters] = field(default_factory=dict)
+    reduced: Optional[Dict[str, List[object]]] = None
 
 
 class InferenceEngine:
@@ -267,6 +279,7 @@ class InferenceEngine:
         record: bool = False,
         analog_first: bool = False,
         time_invariant: bool = False,
+        reducer: Optional[Reducer] = None,
     ) -> RuntimeResult:
         """Execute the plan on stacked input of shape (T, N, C, H, W).
 
@@ -278,9 +291,19 @@ class InferenceEngine:
                 (direct coding) and must never take the event path.
             time_invariant: every timestep of ``stacked`` is the same
                 frame, enabling first-layer current memoisation.
+            reducer: called as ``reducer(index, layer, block)`` on every
+                ``(T, n, ...)`` sample block of each layer's input train,
+                in its lane, before the block's kernels run; the results
+                land in ``RuntimeResult.reduced``. It must not keep or
+                mutate the block, and runs concurrently across lanes.
+
+        Raises:
+            ShapeError: ``stacked`` is not a non-empty (T, N, C, H, W)
+                array whose frames match the plan's input shape.
         """
         plan = self.plan
         config = self._config()
+        self._check_input(stacked)
         timesteps, samples = stacked.shape[0], stacked.shape[1]
         bounds = lane_bounds(samples, lane_count(samples))
         # Scratch pools are made here, not in the lanes.
@@ -289,6 +312,7 @@ class InferenceEngine:
         input_totals: Dict[str, float] = {}
         trains: Optional[Dict[str, np.ndarray]] = {} if record else None
         counters: Dict[str, LayerCounters] = {}
+        reduced: Optional[Dict[str, List[object]]] = {} if reducer else None
         # Density scans only matter when the dispatcher can actually
         # route away from the dense kernel.
         dispatch_possible = config.force_path != "dense" and (
@@ -297,7 +321,7 @@ class InferenceEngine:
         x = stacked
         # Per-timestep spike counts of ``x`` once it is a spike train.
         counts: Optional[List[int]] = None
-        for layer in plan.layers:
+        for index, layer in enumerate(plan.layers):
             if trains is not None:
                 trains[layer.name] = x
             # Per-timestep activity: reused for the time-major input
@@ -350,12 +374,17 @@ class InferenceEngine:
                 window = layer.pool_after
                 shape = shape[:-2] + (shape[-2] // window, shape[-1] // window)
             train = np.empty(shape, dtype=np.uint8)
+            reduce = partial(reducer, index, layer) if reducer else None
             lanes = run_lanes(
                 lambda i: self._lane(
-                    config, layer, route, x, train, bounds[i], pools[i]
+                    config, layer, route, x, train, bounds[i], pools[i], reduce
                 ),
                 len(bounds),
             )
+            if reduced is not None:
+                reduced[layer.name] = [
+                    result for lane in lanes for result in lane.reduced
+                ]
             neurons = math.prod(_out_shape(layer))
             for t in range(timesteps):
                 stats.record(
@@ -384,7 +413,24 @@ class InferenceEngine:
             input_totals=input_totals,
             trains=trains,
             counters=counters,
+            reduced=reduced,
         )
+
+    def _check_input(self, stacked: np.ndarray) -> None:
+        """Raise ``ShapeError`` unless ``stacked`` is a non-empty
+        (T, N, C, H, W) array of the plan's input frames (an FC input
+        layer takes any frame of its input size)."""
+        first = self.plan.layers[0]
+        frame = tuple(stacked.shape[2:])
+        if first.kind == "conv":
+            fits = frame == tuple(first.input_shape)
+        else:
+            fits = math.prod(frame) == math.prod(first.input_shape)
+        if stacked.ndim != 5 or not fits or 0 in stacked.shape[:2]:
+            raise ShapeError(
+                f"expected non-empty (T, N, {tuple(first.input_shape)}) "
+                f"input, got {stacked.shape}"
+            )
 
     def _lane(
         self,
@@ -395,22 +441,26 @@ class InferenceEngine:
         train: np.ndarray,
         bounds: Tuple[int, int],
         pool: BufferPool,
+        reduce: Optional[Callable[[np.ndarray], object]] = None,
     ) -> "_LaneResult":
         """One lane's share of a layer, samples ``[lo, hi)``, one block
-        of samples at a time: the block's current (its slice of a
-        whole-batch ``route.current``, when there is one), its
-        :func:`spike_pass` into that slice of the whole-batch output
-        ``train``, and its exact counts and scatter updates added to the
-        lane's."""
+        of samples at a time: ``reduce`` of the block's input, the
+        block's current (its slice of a whole-batch ``route.current``,
+        when there is one), its :func:`spike_pass` into that slice of
+        the whole-batch output ``train``, and its exact counts and
+        scatter updates added to the lane's."""
         lo, hi = bounds
         timesteps = x.shape[0]
         rows = _block_samples(config, layer, route, timesteps)
         counts = [0] * timesteps
         train_counts = [0] * timesteps
         updates = 0
+        reduced: List[object] = []
         plan = self.plan
         for start in range(lo, hi, rows):
             stop = min(hi, start + rows)
+            if reduce is not None:
+                reduced.append(reduce(x[:, start:stop]))
             if route.current is not None:
                 current = route.current[:, start:stop]
             else:
@@ -425,7 +475,7 @@ class InferenceEngine:
             )
             _add_lists(counts, block_counts)
             _add_lists(train_counts, block_train_counts)
-        return _LaneResult(counts, train_counts, updates)
+        return _LaneResult(counts, train_counts, updates, reduced)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -747,12 +797,13 @@ class _Route:
 class _LaneResult:
     """What one lane reports for one layer: exact per-timestep spike
     counts of its LIF output and of its output train (the pooled one
-    when the layer pools; the same list otherwise) and its scatter
-    updates."""
+    when the layer pools; the same list otherwise), its scatter updates
+    and its blocks' reducer results."""
 
     counts: List[int]
     train_counts: List[int]
     updates: int
+    reduced: List[object]
 
 
 def _out_shape(layer: LayerPlan) -> Tuple[int, ...]:

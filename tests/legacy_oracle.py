@@ -34,12 +34,16 @@ def forward_legacy(
     timesteps: int,
     encoder: Optional[Encoder] = None,
     record: bool = False,
+    reducer=None,
 ) -> DeployableOutput:
     """``network.forward`` as the original per-timestep loop.
 
     Recorded trains are float32 (the runtime records binary trains as
     uint8; compare by value) and come both as per-timestep lists and
-    stacked, so the hardware simulator can replay them. There are no
+    stacked. A ``reducer`` gets each layer's whole stacked train as one
+    block, ``reducer(index, layer, train)`` after the loop, and its
+    results come back in ``reduced`` as the runtime's do -- so the
+    hardware simulator can time the oracle's trains. There are no
     dispatch counters: ``runtime_counters`` is ``None``.
     """
     images = network._checked_images(images, timesteps)
@@ -50,7 +54,9 @@ def forward_legacy(
     stats = SpikeStats(samples=n, timesteps=timesteps)
     input_totals: Dict[str, float] = {}
     trains: Optional[Dict[str, List[np.ndarray]]] = (
-        {layer.name: [] for layer in network.layers} if record else None
+        {layer.name: [] for layer in network.layers}
+        if record or reducer is not None
+        else None
     )
     membranes: Dict[str, Optional[np.ndarray]] = {
         layer.name: None for layer in network.layers
@@ -79,16 +85,26 @@ def forward_legacy(
     logits = accumulated.reshape(
         n, network.num_classes, network.population_group
     ).sum(axis=2)
+    stacked = (
+        {name: np.stack(series) for name, series in trains.items()}
+        if trains is not None
+        else None
+    )
+    reduced = (
+        {
+            layer.name: [reducer(index, layer, stacked[layer.name])]
+            for index, layer in enumerate(network.layers)
+        }
+        if reducer is not None
+        else None
+    )
     return DeployableOutput(
         logits=logits,
         stats=stats,
         input_spike_totals=input_totals,
-        spike_trains=trains,
-        spike_trains_stacked=(
-            {name: np.stack(series) for name, series in trains.items()}
-            if trains is not None
-            else None
-        ),
+        spike_trains=trains if record else None,
+        spike_trains_stacked=stacked if record else None,
+        reduced=reduced,
     )
 
 

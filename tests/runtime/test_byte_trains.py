@@ -5,7 +5,8 @@ TTFS-coded first layer's -- are recorded as uint8 {0, 1}; direct
 coding's analog input stays float32. The per-timestep list and the
 stacked train share memory, sharding keeps the dtype, and a recorded
 rate-coded forward's traced peak stays within what byte trains and one
-block-sized float32 current per engine lane take.
+block-sized float32 current per engine lane take. The simulator, which
+reduces trains as they stream, holds one layer's trains at a time.
 """
 
 import math
@@ -95,56 +96,119 @@ class TestDtypeContract:
             assert np.array_equal(out, frame)
 
 
+BATCH = 64
+TIMESTEPS = 12
+
+
+@pytest.fixture(scope="module")
+def benchmark_model():
+    """The benchmark-size VGG9 (channel scale 0.25), int4."""
+    network = build_vgg9(
+        num_classes=10, population=500, input_shape=(3, 32, 32),
+        channel_scale=0.25, lif=LIFConfig(threshold=1.0), seed=42,
+    )
+    network.eval()
+    return convert(network, INT4)
+
+
+@pytest.fixture(scope="module")
+def benchmark_images():
+    return np.random.default_rng(1).random((BATCH, 3, 32, 32), dtype=np.float32)
+
+
+def traced_peak(call):
+    """``call()``'s result and tracemalloc peak, after one untraced
+    warm-up call: plan lowering, calibration and the pooled scratch
+    happen once."""
+    call()
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def block_bytes(model):
+    """Per lane, one sample block at a time: its float32 current of at
+    most MAX_FUSED_ELEMENTS elements and its contiguous byte input. A
+    whole-batch current of the widest conv layer would not fit."""
+    block_input = max(
+        TIMESTEPS * math.prod(layer.input_shape) * max(
+            1,
+            MAX_FUSED_ELEMENTS // (TIMESTEPS * math.prod(layer.output_shape)),
+        )
+        for layer in model.layers
+        if len(layer.output_shape) == 3
+    )
+    return lane_count(BATCH) * (4 * MAX_FUSED_ELEMENTS + block_input)
+
+
+#: Pooled scratch and small temporaries.
+SCRATCH = 16 * MAX_FUSED_ELEMENTS
+
+
 class TestRecordedPeak:
-    """The benchmark-size VGG9 (channel scale 0.25) on a recorded,
-    rate-coded, batch-64, T=12 forward."""
+    """The benchmark-size VGG9 on a recorded, rate-coded, batch-64, T=12
+    forward."""
 
-    BATCH = 64
-    TIMESTEPS = 12
-
-    def test_peak_within_byte_trains_and_block_currents(self):
-        network = build_vgg9(
-            num_classes=10, population=500, input_shape=(3, 32, 32),
-            channel_scale=0.25, lif=LIFConfig(threshold=1.0), seed=42,
-        )
-        network.eval()
-        model = convert(network, INT4)
-        images = np.random.default_rng(1).random(
-            (self.BATCH, 3, 32, 32), dtype=np.float32
-        )
-        # Plan lowering, calibration and the pooled scratch happen once.
-        model.forward(images, self.TIMESTEPS, RateEncoder(seed=1), record=True)
-        tracemalloc.start()
-        try:
-            out = model.forward(
-                images, self.TIMESTEPS, RateEncoder(seed=1), record=True
+    def test_peak_within_byte_trains_and_block_currents(
+        self, benchmark_model, benchmark_images
+    ):
+        model = benchmark_model
+        out, peak = traced_peak(
+            lambda: model.forward(
+                benchmark_images, TIMESTEPS, RateEncoder(seed=1), record=True
             )
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        steps = self.TIMESTEPS * self.BATCH
+        )
+        steps = TIMESTEPS * BATCH
         # One byte per neuron-step: every recorded input train and the
         # output train.
         trains = steps * (
             sum(math.prod(layer.input_shape) for layer in model.layers)
             + model.layers[-1].output_shape[0]
         )
-        # Per lane, one sample block at a time: its float32 current of at
-        # most MAX_FUSED_ELEMENTS elements and its contiguous byte input.
-        # A whole-batch current of the widest conv layer would not fit.
-        block_input = max(
-            self.TIMESTEPS * math.prod(layer.input_shape) * max(
-                1,
-                MAX_FUSED_ELEMENTS
-                // (self.TIMESTEPS * math.prod(layer.output_shape)),
-            )
-            for layer in model.layers
-            if len(layer.output_shape) == 3
-        )
-        blocks = lane_count(self.BATCH) * (4 * MAX_FUSED_ELEMENTS + block_input)
-        scratch = 16 * MAX_FUSED_ELEMENTS
-        assert peak <= trains + blocks + scratch, (
-            f"peak {peak / 1e6:.1f} MB > bound "
-            f"{(trains + blocks + scratch) / 1e6:.1f} MB"
+        bound = trains + block_bytes(model) + SCRATCH
+        assert peak <= bound, (
+            f"peak {peak / 1e6:.1f} MB > bound {bound / 1e6:.1f} MB"
         )
         assert sum(t.nbytes for t in out.spike_trains_stacked.values()) < trains
+
+
+class TestStreamedSimulatorPeak:
+    """``HybridSimulator.run`` on the ``sim_rate_int4`` workload's batch
+    (benchmark VGG9, int4, rate coding, T=12, batch 64, dense core off)
+    reduces each layer's input train while it is live, so its traced
+    peak holds one layer's input and output trains at a time, not every
+    layer's."""
+
+    def test_peak_within_one_layer_of_trains(
+        self, benchmark_model, benchmark_images
+    ):
+        from repro.baselines.rate_coded import rate_coded_config
+        from repro.hw.config import lw_config
+        from repro.hw.simulator import HybridSimulator
+
+        model = benchmark_model
+        simulator = HybridSimulator(
+            model, rate_coded_config(lw_config("cifar10", INT4))
+        )
+        _, peak = traced_peak(
+            lambda: simulator.run(
+                benchmark_images, TIMESTEPS, RateEncoder(seed=1)
+            )
+        )
+        steps = TIMESTEPS * BATCH
+        # A layer's output train is the next layer's input (pooled when
+        # the layer pools), and the last layer's is its population.
+        sizes = [math.prod(layer.input_shape) for layer in model.layers]
+        sizes.append(model.layers[-1].output_shape[0])
+        one_layer = steps * max(a + b for a, b in zip(sizes, sizes[1:]))
+        bound = one_layer + block_bytes(model) + SCRATCH
+        # Every layer's trains at once -- what a recorded forward keeps --
+        # would not fit.
+        assert steps * sum(sizes) > bound
+        assert peak <= bound, (
+            f"peak {peak / 1e6:.1f} MB > bound {bound / 1e6:.1f} MB"
+        )

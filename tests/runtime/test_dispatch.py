@@ -9,13 +9,15 @@ import pytest
 from legacy_oracle import forward_legacy
 
 import repro
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ShapeError
 from repro.quant import FP32, convert
 from repro.runtime import (
+    InferenceEngine,
     RuntimeConfig,
     runtime_config,
     runtime_overrides,
 )
+from repro.runtime.refshapes import make_conv_network_plan
 from repro.snn import build_network
 from repro.snn.encoding import Encoder, RateEncoder
 from repro.tensor import Tensor
@@ -242,3 +244,25 @@ class TestConfig:
         RuntimeConfig(event_kblock=0)
         with pytest.raises(ConfigError, match="event_kblock"):
             RuntimeConfig(event_kblock=kblock)
+
+
+class TestInputContract:
+    """``InferenceEngine.run`` takes a non-empty (T, N, C, H, W) stack of
+    the plan's input frames and nothing else."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(2, 64, 4, 4), (3, 2, 64, 4, 5), (3, 2, 32, 4, 4), (0, 2, 64, 4, 4),
+         (3, 0, 64, 4, 4), (1, 3, 2, 64, 4, 4)],
+        ids=["4d", "width", "channels", "no-steps", "no-samples", "6d"],
+    )
+    def test_wrong_shape_raises(self, shape):
+        plan = make_conv_network_plan(64, 4, 4, 8, seed=11)
+        with pytest.raises(ShapeError):
+            InferenceEngine(plan).run(np.zeros(shape, dtype=np.uint8))
+
+    def test_plan_input_runs(self):
+        plan = make_conv_network_plan(64, 4, 4, 8, seed=11)
+        spikes = np.zeros((3, 2, 64, 4, 4), dtype=np.uint8)
+        out = InferenceEngine(plan).run(spikes)
+        assert out.accumulated.shape == (2, 10)

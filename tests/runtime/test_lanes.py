@@ -421,3 +421,44 @@ class TestBlocksEqualWholeLanes:
         assert {k: c.as_dict() for k, c in got.counters.items()} == {
             k: c.as_dict() for k, c in want.counters.items()
         }
+
+
+class TestReducer:
+    """``InferenceEngine.run(reducer=...)`` hands the caller every sample
+    block of every layer's input train, in its lane, and changes nothing
+    else the forward computes."""
+
+    def test_blocks_tile_each_input_train(self, models):
+        model = models["int8"]
+        images = np.random.default_rng(4).random((17, 3, 8, 8)).astype(
+            np.float32
+        )
+        seen = []
+
+        def reducer(index, layer, block):
+            seen.append((index, layer.name))
+            return block.copy()
+
+        with runtime_overrides(max_fused_elements=ONE_SAMPLE_BUDGET):
+            want = _forward(model, images, 3, "rate", 1)
+            with workers_override(2):
+                got = model.forward(
+                    images, 3, RateEncoder(seed=9), reducer=reducer
+                )
+        assert want.reduced is None
+        assert got.spike_trains_stacked is None
+        assert got.logits.tobytes() == want.logits.tobytes()
+        assert got.stats.per_layer_timestep == want.stats.per_layer_timestep
+        assert {k: c.as_dict() for k, c in got.runtime_counters.items()} == {
+            k: c.as_dict() for k, c in want.runtime_counters.items()
+        }
+        names = [layer.name for layer in model._runtime_plan.layers]
+        assert list(got.reduced) == names
+        assert sorted(set(seen)) == list(enumerate(names))
+        for name, blocks in got.reduced.items():
+            # One sample per block, lane order then block order: the
+            # blocks concatenate back to the recorded train.
+            assert [block.shape[1] for block in blocks] == [1] * 17
+            assert np.array_equal(
+                np.concatenate(blocks, axis=1), want.spike_trains_stacked[name]
+            )
