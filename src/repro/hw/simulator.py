@@ -351,7 +351,8 @@ class HybridSimulator:
         merged_out = merge_outputs([out for out, _ in parts])
         merged_sums = merge_cycle_sums([sums for _, sums in parts])
         return self._report_from_sums(
-            merged_out, merged_sums, timesteps, len(images), encoder, labels
+            merged_out, merged_sums, timesteps, len(images), encoder, labels,
+            shards=len(slices),
         )
 
     def _report_from_sums(
@@ -362,8 +363,14 @@ class HybridSimulator:
         samples: int,
         encoder: Encoder,
         labels: Optional[np.ndarray],
+        shards: int = 1,
     ) -> SimulationReport:
-        """Assemble the report from a (merged) output + cycle sums."""
+        """Assemble the report from a (merged) output + cycle sums.
+
+        ``out`` merged from ``shards`` > 1 shards carries the shards'
+        summed ``LayerCounters``: each shard runs every layer-timestep
+        once, so the runtime notes say what they count.
+        """
         layer_stats: List[LayerSimStats] = []
         for index, layer in enumerate(self.network.layers):
             cores = self.config.allocation[index]
@@ -384,9 +391,10 @@ class HybridSimulator:
         if counters:
             dense = sum(c.dense_steps for c in counters.values())
             event = sum(c.event_steps for c in counters.values())
+            summed = f" summed over {shards} shards" if shards > 1 else ""
             report.notes.append(
                 f"runtime dispatch: {dense} dense / {event} event "
-                "layer-timesteps ("
+                f"layer-timesteps{summed} ("
                 + ", ".join(
                     f"{name} d{c.dense_steps}/e{c.event_steps}"
                     for name, c in counters.items()
@@ -404,7 +412,7 @@ class HybridSimulator:
                 # at the layer boundary instead of running float GEMMs.
                 report.notes.append(
                     f"integer datapath: {int_steps} of {dense + event} "
-                    "layer-timesteps ran int32 accumulation ("
+                    f"layer-timesteps{summed} ran int32 accumulation ("
                     + ", ".join(
                         f"{name} d{c.int_dense_steps}/e{c.int_event_steps}"
                         for name, c in counters.items()

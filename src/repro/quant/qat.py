@@ -122,7 +122,6 @@ def prepare_qat(network: SpikingNetwork, scheme: QuantScheme) -> SpikingNetwork:
             raise QuantizationError(
                 f"cannot QAT-wrap layer of type {type(stage.layer).__name__}"
             )
-    network.invalidate_runtime_cache()
     return network
 
 
@@ -131,7 +130,6 @@ def strip_qat(network: SpikingNetwork) -> SpikingNetwork:
     for stage in network.compute_stages():
         if isinstance(stage.layer, _QATWrapper):
             stage.layer = stage.layer.inner
-    network.invalidate_runtime_cache()
     return network
 
 

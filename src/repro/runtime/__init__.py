@@ -8,12 +8,12 @@ property the paper's architecture exploits -- spike sparsity.
 Execution model
 ---------------
 
-1. **Plan** (:mod:`repro.runtime.plan`): each network is lowered once
-   into per-layer plans holding pre-reshaped ``(Cout, Cin*K*K)`` weight
-   matrices, cached im2col geometry, the precomputed per-pixel index
-   tables used by the event path, and (for ``SpikingNetwork``) the
-   eval-mode BN constants. Repeated timesteps and batches therefore do
-   zero redundant index math or dequantization.
+1. **Plan** (:mod:`repro.runtime.plan`): each deployable network is
+   lowered once into per-layer plans holding pre-reshaped
+   ``(Cout, Cin*K*K)`` BN-folded weight matrices, cached im2col
+   geometry and the precomputed per-pixel index tables used by the
+   event path. Repeated timesteps and batches therefore do zero
+   redundant index math or dequantization.
 2. **Time fusion** (:mod:`repro.runtime.engine`): the stateless
    conv/linear current computation folds ``T`` into the batch axis --
    one gather + one matmul per layer instead of ``T`` small ones. Only
@@ -92,7 +92,6 @@ from repro.runtime.plan import (
     attach_int_lowering,
     conv_geometry,
     plan_deployable,
-    plan_spiking,
 )
 
 __all__ = [
@@ -115,7 +114,6 @@ __all__ = [
     "event_conv_int",
     "plan_deployable",
     "plan_report",
-    "plan_spiking",
     "resolve_event_backend",
     "resolve_event_block",
     "runtime_config",

@@ -1,6 +1,7 @@
 """The fused, event-driven inference engine.
 
-Executes a :class:`~repro.runtime.plan.NetworkPlan` layer-major: for each
+Executes a :class:`~repro.runtime.plan.NetworkPlan` (a lowered
+:class:`~repro.quant.convert.DeployableNetwork`) layer-major: for each
 layer the ``(T, N, ...)`` input train is turned into currents one block
 of samples at a time, each block in one or two kernel calls (time
 folded into the batch axis), the LIF state scan runs sequentially over
@@ -33,7 +34,7 @@ the integer datapath, block resolution -- then every lane executes those
 decisions on its samples, one block of samples at a time: the block's
 current (whose float32 array holds at most ``max_fused_elements``
 elements, one sample at least), then one pass per LIF block of samples
-for BN, LIF scan, spike counts and OR-pool (:func:`spike_pass`) --
+for LIF scan, spike counts and OR-pool (:func:`spike_pass`) --
 writing its slice of one whole-batch uint8 train, so a recorded train
 is never copied, no conv layer's whole current ever exists, and a
 pooling layer's unpooled train only exists block by block. A caller's
@@ -45,7 +46,7 @@ next layer's activity and the counters. Lanes and blocks are
 byte-identical to one whole-batch call because no kernel's per-sample
 output depends on the other samples of its call: conv GEMMs run per
 sample (``np.matmul`` over stacked im2col matrices), CSR rows fold per
-output row in ascending k, LIF, BN and OR-pool are elementwise, and
+output row in ascending k, LIF and OR-pool are elementwise, and
 OpenBLAS splits a GEMM over M and N, never K, so running the lanes'
 GEMMs on one BLAS thread changes no fold. FC GEMMs are the exception --
 OpenBLAS picks a row's fold by the batch height -- so FC currents, and
@@ -144,16 +145,14 @@ def spike_pass(
     current: np.ndarray,
     beta: float,
     threshold: float,
-    spike_rule: str,
     window: int,
     out: np.ndarray,
     pool: Optional[BufferPool] = None,
-    bn: Optional[LayerPlan] = None,
 ) -> Tuple[List[int], List[int]]:
     """Everything after a layer's kernel, one pass per ``lif_scan``
-    block of samples: BN (of ``bn``, when given), the LIF scan, its
-    per-timestep spike counts, the OR-pool over ``window`` and the
-    pooled train's counts.
+    block of samples: the LIF scan, its per-timestep spike counts, the
+    OR-pool over ``window`` and the pooled train's counts. (BN is folded
+    into the plan's weights, so the current is the membrane input.)
 
     ``current`` is the ``(T, n, ...)`` current of one sample block of a
     lane (see :meth:`InferenceEngine._lane`) and ``out`` the
@@ -177,13 +176,10 @@ def spike_pass(
     out_counts = counts if window == 1 else [0] * timesteps
     for start in range(0, samples, rows):
         stop = min(samples, start + rows)
-        block = current[:, start:stop]
-        if bn is not None:
-            block = (block - bn.bn_mu) * bn.bn_inv_std
-            block = block * bn.bn_gamma + bn.bn_beta
         spikes = out[:, start:stop] if window == 1 else scratch[:, : stop - start]
         lif_scan(
-            block, beta, threshold, spike_rule, final_reset=False, out=spikes
+            current[:, start:stop], beta, threshold, final_reset=False,
+            out=spikes,
         )
         _add_counts(counts, spikes)
         if window > 1:
@@ -469,9 +465,8 @@ class InferenceEngine:
                 )
                 updates += block_updates
             block_counts, block_train_counts = spike_pass(
-                current, plan.beta, plan.threshold, plan.spike_rule,
-                layer.pool_after, train[:, start:stop], pool,
-                bn=layer if layer.has_bn else None,
+                current, plan.beta, plan.threshold, layer.pool_after,
+                train[:, start:stop], pool,
             )
             _add_lists(counts, block_counts)
             _add_lists(train_counts, block_train_counts)

@@ -1,21 +1,22 @@
-"""Lowered execution plans: cached geometry, weights and BN constants.
+"""Lowered execution plans: cached geometry and weights.
 
-A :class:`NetworkPlan` is the runtime's view of a network: one
-:class:`LayerPlan` per weight-bearing layer carrying
+A :class:`NetworkPlan` is the runtime's view of a
+:class:`~repro.quant.convert.DeployableNetwork` (its only producer is
+:func:`plan_deployable`): one :class:`LayerPlan` per weight-bearing
+layer carrying
 
-* the pre-reshaped weight matrix ``(Cout, Cin*K*K)`` (and its transposed
-  contiguous twin for the event-driven scatter path),
+* the pre-reshaped BN-folded weight matrix ``(Cout, Cin*K*K)`` (and its
+  transposed contiguous twin for the event-driven scatter path),
 * the layer's :class:`ConvGeometry` -- the im2col shape math plus the
   precomputed per-pixel tap tables (im2col row / output position per
   tap, and the count of in-bounds taps) that the event path scatters
   with, and
-* for :class:`~repro.snn.network.SpikingNetwork` plans, the eval-mode
-  batch-norm constants applied exactly as the legacy Tensor path does.
+* for quantized conv layers, the integer weights and their scales
+  (:func:`attach_int_lowering`).
 
 Geometry depends only on ``(Cin, H, W, kernel, padding)`` and is shared
 process-wide through an LRU-ish cache, so repeated plan builds (e.g. a
-``SpikingNetwork`` re-planned after every optimiser step) pay zero index
-math.
+deployable re-lowered after its weights change) pay zero index math.
 """
 
 from __future__ import annotations
@@ -148,11 +149,6 @@ class LayerPlan:
     geometry: Optional[ConvGeometry] = None
     pool_after: int = 1
     is_input_layer: bool = False
-    # Eval-mode BN constants (SpikingNetwork plans only), each (1, C, 1, 1).
-    bn_mu: Optional[np.ndarray] = None
-    bn_inv_std: Optional[np.ndarray] = None
-    bn_gamma: Optional[np.ndarray] = None
-    bn_beta: Optional[np.ndarray] = None
     # Integer lowering (quantized deployables only): the quantized weight
     # matrix in its narrowest storage dtype (int8 when |q| <= 127, int16
     # for wider schemes) and its dequantization scale(s). The float32
@@ -173,10 +169,6 @@ class LayerPlan:
     @property
     def out_channels(self) -> int:
         return int(self.wmat.shape[0])
-
-    @property
-    def has_bn(self) -> bool:
-        return self.bn_mu is not None
 
     @property
     def has_int_lowering(self) -> bool:
@@ -248,8 +240,6 @@ class NetworkPlan:
     threshold: float
     num_classes: int
     population_group: int
-    spike_rule: str  # 'threshold' (deployable) | 'shifted' (SpikingNetwork)
-    source: str  # 'deployable' | 'spiking'
 
 
 def _as_f32(array: np.ndarray) -> np.ndarray:
@@ -358,80 +348,4 @@ def plan_deployable(network) -> NetworkPlan:
         threshold=network.lif.threshold,
         num_classes=network.num_classes,
         population_group=network.population_group,
-        spike_rule="threshold",
-        source="deployable",
-    )
-
-
-def plan_spiking(network) -> NetworkPlan:
-    """Lower an eval-mode :class:`~repro.snn.network.SpikingNetwork`.
-
-    BN stays un-folded: the plan captures the eval-mode normalisation
-    constants and the engine applies them in the same elementwise order
-    as :class:`~repro.snn.layers.BatchNorm2d`, keeping the lowered pass
-    bit-identical to the legacy Tensor path. QAT-wrapped layers lower
-    their fake-quantized forward weights.
-    """
-    layers: List[LayerPlan] = []
-    for stage in network.stages:
-        if stage.spec.kind == "pool":
-            if not layers:
-                raise RuntimeUnsupportedError(
-                    "pool layer precedes any compute layer"
-                )
-            layers[-1].pool_after *= stage.spec.kernel
-            continue
-        layer = stage.layer
-        if hasattr(layer, "_quantized_weight"):  # QAT wrapper
-            weight = layer._quantized_weight().data
-            bias_t = layer._quantized_bias()
-            bias = (
-                bias_t.data
-                if bias_t is not None
-                else np.zeros(weight.shape[0], dtype=np.float32)
-            )
-        else:
-            weight = layer.weight.data
-            bias = (
-                layer.bias.data
-                if layer.bias is not None
-                else np.zeros(weight.shape[0], dtype=np.float32)
-            )
-        kind = "conv" if stage.spec.kind == "conv" else "fc"
-        plan = _lower_weights(
-            name=stage.name,
-            kind=kind,
-            weight=weight,
-            bias=bias,
-            kernel=stage.spec.kernel if kind == "conv" else 0,
-            padding=(stage.spec.kernel // 2) if kind == "conv" else 0,
-            input_shape=stage.input_shape,
-            output_shape=stage.output_shape,
-            is_input_layer=not layers,
-        )
-        if stage.bn is not None:
-            if stage.bn.training:
-                raise RuntimeUnsupportedError(
-                    "runtime plans require eval-mode batch norm"
-                )
-            bn = stage.bn
-            shape = (1, bn.num_features, 1, 1)
-            mu = bn.running_mean.reshape(shape)
-            var = bn.running_var.reshape(shape)
-            # Same float32 op sequence as BatchNorm2d.forward in eval mode.
-            plan.bn_mu = _as_f32(mu)
-            plan.bn_inv_std = np.sqrt(var + np.float32(bn.eps)) ** -1.0
-            plan.bn_gamma = _as_f32(bn.gamma.data.reshape(shape))
-            plan.bn_beta = _as_f32(bn.beta.data.reshape(shape))
-        layers.append(plan)
-    if not layers:
-        raise RuntimeUnsupportedError("network has no compute layers")
-    return NetworkPlan(
-        layers=layers,
-        beta=network.lif_config.beta,
-        threshold=network.lif_config.threshold,
-        num_classes=network.num_classes,
-        population_group=network.population_group,
-        spike_rule="shifted",
-        source="spiking",
     )

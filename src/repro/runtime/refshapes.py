@@ -77,6 +77,4 @@ def make_conv_network_plan(
         threshold=1.0,
         num_classes=num_classes,
         population_group=1,
-        spike_rule="threshold",
-        source="deployable",
     )

@@ -69,9 +69,8 @@ class NetworkOutput:
             analog input layer under direct coding reports pixel count.
         spike_trains: when recording, per compute layer a list of T
             arrays holding the layer's input at each timestep (binary for
-            sparse layers; analog frame for the direct-coded input layer).
-            The runtime path records binary trains as uint8, the
-            training loop as float32; compare them by value.
+            sparse layers; analog frame for the direct-coded input layer),
+            as float32.
         output_spike_counts: (N, P) spike counts of the output layer.
     """
 
@@ -119,8 +118,6 @@ class SpikingNetwork(Module):
         rng = new_rng(seed)
         self.stages: List[_Stage] = self._build(rng)
         self._validate_output()
-        self._runtime_plan = None
-        self._runtime_buffers = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -220,9 +217,6 @@ class SpikingNetwork(Module):
                 stage.layer.train(mode)
             if stage.bn is not None:
                 stage.bn.train(mode)
-        # Mode flips bracket weight/BN mutation (training steps, QAT prep);
-        # drop the lowered plan so eval forwards re-capture fresh weights.
-        self._runtime_plan = None
         return self
 
     def state_dict(self) -> Dict[str, np.ndarray]:
@@ -243,14 +237,6 @@ class SpikingNetwork(Module):
                 stage.layer.load_state_dict(sub)
             if stage.bn is not None:
                 stage.bn.load_state_dict(_extract(state, f"{stage.name}.bn."))
-        self.invalidate_runtime_cache()
-
-    def invalidate_runtime_cache(self) -> None:
-        """Drop the cached runtime plan (call after mutating weights
-        outside of ``train()``/``load_state_dict``)."""
-        self._runtime_plan = None
-        if self._runtime_buffers is not None:
-            self._runtime_buffers.clear()
 
     # ------------------------------------------------------------------
     # Execution
@@ -263,6 +249,11 @@ class SpikingNetwork(Module):
         record: bool = False,
     ) -> NetworkOutput:
         """Run ``timesteps`` steps of the network on an image batch.
+
+        Training and inference run the same time-major Tensor loop; under
+        :func:`~repro.tensor.no_grad` it records no autograd tape.
+        Deployed inference runs on the fused runtime through
+        :class:`~repro.quant.convert.DeployableNetwork`.
 
         Args:
             images: (N, C, H, W) float array (analog frames in [0, 1]).
@@ -282,11 +273,6 @@ class SpikingNetwork(Module):
         if images.shape[0] == 0:
             raise ShapeError("expected at least one image, got an empty batch")
         encoder = encoder or DirectEncoder()
-        if self._runtime_eligible():
-            output = self._forward_runtime(images, timesteps, encoder, record)
-            if output is not None:
-                return output
-
         stats = SpikeStats(samples=images.shape[0], timesteps=timesteps)
         input_totals: Dict[str, float] = {}
         trains: Optional[Dict[str, List[np.ndarray]]] = (
@@ -329,70 +315,6 @@ class SpikingNetwork(Module):
 
     __call__ = forward
 
-    def _runtime_eligible(self) -> bool:
-        """Route through the fused runtime only for pure inference.
-
-        Training-mode BN and autograd recording need the Tensor loop
-        (the training path); :meth:`predict` (eval + no_grad) takes the
-        runtime path.
-        """
-        from repro.tensor.tensor import grad_enabled
-
-        return not self.training and not grad_enabled()
-
-    def _forward_runtime(
-        self,
-        images: np.ndarray,
-        timesteps: int,
-        encoder: Encoder,
-        record: bool,
-    ) -> Optional[NetworkOutput]:
-        """Inference via :mod:`repro.runtime`; None if the net can't lower."""
-        from repro.errors import RuntimeUnsupportedError
-        from repro.runtime import (
-            BufferPool,
-            InferenceEngine,
-            plan_spiking,
-            stack_encoder_frames,
-        )
-
-        if self._runtime_plan is None:
-            try:
-                self._runtime_plan = plan_spiking(self)
-            except RuntimeUnsupportedError:
-                return None
-        stacked, time_invariant = stack_encoder_frames(
-            encoder, images, timesteps, record=record
-        )
-        if self._runtime_buffers is None:
-            self._runtime_buffers = BufferPool()
-        engine = InferenceEngine(
-            self._runtime_plan, buffers=self._runtime_buffers
-        )
-        result = engine.run(
-            stacked,
-            record=record,
-            analog_first=encoder.analog_input,
-            time_invariant=time_invariant,
-        )
-        n = images.shape[0]
-        grouped = result.accumulated.reshape(
-            n, self.num_classes, self.population_group
-        )
-        logits = Tensor(np.asarray(grouped.sum(axis=2), dtype=np.float32))
-        trains = (
-            {name: list(arr) for name, arr in result.trains.items()}
-            if result.trains is not None
-            else None
-        )
-        return NetworkOutput(
-            logits=logits,
-            stats=result.stats,
-            input_spike_totals=result.input_totals,
-            spike_trains=trains,
-            output_spike_counts=result.accumulated.copy(),
-        )
-
     def _readout(self, counts: Tensor) -> Tensor:
         """Population readout: sum each class's neuron group (ref. [14])."""
         n = counts.shape[0]
@@ -409,7 +331,8 @@ class SpikingNetwork(Module):
         encoder: Optional[Encoder] = None,
         batch_size: int = 64,
     ) -> np.ndarray:
-        """Inference-mode class predictions over a (possibly large) set.
+        """Inference-mode class predictions over a (possibly large) set:
+        the Tensor loop of :meth:`forward` in eval mode under ``no_grad``.
 
         Batches thread the global sample offset into the encoder
         (``for_samples``), so counter-stream encodings are independent

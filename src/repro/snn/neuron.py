@@ -121,7 +121,6 @@ def lif_scan(
     current: np.ndarray,
     beta: float,
     threshold: float,
-    spike_rule: str = "threshold",
     *,
     final_reset: bool = True,
     out: Optional[np.ndarray] = None,
@@ -129,13 +128,11 @@ def lif_scan(
     """Inference-only LIF scan over a time-fused current tensor.
 
     Runs Eq. 1/2 sequentially along the leading time axis of ``current``
-    (shape ``(T, ...)``), vectorised over everything else. The two spike
-    rules reproduce the two legacy code paths bit-for-bit:
-
-    * ``'threshold'`` -- ``u > theta`` (DeployableNetwork);
-    * ``'shifted'`` -- ``(u - theta) > 0`` (SpikingNetwork's surrogate
-      Heaviside); the forms differ only when the subtraction rounds to
-      zero, but exactness demands matching each consumer.
+    (shape ``(T, ...)``), vectorised over everything else. A neuron
+    fires when ``u > theta``. This equals the training loop's surrogate
+    Heaviside ``(u - theta) > 0`` on every float32 input: with gradual
+    underflow ``u - theta`` rounds to zero only when ``u == theta``, and
+    rounding never flips its sign.
 
     The scan works in place, one block of :data:`LIF_BLOCK_ELEMENTS`
     neurons (whole slices along axis 1) at a time: one membrane and one
@@ -154,13 +151,9 @@ def lif_scan(
     pass ``final_reset=False`` to skip the last step's reset; the
     membrane is then ``None``.
     """
-    if spike_rule not in ("threshold", "shifted"):
-        raise ConfigError(
-            f"spike_rule must be 'threshold' or 'shifted', got {spike_rule!r}"
-        )
     if current.ndim == 1:
         spikes, final = lif_scan(
-            current[:, None], beta, threshold, spike_rule,
+            current[:, None], beta, threshold,
             final_reset=final_reset,
             out=None if out is None else out[:, None],
         )
@@ -191,11 +184,7 @@ def lif_scan(
                 integrated = np.multiply(u, beta, out=s)
                 np.add(integrated, current[t, lo:hi], out=integrated)
             fired = fired_train[t, lo:hi]
-            if spike_rule == "threshold":
-                np.greater(integrated, threshold, out=fired)
-            else:
-                # ``u`` is free until the reset below overwrites it.
-                np.greater(np.subtract(integrated, threshold, out=u), 0, out=fired)
+            np.greater(integrated, threshold, out=fired)
             if t < steps - 1:
                 target = u
             elif final is not None:

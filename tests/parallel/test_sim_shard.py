@@ -196,6 +196,24 @@ class TestShardedSimulatorStats:
         report = simulator.run(images, 2, shards=3, workers=2)
         assert any("runtime dispatch" in note for note in report.notes)
 
+    def test_sharded_dispatch_note_says_it_sums_shards(self, simulator, images):
+        """Merged counters add up every shard's layer-timesteps (3 shards
+        of T=3 run conv1_1 for 9), so a sharded note says it sums them;
+        the unsharded note keeps its plain wording."""
+
+        def dispatch_note(report):
+            [note] = [n for n in report.notes if n.startswith("runtime dispatch")]
+            return note
+
+        plain = dispatch_note(simulator.run(images[:6], 3))
+        sharded = dispatch_note(simulator.run(images[:6], 3, shards=3))
+        assert "layer-timesteps (" in plain and "conv1_1 d3/e0" in plain
+        assert "summed" not in plain
+        assert "layer-timesteps summed over 3 shards (" in sharded
+        assert "conv1_1 d9/e0" in sharded
+        one = dispatch_note(simulator.run(images[:6], 3, shards=1))
+        assert one == plain
+
 
 class TestMmapShardPayloads:
     def test_persistent_service_ships_mmap_slices(

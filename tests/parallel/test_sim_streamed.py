@@ -88,7 +88,8 @@ def recorded_report(simulator, images, labels, coding, shards=None):
         if not (index == 0 and config.use_dense_core)
     }
     return simulator._report_from_sums(
-        out, sums, TIMESTEPS, len(images), _encoder(coding), labels
+        out, sums, TIMESTEPS, len(images), _encoder(coding), labels,
+        shards=shards or 1,
     )
 
 

@@ -1,11 +1,9 @@
-"""Bit-exactness of the fused runtime against reference loops.
+"""Bit-exactness of the fused runtime against the reference loop.
 
-The deployable reference is the per-timestep oracle
-(``tests/legacy_oracle.py``); the ``SpikingNetwork`` reference is its
-Tensor loop -- the training path -- reached by an eval-mode forward with
-gradients enabled. Every test asserts *exact* array equality: the
-runtime is a pure performance layer and must not perturb a single bit of
-logits, spike trains, statistics or simulator cycle counts.
+The reference is the per-timestep deployable oracle
+(``tests/legacy_oracle.py``). Every test asserts *exact* array equality:
+the runtime is a pure performance layer and must not perturb a single
+bit of logits, spike trains, statistics or simulator cycle counts.
 """
 
 import functools
@@ -21,7 +19,6 @@ from repro.quant.schemes import INT8
 from repro.runtime import runtime_overrides
 from repro.snn import build_network
 from repro.snn.encoding import RateEncoder
-from repro.tensor import no_grad
 
 
 @pytest.fixture(scope="module")
@@ -130,75 +127,6 @@ class TestDeployableEquivalence:
         out2 = seeded_deployable.forward(corrupted, 2, record=True)
         corrupted += 1.0  # caller reuses its batch buffer
         assert np.array_equal(out2.spike_trains_stacked["conv1_1"], before)
-
-
-class TestSpikingNetworkEquivalence:
-    def test_eval_forward_bitexact(self, seeded_network, images):
-        with no_grad():
-            runtime = seeded_network.forward(images, 2, record=True)
-        legacy = seeded_network.forward(images, 2, record=True)  # Tensor loop
-        assert legacy.logits.requires_grad
-        assert np.array_equal(legacy.logits.data, runtime.logits.data)
-        assert np.array_equal(
-            legacy.output_spike_counts, runtime.output_spike_counts
-        )
-        assert legacy.input_spike_totals == runtime.input_spike_totals
-        assert legacy.stats.per_layer == runtime.stats.per_layer
-        for name, trains in legacy.spike_trains.items():
-            for t, train in enumerate(trains):
-                assert np.array_equal(train, runtime.spike_trains[name][t])
-
-    def test_training_mode_keeps_legacy_tape(self, seeded_network, images):
-        seeded_network.train()
-        try:
-            out = seeded_network.forward(images[:4], 2)
-            # Legacy autograd path: logits must be on the tape.
-            assert out.logits.requires_grad
-        finally:
-            seeded_network.eval()
-
-    def test_grad_enabled_keeps_legacy_tape(self, seeded_network, images):
-        out = seeded_network.forward(images[:4], 2)
-        assert out.logits.requires_grad
-
-    def test_predict_matches_tensor_loop(self, seeded_network, images):
-        runtime_pred = seeded_network.predict(images, 2)
-        legacy = seeded_network.forward(images, 2)  # Tensor loop
-        assert legacy.logits.requires_grad
-        assert np.array_equal(runtime_pred, legacy.logits.data.argmax(axis=1))
-
-    def test_plan_cache_invalidated_by_weight_updates(self, images):
-        """A train()/eval() cycle that mutates weights must not leave the
-        runtime serving a stale cached plan."""
-        net = build_network(
-            "6C3-MP2-30", input_shape=(3, 8, 8), num_classes=10, seed=17
-        )
-        net.eval()
-        with no_grad():
-            first = net.forward(images, 2)
-        net.train()
-        net.stages[0].layer.weight.data = (
-            net.stages[0].layer.weight.data + 0.25
-        )
-        net.eval()
-        with no_grad():
-            runtime = net.forward(images, 2)
-        legacy = net.forward(images, 2)  # Tensor loop
-        assert np.array_equal(runtime.logits.data, legacy.logits.data)
-        assert not np.array_equal(runtime.logits.data, first.logits.data)
-
-    def test_qat_network_bitexact(self, images):
-        from repro.quant.qat import prepare_qat
-
-        net = build_network(
-            "6C3-MP2-30", input_shape=(3, 8, 8), num_classes=10, seed=7
-        )
-        prepare_qat(net, INT4)
-        net.eval()
-        with no_grad():
-            runtime = net.forward(images, 2)
-        legacy = net.forward(images, 2)  # Tensor loop
-        assert np.array_equal(legacy.logits.data, runtime.logits.data)
 
 
 class TestSimulatorEquivalence:

@@ -152,8 +152,6 @@ class TestPlanReportExplainsResolution:
             threshold=1.0,
             num_classes=10,
             population_group=1,
-            spike_rule="threshold",
-            source="deployable",
         )
         rows = {row["name"]: row for row in plan_report(plan)}
         assert rows[small.name]["event_exact"] is True
@@ -176,8 +174,6 @@ class TestPlanReportExplainsResolution:
             threshold=1.0,
             num_classes=10,
             population_group=1,
-            spike_rule="threshold",
-            source="deployable",
         )
         with runtime_overrides(event_kblock=0):
             rows = {row["name"]: row for row in plan_report(plan)}
@@ -212,8 +208,6 @@ class TestDispatcherHonoursResolution:
             threshold=1.0,
             num_classes=8,
             population_group=1,
-            spike_rule="threshold",
-            source="deployable",
         )
         rng = np.random.default_rng(7)
         spikes = (rng.random((2, 3, 64, 8, 8)) < 0.05).astype(np.float32)
@@ -252,8 +246,6 @@ class TestDispatcherHonoursResolution:
             threshold=1.0,
             num_classes=8,
             population_group=1,
-            spike_rule="threshold",
-            source="deployable",
         )
         rng = np.random.default_rng(7)
         spikes = (rng.random((2, 3, 64, 8, 8)) < 0.05).astype(np.float32)

@@ -21,6 +21,12 @@ from repro.snn import neuron
 from repro.snn.neuron import lif_scan
 
 
+#: The two spike rules the reference scan implements: ``u > theta`` and
+#: the training loop's surrogate Heaviside ``(u - theta) > 0``. The
+#: engine's one-rule scan must equal the reference under both.
+SPIKE_RULES = ("threshold", "shifted")
+
+
 def reference_scan(current, beta, threshold, spike_rule):
     """The allocating stepwise scan the in-place one must match."""
     spikes = np.empty(current.shape, dtype=np.float32)
@@ -61,47 +67,48 @@ class TestLifScanProperties:
     @given(
         currents(),
         st.sampled_from([0.0, 0.15, 1.0]),
-        st.sampled_from(["threshold", "shifted"]),
         st.sampled_from([1, 7, neuron.LIF_BLOCK_ELEMENTS]),
     )
     @settings(max_examples=150, deadline=None)
-    def test_in_place_scan_matches_reference(self, drawn, beta, rule, block):
+    def test_in_place_scan_matches_reference(self, drawn, beta, block):
+        """The one-rule scan equals the reference under either spike
+        rule, on currents salted with values equal to the threshold."""
         current, threshold = drawn
-        want_spikes, want_membrane = reference_scan(current, beta, threshold, rule)
         default_block = neuron.LIF_BLOCK_ELEMENTS
         neuron.LIF_BLOCK_ELEMENTS = block  # small blocks split every shape
         try:
-            spikes, membrane = lif_scan(current, beta, threshold, rule)
+            spikes, membrane = lif_scan(current, beta, threshold)
         finally:
             neuron.LIF_BLOCK_ELEMENTS = default_block
-        assert spikes.dtype == np.float32
-        assert spikes.tobytes() == want_spikes.tobytes()
-        assert membrane.dtype == want_membrane.dtype
-        assert membrane.tobytes() == want_membrane.tobytes()
         # Skipping the discarded final reset leaves the train unchanged.
-        train, none = lif_scan(current, beta, threshold, rule, final_reset=False)
+        train, none = lif_scan(current, beta, threshold, final_reset=False)
         assert none is None
-        assert train.tobytes() == want_spikes.tobytes()
+        assert spikes.dtype == np.float32
+        for rule in SPIKE_RULES:
+            want_spikes, want_membrane = reference_scan(
+                current, beta, threshold, rule
+            )
+            assert spikes.tobytes() == want_spikes.tobytes(), rule
+            assert membrane.dtype == want_membrane.dtype
+            assert membrane.tobytes() == want_membrane.tobytes(), rule
+            assert train.tobytes() == want_spikes.tobytes(), rule
 
     @given(
         currents(),
         st.sampled_from([0.0, 0.15, 1.0]),
-        st.sampled_from(["threshold", "shifted"]),
         st.sampled_from([1, 7, neuron.LIF_BLOCK_ELEMENTS]),
     )
     @settings(max_examples=150, deadline=None)
-    def test_byte_train_matches_float_train(self, drawn, beta, rule, block):
+    def test_byte_train_matches_float_train(self, drawn, beta, block):
         """A uint8 ``out`` holds the float32 train's values, and the
         membrane the reset leaves is byte-identical."""
         current, threshold = drawn
-        want_spikes, want_membrane = lif_scan(current, beta, threshold, rule)
+        want_spikes, want_membrane = lif_scan(current, beta, threshold)
         default_block = neuron.LIF_BLOCK_ELEMENTS
         neuron.LIF_BLOCK_ELEMENTS = block
         try:
             out = np.full(current.shape, 7, dtype=np.uint8)
-            spikes, membrane = lif_scan(
-                current, beta, threshold, rule, out=out
-            )
+            spikes, membrane = lif_scan(current, beta, threshold, out=out)
         finally:
             neuron.LIF_BLOCK_ELEMENTS = default_block
         assert np.shares_memory(spikes, out)
@@ -130,22 +137,17 @@ class TestSpikePassProperties:
     @given(
         pooled_currents(),
         st.sampled_from([0.0, 0.15, 1.0]),
-        st.sampled_from(["threshold", "shifted"]),
         st.sampled_from([1, 7, neuron.LIF_BLOCK_ELEMENTS]),
         st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_block_pass_matches_whole_train(
-        self, drawn, beta, rule, block, pool_it
-    ):
+    def test_block_pass_matches_whole_train(self, drawn, beta, block, pool_it):
         """LIF -> counts -> OR-pool -> counts, one block of samples at a
         time, equals the whole-train scan, pool and counts."""
         current, window = drawn
         window = window if pool_it else 1
         threshold = 0.5
-        want_spikes, _ = lif_scan(
-            current, beta, threshold, rule, final_reset=False
-        )
+        want_spikes, _ = lif_scan(current, beta, threshold, final_reset=False)
         want_out = or_pool(want_spikes, window)
         want_counts = [int(np.count_nonzero(step)) for step in want_spikes]
         want_out_counts = [int(np.count_nonzero(step)) for step in want_out]
@@ -154,7 +156,7 @@ class TestSpikePassProperties:
         neuron.LIF_BLOCK_ELEMENTS = block
         try:
             counts, out_counts = spike_pass(
-                current, beta, threshold, rule, window, out, BufferPool()
+                current, beta, threshold, window, out, BufferPool()
             )
         finally:
             neuron.LIF_BLOCK_ELEMENTS = default_block

@@ -8,7 +8,6 @@ from repro.runtime import (
     BufferPool,
     conv_geometry,
     plan_deployable,
-    plan_spiking,
     runtime_overrides,
 )
 from repro.runtime.kernels import (
@@ -63,21 +62,28 @@ class TestGeometry:
 
 class TestKernels:
     @pytest.fixture(scope="class")
-    def conv_plan(self, network):
-        return plan_spiking(network).layers[0]
+    def plan(self, network):
+        return plan_deployable(convert(network, FP32))
 
     @pytest.fixture(scope="class")
-    def fc_plan(self, network):
-        return plan_spiking(network).layers[-1]
+    def conv_plan(self, plan):
+        return plan.layers[0]
 
-    def test_dense_conv_matches_ops_conv2d(self, network, conv_plan, rng):
+    @pytest.fixture(scope="class")
+    def fc_plan(self, plan):
+        return plan.layers[-1]
+
+    def test_dense_conv_matches_ops_conv2d(self, conv_plan, rng):
         from repro.tensor import no_grad, ops
 
         x = (rng.random((5, 3, 8, 8)) < 0.3).astype(np.float32)
-        stage = network.stages[0]
+        g = conv_plan.geometry
+        weight = conv_plan.wmat.reshape(
+            conv_plan.out_channels, g.cin, g.kernel, g.kernel
+        )
         with no_grad():
             want = ops.conv2d(
-                Tensor(x), stage.layer.weight, stage.layer.bias, 1, 1
+                Tensor(x), Tensor(weight), Tensor(conv_plan.bias), 1, 1
             ).data
         got = dense_conv(conv_plan, x)
         assert np.array_equal(got, want)
@@ -112,10 +118,9 @@ class TestKernels:
             empty, dense_conv(conv_plan, np.zeros((2, 3, 8, 8), np.float32))
         )
 
-    def test_dense_fc_matches_legacy_matmul(self, network, fc_plan, rng):
+    def test_dense_fc_matches_legacy_matmul(self, fc_plan, rng):
         x = (rng.random((6, fc_plan.wmat.shape[1])) < 0.2).astype(np.float32)
-        stage = network.stages[-1]
-        want = x @ stage.layer.weight.data.T + stage.layer.bias.data
+        want = x @ fc_plan.wmat.T + fc_plan.bias
         assert np.array_equal(dense_fc(fc_plan, x), want)
 
     def test_calibration_gates_event_dispatch(self, conv_plan):
@@ -194,7 +199,7 @@ class TestLifScan:
         for t in range(4):
             spikes, membrane = neuron.step(Tensor(current[t]), membrane)
             want.append(spikes.data)
-        got, _ = lif_scan(current, config.beta, config.threshold, "shifted")
+        got, _ = lif_scan(current, config.beta, config.threshold)
         assert np.array_equal(got, np.stack(want))
 
     def test_matches_deployable_rule(self, rng):
@@ -209,15 +214,9 @@ class TestLifScan:
             spikes = (integrated > theta).astype(np.float32)
             membrane = integrated - spikes * theta
             want.append(spikes)
-        got, final = lif_scan(current, beta, theta, "threshold")
+        got, final = lif_scan(current, beta, theta)
         assert np.array_equal(got, np.stack(want))
         assert np.array_equal(final, membrane)
-
-    def test_rejects_unknown_rule(self, rng):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError, match="spike_rule"):
-            lif_scan(np.zeros((1, 2), dtype=np.float32), 0.1, 0.5, "bogus")
 
 
 class TestPlans:
@@ -230,15 +229,7 @@ class TestPlans:
             assert layer.wT.flags["C_CONTIGUOUS"]
             assert np.array_equal(layer.wT, layer.wmat.T)
 
-    def test_spiking_plan_captures_bn_constants(self, network):
-        plan = plan_spiking(network)
-        conv = plan.layers[0]
-        assert conv.has_bn
-        assert conv.bn_mu.shape == (1, 8, 1, 1)
-        assert plan.spike_rule == "shifted"
-
     def test_deployable_plan_folds_pool(self, network):
         plan = plan_deployable(convert(network, FP32))
         assert plan.layers[0].pool_after == 2
         assert plan.layers[-1].pool_after == 1
-        assert plan.spike_rule == "threshold"

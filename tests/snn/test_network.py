@@ -76,6 +76,15 @@ class TestForward:
         with no_grad(), pytest.raises(ShapeError, match="empty batch"):
             net.forward(np.zeros((0, 3, 8, 8), np.float32), timesteps=2)
 
+    @pytest.mark.parametrize("training", [False, True])
+    def test_tape_follows_grad_mode_only(self, net, images, training):
+        """Either mode records the autograd tape with gradients on and
+        none under ``no_grad``: eval and training run one loop."""
+        net.train(training)
+        assert net.forward(images, 2).logits.requires_grad
+        with no_grad():
+            assert not net.forward(images, 2).logits.requires_grad
+
     def test_spike_stats_populated(self, net, images):
         out = net.forward(images, timesteps=2)
         assert set(out.stats.per_layer) == {"conv1_1", "conv2_1", "fc1"}
@@ -172,6 +181,12 @@ class TestPredict:
         preds = net.predict(images, 2, batch_size=2)
         assert preds.shape == (4,)
         assert preds.min() >= 0 and preds.max() < 10
+
+    def test_matches_forward_argmax(self, net, images):
+        net.eval()
+        with no_grad():
+            want = net.forward(images, 2).logits.data.argmax(axis=1)
+        assert np.array_equal(net.predict(images, 2, batch_size=3), want)
 
     def test_restores_training_mode(self, net, images):
         net.train(True)
