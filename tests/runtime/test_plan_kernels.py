@@ -202,6 +202,33 @@ class TestLifScan:
         got, _ = lif_scan(current, config.beta, config.threshold)
         assert np.array_equal(got, np.stack(want))
 
+    @pytest.mark.parametrize("theta", [0.1, 0.15, 1 / 3, 0.5, 1.0, 2.2])
+    def test_matches_stepwise_neuron_at_threshold(self, rng, theta):
+        """The scan's ``u > theta`` fires exactly where the training
+        loop's ``(u - theta) > 0`` does, on membranes equal to
+        float32(theta) and a few ulps either side of it."""
+        edge = np.float32(theta)
+        near = [edge, np.float32(0.0), np.float32(-0.0)]
+        for toward in (np.float32(np.inf), np.float32(-np.inf)):
+            value = edge
+            for _ in range(3):
+                value = np.nextafter(value, toward)
+                near.append(value)
+        salted = np.resize(np.array(near, np.float32), (4, 6, 5))
+        noise = (rng.normal(size=(4, 6, 5)) * theta).astype(np.float32)
+        # Leak 0 integrates each step's current alone, so every salted
+        # value reaches the comparison as the membrane itself.
+        for beta, current in ((0.0, salted), (0.15, noise + salted)):
+            neuron = LIFNeuron(LIFConfig(beta=beta, threshold=theta))
+            membrane = None
+            want = []
+            for t in range(current.shape[0]):
+                spikes, membrane = neuron.step(Tensor(current[t]), membrane)
+                want.append(spikes.data)
+            got, final = lif_scan(current, beta, theta)
+            assert np.array_equal(got, np.stack(want)), beta
+            assert final.tobytes() == membrane.data.tobytes(), beta
+
     def test_matches_deployable_rule(self, rng):
         current = rng.normal(size=(3, 4, 4)).astype(np.float32)
         beta, theta = 0.15, 0.5

@@ -85,6 +85,30 @@ class TestForward:
         with no_grad():
             assert not net.forward(images, 2).logits.requires_grad
 
+    @pytest.mark.parametrize("qat", [False, True], ids=["fp32", "qat_int4"])
+    def test_no_grad_forward_matches_tape_forward(self, net, images, qat):
+        """``predict``'s eval forward under ``no_grad`` computes what the
+        taped loop does, bit for bit: logits, counts, stats and trains."""
+        if qat:
+            from repro.quant import INT4, prepare_qat
+
+            prepare_qat(net, INT4)
+        net.eval()
+        with no_grad():
+            plain = net.forward(images, 2, record=True)
+        taped = net.forward(images, 2, record=True)
+        assert taped.logits.requires_grad
+        assert taped.logits.data.tobytes() == plain.logits.data.tobytes()
+        assert np.array_equal(
+            taped.output_spike_counts, plain.output_spike_counts
+        )
+        assert taped.input_spike_totals == plain.input_spike_totals
+        assert taped.stats.per_layer == plain.stats.per_layer
+        assert taped.spike_trains.keys() == plain.spike_trains.keys()
+        for name, trains in taped.spike_trains.items():
+            for t, train in enumerate(trains):
+                assert np.array_equal(train, plain.spike_trains[name][t])
+
     def test_spike_stats_populated(self, net, images):
         out = net.forward(images, timesteps=2)
         assert set(out.stats.per_layer) == {"conv1_1", "conv2_1", "fc1"}
