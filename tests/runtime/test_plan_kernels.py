@@ -118,9 +118,13 @@ class TestKernels:
             empty, dense_conv(conv_plan, np.zeros((2, 3, 8, 8), np.float32))
         )
 
-    def test_dense_fc_matches_legacy_matmul(self, fc_plan, rng):
-        x = (rng.random((6, fc_plan.wmat.shape[1])) < 0.2).astype(np.float32)
-        want = x @ fc_plan.wmat.T + fc_plan.bias
+    def test_dense_fc_matches_legacy_matmul(self, network, fc_plan, rng):
+        """The lowered FC layer computes the network layer's own matmul:
+        FC stages carry no BN, so the FP32 lowering passes weight and
+        bias through unchanged."""
+        layer = network.stages[-1].layer
+        x = (rng.random((6, layer.weight.data.shape[1])) < 0.2).astype(np.float32)
+        want = x @ layer.weight.data.T + layer.bias.data
         assert np.array_equal(dense_fc(fc_plan, x), want)
 
     def test_calibration_gates_event_dispatch(self, conv_plan):
@@ -189,45 +193,56 @@ class TestKernels:
         assert len(cols) == 1 and cols[0].size == largest
 
 
+def _salted_currents(theta, shape, rng):
+    """Currents equal to float32(theta), +-0 and three ulps either side
+    of float32(theta), tiled over ``shape``."""
+    edge = np.float32(theta)
+    near = [edge, np.float32(0.0), np.float32(-0.0)]
+    for toward in (np.float32(np.inf), np.float32(-np.inf)):
+        value = edge
+        for _ in range(3):
+            value = np.nextafter(value, toward)
+            near.append(value)
+    return np.resize(np.array(near, np.float32), shape)
+
+
+_THRESHOLD_EDGES = [0.1, 0.15, 1 / 3, 0.5, 1.0, 2.2]
+
+
+def _stepwise_cases():
+    """(beta, theta, current) cases: random currents, and currents salted
+    at the threshold. Leak 0 integrates each step's current alone, so
+    every salted value reaches the comparison as the membrane itself."""
+    rng = np.random.default_rng(7)
+    shape = (4, 6, 5)
+    yield pytest.param(
+        0.15, 0.5, rng.normal(size=shape).astype(np.float32), id="random"
+    )
+    for theta in _THRESHOLD_EDGES:
+        salted = _salted_currents(theta, shape, rng)
+        noise = (rng.normal(size=shape) * theta).astype(np.float32)
+        yield pytest.param(0.0, theta, salted, id=f"edge-{theta:.3g}")
+        yield pytest.param(
+            0.15, theta, noise + salted, id=f"edge-noise-{theta:.3g}"
+        )
+
+
 class TestLifScan:
-    def test_matches_stepwise_neuron(self, rng):
-        current = rng.normal(size=(4, 5, 6)).astype(np.float32)
-        config = LIFConfig(beta=0.15, threshold=0.5)
-        neuron = LIFNeuron(config)
+    @pytest.mark.parametrize("beta, theta, current", _stepwise_cases())
+    def test_matches_stepwise_neuron(self, beta, theta, current):
+        """The scan's ``u > theta`` fires exactly where the training
+        loop's ``(u - theta) > 0`` does, and leaves the same membrane,
+        also on membranes equal to float32(theta) and a few ulps either
+        side of it."""
+        neuron = LIFNeuron(LIFConfig(beta=beta, threshold=theta))
         membrane = None
         want = []
-        for t in range(4):
+        for t in range(current.shape[0]):
             spikes, membrane = neuron.step(Tensor(current[t]), membrane)
             want.append(spikes.data)
-        got, _ = lif_scan(current, config.beta, config.threshold)
+        got, final = lif_scan(current, beta, theta)
         assert np.array_equal(got, np.stack(want))
-
-    @pytest.mark.parametrize("theta", [0.1, 0.15, 1 / 3, 0.5, 1.0, 2.2])
-    def test_matches_stepwise_neuron_at_threshold(self, rng, theta):
-        """The scan's ``u > theta`` fires exactly where the training
-        loop's ``(u - theta) > 0`` does, on membranes equal to
-        float32(theta) and a few ulps either side of it."""
-        edge = np.float32(theta)
-        near = [edge, np.float32(0.0), np.float32(-0.0)]
-        for toward in (np.float32(np.inf), np.float32(-np.inf)):
-            value = edge
-            for _ in range(3):
-                value = np.nextafter(value, toward)
-                near.append(value)
-        salted = np.resize(np.array(near, np.float32), (4, 6, 5))
-        noise = (rng.normal(size=(4, 6, 5)) * theta).astype(np.float32)
-        # Leak 0 integrates each step's current alone, so every salted
-        # value reaches the comparison as the membrane itself.
-        for beta, current in ((0.0, salted), (0.15, noise + salted)):
-            neuron = LIFNeuron(LIFConfig(beta=beta, threshold=theta))
-            membrane = None
-            want = []
-            for t in range(current.shape[0]):
-                spikes, membrane = neuron.step(Tensor(current[t]), membrane)
-                want.append(spikes.data)
-            got, final = lif_scan(current, beta, theta)
-            assert np.array_equal(got, np.stack(want)), beta
-            assert final.tobytes() == membrane.data.tobytes(), beta
+        assert final.tobytes() == membrane.data.tobytes()
 
     def test_matches_deployable_rule(self, rng):
         current = rng.normal(size=(3, 4, 4)).astype(np.float32)
