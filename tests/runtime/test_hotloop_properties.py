@@ -27,13 +27,13 @@ from repro.snn.neuron import lif_scan
 SPIKE_RULES = ("threshold", "shifted")
 
 
-def reference_scan(current, beta, threshold, spike_rule):
+def reference_scan(current, beta, threshold, rule):
     """The allocating stepwise scan the in-place one must match."""
     spikes = np.empty(current.shape, dtype=np.float32)
     membrane = None
     for t in range(current.shape[0]):
         integrated = current[t] if membrane is None else membrane * beta + current[t]
-        if spike_rule == "threshold":
+        if rule == "threshold":
             fired = (integrated > threshold).astype(np.float32)
         else:
             fired = ((integrated - threshold) > 0).astype(np.float32)
