@@ -88,6 +88,10 @@ BLOCKED_DENSITIES = (0.002, 0.01, 0.05, 0.2)
 #: between the tiny smoke run and the canonical small-scale record.
 BLOCKED_SHAPE = DEEP_VGG9_SHAPES[0]
 
+#: conv1_2 of the int4 bench model (16x32x32 -> 28, K = 144): its int4
+#: bound is far below 2048, so the int dense kernel packs frame pairs.
+PACKED_SHAPE = (16, 32, 32, 28)
+
 #: Smoke-gate ceiling on int dense / float dense time in the
 #: quantized_kernels micro: both run the same BLAS GEMM, so the slack
 #: covers timing noise and the int kernel's dequantization pass only.
@@ -556,6 +560,12 @@ def bench_quantized_kernels(params) -> Dict:
     scatter) and the int dense kernel should cost what the float dense
     kernel costs.
 
+    Packed: one int4 (max-abs) row at conv1_2's shape of the bench
+    model (16x32x32 -> 28, K = 144), whose bound lets the int dense
+    kernel pack two binary frames per GEMM column, timed against the
+    float dense kernel after asserting it equals the int event kernel.
+    Recorded only: no gate reads it.
+
     End-to-end: the tiny-scale VGG9 quantized at int8p2, timed on the
     default forward; its logits must equal the reference oracle's
     (which follows the same integer rule), and the dispatch counters
@@ -626,6 +636,8 @@ def bench_quantized_kernels(params) -> Dict:
             }
         )
 
+    packed = _bench_packed_int4(params)
+
     tiny = SCALES["tiny"]
     network = build_vgg9(
         num_classes=10,
@@ -667,6 +679,7 @@ def bench_quantized_kernels(params) -> Dict:
         "int_bound": int(layer.int_bound),
         "bit_exact": True,
         "rows": rows,
+        "packed_int4": packed,
         "end_to_end": {
             "scale": "tiny",
             "timesteps": timesteps,
@@ -674,6 +687,41 @@ def bench_quantized_kernels(params) -> Dict:
             "int_layer_timesteps": int(int_steps),
             "dispatch_counters": counters,
         },
+    }
+
+
+def _bench_packed_int4(params) -> Dict:
+    """The int4 row of :func:`bench_quantized_kernels`: dense int (two
+    frames per GEMM column) vs dense float at a packing shape."""
+    from repro.quant import INT4, quantize_array
+    from repro.runtime import attach_int_lowering
+    from repro.runtime.kernels import dense_conv_int, event_conv_int
+
+    cin, height, width, cout = PACKED_SHAPE
+    layer = make_conv_layer_plan(cin, height, width, cout, seed=29)
+    q, scale = quantize_array(layer.wmat, INT4)
+    attach_int_lowering(layer, q, scale)
+    batch = params["timesteps"] * params["batch"]
+    x = (
+        np.random.default_rng(29).random((batch, cin, height, width)) < 0.1
+    ).astype(np.uint8)
+    if not np.array_equal(dense_conv_int(layer, x), event_conv_int(layer, x)[0]):
+        raise SystemExit("packed int4 dense kernel diverged from int event")
+    float_dense_ms, int_dense_ms = timeit_pair(
+        lambda: dense_conv(layer, x),
+        lambda: dense_conv_int(layer, x),
+        params["repeats"],
+    )
+    return {
+        "shape": {"cin": cin, "height": height, "width": width, "cout": cout},
+        "k": int(layer.geometry.k),
+        "batch": batch,
+        "density": 0.1,
+        "scheme": "int4",
+        "int_bound": int(layer.int_bound),
+        "bit_exact": True,
+        "float_dense_ms": float_dense_ms,
+        "int_dense_ms": int_dense_ms,
     }
 
 
@@ -996,6 +1044,12 @@ def main(argv=None) -> int:
             f"{row['float_dense_ms']:.3f} ms | int dense "
             f"{row['int_dense_ms']:.3f} ms"
         )
+    packed = quantized["packed_int4"]
+    print(
+        f"  int4 K={packed['k']} (bound={packed['int_bound']}, packed "
+        f"frame pairs): float dense {packed['float_dense_ms']:.3f} ms | "
+        f"int dense {packed['int_dense_ms']:.3f} ms"
+    )
     qe2e = quantized["end_to_end"]
     print(
         f"  e2e tiny int8p2: {qe2e['runtime_ms']:.2f} ms "

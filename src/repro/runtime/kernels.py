@@ -76,6 +76,18 @@ the float path's current exactly when the dequantized weights and their
 sums are exact (power-of-two scales); under max-abs scales it differs
 at float-rounding level. Analog input, FC layers and layers over the
 bound keep the float fold.
+
+The int dense kernel also uses the room a narrow bound leaves in the
+float32 mantissa: it packs two binary frames into one GEMM column,
+``x[i] + 2**m * x[i + h]`` over ``h = B // 2`` pairs (an odd batch's
+last frame runs alone), so its unfold and GEMM run over half the
+frames. With ``2**(m - 1) > bound`` each frame's sum fits its half,
+and while ``bound * (2**m + 1) + 2**(m - 1) <= 2^24`` every packed
+partial sum and every step of the power-of-two unpacking is exact, so
+each frame gets the unpacked kernel's sum and current, at every chunk
+split. That holds for bounds below 2048, that is int4 conv layers;
+wider bounds (int8 at depth) and single-frame calls keep one frame per
+column.
 """
 
 from __future__ import annotations
@@ -160,22 +172,59 @@ class BufferPool:
 # Dense (time-fused) path
 # ---------------------------------------------------------------------------
 
+def _padded_rows(
+    pool: BufferPool, x: np.ndarray, rows: int, pad: int, cap: int, dtype
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The first ``rows`` rows of the pool's zero-bordered ``cap``-row
+    buffer for ``x``'s frames padded by ``pad``, and their interior.
+
+    Only interiors are ever written: the border keeps the zeros the
+    buffer was allocated with, which saves ``np.pad``'s per-call cost
+    on every chunk.
+    """
+    _, cin, height, width = x.shape
+    padded = pool.get(
+        f"padded{pad}", (cap, cin, height + 2 * pad, width + 2 * pad), dtype
+    )[:rows]
+    return padded, padded[:, :, pad:pad + height, pad:pad + width]
+
+
 def _padded_chunk(
     pool: BufferPool, xc: np.ndarray, pad: int, cap: int
 ) -> np.ndarray:
     """``xc`` zero-padded by ``pad`` on both spatial sides, in ``pool``.
 
-    Only the interior is written: the border keeps the zeros the buffer
-    was allocated with, which saves ``np.pad``'s per-call cost on every
-    chunk. The buffer has ``xc``'s dtype, so a byte train pads bytes;
-    the im2col copy casts them into the float32 columns, and the GEMM
-    sees the values a float32 train would give it.
+    The buffer has ``xc``'s dtype, so a byte train pads bytes; the
+    im2col copy casts them into the float32 columns, and the GEMM sees
+    the values a float32 train would give it.
     """
-    rows, cin, height, width = xc.shape
-    padded = pool.get(
-        f"padded{pad}", (cap, cin, height + 2 * pad, width + 2 * pad), xc.dtype
-    )[:rows]
-    padded[:, :, pad:pad + height, pad:pad + width] = xc
+    padded, inner = _padded_rows(pool, xc, xc.shape[0], pad, cap, xc.dtype)
+    inner[...] = xc
+    return padded
+
+
+def _packed_chunk(
+    pool: BufferPool, x: np.ndarray, start: int, stop: int,
+    shift: int, pad: int, cap: int,
+) -> np.ndarray:
+    """Packed rows ``start:stop`` of a binary batch, zero-padded by
+    ``pad`` in ``pool``.
+
+    With ``h = len(x) // 2``, packed row ``j < h`` holds ``x[j] +
+    2**shift * x[j + h]``, and row ``h`` of an odd batch holds ``x[2h]``
+    alone. The values are small integers, exact in the buffer's uint16
+    (byte trains) or float32.
+    """
+    h = x.shape[0] // 2
+    dtype = np.uint16 if x.dtype == np.uint8 else np.float32
+    padded, inner = _padded_rows(pool, x, stop - start, pad, cap, dtype)
+    pairs = max(0, min(stop, h) - start)
+    np.multiply(
+        x[start + h:start + h + pairs], dtype(1 << shift), out=inner[:pairs]
+    )
+    np.add(inner[:pairs], x[start:start + pairs], out=inner[:pairs])
+    if stop > h:
+        inner[pairs] = x[2 * h]
     return padded
 
 
@@ -187,6 +236,7 @@ def _unfold_matmul(
     max_elements: int,
     tables: Optional[BlockTables] = None,
     out: Optional[np.ndarray] = None,
+    shift: Optional[int] = None,
 ) -> np.ndarray:
     """``wmat @ im2col(x)`` as a (B, Cout, P) float32 array, written into
     ``out`` when given.
@@ -208,20 +258,28 @@ def _unfold_matmul(
     come from the pool's shared :meth:`BufferPool.scratch` arrays. So
     every batch size and tail chunk shares them, and the columns of
     every layer shape share one array.
+
+    With ``shift`` the GEMM runs over the ``ceil(B / 2)`` packed rows
+    of :func:`_packed_chunk` instead of ``x``'s rows, and their sums
+    fill ``out[:ceil(B / 2)]``; :func:`dense_conv_int` unpacks them.
     """
     g = layer.geometry
     batch = x.shape[0]
+    rows = batch if shift is None else batch - batch // 2
     cout = wmat.shape[0]
     kernel = g.kernel
     if out is None:
         out = np.empty((batch, cout, g.p), dtype=np.float32)
     cap = max(1, max_elements // max(1, g.k * g.p))
-    chunk = max(1, min(batch, cap))
-    for start in range(0, batch, chunk):
-        stop = min(batch, start + chunk)
-        xc = x[start:stop]
-        if g.padding:
-            xc = _padded_chunk(pool, xc, g.padding, cap)
+    chunk = max(1, min(rows, cap))
+    for start in range(0, rows, chunk):
+        stop = min(rows, start + chunk)
+        if shift is not None:
+            xc = _packed_chunk(pool, x, start, stop, shift, g.padding, cap)
+        elif g.padding:
+            xc = _padded_chunk(pool, x[start:stop], g.padding, cap)
+        else:
+            xc = x[start:stop]
         windows = np.lib.stride_tricks.sliding_window_view(
             xc, (kernel, kernel), axis=(2, 3)
         )  # (b, Cin, OH, OW, K, K)
@@ -477,6 +535,46 @@ def event_conv_int(
     return _event_current(acc2d, layer, x.shape[0], out), updates
 
 
+def _pack_shift(bound: int, frames: int) -> Optional[int]:
+    """The shift ``m`` that packs two binary frames of a layer with
+    accumulation bound ``bound`` into one GEMM column, or ``None`` when
+    packing does not apply (one frame, or a bound too wide).
+
+    ``m`` is the smallest shift with ``2**(m - 1) > bound``, so a frame's
+    sum ``a`` satisfies ``|a| < 2**(m - 1)``; packing needs every packed
+    partial sum, and the decode's offset sum, within 2^24.
+    """
+    from repro.quant.quantizer import INT_ACCUMULATION_LIMIT
+
+    shift = bound.bit_length() + 1
+    fits = bound * ((1 << shift) + 1) + (1 << (shift - 1))
+    if frames < 2 or fits > INT_ACCUMULATION_LIMIT:
+        return None
+    return shift
+
+
+def _unpack_pairs(acc: np.ndarray, shift: int) -> None:
+    """Split the packed sums of :func:`_packed_chunk` in ``acc[:h +
+    rest]`` (``h = len(acc) // 2``) into the frame sums, in place.
+
+    A packed sum is ``a + 2**shift * b`` with ``|a|, |b| < 2**(shift -
+    1)``, so ``b = floor((acc + 2**(shift - 1)) * 2**-shift)`` and ``a =
+    acc - 2**shift * b``: power-of-two scalings, a floor and integer
+    differences within 2^24, each exact in float32. An odd batch's last
+    frame ran alone in packed row ``h``; it moves to row ``2h`` first.
+    """
+    h = acc.shape[0] // 2
+    if acc.shape[0] % 2:
+        acc[2 * h] = acc[h]
+    lo, hi = acc[:h], acc[h:2 * h]
+    np.add(lo, np.float32(1 << (shift - 1)), out=hi)
+    np.multiply(hi, np.float32(2.0 ** -shift), out=hi)
+    np.floor(hi, out=hi)
+    np.multiply(hi, np.float32(1 << shift), out=hi)
+    np.subtract(lo, hi, out=lo)
+    np.multiply(hi, np.float32(2.0 ** -shift), out=hi)
+
+
 def dense_conv_int(
     layer: LayerPlan,
     x: np.ndarray,
@@ -491,12 +589,22 @@ def dense_conv_int(
     (bounded by the max channel L1, see ``layer.int_overflow_ok``), so
     the BLAS fold is exact whatever its lane split and equals
     :func:`event_conv_int` by construction, at every depth.
+
+    Where the bound leaves room (:func:`_pack_shift`: below 2048, so
+    int4 conv layers), frames ``i`` and ``i + B // 2`` share one GEMM
+    column and :func:`_unpack_pairs` splits their exact sums (module
+    docs), so the unfold and GEMM run over half the frames and every
+    current is the one-frame-per-column kernel's.
     """
     g = layer.geometry
     pool = buffers if buffers is not None else BufferPool()
+    shift = _pack_shift(layer.int_bound, x.shape[0])
     acc = _unfold_matmul(
-        layer, x, layer.wq_f32(), pool, max_elements, out=_flat_out(out, g)
+        layer, x, layer.wq_f32(), pool, max_elements,
+        out=_flat_out(out, g), shift=shift,
     )
+    if shift is not None:
+        _unpack_pairs(acc, shift)
     acc = acc.reshape(x.shape[0], layer.out_channels, g.oh, g.ow)
     _dequantize(acc, layer)
     np.add(acc, layer.bias.reshape(1, -1, 1, 1), out=acc)

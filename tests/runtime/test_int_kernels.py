@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from legacy_oracle import forward_legacy
 
+from repro.parallel import workers_override
 from repro.quant import FP32, INT4, INT8_P2, convert, quantize_array
 from repro.quant.convert import DeployableNetwork
 from repro.quant.schemes import scheme_by_name
@@ -30,7 +31,7 @@ from repro.runtime import (
     event_conv_int,
     runtime_overrides,
 )
-from repro.runtime.kernels import dense_conv
+from repro.runtime.kernels import _pack_shift, dense_conv
 from repro.runtime.refshapes import (
     make_conv_layer_plan,
     make_conv_network_plan,
@@ -56,6 +57,24 @@ def make_int_layer(cin, h, w, cout, seed=0, pow2=True):
     layer.wT = np.ascontiguousarray(wmat.T)
     attach_int_lowering(layer, q, scale)
     return layer
+
+
+def int64_reference(layer, x):
+    """The documented integer rule computed in int64: ``wq @ cols``,
+    checked within 2^24, then ``fl(acc * scale) + bias`` in float32."""
+    g = layer.geometry
+    pad = g.padding
+    padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    windows = np.lib.stride_tricks.sliding_window_view(
+        padded.astype(np.int64), (g.kernel, g.kernel), axis=(2, 3)
+    )  # (B, Cin, OH, OW, K, K)
+    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(x.shape[0], g.k, g.p)
+    acc = layer.wq.astype(np.int64) @ cols
+    assert np.abs(acc).max() <= (1 << 24)
+    current = acc.astype(np.float32)
+    current *= np.asarray(layer.wq_scale).reshape(1, -1, 1)
+    current += layer.bias.reshape(1, -1, 1)
+    return current.reshape(x.shape[0], layer.out_channels, g.oh, g.ow)
 
 
 def int_steps(out):
@@ -92,16 +111,7 @@ class TestIntKernels:
         float weights' fold."""
         layer = make_int_layer(8, 6, 6, 12, seed=8, pow2=False)
         x = binary_batch((8, 6, 6), 0.3, seed=9)
-        g = layer.geometry
-        padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1))).astype(np.int64)
-        windows = np.lib.stride_tricks.sliding_window_view(
-            padded, (3, 3), axis=(2, 3)
-        )
-        cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(x.shape[0], g.k, g.p)
-        want = (layer.wq.astype(np.int64) @ cols).astype(np.float32)
-        want *= layer.wq_scale.reshape(1, -1, 1)
-        want += layer.bias.reshape(1, -1, 1)
-        want = want.reshape(x.shape[0], layer.out_channels, g.oh, g.ow)
+        want = int64_reference(layer, x)
         assert np.array_equal(dense_conv_int(layer, x), want)
         assert np.array_equal(event_conv_int(layer, x)[0], want)
 
@@ -153,21 +163,6 @@ class TestExactAtAccumulationBound:
         attach_int_lowering(layer, q, scale)
         return layer
 
-    def _reference(self, layer, x):
-        """int64 ``wq @ cols``, dequantized by the documented rule."""
-        g = layer.geometry
-        padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1))).astype(np.int64)
-        windows = np.lib.stride_tricks.sliding_window_view(
-            padded, (3, 3), axis=(2, 3)
-        )  # (B, Cin, OH, OW, 3, 3)
-        cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(x.shape[0], g.k, g.p)
-        acc = layer.wq.astype(np.int64) @ cols
-        assert np.abs(acc).max() <= (1 << 24)
-        current = acc.astype(np.float32)
-        current *= layer.wq_scale.reshape(1, -1, 1)
-        current += layer.bias.reshape(1, -1, 1)
-        return current.reshape(x.shape[0], layer.out_channels, g.oh, g.ow)
-
     def test_bound_within_one_weight_of_limit(self):
         from repro.quant import INT_ACCUMULATION_LIMIT
 
@@ -188,7 +183,7 @@ class TestExactAtAccumulationBound:
         else:
             x = binary_batch(shape[1:], 0.5, seed=22, batch=shape[0])
             x = x.astype(dtype)
-        want = self._reference(layer, x)
+        want = int64_reference(layer, x)
         if fill == "ones":  # the bound is reached, both signs
             g = layer.geometry
             acc = layer.wq.astype(np.int64) @ np.ones(g.k, dtype=np.int64)
@@ -199,6 +194,58 @@ class TestExactAtAccumulationBound:
         event, _ = event_conv_int(layer, x)
         assert np.array_equal(dense, want)
         assert np.array_equal(event, want)
+
+
+class TestExactAtPackingLimit:
+    """The dense int kernel packs two binary frames into one GEMM column
+    while ``bound * (2**m + 1) + 2**(m - 1) <= 2**24``; pin the last
+    bound that packs (2047, ``m = 12``) and the first that does not
+    (2048), at every pair and odd-frame placement across chunks."""
+
+    CIN, H, W, COUT = 16, 4, 4, 5  # K = 144
+
+    def _layer(self, bound):
+        """Channel 0 sums to ``+bound`` on an all-ones input, channel 1
+        to ``-bound``; the others stay inside the bound."""
+        layer = make_conv_layer_plan(self.CIN, self.H, self.W, self.COUT, seed=31)
+        k = layer.geometry.k
+        rng = np.random.default_rng(31)
+        q = rng.integers(-7, 8, size=(self.COUT, k))
+        edge = np.zeros(k, dtype=np.int64)
+        edge[: bound // 127] = 127
+        edge[bound // 127] = bound % 127
+        q[0] = rng.permutation(edge)
+        q[1] = -rng.permutation(edge)
+        scale = (rng.random(self.COUT) * 2.0**-8).astype(np.float32)
+        attach_int_lowering(layer, q, scale)
+        assert layer.int_bound == bound
+        return layer
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.uint8])
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    @pytest.mark.parametrize("frames", [1, 2, 5])
+    @pytest.mark.parametrize("bound, shift", [(2047, 12), (2048, None)])
+    def test_dense_int_equals_int64_reference(
+        self, bound, shift, frames, chunk, dtype
+    ):
+        """Frames ``0, 3`` are all ones (both signs at the bound), the
+        rest random: 5 frames pack as (0, 2), (1, 3) and 4 alone, so
+        the bound lands in both halves of a pair and the odd frame in
+        its own chunk at ``chunk`` 1 and 2."""
+        layer = self._layer(bound)
+        assert _pack_shift(layer.int_bound, frames) == (
+            shift if frames > 1 else None
+        )
+        x = binary_batch((self.CIN, self.H, self.W), 0.5, seed=frames, batch=frames)
+        x[::3] = 1
+        x = x.astype(dtype)
+        want = int64_reference(layer, x)
+        g = layer.geometry
+        ones = layer.wq.astype(np.int64) @ np.ones(g.k, dtype=np.int64)
+        assert ones[0] == bound and ones[1] == -bound
+        dense = dense_conv_int(layer, x, max_elements=chunk * g.k * g.p)
+        assert np.array_equal(dense, want)
+        assert np.array_equal(event_conv_int(layer, x)[0], want)
 
 
 class TestOverflowGate:
@@ -249,19 +296,6 @@ class TestOverflowGate:
         assert counters.int_event_steps == 0
         assert counters.float_overflow_steps > 0
 
-
-def float_twin(model):
-    """``model`` with its quantized weights replaced by their float32
-    dequantization: the same weights, run on the float datapath."""
-    layers = [
-        replace(layer, weight_q=layer.effective_weight(), weight_scale=None)
-        for layer in model.layers
-    ]
-    return DeployableNetwork(
-        layers, model.lif, model.num_classes, FP32, model.input_shape
-    )
-
-
     def test_engine_runs_int_within_bound(self):
         """The same network with a lowering inside the bound runs every
         binary step of its conv layer on the integer kernels."""
@@ -276,6 +310,18 @@ def float_twin(model):
             counters.dense_steps + counters.event_steps
         ) > 0
         assert counters.float_overflow_steps == 0
+
+
+def float_twin(model):
+    """``model`` with its quantized weights replaced by their float32
+    dequantization: the same weights, run on the float datapath."""
+    layers = [
+        replace(layer, weight_q=layer.effective_weight(), weight_scale=None)
+        for layer in model.layers
+    ]
+    return DeployableNetwork(
+        layers, model.lif, model.num_classes, FP32, model.input_shape
+    )
 
 
 class TestEngineIntegration:
@@ -400,6 +446,42 @@ class TestEngineIntegration:
         lo = arb_model.forward(images[:2], 4, encoder).logits
         hi = arb_model.forward(images[2:], 4, encoder.for_samples(2)).logits
         assert np.array_equal(whole, np.concatenate([lo, hi]))
+
+    @pytest.mark.parametrize("batch", [3, 17])
+    def test_int4_odd_frames_pack_at_every_budget_and_lane_count(self, batch):
+        """An int4 rate-coded forward at T=3 hands the dense int kernel
+        odd frame counts on layers whose bound packs: 3 per one-sample
+        block at ``max_fused_elements=1``; per fused block 9 (batch 3),
+        51 (batch 17, one lane) or 24 and 27 (batch 17, two lanes).
+        Logits, counters and recorded trains are byte-identical at
+        every budget and lane count, and equal the reference loop's."""
+        model = self._model(INT4)
+        rng = np.random.default_rng(batch)
+        images = rng.random((batch, 3, 8, 8)).astype(np.float32)
+        encoder = RateEncoder(seed=0)
+        outs = []
+        for workers in (1, 2):
+            for overrides in (dict(), dict(max_fused_elements=1)):
+                with workers_override(workers), runtime_overrides(**overrides):
+                    outs.append(model.forward(images, 3, encoder, record=True))
+        convs = [l for l in model._runtime_plan.layers if l.kind == "conv"]
+        assert all(_pack_shift(l.int_bound, 3) for l in convs)
+        for layer in convs:
+            assert outs[0].runtime_counters[layer.name].int_dense_steps > 0
+        first = outs[0]
+        for other in outs[1:]:
+            assert other.logits.tobytes() == first.logits.tobytes()
+            assert {k: c.as_dict() for k, c in other.runtime_counters.items()} == {
+                k: c.as_dict() for k, c in first.runtime_counters.items()
+            }
+            for name, train in first.spike_trains_stacked.items():
+                got = other.spike_trains_stacked[name]
+                assert got.dtype == train.dtype
+                assert got.tobytes() == train.tobytes()
+        want = forward_legacy(model, images, 3, encoder, record=True)
+        assert np.array_equal(first.logits, want.logits)
+        for name, train in want.spike_trains_stacked.items():
+            assert np.array_equal(first.spike_trains_stacked[name], train)
 
 
 class TestCounters:
