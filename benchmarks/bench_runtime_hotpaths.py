@@ -51,7 +51,8 @@ from typing import Callable, Dict, List, Tuple
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if not any(os.path.isdir(os.path.join(p, "repro")) for p in sys.path if p):
     sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
-# The per-timestep reference loop lives with the tests it anchors.
+# The per-timestep reference loop and the reference conv shapes live
+# with the tests they anchor.
 sys.path.append(os.path.join(REPO_ROOT, "tests"))
 
 import numpy as np
@@ -67,11 +68,11 @@ from repro.runtime import (
     runtime_overrides,
 )
 from repro.runtime.kernels import dense_conv, event_conv, event_conv_blocked
-from repro.runtime.refshapes import DEEP_VGG9_SHAPES, make_conv_layer_plan
 from repro.snn import build_vgg9
 from repro.snn.neuron import LIFConfig
 
 from legacy_oracle import forward_legacy, layer_current
+from refshapes import DEEP_VGG9_SHAPES, make_conv_layer_plan
 
 DENSITIES = (0.01, 0.05, 0.20, 0.50)
 

@@ -25,6 +25,8 @@ import sys
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if not any(os.path.isdir(os.path.join(p, "repro")) for p in sys.path if p):
     sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+# The reference conv shapes live with the tests that share them.
+sys.path.append(os.path.join(REPO_ROOT, "tests"))
 
 import numpy as np
 
@@ -33,7 +35,8 @@ from repro.runtime import (
     resolve_event_block,
     runtime_overrides,
 )
-from repro.runtime.refshapes import DEEP_VGG9_SHAPES, make_conv_network_plan
+
+from refshapes import DEEP_VGG9_SHAPES, make_conv_network_plan
 
 DENSITIES = (0.01, 0.04)
 TIMESTEPS = 2

@@ -20,11 +20,13 @@ Two timing modes:
   lane -- no train is ever recorded. The sums are integer-valued and
   therefore merge exactly, over blocks, lanes and shards alike; the
   single mean-per-timestep division happens once, on the merged totals.
-  With a shard geometry (``shards`` / ``shard_size`` / ``workers``)
-  each shard runs its forward the same way and only ``(T,)`` float64
-  vectors (plus the functional output) travel back -- so sharded cycle
-  statistics are bit-identical to the unsharded run, for every encoder,
-  at any shard geometry and worker count.
+  With a shard geometry (``shards`` / ``shard_size`` / ``workers``) the
+  run is one :func:`~repro.parallel.shard.sharded_forward` with the
+  same reducer: each shard's lanes reduce its blocks, and every block's
+  ``(T,)`` float64 sums travel back in the shard's functional output,
+  never a train -- so sharded cycle statistics are bit-identical to the
+  unsharded run, for every encoder, at any shard geometry and worker
+  count.
 * **analytic** (:meth:`run_from_counts`): needs only per-layer event
   counts (e.g. the paper-scale workload profile); used by the Table I /
   Table III harnesses where only cycle/power structure matters.
@@ -32,10 +34,10 @@ Two timing modes:
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
+from functools import partial
 from math import ceil
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -166,7 +168,7 @@ def sparse_layer_cycle_sums(
 def merge_cycle_sums(
     parts: Sequence[Dict[str, Dict[str, np.ndarray]]]
 ) -> Dict[str, Dict[str, np.ndarray]]:
-    """Fold per-shard ``{layer: sums}`` dicts (exact: integer sums)."""
+    """Fold per-block ``{layer: sums}`` dicts (exact: integer sums)."""
     merged: Dict[str, Dict[str, np.ndarray]] = {}
     for part in parts:
         for name, sums in part.items():
@@ -179,61 +181,19 @@ def merge_cycle_sums(
     return merged
 
 
-# ---------------------------------------------------------------------------
-# Sharded exact mode: worker-side cells (module level for pickling)
-# ---------------------------------------------------------------------------
-
-_SIM_WORKER_STATE: Optional[Dict] = None  # repro: lint-ok[P102] per-worker broadcast state; repopulated by the initializer in each process
-
-
-def _sim_forward(
-    model, config: AcceleratorConfig, images, timesteps: int, encoder
-) -> Tuple:
-    """One forward whose engine lanes reduce each sparse layer's input
-    train to cycle sums, one sample block at a time, while it is live.
-    Returns what a shard sends back: the functional output (no trains)
-    and the merged per-layer cycle sums."""
-    chunk_bits = config.compression_chunk_bits
-
-    def reduce(index: int, _plan, block: np.ndarray):
-        if index == 0 and config.use_dense_core:
-            return None  # dense-core layer: activity-independent timing
-        layer = model.layers[index]
-        # Looked up at call time: tracers patch the module attribute.
-        sums = sparse_layer_cycle_sums(
-            layer, config.allocation[index], block, chunk_bits
-        )
-        return {layer.name: sums}
-
-    out = model.forward(images, timesteps, encoder, reducer=reduce)
-    parts = [part for blocks in out.reduced.values() for part in blocks if part]
-    out.reduced = None  # only the merged sums travel back
-    return out, merge_cycle_sums(parts)
-
-
-def _init_sim_worker(model_payload, config, encoder_blob) -> None:
-    from repro.parallel.shard import _materialize_model
-
-    global _SIM_WORKER_STATE
-    _SIM_WORKER_STATE = {
-        "model": _materialize_model(model_payload),
-        "config": config,
-        "encoder_blob": encoder_blob,
-    }
-
-
-def _run_sim_shard(task: Tuple[object, int, int]):
-    from repro.parallel.shard import resolve_task_images
-
-    payload, start, timesteps = task
-    state = _SIM_WORKER_STATE
-    shard_images = resolve_task_images(payload)
-    # Position the encoder on the shard's global sample offset so
-    # counter-stream encoders replay the unsharded stream exactly.
-    encoder = pickle.loads(state["encoder_blob"]).for_samples(start)
-    return _sim_forward(
-        state["model"], state["config"], shard_images, timesteps, encoder
+def _cycle_sums(
+    config: AcceleratorConfig, index: int, layer, block: np.ndarray
+) -> Optional[Dict[str, Dict[str, np.ndarray]]]:
+    """The exact-mode ``reducer``: one sample block of a layer's input
+    train as ``{layer name: cycle sums}``. Bound with ``partial``, so a
+    shard's task pickles the accelerator config, never the network."""
+    if index == 0 and config.use_dense_core:
+        return None  # dense-core layer: activity-independent timing
+    # Looked up at call time: tracers patch the module attribute.
+    sums = sparse_layer_cycle_sums(
+        layer, config.allocation[index], block, config.compression_chunk_bits
     )
+    return {layer.name: sums}
 
 
 class HybridSimulator:
@@ -270,89 +230,35 @@ class HybridSimulator:
         The engine lanes reduce each layer's input train to per-(layer,
         timestep) cycle sums block by block, as the forward produces it.
         With a shard geometry (``shards`` / ``shard_size`` /
-        ``workers``) the batch is split exactly like
-        :func:`~repro.parallel.shard.sharded_forward` splits it, each
-        shard's forward reduces its own trains that way (in a worker
-        process, or inline under the serial fallback), and the merged
-        statistics are bit-identical to the unsharded run -- see the
-        module docstring. Every task carries its shard's global sample
-        offset, so counter-stream rate coding replays the unsharded
-        stream exactly.
+        ``workers``) the same reducer runs through
+        :func:`~repro.parallel.shard.sharded_forward`, bit-identically
+        to the unsharded run -- see the module docstring.
         """
         encoder = encoder or DirectEncoder()
         self._check_encoder(encoder)
-        if shards is not None or shard_size is not None or workers is not None:
-            return self._run_sharded(
-                images, timesteps, encoder, labels,
-                shards=shards, shard_size=shard_size, workers=workers,
+        reducer = partial(_cycle_sums, self.config)
+        shard_count = 1
+        if shards is None and shard_size is None and workers is None:
+            out = self.network.forward(
+                images, timesteps, encoder, reducer=reducer
             )
-        out, sums = _sim_forward(
-            self.network, self.config, images, timesteps, encoder
-        )
-        return self._report_from_sums(
-            out, sums, timesteps, len(images), encoder, labels
-        )
-
-    def _run_sharded(
-        self,
-        images: np.ndarray,
-        timesteps: int,
-        encoder: Encoder,
-        labels: Optional[np.ndarray],
-        shards: Optional[int],
-        shard_size: Optional[int],
-        workers: Optional[int],
-    ) -> SimulationReport:
-        """Exact mode over shards: ship (output, cycle sums) only."""
-        from repro.parallel.config import resolve_workers
-        from repro.parallel.pool import run_tasks
-        from repro.parallel.shard import (
-            merge_outputs,
-            plan_task_images,
-            shard_slices,
-        )
-
-        images = np.asarray(images, dtype=np.float32)
-        slices = shard_slices(len(images), shards=shards, shard_size=shard_size)
-        encoder_blob = pickle.dumps(encoder)
-        count = min(resolve_workers(workers), len(slices))
-        if count <= 1 or len(slices) <= 1:
-            parts = []
-            for piece in slices:
-                shard_encoder = pickle.loads(encoder_blob).for_samples(
-                    piece.start
-                )
-                parts.append(
-                    _sim_forward(
-                        self.network, self.config, images[piece],
-                        timesteps, shard_encoder,
-                    )
-                )
         else:
-            image_payloads, cleanup = plan_task_images(images, slices)
-            tasks = [
-                (payload, piece.start, timesteps)
-                for payload, piece in zip(image_payloads, slices)
-            ]
-            try:
-                parts = run_tasks(
-                    _run_sim_shard,
-                    tasks,
-                    workers=count,
-                    initializer=_init_sim_worker,
-                    initargs=(
-                        ("object", self.network, None),
-                        self.config,
-                        encoder_blob,
-                    ),
-                )
-            finally:
-                cleanup()
-        merged_out = merge_outputs([out for out, _ in parts])
-        merged_sums = merge_cycle_sums([sums for _, sums in parts])
+            from repro.parallel.shard import shard_slices, sharded_forward
+
+            shard_count = len(
+                shard_slices(len(images), shards=shards, shard_size=shard_size)
+            )
+            out = sharded_forward(
+                self.network, images, timesteps, encoder,
+                shards=shards, shard_size=shard_size, workers=workers,
+                reducer=reducer,
+            )
+        sums = merge_cycle_sums(
+            [part for blocks in out.reduced.values() for part in blocks if part]
+        )
         return self._report_from_sums(
-            merged_out, merged_sums, timesteps, len(images), encoder, labels,
-            shards=len(slices),
+            out, sums, timesteps, len(images), encoder, labels,
+            shards=shard_count,
         )
 
     def _report_from_sums(
@@ -381,7 +287,11 @@ class HybridSimulator:
                     layer, cores, sums[layer.name], timesteps
                 )
             layer_stats.append(stats)
-        report = self._finalize(layer_stats, timesteps, samples, out.stats)
+        resources = self._resource_estimator.estimate(self.network, timesteps)
+        report = self._finalize_with(
+            layer_stats, timesteps, samples, out.stats, resources,
+            self._power_model.estimate(resources),
+        )
         report.logits = out.logits
         if labels is not None:
             report.accuracy = float(
@@ -621,19 +531,6 @@ class HybridSimulator:
             activation_cycles=float(activation * timesteps),
             input_events=events,
             output_spikes=0.0,
-        )
-
-    def _finalize(
-        self,
-        layer_stats: List[LayerSimStats],
-        timesteps: int,
-        samples: int,
-        stats,
-    ) -> SimulationReport:
-        resources = self._resource_estimator.estimate(self.network, timesteps)
-        power = self._power_model.estimate(resources)
-        return self._finalize_with(
-            layer_stats, timesteps, samples, stats, resources, power
         )
 
     def _finalize_with(

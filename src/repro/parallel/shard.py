@@ -3,7 +3,9 @@
 :func:`sharded_forward` runs one :class:`DeployableNetwork` forward pass
 over ``images`` split into contiguous shards, each shard evaluated by a
 worker process (or inline under the serial fallback), and merges the
-per-shard :class:`DeployableOutput` objects back into one.
+per-shard :class:`DeployableOutput` objects back into one. It is the
+one pooled forward: the sharded simulator passes a ``reducer`` that
+turns each block of a layer's input train into cycle sums in the shard.
 
 Merge semantics (shard order is ascending sample index, always):
 
@@ -22,6 +24,8 @@ Merge semantics (shard order is ascending sample index, always):
   Counters tally per-(shard, timestep) dispatch decisions, so their
   totals scale with the shard count; like the analog totals they are a
   pure function of the shard geometry.
+* ``reduced`` -- each layer's per-block ``reducer`` results, joined in
+  shard order (``None`` when the forward ran without a reducer).
 
 Determinism guarantees, in decreasing strength:
 
@@ -44,13 +48,13 @@ and scratch buffers, for in-memory models) or -- preferably -- the
 cached ``.npz`` path, which each worker loads. Either way a worker lowers
 the model and calibrates its conv shapes itself, once per process.
 
-Image payloads (:func:`plan_task_images` / :func:`resolve_task_images`,
-shared with the sharded simulator): the array is written once to a temp
-``.npy`` and every task ships a ``('mmap', path, start, stop)`` row
-slice; workers memory-map the file and copy out only their rows, so the
-per-call generation blob and the task pipes stay small no matter how
-large the evaluation set is. When the temp file cannot be written, each
-task carries its own shard array instead.
+Image payloads (:func:`plan_task_images` / :func:`resolve_task_images`):
+the array is written once to a temp ``.npy`` and every task ships a
+``('mmap', path, start, stop)`` row slice; workers memory-map the file
+and copy out only their rows, so the per-call generation blob and the
+task pipes stay small no matter how large the evaluation set is. When
+the temp file cannot be written, each task carries its own shard array
+instead.
 """
 
 from __future__ import annotations
@@ -130,6 +134,10 @@ def merge_outputs(parts: Sequence) -> "DeployableOutput":
     for part in parts:
         for name, counter in part.runtime_counters.items():
             counters.setdefault(name, LayerCounters()).merge(counter)
+    reduced = parts[0].reduced and {
+        name: [block for part in parts for block in part.reduced[name]]
+        for name in parts[0].reduced
+    }
     trains = None
     stacked = None
     if parts[0].spike_trains_stacked is not None:
@@ -149,6 +157,7 @@ def merge_outputs(parts: Sequence) -> "DeployableOutput":
         spike_trains=trains,
         spike_trains_stacked=stacked,
         runtime_counters=counters,
+        reduced=reduced,
     )
 
 
@@ -254,18 +263,18 @@ def _init_shard_worker(
     }
 
 
-def _run_shard(task: Tuple[object, int, int, bool]):
+def _run_shard(task: Tuple[object, int, int, bool, Optional[Callable]]):
     """One shard: ``payload`` is whatever :func:`plan_task_images`
     shipped -- a memory-mapped row slice or the shard's own array.
     ``start`` is the shard's global sample offset: counter-stream
     encoders position themselves on it so the shard draws exactly the
     rows of the unsharded stream."""
-    payload, start, timesteps, record = task
+    payload, start, timesteps, record, reducer = task
     state = _WORKER_STATE
     shard_images = resolve_task_images(payload)
     encoder = pickle.loads(state["encoder_blob"]).for_samples(start)
     return state["model"].forward(
-        shard_images, timesteps, encoder, record=record
+        shard_images, timesteps, encoder, record=record, reducer=reducer
     )
 
 
@@ -285,6 +294,7 @@ def sharded_forward(
     model_path: Optional[str] = None,
     timeout: Optional[float] = None,
     retry=None,
+    reducer: Optional[Callable] = None,
 ):
     """One merged forward pass over ``images``, sharded across workers.
 
@@ -321,6 +331,10 @@ def sharded_forward(
             :class:`~repro.errors.PoisonTaskError` (carrying the
             surviving shard outputs). ``REPRO_RETRY_MAX_ATTEMPTS=1``
             restores single-shot semantics.
+        reducer: passed to every shard's ``model.forward``; each
+            layer's ``reduced`` results are joined in shard order. It
+            rides in the tasks (so it must pickle), not the initializer,
+            so the pooled generation stays (model, encoder).
     """
     from repro.snn.encoding import DirectEncoder
 
@@ -334,7 +348,8 @@ def sharded_forward(
             shard_encoder = pickle.loads(encoder_blob).for_samples(piece.start)
             parts.append(
                 model.forward(
-                    images[piece], timesteps, shard_encoder, record=record
+                    images[piece], timesteps, shard_encoder,
+                    record=record, reducer=reducer,
                 )
             )
         return merge_outputs(parts)
@@ -347,7 +362,7 @@ def sharded_forward(
     )
     image_payloads, cleanup = plan_task_images(images, slices)
     tasks = [
-        (image_payload, piece.start, timesteps, record)
+        (image_payload, piece.start, timesteps, record, reducer)
         for image_payload, piece in zip(image_payloads, slices)
     ]
     try:

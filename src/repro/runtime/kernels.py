@@ -558,19 +558,21 @@ def _unpack_pairs(acc: np.ndarray, shift: int) -> None:
     rest]`` (``h = len(acc) // 2``) into the frame sums, in place.
 
     A packed sum is ``a + 2**shift * b`` with ``|a|, |b| < 2**(shift -
-    1)``, so ``b = floor((acc + 2**(shift - 1)) * 2**-shift)`` and ``a =
-    acc - 2**shift * b``: power-of-two scalings, a floor and integer
-    differences within 2^24, each exact in float32. An odd batch's last
-    frame ran alone in packed row ``h``; it moves to row ``2h`` first.
+    1)``. Adding ``C = 1.5 * 2**(23 + shift)`` lands ``acc`` (``|acc| <=
+    2^24``) in C's binade, whose float32 spacing is ``2**shift``, so
+    ``fl(acc + C) - C`` is exactly ``2**shift * b`` (no tie: ``|a| <
+    2**(shift - 1)``). Then ``a = acc - 2**shift * b``, and ``b``
+    follows by a power-of-two scaling: four passes, each exact. An odd
+    batch's last frame ran alone in packed row ``h``; it moves to row
+    ``2h`` first.
     """
     h = acc.shape[0] // 2
     if acc.shape[0] % 2:
         acc[2 * h] = acc[h]
     lo, hi = acc[:h], acc[h:2 * h]
-    np.add(lo, np.float32(1 << (shift - 1)), out=hi)
-    np.multiply(hi, np.float32(2.0 ** -shift), out=hi)
-    np.floor(hi, out=hi)
-    np.multiply(hi, np.float32(1 << shift), out=hi)
+    magic = np.float32(1.5 * 2.0 ** (23 + shift))
+    np.add(lo, magic, out=hi)
+    np.subtract(hi, magic, out=hi)
     np.subtract(lo, hi, out=lo)
     np.multiply(hi, np.float32(2.0 ** -shift), out=hi)
 

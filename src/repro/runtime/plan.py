@@ -171,6 +171,11 @@ class LayerPlan:
         return int(self.wmat.shape[0])
 
     @property
+    def kernel(self) -> int:
+        """Conv kernel size, 1 for FC layers (read by the cycle sums)."""
+        return self.geometry.kernel if self.geometry is not None else 1
+
+    @property
     def has_int_lowering(self) -> bool:
         return self.wq is not None
 

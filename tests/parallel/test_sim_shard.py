@@ -1,12 +1,16 @@
 """Sharded exact-mode simulator stats and memory-mapped shard payloads.
 
-Two PR-4 satellites, both about what travels between processes:
+What travels between processes:
 
 * :meth:`HybridSimulator.run` with a shard geometry ships per-(layer,
   timestep) cycle *sums* (exact integers in float64) plus a slim
   functional output -- never the recorded trains -- and the merged
   report must be bit-identical to the unsharded run for deterministic
-  encoders, at any shard geometry and worker count.
+  encoders, at any shard geometry and worker count. It shards through
+  :func:`sharded_forward` with a ``reducer``, whose per-block results
+  come back joined in shard order; the reducer rides in the tasks, so
+  the simulator reuses the generation a plain sharded forward of the
+  same model and encoder left warm.
 * Under the persistent :class:`WorkerService` the evaluation image array
   is written once to a temp ``.npy`` and tasks carry ``('mmap', path,
   start, stop)`` row slices; when the file cannot be created the
@@ -14,12 +18,19 @@ Two PR-4 satellites, both about what travels between processes:
   bit-identical to the serial fallback.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.hw.config import AcceleratorConfig
-from repro.hw.simulator import HybridSimulator, merge_cycle_sums
-from repro.parallel import sharded_forward
+from repro.hw.simulator import HybridSimulator, _cycle_sums, merge_cycle_sums
+from repro.parallel import (
+    service_stats,
+    sharded_forward,
+    shutdown_worker_service,
+)
+from repro.parallel.shard import merge_outputs
 from repro.quant import FP32, convert
 from repro.snn import build_network
 from repro.snn.encoding import TtfsEncoder
@@ -141,9 +152,10 @@ class TestShardedSimulatorStats:
     def test_pooled_run_heals_a_crashed_shard(
         self, simulator, images, monkeypatch
     ):
-        """The sharded simulator reaches the pool through plain
-        ``run_tasks``, so a worker SIGKILLed on its first attempt at
-        shard 1 is healed and the report equals the clean run's."""
+        """The sharded simulator reaches the pool through
+        ``sharded_forward``'s ``run_tasks``, so a worker SIGKILLed on its
+        first attempt at shard 1 is healed and the report equals the
+        clean run's."""
         from repro.faults import FAULT_PLAN_ENV
         from repro.parallel import retry_stats, shutdown_worker_service
         from repro.parallel.retry import reset_retry_stats
@@ -213,6 +225,95 @@ class TestShardedSimulatorStats:
         assert "conv1_1 d9/e0" in sharded
         one = dispatch_note(simulator.run(images[:6], 3, shards=1))
         assert one == plain
+
+
+def reduced_bytes(out):
+    """Every block's cycle sums of ``out.reduced`` as (dtype, bytes)."""
+    return {
+        name: [
+            part and {
+                layer: {
+                    key: (np.asarray(value).dtype.str, np.asarray(value).tobytes())
+                    for key, value in sums.items()
+                }
+                for layer, sums in part.items()
+            }
+            for part in blocks
+        ]
+        for name, blocks in out.reduced.items()
+    }
+
+
+class TestOnePooledForward:
+    """The sharded simulator is ``sharded_forward`` with a reducer."""
+
+    def test_merge_outputs_joins_reduced_in_shard_order(
+        self, deployable, images
+    ):
+        slices = [slice(0, 4), slice(4, 9), slice(9, 13)]
+        names = [layer.name for layer in deployable.layers]
+        parts = [deployable.forward(images[piece], 2) for piece in slices]
+        assert merge_outputs(parts).reduced is None
+        for shard, part in enumerate(parts):
+            part.reduced = {
+                name: [(shard, name, block) for block in range(shard + 1)]
+                for name in names
+            }
+        merged = merge_outputs(parts)
+        assert list(merged.reduced) == names
+        for name in names:
+            assert merged.reduced[name] == [
+                (shard, name, block)
+                for shard in range(3)
+                for block in range(shard + 1)
+            ]
+
+    def test_reducer_results_equal_across_worker_counts(
+        self, simulator, images
+    ):
+        reducer = partial(_cycle_sums, simulator.config)
+        serial = sharded_forward(
+            simulator.network, images, 2, shards=3, workers=1,
+            reducer=reducer,
+        )
+        pooled = sharded_forward(
+            simulator.network, images, 2, shards=3, workers=2,
+            reducer=reducer,
+        )
+        first, *sparse = simulator.network.layers
+        # The dense-core input layer reduces to nothing, every sparse
+        # layer to one sums dict per block of each of the three shards.
+        assert set(pooled.reduced[first.name]) == {None}
+        for layer in sparse:
+            assert len(pooled.reduced[layer.name]) >= 3
+            assert all(
+                list(part) == [layer.name]
+                for part in pooled.reduced[layer.name]
+            )
+        # Compared by value bytes: a pickle would also encode which
+        # dtype objects the arrays share, and arrays unpickled from a
+        # worker share none.
+        assert reduced_bytes(pooled) == reduced_bytes(serial)
+
+    def test_sharded_run_reuses_the_forward_generation(
+        self, simulator, images
+    ):
+        """The reducer travels in the tasks, so a sharded simulator run
+        right after a sharded forward of the same model and encoder
+        broadcasts no new worker state."""
+        shutdown_worker_service()
+        try:
+            forward = sharded_forward(
+                simulator.network, images, 2, shards=4, workers=2
+            )
+            before = service_stats()
+            report = simulator.run(images, 2, shards=4, workers=2)
+            after = service_stats()
+        finally:
+            shutdown_worker_service()
+        assert np.array_equal(report.logits, forward.logits)
+        assert after["generations"] - before["generations"] == 0
+        assert after["generation_reuses"] - before["generation_reuses"] == 1
 
 
 class TestMmapShardPayloads:

@@ -6,7 +6,8 @@ shared by ``tests/runtime/test_fold_calibration.py``,
 ``benchmarks/bench_runtime_hotpaths.py`` -- one definition, so the CI
 gate, the perf record and the test suite provably guard the same
 shapes. Weights are seeded-random: calibration verdicts depend only on
-the GEMM shape, never the values.
+the GEMM shape, never the values. Like ``legacy_oracle.py`` beside it,
+it is imported with ``tests/`` on ``sys.path``.
 """
 
 from __future__ import annotations

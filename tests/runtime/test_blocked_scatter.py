@@ -19,6 +19,11 @@ path, and fused-batch chunking.
 
 import numpy as np
 import pytest
+from refshapes import (
+    DEEP_VGG9_SHAPES,
+    make_conv_layer_plan as make_layer,
+    make_conv_network_plan,
+)
 
 from repro.runtime import InferenceEngine, runtime_overrides
 from repro.runtime.kernels import (
@@ -29,11 +34,6 @@ from repro.runtime.kernels import (
     resolve_event_block,
 )
 from repro.runtime.kernels import BufferPool
-from repro.runtime.refshapes import (
-    DEEP_VGG9_SHAPES,
-    make_conv_layer_plan as make_layer,
-    make_conv_network_plan,
-)
 
 BLOCK_SIZES = (32, 128, 512)
 DENSITIES = (0.0, 0.02, 0.3)

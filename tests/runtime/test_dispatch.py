@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 from legacy_oracle import forward_legacy
+from refshapes import make_conv_network_plan
 
 import repro
 from repro.errors import ConfigError, ShapeError
@@ -17,7 +18,6 @@ from repro.runtime import (
     runtime_config,
     runtime_overrides,
 )
-from repro.runtime.refshapes import make_conv_network_plan
 from repro.snn import build_network
 from repro.snn.encoding import Encoder, RateEncoder
 from repro.tensor import Tensor

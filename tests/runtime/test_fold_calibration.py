@@ -15,6 +15,10 @@ accepted configurations trustworthy.
 
 import numpy as np
 import pytest
+from refshapes import (
+    DEEP_VGG9_SHAPES,
+    make_conv_layer_plan as make_conv_plan,
+)
 
 from repro.runtime import plan_report, runtime_overrides
 from repro.runtime.kernels import (
@@ -27,10 +31,6 @@ from repro.runtime.kernels import (
     resolve_event_block,
 )
 from repro.runtime.plan import LayerPlan
-from repro.runtime.refshapes import (
-    DEEP_VGG9_SHAPES,
-    make_conv_layer_plan as make_conv_plan,
-)
 
 
 class TestDeepShapesCalibrateBlocked:

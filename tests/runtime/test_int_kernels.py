@@ -18,6 +18,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from legacy_oracle import forward_legacy
+from refshapes import (
+    make_conv_layer_plan,
+    make_conv_network_plan,
+)
 
 from repro.parallel import workers_override
 from repro.quant import FP32, INT4, INT8_P2, convert, quantize_array
@@ -32,10 +36,6 @@ from repro.runtime import (
     runtime_overrides,
 )
 from repro.runtime.kernels import _pack_shift, dense_conv
-from repro.runtime.refshapes import (
-    make_conv_layer_plan,
-    make_conv_network_plan,
-)
 from repro.snn import build_network
 from repro.snn.encoding import RateEncoder
 

@@ -20,6 +20,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from refshapes import (
+    DEEP_VGG9_SHAPES,
+    make_conv_layer_plan,
+    make_conv_network_plan,
+)
 
 from repro.parallel import sharded_forward, workers_override
 from repro.quant import FP32, INT8, INT8_P2, convert
@@ -37,11 +42,6 @@ from repro.runtime.kernels import (
     resolve_event_block,
 )
 from repro.runtime.lanes import lane_bounds, lane_count
-from repro.runtime.refshapes import (
-    DEEP_VGG9_SHAPES,
-    make_conv_layer_plan,
-    make_conv_network_plan,
-)
 from repro.snn import build_network, build_vgg9
 from repro.snn.encoding import RateEncoder
 from repro.snn.neuron import lif_scan
