@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numbers
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import ClassVar, Dict, Iterator, Optional
 
 from repro.errors import ConfigError
@@ -157,18 +157,7 @@ class LayerCounters:
     float_overflow_steps: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "dense_steps": self.dense_steps,
-            "event_steps": self.event_steps,
-            "event_updates": self.event_updates,
-            "dense_density_steps": self.dense_density_steps,
-            "dense_calibration_steps": self.dense_calibration_steps,
-            "dense_forced_steps": self.dense_forced_steps,
-            "int_dense_steps": self.int_dense_steps,
-            "int_event_steps": self.int_event_steps,
-            "int_event_updates": self.int_event_updates,
-            "float_overflow_steps": self.float_overflow_steps,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def count_dense(self, reason: Optional[str], steps: int = 1) -> None:
         """Tally ``steps`` dense layer-timesteps attributed to ``reason``."""
@@ -181,13 +170,5 @@ class LayerCounters:
             self.dense_forced_steps += steps
 
     def merge(self, other: "LayerCounters") -> None:
-        self.dense_steps += other.dense_steps
-        self.event_steps += other.event_steps
-        self.event_updates += other.event_updates
-        self.dense_density_steps += other.dense_density_steps
-        self.dense_calibration_steps += other.dense_calibration_steps
-        self.dense_forced_steps += other.dense_forced_steps
-        self.int_dense_steps += other.int_dense_steps
-        self.int_event_steps += other.int_event_steps
-        self.int_event_updates += other.int_event_updates
-        self.float_overflow_steps += other.float_overflow_steps
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))

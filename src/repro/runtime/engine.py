@@ -9,27 +9,28 @@ folded into the batch axis), the LIF state scan runs sequentially over
 layer. Because the network is feed-forward and LIF state is purely
 per-layer and per-sample, this reordering of a time-major loop is exact.
 
-Per layer and timestep the dispatcher measures input activity and routes
-the step to the dense gather-matmul kernel or the event-driven scatter
-kernel (see :mod:`repro.runtime.kernels`); both are calibrated
-bit-identical -- for deep conv shapes via the canonical blocked k-fold,
-which both kernels share -- so dispatch never changes results, only
-speed. Which fold a layer uses is a pure function of the layer shape and
-``event_kblock``; the routing knobs (``force_path``,
-``dispatch_threshold``) choose between already-bit-identical kernels. A
-binary conv timestep takes the event path iff its input density is at
-most ``dispatch_threshold`` and the layer has a calibrated fold, so the
-route is a pure function of (plan, input activity) and every counter
-repeats exactly across runs and processes. Every dense decision is
-attributed to its cause (density, calibration, forced) in the layer
-counters. The engine also memoises the first-layer current under
-time-invariant encodings (direct coding presents the same frame every
-timestep), which removes ``(T-1)/T`` of the dense-core work outright.
+Per layer the dispatcher measures the input activity of each frame the
+layer computes and routes every frame by one rule: to the dense
+gather-matmul kernel, the event-driven scatter kernel (see
+:mod:`repro.runtime.kernels`) or, for an all-zero frame while the event
+path is on, the bias. The kernels are calibrated bit-identical -- for
+deep conv shapes via the canonical blocked k-fold, which both share --
+so dispatch never changes results, only speed. Which fold a layer uses
+is a pure function of the layer shape and ``event_kblock``. A binary
+conv frame takes the event path iff its input density is at most
+``dispatch_threshold`` and the layer has a calibrated fold, so the route
+is a pure function of (plan, input activity) and every counter repeats
+exactly across runs and processes. Every dense decision is attributed to
+its cause (density, calibration, forced) in the layer counters. Under a
+time-invariant encoding (direct coding presents the same frame every
+timestep) the first layer computes its one frame, routed and counted for
+every timestep, and broadcasts the current: ``(T-1)/T`` of the
+dense-core work is gone outright.
 
 **Sample lanes and blocks.** A batch of at least ``2 * MIN_LANE_SAMPLES``
 runs in several lanes of contiguous samples, one per worker
 (:mod:`repro.runtime.lanes`). Per layer the calling thread routes on
-whole-batch numbers -- input totals, the per-timestep classification,
+whole-batch numbers -- input totals, the per-frame classification,
 the integer datapath, block resolution -- then every lane executes those
 decisions on its samples, one block of samples at a time: the block's
 current (whose float32 array holds at most ``max_fused_elements``
@@ -309,52 +310,38 @@ class InferenceEngine:
         trains: Optional[Dict[str, np.ndarray]] = {} if record else None
         counters: Dict[str, LayerCounters] = {}
         reduced: Optional[Dict[str, List[object]]] = {} if reducer else None
-        # Density scans only matter when the dispatcher can actually
-        # route away from the dense kernel.
-        dispatch_possible = config.force_path != "dense" and (
-            config.force_path == "event" or config.dispatch_threshold > 0.0
-        )
         x = stacked
         # Per-timestep spike counts of ``x`` once it is a spike train.
         counts: Optional[List[int]] = None
         for index, layer in enumerate(plan.layers):
             if trains is not None:
                 trains[layer.name] = x
-            # Per-timestep activity: reused for the time-major input
-            # totals, the density dispatch, and the binary check. A spike
-            # train's count is both its sum and its nnz (binary values,
-            # exact below 2^24 per timestep), and a binary encoder's byte
-            # frames are a spike train; only float encoder output is
-            # scanned twice. A time-invariant first layer scans its one
-            # frame once.
+            # Activity of each frame the layer computes -- a
+            # time-invariant input layer its one frame, any other layer
+            # its T frames -- reused for the time-major input totals,
+            # the routing and the binary check. A spike train's count is
+            # both its sum and its nnz (binary values, exact below 2^24
+            # per timestep), and a binary encoder's byte frames are a
+            # spike train; only float encoder output is scanned.
             invariant = time_invariant and layer.is_input_layer
+            frames = x[:1] if invariant else x
+            repeat = timesteps if invariant else 1
             if counts is None and x.dtype == np.uint8:
-                counts = _spike_counts(x)
+                counts = _spike_counts(frames)
             if counts is not None:
-                t_sums = [float(count) for count in counts]
-                t_nnz = counts if dispatch_possible else None
+                sums = [float(count) for count in counts]
+                nnz = counts
             else:
-                frames = x[:1] if invariant else x
-                repeat = timesteps if invariant else 1
-                t_sums = [float(frame.sum()) for frame in frames] * repeat
-                t_nnz = (
-                    [int(np.count_nonzero(frame)) for frame in frames] * repeat
-                    if dispatch_possible
-                    else None
-                )
+                sums = [float(frame.sum()) for frame in frames]
+                nnz = [int(np.count_nonzero(frame)) for frame in frames]
             total = 0.0
-            for value in t_sums:
+            for value in sums * repeat:
                 total = total + value
             input_totals[layer.name] = total
             layer_counter = counters.setdefault(layer.name, LayerCounters())
             route = self._route(
-                config,
-                layer,
-                x,
-                t_sums,
-                t_nnz,
+                config, layer, frames[0].size, sums, nnz, repeat,
                 analog=analog_first and layer.is_input_layer,
-                time_invariant=invariant,
                 counter=layer_counter,
             )
             updates = 0
@@ -479,21 +466,26 @@ class InferenceEngine:
         self,
         config: RuntimeConfig,
         layer: LayerPlan,
-        x: np.ndarray,
-        t_sums: List[float],
-        t_nnz: Optional[List[int]],
+        size: int,
+        sums: List[float],
+        nnz: List[int],
+        repeat: int,
         analog: bool,
-        time_invariant: bool,
         counter: LayerCounters,
     ) -> "_Route":
         """Decide, on whole-batch activity, which kernel computes each
-        timestep of ``layer`` and tally the decisions in ``counter``
-        (all but the scatter updates, which the kernels count).
+        frame of ``layer`` and tally the decisions in ``counter`` (all but
+        the scatter updates, which the kernels count).
+
+        ``sums`` and ``nnz`` hold one entry per computed frame of
+        ``size`` elements. Each frame stands for ``repeat`` timesteps: a
+        time-invariant layer computes its one frame for all ``T``, any
+        other layer each of its ``T`` frames once. Every frame takes the
+        same rule, and the counters count timesteps.
 
         Lazily built state the kernels read (block tables, integer
         weight copies) is built here, before any lane runs.
         """
-        timesteps = x.shape[0]
         conv = layer.kind == "conv"
         block = self._layer_block(layer) if conv and not analog else None
         # Binary conv steps of an int-lowered layer run the integer
@@ -501,124 +493,36 @@ class InferenceEngine:
         int_eligible = conv and not analog and layer.has_int_lowering
         use_int = int_eligible and layer.int_overflow_ok
         overflow = int_eligible and not use_int
-        if time_invariant:
-            route = self._route_frame(
-                config, layer, x[0], t_sums[0],
-                t_nnz[0] if t_nnz is not None else None,
-                analog, block, use_int, overflow, timesteps, counter,
-            )
-        elif t_nnz is None:  # dispatch disabled: everything is dense
-            reason = "forced" if config.force_path == "dense" else "density"
-            if not conv or analog:
-                reason = None
-            counter.count_dense(reason, timesteps)
-            int_dense = False
-            if use_int:
-                # The int dense kernel needs strictly binary input; with
-                # the per-timestep scan disabled, check the whole batch.
-                int_dense = float(np.count_nonzero(x)) == sum(t_sums)
-                if int_dense:
-                    counter.int_dense_steps += timesteps
-            elif overflow:
-                counter.float_overflow_steps += timesteps
-            route = _Route(["dense"] * timesteps, block, int_dense=int_dense)
-        else:
-            route = self._route_steps(
-                config, layer, t_sums, t_nnz, x[0].size, analog,
-                block, use_int, overflow, counter,
-            )
-        # A GEMM's fold may depend on the BLAS thread count, which is
-        # one in the lanes: only a fold calibrated equal to the scatter
-        # kernel's ascending-k fold is proven not to. FC layers and
-        # uncalibrated float dense folds run on the whole batch here.
-        route.whole_batch = not conv or (
-            "dense" in route.paths
-            and not route.int_dense
-            and not self._fold_calibrated(layer, block, analog)
+        # Frames with zero events short-circuit to a bias broadcast: a
+        # GEMM over an all-zero input yields exact zeros under *any* BLAS
+        # fold, so this is bit-exact without calibration (and it is where
+        # near-silent deep layers spend most of their steps). The integer
+        # path agrees by construction: a zero accumulator dequantizes to
+        # exactly the bias. The shortcut counts as an event step, so it
+        # is off with the event path.
+        event_path = config.force_path == "event" or (
+            config.force_path is None and config.dispatch_threshold > 0.0
         )
-        if block:
-            layer.block_tables(block)
-        if route.int_dense:
-            layer.wq_f32()
-        if route.int_event:
-            layer.wqT_f32()
-        return route
-
-    def _fold_calibrated(
-        self, layer: LayerPlan, block: Optional[int], analog: bool
-    ) -> bool:
-        """Whether the layer's float dense fold is calibrated identical to
-        the event kernel's -- a sequential ascending-k fold per output,
-        which OpenBLAS computes alike at every thread count. Analog
-        input runs the unblocked fold whatever the layer's block."""
-        if analog:
-            return calibrate_event_exact(layer)
-        return block is not None
-
-    def _route_frame(
-        self, config, layer, frame, f_sum, f_nnz, analog, block,
-        use_int, overflow, timesteps, counter,
-    ) -> "_Route":
-        """Route a time-invariant layer's one frame (memoised current,
-        broadcast over every timestep)."""
-        conv = layer.kind == "conv"
-        path, reason = "dense", None
-        if f_nnz is None:
-            reason = "forced" if config.force_path == "dense" else "density"
-            if not conv or analog:
-                reason = None
-        elif f_nnz == 0 and conv and not analog:
-            path = "empty"  # same shortcut as the per-timestep route
-        else:
-            use_event, reason = self._classify_step(
-                config, layer, block, analog, f_sum, f_nnz, frame.size
-            )
-            path = "event" if use_event else "dense"
-        if path == "dense":
-            counter.count_dense(reason, timesteps)
-        else:
-            counter.event_steps += timesteps
-            if path == "event":
-                if use_int:
-                    counter.int_event_steps += timesteps
-                elif overflow:
-                    counter.float_overflow_steps += timesteps
-        return _Route(
-            [path], block, int_event=use_int and path == "event", broadcast=True
-        )
-
-    def _route_steps(
-        self, config, layer, t_sums, t_nnz, slice_size, analog,
-        block, use_int, overflow, counter,
-    ) -> "_Route":
-        """Route every timestep of a layer on its own activity."""
-        # Timesteps with zero events short-circuit to a bias broadcast:
-        # a GEMM over an all-zero input yields exact zeros under *any*
-        # BLAS fold, so this is bit-exact without calibration (and it is
-        # where near-silent deep layers spend most of their steps). The
-        # integer path agrees by construction: a zero accumulator
-        # dequantizes to exactly the bias.
         paths: List[str] = []
-        dense_binary = True  # every routed dense step had binary input
-        for t, nnz in enumerate(t_nnz):
-            if nnz == 0:
+        dense_binary = True  # every routed dense frame had binary input
+        for f_sum, f_nnz in zip(sums, nnz):
+            if f_nnz == 0 and event_path:
                 paths.append("empty")
                 continue
             use_event, reason = self._classify_step(
-                config, layer, block, analog, t_sums[t], nnz, slice_size
+                config, layer, block, analog, f_sum, f_nnz, size
             )
             if use_event:
                 paths.append("event")
             else:
                 paths.append("dense")
-                counter.count_dense(reason)
-                if float(nnz) != t_sums[t]:
+                counter.count_dense(reason, repeat)
+                if float(f_nnz) != f_sum:
                     dense_binary = False
-        events = paths.count("event")
-        denses = paths.count("dense")
-        counter.event_steps += events + paths.count("empty")
-        # Dense steps run the int flavour only when every routed dense
-        # step is binary.
+        events = paths.count("event") * repeat
+        denses = paths.count("dense") * repeat
+        counter.event_steps += events + paths.count("empty") * repeat
+        # Dense frames run the int flavour only when every one is binary.
         int_dense = use_int and denses > 0 and dense_binary
         if events:
             if use_int:
@@ -630,9 +534,27 @@ class InferenceEngine:
                 counter.int_dense_steps += denses
             elif overflow:
                 counter.float_overflow_steps += denses
-        return _Route(
-            paths, block, int_dense=int_dense, int_event=use_int and events > 0
+        route = _Route(
+            paths, block, int_dense=int_dense,
+            int_event=use_int and events > 0, broadcast=repeat > 1,
         )
+        # A GEMM's fold may depend on the BLAS thread count, which is
+        # one in the lanes: only a fold calibrated equal to the scatter
+        # kernel's ascending-k fold is proven not to (analog input runs
+        # the unblocked fold whatever the layer's block). FC layers and
+        # uncalibrated float dense folds run on the whole batch here.
+        route.whole_batch = not conv or (
+            "dense" in paths
+            and not int_dense
+            and not (calibrate_event_exact(layer) if analog else block is not None)
+        )
+        if block:
+            layer.block_tables(block)
+        if int_dense:
+            layer.wq_f32()
+        if route.int_event:
+            layer.wqT_f32()
+        return route
 
     def _classify_step(
         self,
@@ -644,34 +566,27 @@ class InferenceEngine:
         nnz: int,
         size: int,
     ) -> Tuple[bool, Optional[str]]:
-        """Route one layer-timestep: ``(use_event, dense_reason)``.
+        """Route one frame: ``(use_event, dense_reason)``.
 
-        A binary conv step takes the event path iff its density
-        ``nnz / size`` is at most ``dispatch_threshold`` and the layer
-        has a calibrated fold. ``dense_reason`` attributes a dense
-        decision for the counters: ``None`` (ineligible by
-        construction), ``'forced'``, ``'density'`` or ``'calibration'``.
+        A binary conv frame takes the event path iff its density
+        ``nnz / size`` is at most ``dispatch_threshold`` (1 under
+        ``force_path='event'``) and the layer has a calibrated fold.
+        ``dense_reason`` attributes a dense decision for the counters:
+        ``None`` (ineligible by construction), ``'forced'``,
+        ``'density'`` or ``'calibration'``.
         """
-        if layer.kind != "conv" or analog or size == 0:
+        if layer.kind != "conv" or analog:
             return False, None
         binary = float(nnz) == t_sum  # non-negative spikes: sum==nnz <=> {0,1}
         if not binary:
             return False, None
         if config.force_path == "dense":
             return False, "forced"
-        if config.force_path == "event":
-            # Never dispatch to a shape without a calibrated bit-exact
-            # event configuration (see kernels docs).
-            if block is None:
-                return False, "calibration"
-            return True, None
-        if config.dispatch_threshold <= 0.0:
+        threshold = 1.0 if config.force_path == "event" else config.dispatch_threshold
+        if threshold <= 0.0 or (threshold < 1.0 and nnz / size > threshold):
             return False, "density"
-        if (
-            config.dispatch_threshold < 1.0
-            and nnz / size > config.dispatch_threshold
-        ):
-            return False, "density"
+        # Never dispatch to a shape without a calibrated bit-exact event
+        # configuration (see kernels docs).
         if block is None:
             return False, "calibration"
         return True, None

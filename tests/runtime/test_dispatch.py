@@ -11,7 +11,7 @@ from refshapes import make_conv_network_plan
 
 import repro
 from repro.errors import ConfigError, ShapeError
-from repro.quant import FP32, convert
+from repro.quant import FP32, INT4, convert
 from repro.runtime import (
     InferenceEngine,
     RuntimeConfig,
@@ -158,6 +158,51 @@ class TestDensityEdges:
         assert np.array_equal(legacy.logits, out.logits)
         # 0.5-valued inputs fail the sum==nnz binary check on layer 0.
         assert out.runtime_counters["conv1_1"].event_steps == 0
+
+
+class TestOneRoutingRule:
+    """A time-invariant input layer computes its one frame and counts it
+    for every timestep; it routes that frame by the rule every unrolled
+    frame takes, so memoising changes neither results nor counters."""
+
+    @pytest.mark.parametrize("scheme", [FP32, INT4], ids=["fp32", "int4"])
+    @pytest.mark.parametrize("batch", ["zeros", "random"])
+    def test_memoised_route_equals_unrolled_route(self, scheme, batch):
+        from repro.runtime.plan import plan_deployable
+
+        net = build_network(
+            "8C3-MP2-16C3-MP2-40", input_shape=(3, 8, 8), num_classes=10, seed=321
+        )
+        net.eval()
+        plan = plan_deployable(convert(net, scheme))
+        images = np.zeros((4, 3, 8, 8), dtype=np.float32)
+        if batch == "random":
+            images = np.random.default_rng(5).random(images.shape).astype(np.float32)
+        stacked = np.broadcast_to(images, (3,) + images.shape)
+        memoised = InferenceEngine(plan).run(
+            stacked, analog_first=True, time_invariant=True
+        )
+        unrolled = InferenceEngine(plan).run(
+            np.ascontiguousarray(stacked), analog_first=True, time_invariant=False
+        )
+        assert memoised.accumulated.tobytes() == unrolled.accumulated.tobytes()
+        assert {k: c.as_dict() for k, c in memoised.counters.items()} == {
+            k: c.as_dict() for k, c in unrolled.counters.items()
+        }
+        if batch == "zeros":
+            # An all-zero frame is the bias, counted as an event step.
+            assert memoised.counters["conv1_1"].event_steps == 3
+            assert memoised.counters["conv1_1"].dense_steps == 0
+
+    def test_forced_dense_counts_zero_frames_as_forced(self, deployable):
+        zeros = np.zeros((4, 3, 8, 8), dtype=np.float32)
+        with runtime_overrides(force_path="dense"):
+            out = deployable.forward(zeros, 3, RateEncoder(seed=0))
+        for name in ("conv1_1", "conv2_1"):
+            counters = out.runtime_counters[name]
+            assert counters.dense_forced_steps == 3
+            assert counters.dense_steps == 3
+            assert counters.event_steps == 0
 
 
 class TestConfig:
