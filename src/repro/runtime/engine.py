@@ -311,7 +311,8 @@ class InferenceEngine:
         counters: Dict[str, LayerCounters] = {}
         reduced: Optional[Dict[str, List[object]]] = {} if reducer else None
         x = stacked
-        # Per-timestep spike counts of ``x`` once it is a spike train.
+        # Spike counts of the frames a layer computes, once ``x`` is a
+        # spike train.
         counts: Optional[List[int]] = None
         for index, layer in enumerate(plan.layers):
             if trains is not None:
